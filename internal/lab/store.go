@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -226,13 +227,104 @@ func formatBytes(n uint64) string {
 // envelope is the entry payload format, shared by both layouts (a packed
 // record's payload is exactly a loose file's contents). Spec and Result are
 // the canonical serialized forms verbatim; Sum fingerprints Result so a
-// lookup (and Verify) can detect payload corruption.
+// lookup (and Verify) can detect payload corruption. The field order is
+// part of the format: parseEnvelope reads the head in this order and needs
+// Result last (TestEnvelopeResultIsLast).
 type envelope struct {
 	Tag    string          `json:"tag"`
 	Kind   string          `json:"kind"`
 	Spec   json.RawMessage `json:"spec"`
 	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
+}
+
+// parseEnvelope splits an entry payload into its head (tag, kind, spec and
+// sum) and its result, without running the result through a JSON decoder.
+// It relies on the layout json.Marshal gives an envelope: compact, fields in
+// declaration order, Result last. So the head is read member by member, the
+// spec is skipped as one JSON object, and the result is every byte between
+// the `,"result":` member and the closing brace, past which only whitespace
+// (a loose file's newline) may follow. Spec and Result alias payload, which
+// is never written: payloads in the pending overlay are shared across
+// goroutines. The result is not validated here; a lookup's decode and
+// verifyPayload's json.Valid do that.
+func parseEnvelope(payload []byte) (envelope, error) {
+	var env envelope
+	r := envelopeReader{p: payload, ok: true}
+	r.cut(`{"tag":`)
+	env.Tag = r.str()
+	r.cut(`,"kind":`)
+	env.Kind = r.str()
+	r.cut(`,"spec":`)
+	env.Spec = r.object()
+	r.cut(`,"sum":`)
+	env.Sum = r.str()
+	r.cut(`,"result":`)
+	if r.ok {
+		env.Result, r.ok = bytes.CutSuffix(bytes.TrimRight(r.p, " \t\r\n"), []byte("}"))
+	}
+	if !r.ok || len(env.Result) == 0 {
+		return envelope{}, errors.New("malformed entry envelope")
+	}
+	return env, nil
+}
+
+// envelopeReader is parseEnvelope's cursor. The first mismatch clears ok,
+// and every later step is then a no-op.
+type envelopeReader struct {
+	p  []byte
+	ok bool
+}
+
+// cut consumes prefix.
+func (r *envelopeReader) cut(prefix string) {
+	r.ok = r.ok && len(r.p) >= len(prefix) && string(r.p[:len(prefix)]) == prefix
+	if r.ok {
+		r.p = r.p[len(prefix):]
+	}
+}
+
+// str consumes a JSON string. The head's strings are hex digits and kind
+// names, so one with an escape is malformed.
+func (r *envelopeReader) str() string {
+	r.cut(`"`)
+	if !r.ok {
+		return ""
+	}
+	n := bytes.IndexByte(r.p, '"')
+	if r.ok = n >= 0 && bytes.IndexByte(r.p[:n], '\\') < 0; !r.ok {
+		return ""
+	}
+	s := string(r.p[:n])
+	r.p = r.p[n+1:]
+	return s
+}
+
+// object consumes one JSON object, matching braces and brackets outside
+// strings. It does not validate what lies between: a spec's decode and its
+// content-address check do.
+func (r *envelopeReader) object() []byte {
+	r.ok = r.ok && len(r.p) > 0 && r.p[0] == '{'
+	depth, inString := 0, false
+	for i := 0; r.ok && i < len(r.p); i++ {
+		switch c := r.p[i]; {
+		case inString && c == '\\':
+			i++ // skip the escaped byte
+		case c == '"':
+			inString = !inString
+		case inString:
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth == 0 {
+				obj := r.p[:i+1]
+				r.p = r.p[i+1:]
+				return obj
+			}
+		}
+	}
+	r.ok = false
+	return nil
 }
 
 // key derives the content address of a spec under tag.
@@ -295,17 +387,8 @@ func (s *Store) readLoose(key string) ([]byte, error) {
 // unparsable envelope, wrong kind, corrupt payload — is a miss: the caller
 // re-simulates and the write-through overwrites the bad entry.
 func (s *Store) lookupKey(kind, key string, out any) bool {
-	data := s.loadKey(key)
-	if data == nil {
-		s.misses.Add(1)
-		return false
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum {
-		s.misses.Add(1)
-		return false
-	}
-	if err := json.Unmarshal(env.Result, out); err != nil {
+	env, err := parseEnvelope(s.loadKey(key))
+	if err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum || json.Unmarshal(env.Result, out) != nil {
 		s.misses.Add(1)
 		return false
 	}
@@ -366,11 +449,7 @@ func readEnvelope(path string) (envelope, error) {
 	if err != nil {
 		return envelope{}, err
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return envelope{}, err
-	}
-	return env, nil
+	return parseEnvelope(data)
 }
 
 // specKeyOf resolves a prepared spec's memoized content key, deriving and
@@ -594,8 +673,8 @@ func (s *Store) forEachSpecEntry(fn func(SpecEntry)) error {
 		if err != nil {
 			continue
 		}
-		var env envelope
-		if json.Unmarshal(payload, &env) != nil {
+		env, err := parseEnvelope(payload)
+		if err != nil {
 			continue
 		}
 		e, err := specEntryOf(k, env)
@@ -663,14 +742,20 @@ type Problem struct {
 
 // verifyPayload checks one entry payload end to end: envelope parses, the
 // claimed key matches the content address of (tag, kind, spec), the result
-// payload matches its fingerprint, and the spec decodes under its kind.
+// payload matches its fingerprint and is valid JSON, and the spec decodes
+// under its kind.
 func verifyPayload(name string, payload []byte) (envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+	env, err := parseEnvelope(payload)
+	if err != nil {
 		return env, err
 	}
-	_, err := specEntryOf(name, env)
-	return env, err
+	if _, err := specEntryOf(name, env); err != nil {
+		return env, err
+	}
+	if !json.Valid(env.Result) {
+		return env, errors.New("result payload is not valid JSON")
+	}
+	return env, nil
 }
 
 // Verify checks the integrity of every entry in both layouts. For loose

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -475,5 +476,251 @@ func TestTailSurvivesStoreEnvelope(t *testing.T) {
 	}
 	if !reflect.DeepEqual(scold, swarm) {
 		t.Fatalf("warm scenario result (incl. per-phase Tails) diverges from cold")
+	}
+}
+
+// TestEnvelopeResultIsLast pins the layout parseEnvelope relies on:
+// json.Marshal writes an envelope compactly, fields in declaration order,
+// with the result member last. A field added after Result (or between the
+// head members) fails here instead of turning every lookup into a miss.
+func TestEnvelopeResultIsLast(t *testing.T) {
+	env := envelope{
+		Tag: "0123abcd", Kind: KindScenario,
+		Spec:   json.RawMessage(`{"Scenario":{"name":"a \"}\" b","phases":[{"name":"[{"}]}}`),
+		Sum:    "feed",
+		Result: json.RawMessage(`{"Phases":[{"Name":"x\",\"result\":{"}],"Ops":1}`),
+	}
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `,"result":` + string(env.Result) + `}`; !strings.HasSuffix(string(data), want) {
+		t.Fatalf("envelope encodes as %s, which does not end with %s", data, want)
+	}
+	before := string(data)
+	got, err := parseEnvelope(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("parseEnvelope(%s) = %+v, want %+v", data, got, env)
+	}
+	if string(data) != before {
+		t.Fatal("parseEnvelope wrote into the payload")
+	}
+
+	for _, bad := range []string{
+		"",
+		`{"kind":"trial","tag":"t","spec":{},"sum":"s","result":{}}`,       // reordered
+		`{"tag":"t","kind":"trial","spec":{},"sum":"s"}`,                   // no result
+		`{"tag":"t","kind":"trial","spec":{},"sum":"s","result":}`,         // empty result
+		`{"tag":"t","kind":"trial","spec":{"a":[}`,                         // unterminated spec
+		`{"tag":"t\u0030","kind":"trial","spec":{},"sum":"s","result":{}}`, // escaped head string
+		`{"tag":"t","kind":"trial","spec":{},"sum":"s","result":{}} x`,     // trailing bytes
+		`{"tag": "t","kind":"trial","spec":{},"sum":"s","result":{}}`,      // not compact
+	} {
+		if env, err := parseEnvelope([]byte(bad)); err == nil {
+			t.Errorf("parseEnvelope(%s) accepted: %+v", bad, env)
+		}
+	}
+}
+
+// TestLooseEntryServedWarm: a loose entry file ends with a newline after
+// the envelope, and a lookup through a fresh handle still serves it.
+func TestLooseEntryServedWarm(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenLoose(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trialW(3)
+	w.RecordTail = true
+	cold, err := (&bench.Runner{Store: st}).Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := entryPaths(t, st)
+	if len(paths) != 1 {
+		t.Fatalf("entry files = %d, want 1", len(paths))
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(string(data), "}\n") {
+		t.Fatalf("loose entry does not end with a newline after the envelope: %q", data[len(data)-8:])
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, ok := fresh.LookupTrial(w)
+	if !ok || !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("loose entry not served warm (hit %v)", ok)
+	}
+}
+
+// TestResultMemberTextInNamesRoundTrips: scenario and phase names holding
+// the text of the envelope's result member are escaped by JSON, so only the
+// envelope's own member matches and the trial round-trips warm, deeply
+// equal and byte-identical.
+func TestResultMemberTextInNamesRoundTrips(t *testing.T) {
+	const trap = `","result":{`
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := bench.ScenarioWorkload{
+		DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 64, Seed: 4, RecordTail: true,
+		Scenario: scenario.Scenario{
+			Name: "s" + trap,
+			Phases: []scenario.Phase{
+				{Name: "fill" + trap + "}", Ops: 80, Weights: scenario.Weights{Insert: 1}},
+				{Name: trap + `"x":1}`, Ops: 80, Weights: scenario.Weights{Insert: 1, Delete: 1, Read: 2}},
+			},
+		},
+	}
+	r := bench.Runner{Store: st}
+	cold, err := r.RunScenario(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := r.RunScenario(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats(); got.Hits != 1 || got.Misses != 1 {
+		t.Fatalf("store traffic %+v, want 1 miss then 1 hit", got)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm scenario result diverges from cold")
+	}
+	cb, err := json.Marshal(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := json.Marshal(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(cb) != string(wb) {
+		t.Fatal("warm scenario result is not byte-identical to cold")
+	}
+	spec, err := bench.ScenarioSpecBytes(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := string(st.loadKey(key(st.Tag(), KindScenario, spec)))
+	if !strings.Contains(payload, `\",\"result\":{`) || strings.Count(payload, `,"result":`) != 1 {
+		t.Fatalf("payload does not hold the escaped names and one result member: %s", payload)
+	}
+}
+
+// plantEntry writes a payload under w's key whose result is not valid JSON
+// but matches its fingerprint, through st's write path.
+func plantEntry(t *testing.T, st *Store, w bench.Workload) {
+	t.Helper()
+	spec, err := bench.TrialSpecBytes(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = `{"Ops":1,}`
+	payload := fmt.Sprintf(`{"tag":%q,"kind":%q,"spec":%s,"sum":%q,"result":%s}`,
+		st.Tag(), KindTrial, spec, payloadSum([]byte(bad)), bad)
+	if err := st.putPayload(key(st.Tag(), KindTrial, spec), []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyRejectsInvalidResultJSON: the head-only envelope parse leaves
+// the result unscanned, so Verify must still reject a result that is not
+// valid JSON even when its fingerprint matches, as a loose file and as a
+// packed record. A lookup misses it and a re-run heals it.
+func TestVerifyRejectsInvalidResultJSON(t *testing.T) {
+	for _, layout := range []string{"loose", "packed"} {
+		t.Run(layout, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openLayout(t, dir, layout)
+			w := trialW(5)
+			plantEntry(t, st, w)
+
+			sound, problems, err := st.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sound != 0 || len(problems) != 1 || !strings.Contains(problems[0].Reason, "not valid JSON") {
+				t.Fatalf("verify: %d sound, problems %+v; want the invalid result reported", sound, problems)
+			}
+			if _, ok := st.LookupTrial(w); ok {
+				t.Fatal("entry with an invalid result served as a hit")
+			}
+
+			r := bench.Runner{Store: st}
+			res, err := r.Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = openLayout(t, dir, layout)
+			if got, ok := st.LookupTrial(w); !ok || !reflect.DeepEqual(got, res) {
+				t.Fatalf("re-run did not heal the entry (hit %v)", ok)
+			}
+			if layout == "packed" {
+				// The superseded record stays in its segment until Pack
+				// compacts the winners.
+				if _, _, err := st.Pack(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sound, problems, err := st.Verify(); err != nil || sound != 1 || len(problems) != 0 {
+				t.Fatalf("after healing: %d sound, problems %+v, err %v; want 1 sound", sound, problems, err)
+			}
+		})
+	}
+}
+
+// TestWarmHitAllocs is the allocation budget of one warm LookupTrialSpec on
+// a packed store: one record read, the envelope's head parse, the result's
+// fingerprint and its decode, tail histograms included. Decoding the whole
+// envelope with encoding/json and each histogram with a nested
+// json.Unmarshal cost 152 allocations for this trial; the head-only parse
+// and the one-pass histogram decoder cost 32.
+func TestWarmHitAllocs(t *testing.T) {
+	const budget = 32
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bench.Workload{
+		DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 32, UpdatePct: 50,
+		OpsPerThread: 40, Seed: 1, RecordTail: true,
+	}
+	if _, err := (&bench.Runner{Store: st}).Run(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	spec, err := bench.TrialSpecBytes(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if res, ok := st.LookupTrialSpec(&bench.PreparedSpec{Spec: spec}); !ok || res.Tail == nil {
+			t.Fatal("warm lookup missed or lost its tail")
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("warm hit allocates %v times, budget %d", allocs, budget)
 	}
 }

@@ -20,8 +20,10 @@
 package latency
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -251,29 +253,227 @@ func (h Hist) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON decodes a sparse histogram. An empty histogram decodes to
-// the zero Hist (no bucket allocation), matching what Marshal produced it
-// from.
+// histFields names the members of the serialized form in the order
+// MarshalJSON writes them (histJSON's field order).
+var histFields = [...]string{"count", "sum", "min", "max", "idx", "n"}
+
+// UnmarshalJSON decodes the sparse form in one pass, straight into the
+// bucket array, with no reflection and no intermediate idx/n slices. It
+// accepts what MarshalJSON writes, with JSON whitespace between tokens, or
+// a bare null (the zero Hist):
+//
+//	hist   = "null" | "{" [ member { "," member } ] "}"
+//	member = "count" ":" uint | "sum" ":" uint | "min" ":" uint | "max" ":" uint
+//	       | "idx" ":" list | "n" ":" list
+//	list   = "[" [ uint { "," uint } ] "]"
+//	uint   = "0" | [1-9][0-9]*   (at most 2^64-1)
+//
+// Member names are quoted and matched exactly; members appear at most once,
+// in the order listed, and any may be omitted. idx must hold strictly
+// increasing bucket indexes, n one count per index, and the counts must sum
+// to count, so a decoded histogram keeps the invariants Quantile relies on.
+// An empty histogram decodes to the zero Hist (no bucket allocation),
+// matching what Marshal produced it from. On error h is left unchanged.
 func (h *Hist) UnmarshalJSON(data []byte) error {
-	var j histJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	d := histDecoder{data: data}
+	d.skipSpace()
+	var out Hist
+	if bytes.HasPrefix(data[d.off:], []byte("null")) {
+		d.off += 4
+	} else if err := d.object(&out); err != nil {
 		return err
 	}
-	if len(j.Idx) != len(j.N) {
-		return fmt.Errorf("latency: histogram idx/count length mismatch: %d vs %d", len(j.Idx), len(j.N))
+	if d.skipSpace(); d.off != len(data) {
+		return d.errorf("trailing bytes after the histogram")
 	}
-	*h = Hist{n: j.Count, sum: j.Sum, min: j.Min, max: j.Max}
-	if len(j.Idx) == 0 {
-		return nil
-	}
-	h.counts = make([]uint64, NumBuckets)
-	for k, i := range j.Idx {
-		if i < 0 || i >= NumBuckets {
-			return fmt.Errorf("latency: histogram bucket index %d out of range", i)
+	*h = out
+	return nil
+}
+
+// histDecoder is UnmarshalJSON's cursor over its input.
+type histDecoder struct {
+	data []byte
+	off  int
+}
+
+func (d *histDecoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("latency: histogram JSON at byte %d: %s", d.off, fmt.Sprintf(format, args...))
+}
+
+// skipSpace advances past JSON whitespace.
+func (d *histDecoder) skipSpace() {
+	for d.off < len(d.data) {
+		switch d.data[d.off] {
+		case ' ', '\t', '\n', '\r':
+			d.off++
+		default:
+			return
 		}
-		h.counts[i] = j.N[k]
+	}
+}
+
+// eat consumes c if it is the next byte past any whitespace.
+func (d *histDecoder) eat(c byte) bool {
+	d.skipSpace()
+	if d.off < len(d.data) && d.data[d.off] == c {
+		d.off++
+		return true
+	}
+	return false
+}
+
+// number parses an unsigned decimal integer: no sign, fraction, exponent or
+// leading zero, and no overflow past 2^64-1.
+func (d *histDecoder) number() (uint64, error) {
+	d.skipSpace()
+	start := d.off
+	var v uint64
+	for ; d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9'; d.off++ {
+		digit := uint64(d.data[d.off] - '0')
+		if v > (math.MaxUint64-digit)/10 {
+			return 0, d.errorf("number overflows uint64")
+		}
+		v = v*10 + digit
+	}
+	switch {
+	case d.off == start:
+		return 0, d.errorf("want an unsigned integer")
+	case d.data[start] == '0' && d.off-start > 1:
+		return 0, d.errorf("number has a leading zero")
+	}
+	return v, nil
+}
+
+// member consumes a quoted member name and its colon, and returns the
+// name's position in histFields, which must be at or after from.
+func (d *histDecoder) member(from int) (int, error) {
+	if !d.eat('"') {
+		return 0, d.errorf("want a member name")
+	}
+	n := bytes.IndexByte(d.data[d.off:], '"')
+	if n < 0 {
+		return 0, d.errorf("unterminated member name")
+	}
+	name := d.data[d.off : d.off+n]
+	for i := from; i < len(histFields); i++ {
+		if string(name) == histFields[i] {
+			d.off += n + 1
+			if !d.eat(':') {
+				return 0, d.errorf("want ':'")
+			}
+			return i, nil
+		}
+	}
+	return 0, d.errorf("unexpected member %q (members are %v, in that order, each at most once)", name, histFields)
+}
+
+// next consumes the separator before element k of a list or object whose
+// opening bracket is consumed, and reports false at the closing bracket.
+func (d *histDecoder) next(k int, closing byte) (bool, error) {
+	if d.eat(closing) {
+		return false, nil
+	}
+	if k > 0 && !d.eat(',') {
+		return false, d.errorf("want ',' or '%c'", closing)
+	}
+	return true, nil
+}
+
+// object decodes a histogram object into h. Each idx entry marks its
+// bucket with a placeholder count; because idx is strictly increasing, the
+// k-th count of n belongs to the k-th marked bucket in ascending order, so
+// n fills the marks with one forward sweep of the bucket array.
+func (d *histDecoder) object(h *Hist) error {
+	if !d.eat('{') {
+		return d.errorf("want '{' or null")
+	}
+	fill := 0 // n's cursor: buckets below it hold their final counts
+	var total uint64
+	for k, from := 0, 0; ; k++ {
+		more, err := d.next(k, '}')
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+		field, err := d.member(from)
+		if err != nil {
+			return err
+		}
+		from = field + 1
+		switch histFields[field] {
+		case "count":
+			h.n, err = d.number()
+		case "sum":
+			h.sum, err = d.number()
+		case "min":
+			h.min, err = d.number()
+		case "max":
+			h.max, err = d.number()
+		case "idx":
+			prev := -1
+			err = d.list(func(i uint64) error {
+				if i >= NumBuckets || int(i) <= prev {
+					return d.errorf("bucket index %d out of range or not increasing", i)
+				}
+				if h.counts == nil {
+					h.counts = make([]uint64, NumBuckets)
+				}
+				h.counts[i] = 1 // placeholder, replaced by n
+				prev = int(i)
+				return nil
+			})
+		case "n":
+			err = d.list(func(c uint64) error {
+				for fill < len(h.counts) && h.counts[fill] == 0 {
+					fill++
+				}
+				if fill == len(h.counts) {
+					return d.errorf("more bucket counts than bucket indexes")
+				}
+				h.counts[fill] = c
+				fill++
+				var carry uint64
+				if total, carry = bits.Add64(total, c, 0); carry != 0 {
+					return d.errorf("bucket counts overflow uint64")
+				}
+				return nil
+			})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for _, c := range h.counts[fill:] {
+		if c != 0 {
+			return d.errorf("more bucket indexes than bucket counts")
+		}
+	}
+	if total != h.n {
+		return d.errorf("bucket counts sum to %d, count is %d", total, h.n)
 	}
 	return nil
+}
+
+// list decodes a list of unsigned integers, passing each to fn.
+func (d *histDecoder) list(fn func(uint64) error) error {
+	if !d.eat('[') {
+		return d.errorf("want '['")
+	}
+	for k := 0; ; k++ {
+		more, err := d.next(k, ']')
+		if err != nil || !more {
+			return err
+		}
+		v, err := d.number()
+		if err != nil {
+			return err
+		}
+		if err := fn(v); err != nil {
+			return err
+		}
+	}
 }
 
 // Kind tags a recorded operation by what it did: the set/stack/queue

@@ -2,6 +2,8 @@ package latency
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -239,13 +241,125 @@ func TestHistJSONRoundTrip(t *testing.T) {
 		t.Fatalf("empty hist decode allocated buckets")
 	}
 
-	// Corrupt envelopes are rejected, not silently mis-decoded.
-	if err := new(Hist).UnmarshalJSON([]byte(`{"count":1,"idx":[1,2],"n":[3]}`)); err == nil {
-		t.Fatal("idx/n length mismatch accepted")
+	// JSON whitespace between tokens (an indented encoding) and a bare
+	// null decode too.
+	data, err = json.MarshalIndent(&tl, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := new(Hist).UnmarshalJSON([]byte(`{"count":1,"idx":[99999],"n":[1]}`)); err == nil {
-		t.Fatal("out-of-range bucket index accepted")
+	var indented Tail
+	if err := json.Unmarshal(data, &indented); err != nil {
+		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(tl, indented) {
+		t.Fatalf("indented tail JSON round trip lost information")
+	}
+	h := *fromSamples([]uint64{7})
+	if err := h.UnmarshalJSON([]byte(" null ")); err != nil || !reflect.DeepEqual(h, Hist{}) {
+		t.Fatalf("null decodes to %+v, %v; want the zero Hist", h, err)
+	}
+
+	// Corrupt or inconsistent histograms are rejected, not silently
+	// mis-decoded, and leave the target unchanged. MarshalJSON writes none
+	// of these; a duplicate index or a count/bucket mismatch would break the
+	// invariant Quantile relies on (the bucket counts sum to the count).
+	for _, bad := range []string{
+		`{"count":1,"idx":[1,2],"n":[3]}`,                      // more indexes than counts
+		`{"count":3,"idx":[1],"n":[1,2]}`,                      // more counts than indexes
+		`{"count":1,"idx":[99999],"n":[1]}`,                    // out-of-range index
+		`{"count":2,"idx":[3,3],"n":[1,1]}`,                    // duplicate index
+		`{"count":2,"idx":[3,3],"n":[2]}`,                      // duplicate index, counts sum to count
+		`{"count":2,"idx":[5,3],"n":[1,1]}`,                    // decreasing index
+		`{"count":3,"idx":[3,5],"n":[1,1]}`,                    // counts do not sum to count
+		`{"count":0,"idx":[3,5],"n":[18446744073709551615,1]}`, // counts overflow
+	} {
+		h := *fromSamples([]uint64{7})
+		want := *fromSamples([]uint64{7})
+		if err := h.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Errorf("%s accepted", bad)
+		} else if !reflect.DeepEqual(h, want) {
+			t.Errorf("rejected %s still changed the histogram", bad)
+		}
+	}
+}
+
+// referenceUnmarshal is the decoder UnmarshalJSON replaced: encoding/json
+// into histJSON, with its length and range checks. FuzzHistJSON holds the
+// one-pass decoder to it.
+func referenceUnmarshal(h *Hist, data []byte) error {
+	var j histJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if len(j.Idx) != len(j.N) {
+		return fmt.Errorf("idx/count length mismatch: %d vs %d", len(j.Idx), len(j.N))
+	}
+	*h = Hist{n: j.Count, sum: j.Sum, min: j.Min, max: j.Max}
+	if len(j.Idx) == 0 {
+		return nil
+	}
+	h.counts = make([]uint64, NumBuckets)
+	for k, i := range j.Idx {
+		if i < 0 || i >= NumBuckets {
+			return fmt.Errorf("bucket index %d out of range", i)
+		}
+		h.counts[i] = j.N[k]
+	}
+	return nil
+}
+
+// FuzzHistJSON tests the one-pass decoder against the reference: anything
+// it accepts, the reference accepts too, with a deeply equal Hist. (It may
+// reject more: inconsistent counts, unknown or reordered members.) The
+// input also seeds a random histogram whose MarshalJSON form must
+// round-trip.
+func FuzzHistJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"count":3,"sum":40,"min":5,"max":20,"idx":[5,17,18],"n":[1,1,1]}`,
+		` { "count" : 2 , "idx" : [ 0 , 975 ] , "n" : [ 1 , 1 ] } `,
+		`null`,
+		`{}`,
+		`{"count":0}`,
+		`{"count":1,"idx":[1,2],"n":[3]}`,         // idx/n length mismatch
+		`{"count":1,"idx":[99999],"n":[1]}`,       // out-of-range index
+		`{"count":2,"idx":[3,3],"n":[1,1]}`,       // duplicate index
+		`{"count":1,"idx":[1],"n":[1]} x`,         // trailing bytes
+		`{"count":1,"idx":[1],"n":[1],"extra":1}`, // unknown member
+		`{"count":-1}`,                            // negative number
+		`{"count":1,"idx":[-0],"n":[1]}`,          // negative zero index
+		`{"count":1.5}`,                           // float
+		`{"count":18446744073709551616}`,          // uint64 overflow
+		`{"count":1,"idx":[01],"n":[1]}`,          // leading zero
+		`{"n":[1],"idx":[1],"count":1}`,           // reordered members
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Hist
+		if err := got.UnmarshalJSON(data); err == nil {
+			var want Hist
+			if rerr := referenceUnmarshal(&want, data); rerr != nil {
+				t.Fatalf("decoder accepted %q, the reference rejects it: %v", data, rerr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q decodes to %+v, the reference to %+v", data, got, want)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		h := fromSamples(randomSamples(rng, rng.Intn(300)))
+		enc, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Hist
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("MarshalJSON output %s rejected: %v", enc, err)
+		}
+		if !reflect.DeepEqual(*h, back) {
+			t.Fatalf("%s does not round-trip", enc)
+		}
+	})
 }
 
 // TestTailPartitions: Record keeps the kind and attribution partitions exact
