@@ -4,20 +4,21 @@
 //
 //	calab inspect -store DIR            # engine tags, entry counts, per-cell replication statistics
 //	calab diff -a DIRA -b DIRB          # cross-run A/B: speedup per cell, CI-overlap significance
-//	calab gc -store DIR [-all]          # drop entries from other engine versions (or everything)
+//	calab gc -store DIR [-all]          # drop foreign-engine and corrupt entries (or everything)
 //	calab export -store DIR [-csv F]    # long-form CSV of every trial entry
 //	calab verify -store DIR             # integrity: content addresses and payload fingerprints
-//	calab pack -store DIR               # convert loose objects/ entries into packed segments
+//	calab pack -store DIR               # compact the segments: one record per entry, no crash residue
 //	calab index -store DIR              # rebuild the segment sidecar index by scanning segments
 //	calab merge SRC... DST              # fold shard stores into DST (per-key dedup, one engine tag)
 //	calab runs -store DIR               # list the run manifests under DIR/runs
 //	calab runs -run ID -store DIR       # inspect one run's manifest (or -run PATH)
 //	calab runs -a X -b Y [-store DIR]   # A/B two runs' timing rollups
 //
-// Entries are keyed by the engine tag (a digest of the golden files pinning
-// the engine's output), so results from different engine versions never mix:
-// inspect reports foreign-tag entries, gc collects them, and diff is the
-// tool that deliberately compares across them.
+// Entries are keyed by the engine tag (a digest of the stored result schema
+// and the golden files pinning the engine's output), so results from
+// different engine versions never mix: inspect reports foreign-tag entries,
+// gc collects them, and diff is the tool that deliberately compares across
+// them.
 package main
 
 import (
@@ -258,7 +259,9 @@ func verify(dir string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "  %s: %s\n", p.Path, p.Reason)
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("%d corrupt entries (re-running the experiments repairs them)", len(problems))
+		// Segments are append-only: a re-run heals the lookups but leaves
+		// the bad records behind their replacements until a rewrite.
+		return fmt.Errorf("%d problems (re-run the experiments to heal their lookups, then calab pack or calab gc to drop the bad records)", len(problems))
 	}
 	return nil
 }
@@ -277,20 +280,19 @@ func gc(dir string, all bool, out io.Writer) (err error) {
 	return nil
 }
 
-// pack converts every loose objects/ entry into packed segment records and
-// removes the loose files, leaving a store whose warm lookups are one
-// in-memory index probe plus one segment read.
+// pack compacts the store's segments into one, dropping superseded
+// records and crash residue.
 func pack(dir string, out io.Writer) (err error) {
 	st, err := lab.OpenExisting(dir)
 	if err != nil {
 		return err
 	}
 	defer closing(st, &err)
-	packed, loose, err := st.Pack()
+	packed, err := st.Pack()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "packed %d loose entries; store now holds %d packed entries\n", loose, packed)
+	fmt.Fprintf(out, "store now holds %d packed entries\n", packed)
 	return nil
 }
 
@@ -311,9 +313,9 @@ func index(dir string, out io.Writer) (err error) {
 }
 
 // merge folds each SRC store into DST: per-key dedup (content-addressed
-// entries cannot conflict), engine-tag mismatch refusal, packed and loose
-// sources alike. Sources must already exist; the destination is created on
-// demand, so merging shard stores into a fresh main store just works.
+// entries cannot conflict) and engine-tag mismatch refusal. Sources must
+// already exist; the destination is created on demand, so merging shard
+// stores into a fresh main store just works.
 func merge(srcDirs []string, dstDir string, out io.Writer) (err error) {
 	dst, err := lab.Open(dstDir)
 	if err != nil {

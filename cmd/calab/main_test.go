@@ -133,8 +133,9 @@ func TestExportQuotesCommas(t *testing.T) {
 	}
 }
 
-// fillStore runs one tiny sweep into a fresh store at dir.
-func fillStore(t *testing.T, dir string) {
+// fillStore runs one tiny sweep into the store at dir, creating it if
+// needed, and returns the run's store traffic.
+func fillStore(t *testing.T, dir string) lab.StoreStats {
 	t.Helper()
 	st, err := lab.Open(dir)
 	if err != nil {
@@ -151,33 +152,25 @@ func fillStore(t *testing.T, dir string) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return st.Stats()
 }
 
-// TestPackAndIndexEndToEnd: a loose store converts in place, the sidecar
-// rebuilds from segment bytes alone, and the packed store keeps serving the
-// same entries.
+// TestPackAndIndexEndToEnd: pack compacts the store into one segment in
+// place, the sidecar rebuilds from segment bytes alone, and the packed
+// store keeps serving the same entries.
 func TestPackAndIndexEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	st, err := lab.OpenLoose(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bench.Sweep(bench.SweepConfig{
-		DS: "list", Schemes: []string{"ca"}, Threads: []int{2}, Updates: []int{100},
-		KeyRange: 32, Ops: 50, Seed: 9, Trials: 2, Store: st,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	fillStore(t, dir)
 
 	var out strings.Builder
 	if err := run(options{cmd: "pack", store: dir}, &out); err != nil {
 		t.Fatalf("pack: %v", err)
 	}
-	if !strings.Contains(out.String(), "packed 2 loose entries; store now holds 2 packed entries") {
+	if !strings.Contains(out.String(), "store now holds 2 packed entries") {
 		t.Errorf("pack output: %s", out.String())
+	}
+	if segs := segmentFiles(t, dir); len(segs) != 1 {
+		t.Errorf("pack left %d segments, want 1", len(segs))
 	}
 
 	// The sidecar index must be reconstructible from segment bytes alone.
@@ -205,6 +198,57 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "2 trial + 0 scenario") {
 		t.Errorf("inspect output after pack: %s", out.String())
+	}
+}
+
+// segmentFiles lists the store's segment files.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// TestVerifyAdviceClearsCorruption follows verify's advice after a segment
+// record is corrupted: verify fails; a re-run takes one miss and heals the
+// lookup, but the bad record stays behind its replacement, so verify still
+// fails and names pack; after pack, verify passes.
+func TestVerifyAdviceClearsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	fillStore(t, dir)
+	seg := segmentFiles(t, dir)[0]
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF // inside the segment's last record
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := run(options{cmd: "verify", store: dir}, &out); err == nil {
+		t.Fatalf("verify passed a corrupt record:\n%s", out.String())
+	}
+	if s := fillStore(t, dir); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("re-run traffic %+v, want the corrupt entry's one miss and one hit", s)
+	}
+	out.Reset()
+	err = run(options{cmd: "verify", store: dir}, &out)
+	if err == nil || !strings.Contains(err.Error(), "1 problems") || !strings.Contains(err.Error(), "then calab pack or calab gc") {
+		t.Fatalf("verify after re-run: err %v, want the bad record reported with pack/gc advice", err)
+	}
+	if err := run(options{cmd: "pack", store: dir}, io.Discard); err != nil {
+		t.Fatalf("pack: %v", err)
+	}
+	out.Reset()
+	if err := run(options{cmd: "verify", store: dir}, &out); err != nil {
+		t.Fatalf("verify after pack: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "2 sound entries, 0 problems") {
+		t.Errorf("verify output after pack: %s", out.String())
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // store must show simulation time collapsing to zero with the store lookup
 // as the remaining cost.
 func TestManifestAccountsWallClock(t *testing.T) {
-	st := &keyedMemStore{memStore: newMemStore()}
+	st := newMemStore()
 	cfg := SweepConfig{
 		DS: "list", Schemes: []string{"ca", "rcu"},
 		Threads: []int{2}, Updates: []int{100},
@@ -122,16 +122,12 @@ func TestParallelSweepObserved(t *testing.T) {
 
 // failingStore wraps the in-memory store with a write path that always
 // fails, simulating a full or broken disk under the sweep pool.
-type failingStore struct{ inner *memStore }
+type failingStore struct{ *memStore }
 
-func (f failingStore) LookupTrial(w Workload) (Result, bool) { return f.inner.LookupTrial(w) }
-func (f failingStore) StoreTrial(w Workload, res Result) error {
+func (failingStore) StoreTrialSpec(*PreparedSpec, Result) error {
 	return errors.New("disk full")
 }
-func (f failingStore) LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool) {
-	return f.inner.LookupScenario(sw)
-}
-func (f failingStore) StoreScenario(sw ScenarioWorkload, res ScenarioResult) error {
+func (failingStore) StoreScenarioSpec(*PreparedSpec, ScenarioResult) error {
 	return errors.New("disk full")
 }
 
@@ -148,7 +144,7 @@ func TestPoolErrorPathKeepsObsConsistent(t *testing.T) {
 		DS: "list", Schemes: []string{"ca", "rcu", "ibr"},
 		Threads: []int{1, 2}, Updates: []int{100},
 		KeyRange: 64, Ops: 80, Seed: 5, Trials: 1, Workers: 4,
-		Store: failingStore{inner: newMemStore()},
+		Store: failingStore{newMemStore()},
 		Obs:   rec,
 	}
 	_, err := Sweep(cfg, nil)

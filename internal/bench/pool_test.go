@@ -172,71 +172,3 @@ func BenchmarkSweep(b *testing.B) {
 		})
 	}
 }
-
-// TestPooledStaleStoreHitHeals: a store written by a pre-tail binary (every
-// entry has a nil Tail) must heal under a parallel tail-recording sweep
-// exactly as under a sequential one — pool workers treat each stale hit as a
-// miss, re-simulate on their own Runner, and overwrite the entry — and the
-// returned points match a storeless sequential sweep deep-equal.
-func TestPooledStaleStoreHitHeals(t *testing.T) {
-	cfg := SweepConfig{
-		DS: "list", Schemes: []string{"ca", "rcu"},
-		Threads: []int{2, 4}, Updates: []int{10},
-		KeyRange: 64, Ops: 120, Seed: 11, Trials: 2,
-		RecordTail: true,
-	}
-
-	// Reference: storeless sequential sweep.
-	ref := cfg
-	ref.Workers = 1
-	want, err := Sweep(ref, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// staleStore populates a memStore as a pre-tail binary would have: run
-	// the sweep against it, then strip every stored Tail.
-	staleStore := func() *memStore {
-		mem := newMemStore()
-		seed := cfg
-		seed.Workers = 1
-		seed.Store = mem
-		if _, err := Sweep(seed, nil); err != nil {
-			t.Fatal(err)
-		}
-		for k, r := range mem.trials {
-			r.Tail = nil
-			mem.trials[k] = r
-		}
-		return mem
-	}
-
-	seqMem, parMem := staleStore(), staleStore()
-	heal := func(mem *memStore, workers int) []SweepPoint {
-		run := cfg
-		run.Workers = workers
-		run.Store = mem
-		points, err := Sweep(run, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return points
-	}
-	seqPoints := heal(seqMem, 1)
-	parPoints := heal(parMem, runtime.GOMAXPROCS(0)+2)
-
-	if !reflect.DeepEqual(parPoints, want) {
-		t.Error("pooled sweep over a stale store diverges from the storeless sequential sweep")
-	}
-	if !reflect.DeepEqual(seqPoints, want) {
-		t.Error("sequential sweep over a stale store diverges from the storeless sweep")
-	}
-	for k, r := range parMem.trials {
-		if r.Tail == nil {
-			t.Errorf("entry %q not healed by the pooled sweep", k)
-		}
-	}
-	if !reflect.DeepEqual(seqMem.trials, parMem.trials) {
-		t.Error("pooled healing left different store contents than sequential healing")
-	}
-}

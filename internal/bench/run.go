@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"condaccess/internal/cache"
-	"condaccess/internal/latency"
 	"condaccess/internal/obs"
 	"condaccess/internal/scenario"
 	"condaccess/internal/sim"
@@ -64,23 +63,19 @@ func (r *Runner) Run(w Workload) (Result, error) {
 	if err := validate(&w); err != nil {
 		return Result{}, err
 	}
-	// The spec is canonicalized once here; a keyed store memoizes the
-	// derived content key on ps across the lookup and the write-through,
-	// so a miss never marshals or hashes the spec a second time.
-	ks, ps := r.keyedStore(func() ([]byte, error) { return TrialSpecBytes(w) })
+	// The spec is canonicalized once here; the store memoizes the derived
+	// content key on ps across the lookup and the write-through, so a miss
+	// never marshals or hashes the spec a second time.
+	ps, err := r.prepare(func() ([]byte, error) { return TrialSpecBytes(w) })
 	r.Obs.End(obs.PhasePrepare, t0)
-	if r.Store != nil {
-		var res Result
-		var ok bool
+	if err != nil {
+		return Result{}, err
+	}
+	if ps != nil {
 		t0 = r.Obs.Start(obs.PhaseLookup)
-		if ks != nil {
-			res, ok = ks.LookupTrialSpec(ps)
-		} else {
-			res, ok = r.Store.LookupTrial(w)
-		}
+		res, ok := r.Store.LookupTrialSpec(ps)
 		r.Obs.End(obs.PhaseLookup, t0)
-		if ok && !staleTail(w.RecordLatency || w.RecordTail, res.Tail) &&
-			!staleTimeline(w.RecordTimeline, res.Timeline) {
+		if ok {
 			r.Obs.Warm()
 			return res, nil
 		}
@@ -93,13 +88,9 @@ func (r *Runner) Run(w Workload) (Result, error) {
 	}
 	res := sres.Result
 	res.W = w
-	if r.Store != nil {
+	if ps != nil {
 		t0 = r.Obs.Start(obs.PhaseStore)
-		if ks != nil {
-			err = ks.StoreTrialSpec(ps, res)
-		} else {
-			err = r.Store.StoreTrial(w, res)
-		}
+		err = r.Store.StoreTrialSpec(ps, res)
 		r.Obs.End(obs.PhaseStore, t0)
 		if err != nil {
 			return Result{}, fmt.Errorf("bench: storing trial result: %w", err)
@@ -108,21 +99,18 @@ func (r *Runner) Run(w Workload) (Result, error) {
 	return res, nil
 }
 
-// keyedStore resolves the Runner's store to its keyed fast path: when the
-// store implements KeyedTrialStore and the spec marshals cleanly, it
-// returns the keyed handle with the spec prepared once. Otherwise (plain
-// store, or a marshal failure that the classic methods will surface) both
-// returns are nil and callers take the unkeyed path.
-func (r *Runner) keyedStore(marshal func() ([]byte, error)) (KeyedTrialStore, *PreparedSpec) {
-	ks, ok := r.Store.(KeyedTrialStore)
-	if !ok {
+// prepare canonicalizes a trial's spec for the Runner's store, once per
+// trial. Without a store there is nothing to key and it returns nil. A spec
+// that cannot be marshaled is an error here, before anything is simulated.
+func (r *Runner) prepare(marshal func() ([]byte, error)) (*PreparedSpec, error) {
+	if r.Store == nil {
 		return nil, nil
 	}
 	spec, err := marshal()
 	if err != nil {
-		return nil, nil
+		return nil, fmt.Errorf("bench: encoding canonical spec: %w", err)
 	}
-	return ks, &PreparedSpec{Spec: spec}
+	return &PreparedSpec{Spec: spec}, nil
 }
 
 // lowerWorkload expresses a stationary Workload as a scenario: one phase of
@@ -180,22 +168,6 @@ func (r *Runner) acquire(cfg sim.Config) *sim.Machine {
 	}
 	r.machines[key] = m
 	return m
-}
-
-// staleTail reports whether a store hit predates the tail-histogram fields:
-// the spec asks for tail recording but the stored result has none (written
-// by an older binary — the engine tag only tracks golden-pinned simulator
-// output, not the result shape). Such hits are treated as misses and
-// re-simulated, which also overwrites the stale entry.
-func staleTail(wantTail bool, tail *latency.Tail) bool {
-	return wantTail && tail == nil
-}
-
-// staleTimeline is staleTail's analogue for the windowed timeline: a hit
-// written before timelines existed (or by a spec that didn't record one)
-// cannot serve a timeline-recording spec, so it is re-simulated in place.
-func staleTimeline(want bool, tl *trace.Timeline) bool {
-	return want && tl == nil
 }
 
 // Run executes one trial on a fresh machine. Sweeps use a Runner to reuse

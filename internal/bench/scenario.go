@@ -300,25 +300,21 @@ func compileProfile(p scenario.Profile) (workFn, error) {
 // keys on the Workload itself in Run and calls runScenario directly, so one
 // trial is never cached under two keys.)
 func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
-	// As in Run: canonicalize the spec once and let a keyed store carry
-	// the derived content key from the lookup into the write-through.
+	// As in Run: canonicalize the spec once and let the store carry the
+	// derived content key from the lookup into the write-through.
 	// Phase spans are recorded at this level only (runScenario is also
 	// Run's engine, which would double-count the simulate span).
 	t0 := r.Obs.Start(obs.PhasePrepare)
-	ks, ps := r.keyedStore(func() ([]byte, error) { return ScenarioSpecBytes(sw) })
+	ps, err := r.prepare(func() ([]byte, error) { return ScenarioSpecBytes(sw) })
 	r.Obs.End(obs.PhasePrepare, t0)
-	if r.Store != nil {
-		var sres ScenarioResult
-		var ok bool
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	if ps != nil {
 		t0 = r.Obs.Start(obs.PhaseLookup)
-		if ks != nil {
-			sres, ok = ks.LookupScenarioSpec(ps)
-		} else {
-			sres, ok = r.Store.LookupScenario(sw)
-		}
+		sres, ok := r.Store.LookupScenarioSpec(ps)
 		r.Obs.End(obs.PhaseLookup, t0)
-		if ok && !staleTail(sw.RecordLatency || sw.RecordTail, sres.Tail) &&
-			!staleTimeline(sw.RecordTimeline, sres.Timeline) {
+		if ok {
 			r.Obs.Warm()
 			return sres, nil
 		}
@@ -329,13 +325,9 @@ func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	if r.Store != nil {
+	if ps != nil {
 		t0 = r.Obs.Start(obs.PhaseStore)
-		if ks != nil {
-			err = ks.StoreScenarioSpec(ps, sres)
-		} else {
-			err = r.Store.StoreScenario(sw, sres)
-		}
+		err = r.Store.StoreScenarioSpec(ps, sres)
 		r.Obs.End(obs.PhaseStore, t0)
 		if err != nil {
 			return ScenarioResult{}, fmt.Errorf("bench: storing scenario result: %w", err)

@@ -13,6 +13,7 @@ import (
 	"embed"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 
 	"condaccess/internal/ds/hashtable"
 )
@@ -22,49 +23,15 @@ import (
 // simulation happens. A hit must return exactly the Result a cold run would
 // produce (the stored value is the cold run's own serialized output —
 // including the tail-latency histograms when the spec records latency), so
-// warm and cold sweeps are byte-identical. Implementations must be safe for
-// concurrent use: the parallel sweep path shares one store across workers.
-//
-// Results gained the Tail histograms (and scan-pause attribution) after the
-// PR 4 envelope format shipped; entries written by older binaries decode
-// with a nil Tail, and the engine tag only tracks golden-pinned simulator
-// output. The Runner therefore treats a hit with a nil Tail as a miss
-// whenever the spec asks for tail recording (staleTail): the trial is
-// re-simulated and the entry overwritten, so stale stores heal in place.
+// warm and cold sweeps are byte-identical. Every method takes the trial's
+// canonical spec, which the Runner marshals once per trial and passes to
+// both the lookup and the write-through after a miss, so the store derives
+// its content key once. Implementations must be safe for concurrent use:
+// the parallel sweep path shares one store across workers.
 type TrialStore interface {
-	// LookupTrial returns the cached result of the stationary trial w.
-	LookupTrial(w Workload) (Result, bool)
-	// StoreTrial records the result of the stationary trial w.
-	StoreTrial(w Workload, res Result) error
-	// LookupScenario returns the cached result of the scenario trial sw.
-	LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool)
-	// StoreScenario records the result of the scenario trial sw.
-	StoreScenario(sw ScenarioWorkload, res ScenarioResult) error
-}
-
-// PreparedSpec carries one trial's canonical serialized spec, marshaled
-// once per trial by the Runner, plus a memo slot for the store-derived
-// content key. A keyed store fills Key on the first lookup and reuses it in
-// the write-through after a miss, so a cold trial costs one spec marshal
-// and one key derivation instead of two of each.
-type PreparedSpec struct {
-	Spec []byte
-	// Key is the store's memoized content address for Spec (opaque to the
-	// harness; the lab store caches SHA-256(tag, kind, spec) here). Empty
-	// until a keyed store operation fills it.
-	Key string
-}
-
-// KeyedTrialStore is the optional fast path of TrialStore. Stores that
-// implement it receive the canonical spec bytes the Runner already
-// marshaled — with the content key memoized across the lookup/store pair —
-// instead of re-deriving both per call. The Runner type-asserts for it on
-// every store access and falls back to the plain TrialStore methods, so
-// existing implementations keep working unchanged.
-type KeyedTrialStore interface {
-	TrialStore
 	// LookupTrialSpec returns the cached result of the stationary trial
-	// whose canonical spec is ps.Spec, memoizing the derived key on ps.
+	// whose canonical spec (TrialSpecBytes) is ps.Spec, memoizing the
+	// derived key on ps.
 	LookupTrialSpec(ps *PreparedSpec) (Result, bool)
 	// StoreTrialSpec records res under ps (reusing ps.Key when set).
 	StoreTrialSpec(ps *PreparedSpec, res Result) error
@@ -74,6 +41,31 @@ type KeyedTrialStore interface {
 	StoreScenarioSpec(ps *PreparedSpec, res ScenarioResult) error
 }
 
+// PreparedSpec carries one trial's canonical serialized spec, marshaled
+// once per trial by the Runner, plus a memo slot for the store-derived
+// content key. The store fills Key on the first lookup and reuses it in
+// the write-through after a miss, so a cold trial costs one spec marshal
+// and one key derivation instead of two of each.
+type PreparedSpec struct {
+	Spec []byte
+	// Key is the store's memoized content address for Spec (opaque to the
+	// harness; the lab store caches SHA-256(tag, kind, spec) here). Empty
+	// until a store operation fills it.
+	Key string
+}
+
+// storeSchema versions the JSON shape of stored results: Result,
+// ScenarioResult and every type they carry. EngineTag digests it together
+// with the goldens, which pin the simulator's output but not that shape
+// (goldenSum zeroes Tail and Timeline). Bump it whenever the shape changes:
+// a field added, removed, renamed or retyped, or a custom MarshalJSON
+// format changed, such as latency.Hist's. Entries written before the bump
+// then carry a foreign engine tag, so no lookup sees them and calab gc
+// collects them. TestStoreSchemaTracksResultShape fails when the shape
+// moves without a bump. Stores written before the constant existed count as
+// schema 1.
+const storeSchema = 2
+
 // goldenPins embeds the golden checksum files that pin the engine's
 // observable output, so the engine tag below tracks them automatically.
 //
@@ -81,13 +73,14 @@ type KeyedTrialStore interface {
 var goldenPins embed.FS
 
 // EngineTag fingerprints the engine version a cached result was produced
-// by: a digest of the embedded golden checksum files. The goldens pin every
-// observable bit of the simulator's output, and any deliberate engine change
-// regenerates them (-update-golden), so regenerating the goldens
-// automatically invalidates every stale store entry — no hand-maintained
-// version constant to forget.
+// by: a digest of storeSchema and the embedded golden checksum files. The
+// goldens pin every observable bit of the simulator's output, and any
+// deliberate engine change regenerates them (-update-golden), so
+// regenerating the goldens automatically invalidates every stale store
+// entry; storeSchema does the same for a change to the stored result shape.
 func EngineTag() string {
 	h := sha256.New()
+	fmt.Fprintf(h, "store schema %d\n", storeSchema)
 	for _, name := range []string{"testdata/golden.json", "testdata/golden_scenario.json"} {
 		b, err := goldenPins.ReadFile(name)
 		if err != nil {

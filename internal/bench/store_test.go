@@ -2,6 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -14,6 +21,79 @@ func TestEngineTagIsStable(t *testing.T) {
 	if len(a) != 16 {
 		t.Fatalf("engine tag %q has length %d, want 16", a, len(a))
 	}
+}
+
+// The JSON shape of stored results, pinned under the storeSchema it was
+// taken at. Re-pin both together when storeSchema is bumped.
+const (
+	pinnedSchema = 2
+	pinnedShape  = "2fdff9695842c8f0"
+)
+
+// TestStoreSchemaTracksResultShape guards storeSchema. The goldens zero Tail
+// and Timeline before hashing, so they cannot see a change to what a store
+// entry holds; this digest of Result's and ScenarioResult's JSON shape can.
+func TestStoreSchemaTracksResultShape(t *testing.T) {
+	got := resultShape()
+	if storeSchema != pinnedSchema {
+		t.Fatalf("storeSchema is %d but the result shape was pinned under %d: re-pin pinnedSchema = %d, pinnedShape = %q",
+			storeSchema, pinnedSchema, storeSchema, got)
+	}
+	if got != pinnedShape {
+		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema and re-pin",
+			got, pinnedShape, pinnedSchema)
+	}
+}
+
+// resultShape digests the JSON shape of the stored result types: every
+// field's name, json tag and kind, recursively, stopping at types that
+// define their own MarshalJSON (their format is storeSchema's to track).
+func resultShape() string {
+	var b strings.Builder
+	for _, t := range []reflect.Type{reflect.TypeFor[Result](), reflect.TypeFor[ScenarioResult]()} {
+		writeShape(&b, t, map[reflect.Type]bool{})
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// writeShape appends t's shape to b. onPath holds the struct types being
+// expanded, so a recursive type ends in a marker instead of looping.
+func writeShape(b *strings.Builder, t reflect.Type, onPath map[reflect.Type]bool) {
+	marshaler := reflect.TypeFor[json.Marshaler]()
+	if t.Implements(marshaler) || reflect.PointerTo(t).Implements(marshaler) {
+		fmt.Fprintf(b, "custom %s", t)
+		return
+	}
+	fmt.Fprintf(b, "%s(", t.Kind())
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice:
+		writeShape(b, t.Elem(), onPath)
+	case reflect.Array:
+		fmt.Fprintf(b, "%d ", t.Len())
+		writeShape(b, t.Elem(), onPath)
+	case reflect.Map:
+		writeShape(b, t.Key(), onPath)
+		b.WriteString(" ")
+		writeShape(b, t.Elem(), onPath)
+	case reflect.Struct:
+		if onPath[t] {
+			b.WriteString("recursive")
+			break
+		}
+		onPath[t] = true
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if !f.IsExported() && !f.Anonymous {
+				continue
+			}
+			fmt.Fprintf(b, "%s %q ", f.Name, f.Tag.Get("json"))
+			writeShape(b, f.Type, onPath)
+			b.WriteString("; ")
+		}
+		delete(onPath, t)
+	}
+	b.WriteString(")")
 }
 
 func TestTrialSpecBytesCanonical(t *testing.T) {
@@ -81,141 +161,93 @@ func TestEffectiveBuckets(t *testing.T) {
 	}
 }
 
-// memStore is an in-memory TrialStore for harness-side integration tests.
+// memStore is an in-memory TrialStore for harness-side integration tests,
+// keyed by canonical spec and instrumented to observe how the Runner drives
+// it: it memoizes a synthetic key on the PreparedSpec at lookup and records
+// the key it sees again at store time.
 type memStore struct {
-	mu        sync.Mutex
-	trials    map[string]Result
-	scenarios map[string]ScenarioResult
-	puts      int
+	mu          sync.Mutex
+	trials      map[string]Result
+	scenarios   map[string]ScenarioResult
+	lookups     int
+	puts        int
+	storeSawKey string
 }
 
 func newMemStore() *memStore {
 	return &memStore{trials: map[string]Result{}, scenarios: map[string]ScenarioResult{}}
 }
 
-func (m *memStore) LookupTrial(w Workload) (Result, bool) {
-	spec, _ := TrialSpecBytes(w)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.trials[string(spec)]
-	return res, ok
-}
-
-func (m *memStore) StoreTrial(w Workload, res Result) error {
-	spec, _ := TrialSpecBytes(w)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.trials[string(spec)] = res
-	m.puts++
-	return nil
-}
-
-func (m *memStore) LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool) {
-	spec, _ := ScenarioSpecBytes(sw)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.scenarios[string(spec)]
-	return res, ok
-}
-
-func (m *memStore) StoreScenario(sw ScenarioWorkload, res ScenarioResult) error {
-	spec, _ := ScenarioSpecBytes(sw)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scenarios[string(spec)] = res
-	m.puts++
-	return nil
-}
-
-// keyedMemStore wraps memStore with the KeyedTrialStore fast path,
-// instrumented to observe how the Runner drives it: it memoizes a synthetic
-// key on the PreparedSpec at lookup and records the key it sees again at
-// store time.
-type keyedMemStore struct {
-	*memStore
-	keyedLookups, keyedStores int
-	classicCalls              int
-	storeSawKey               string
-}
-
-func (m *keyedMemStore) LookupTrial(w Workload) (Result, bool) {
-	m.classicCalls++
-	return m.memStore.LookupTrial(w)
-}
-
-func (m *keyedMemStore) StoreTrial(w Workload, res Result) error {
-	m.classicCalls++
-	return m.memStore.StoreTrial(w, res)
-}
-
-func (m *keyedMemStore) LookupTrialSpec(ps *PreparedSpec) (Result, bool) {
-	m.keyedLookups++
+// lookup memoizes ps's key, as a content-addressed store would. The caller
+// holds m.mu.
+func (m *memStore) lookup(ps *PreparedSpec) {
+	m.lookups++
 	if ps.Key == "" {
 		ps.Key = "memo:" + string(ps.Spec[:16])
 	}
+}
+
+// put records the key the write-through saw. The caller holds m.mu.
+func (m *memStore) put(ps *PreparedSpec) {
+	m.puts++
+	m.storeSawKey = ps.Key
+}
+
+func (m *memStore) LookupTrialSpec(ps *PreparedSpec) (Result, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.lookup(ps)
 	res, ok := m.trials[string(ps.Spec)]
 	return res, ok
 }
 
-func (m *keyedMemStore) StoreTrialSpec(ps *PreparedSpec, res Result) error {
-	m.keyedStores++
-	m.storeSawKey = ps.Key
+func (m *memStore) StoreTrialSpec(ps *PreparedSpec, res Result) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.put(ps)
 	m.trials[string(ps.Spec)] = res
-	m.puts++
 	return nil
 }
 
-func (m *keyedMemStore) LookupScenarioSpec(ps *PreparedSpec) (ScenarioResult, bool) {
-	m.keyedLookups++
-	if ps.Key == "" {
-		ps.Key = "memo:" + string(ps.Spec[:16])
-	}
+func (m *memStore) LookupScenarioSpec(ps *PreparedSpec) (ScenarioResult, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.lookup(ps)
 	res, ok := m.scenarios[string(ps.Spec)]
 	return res, ok
 }
 
-func (m *keyedMemStore) StoreScenarioSpec(ps *PreparedSpec, res ScenarioResult) error {
-	m.keyedStores++
-	m.storeSawKey = ps.Key
+func (m *memStore) StoreScenarioSpec(ps *PreparedSpec, res ScenarioResult) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.put(ps)
 	m.scenarios[string(ps.Spec)] = res
-	m.puts++
 	return nil
 }
 
-// TestKeyedFastPathMemoizesAcrossLookupAndStore: a store implementing
-// KeyedTrialStore must get the keyed calls — never the classic ones — and
-// the key it memoized on the PreparedSpec at lookup must arrive intact at
-// the write-through, on both the stationary and scenario paths.
+// TestKeyedFastPathMemoizesAcrossLookupAndStore: the key the store
+// memoized on the PreparedSpec at lookup must arrive intact at the
+// write-through, on both the stationary and scenario paths, with one
+// lookup per trial and one write per simulated trial.
 func TestKeyedFastPathMemoizesAcrossLookupAndStore(t *testing.T) {
-	st := &keyedMemStore{memStore: newMemStore()}
+	st := newMemStore()
 	r := Runner{Store: st}
 	if _, err := r.Run(goldenWorkload("list", "ca")); err != nil {
 		t.Fatal(err)
 	}
-	if st.classicCalls != 0 {
-		t.Fatalf("keyed store received %d classic TrialStore calls", st.classicCalls)
-	}
-	if st.keyedLookups != 1 || st.keyedStores != 1 {
-		t.Fatalf("keyed traffic %d lookups / %d stores, want 1/1", st.keyedLookups, st.keyedStores)
+	if st.lookups != 1 || st.puts != 1 {
+		t.Fatalf("store traffic %d lookups / %d stores, want 1/1", st.lookups, st.puts)
 	}
 	if st.storeSawKey == "" || !bytes.HasPrefix([]byte(st.storeSawKey), []byte("memo:")) {
 		t.Fatalf("write-through saw key %q; the lookup's memo was lost", st.storeSawKey)
 	}
 
-	// Warm re-run: pure keyed lookup, no store, no re-memoization surprises.
+	// Warm re-run: pure lookup, no store, no re-memoization surprises.
 	if _, err := r.Run(goldenWorkload("list", "ca")); err != nil {
 		t.Fatal(err)
 	}
-	if st.keyedLookups != 2 || st.keyedStores != 1 {
-		t.Fatalf("warm keyed traffic %d lookups / %d stores, want 2/1", st.keyedLookups, st.keyedStores)
+	if st.lookups != 2 || st.puts != 1 {
+		t.Fatalf("warm store traffic %d lookups / %d stores, want 2/1", st.lookups, st.puts)
 	}
 
 	// Scenario path mirrors the stationary one.
@@ -223,11 +255,25 @@ func TestKeyedFastPathMemoizesAcrossLookupAndStore(t *testing.T) {
 	if _, err := r.RunScenario(lowerWorkload(goldenWorkload("queue", "ca"))); err != nil {
 		t.Fatal(err)
 	}
-	if st.classicCalls != 0 {
-		t.Fatalf("scenario path fell back to classic calls (%d)", st.classicCalls)
-	}
 	if st.storeSawKey == "" {
 		t.Fatal("scenario write-through lost the lookup's key memo")
+	}
+}
+
+// TestUnmarshalableSpecFailsBeforeSimulating: a spec the canonical encoder
+// rejects (here a NaN key shift, which only API callers can build) cannot
+// be keyed, so a store-backed run must fail before it looks anything up or
+// simulates, rather than at the write-through.
+func TestUnmarshalableSpecFailsBeforeSimulating(t *testing.T) {
+	sw := lowerWorkload(goldenWorkload("list", "ca"))
+	sw.Scenario.Phases[0].KeyShift = math.NaN()
+	st := newMemStore()
+	r := Runner{Store: st}
+	if _, err := r.RunScenario(sw); err == nil || !strings.Contains(err.Error(), "encoding canonical spec") {
+		t.Fatalf("RunScenario err = %v, want the spec encoding error", err)
+	}
+	if st.lookups != 0 || st.puts != 0 {
+		t.Fatalf("store traffic %d lookups / %d stores, want none", st.lookups, st.puts)
 	}
 }
 
@@ -258,12 +304,13 @@ func TestSweepStoreHitSkipsSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison the cached result; a warm sweep must return the poison.
-	w := trialWorkload(cfg, pointSpec{Scheme: "ca", Threads: 2, UpdatePct: 50}, 0)
-	poisoned, _ := st.LookupTrial(w)
-	poisoned.Throughput = 123456789
-	if err := st.StoreTrial(w, poisoned); err != nil {
+	spec, err := TrialSpecBytes(trialWorkload(cfg, pointSpec{Scheme: "ca", Threads: 2, UpdatePct: 50}, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
+	poisoned := st.trials[string(spec)]
+	poisoned.Throughput = 123456789
+	st.trials[string(spec)] = poisoned
 	warm, err := Sweep(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -236,97 +236,3 @@ func TestRecordTailOnlyMatchesFullRecording(t *testing.T) {
 		}
 	}
 }
-
-// tailStrippingStore wraps another TrialStore and hands out hits with the
-// Tail removed — exactly what a store written by a pre-tail binary returns.
-type tailStrippingStore struct{ inner TrialStore }
-
-func (s *tailStrippingStore) LookupTrial(w Workload) (Result, bool) {
-	res, ok := s.inner.LookupTrial(w)
-	res.Tail = nil
-	return res, ok
-}
-func (s *tailStrippingStore) StoreTrial(w Workload, res Result) error {
-	return s.inner.StoreTrial(w, res)
-}
-func (s *tailStrippingStore) LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool) {
-	res, ok := s.inner.LookupScenario(sw)
-	res.Tail = nil
-	return res, ok
-}
-func (s *tailStrippingStore) StoreScenario(sw ScenarioWorkload, res ScenarioResult) error {
-	return s.inner.StoreScenario(sw, res)
-}
-
-// specKey returns the canonical spec string the shared memStore (see
-// store_test.go) indexes by.
-func specKey(b []byte, err error) string {
-	if err != nil {
-		panic(err)
-	}
-	return string(b)
-}
-
-// TestStaleStoreHitReSimulates: a warm hit whose stored result predates the
-// tail histograms (nil Tail) must be treated as a miss when the spec asks
-// for tail recording — the trial re-simulates, returns a full Tail, and
-// overwrites the stale entry — while specs without tail recording keep
-// hitting it.
-func TestStaleStoreHitReSimulates(t *testing.T) {
-	mem := newMemStore()
-	w := goldenWorkload("list", "rcu")
-
-	// Seed the store with a tail-less entry under w's exact key.
-	r := Runner{Store: &tailStrippingStore{inner: mem}}
-	if _, err := r.Run(w); err != nil {
-		t.Fatal(err)
-	}
-	stored := mem.trials[specKey(TrialSpecBytes(w))]
-	stored.Tail = nil
-	mem.trials[specKey(TrialSpecBytes(w))] = stored
-
-	r = Runner{Store: mem}
-	res, err := r.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tail == nil {
-		t.Fatal("stale hit was returned instead of re-simulated")
-	}
-	if got := mem.trials[specKey(TrialSpecBytes(w))]; got.Tail == nil {
-		t.Error("re-simulation did not overwrite the stale entry")
-	}
-
-	// A spec that records nothing must keep hitting a tail-less entry.
-	w2 := w
-	w2.RecordLatency, w2.RecordTail = false, false
-	if _, err := r.Run(w2); err != nil {
-		t.Fatal(err)
-	}
-	before := mem.trials[specKey(TrialSpecBytes(w2))]
-	res2, err := r.Run(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res2, before) {
-		t.Error("no-recording spec did not hit the cached entry")
-	}
-
-	// Scenario path: same rule.
-	sw := scenarioGoldenCells()[0]
-	rs := Runner{Store: &tailStrippingStore{inner: mem}}
-	if _, err := rs.RunScenario(sw); err != nil {
-		t.Fatal(err)
-	}
-	sstored := mem.scenarios[specKey(ScenarioSpecBytes(sw))]
-	sstored.Tail = nil
-	mem.scenarios[specKey(ScenarioSpecBytes(sw))] = sstored
-	rs = Runner{Store: mem}
-	sres, err := rs.RunScenario(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.Tail == nil {
-		t.Fatal("stale scenario hit was returned instead of re-simulated")
-	}
-}

@@ -176,49 +176,6 @@ func TestTimelineOffByDefault(t *testing.T) {
 	}
 }
 
-// TestStaleTimelineStoreHitReSimulates is staleTail's analogue for the
-// timeline: a warm hit without one cannot serve a timeline-recording spec.
-func TestStaleTimelineStoreHitReSimulates(t *testing.T) {
-	mem := newMemStore()
-	w := goldenWorkload("list", "rcu")
-	w.RecordTimeline = true
-	r := Runner{Store: mem}
-	if _, err := r.Run(w); err != nil {
-		t.Fatal(err)
-	}
-	stored := mem.trials[specKey(TrialSpecBytes(w))]
-	stored.Timeline = nil
-	mem.trials[specKey(TrialSpecBytes(w))] = stored
-
-	r = Runner{Store: mem}
-	res, err := r.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timeline == nil {
-		t.Fatal("stale hit was returned instead of re-simulated")
-	}
-	if got := mem.trials[specKey(TrialSpecBytes(w))]; got.Timeline == nil {
-		t.Error("re-simulation did not overwrite the stale entry")
-	}
-
-	// A spec without timeline recording keys separately and keeps hitting
-	// its own (timeline-less) entry: staleTimeline must not demand a
-	// timeline nobody asked for.
-	w2 := w
-	w2.RecordTimeline = false
-	if _, err := r.Run(w2); err != nil { // cold fill of w2's key
-		t.Fatal(err)
-	}
-	puts := mem.puts
-	if _, err := r.Run(w2); err != nil {
-		t.Fatal(err)
-	}
-	if mem.puts != puts {
-		t.Error("timeline-less spec re-simulated a servable entry")
-	}
-}
-
 // TestSweepTimelineMerge: a sweep point's timeline is the window-by-window
 // merge of its trials, and every trial's ops are accounted for.
 func TestSweepTimelineMerge(t *testing.T) {

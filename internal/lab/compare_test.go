@@ -162,11 +162,11 @@ func TestSnapshotCellsRefusesMixedTags(t *testing.T) {
 	if _, err := SnapshotCells(st); err != nil {
 		t.Fatalf("single-tag store refused: %v", err)
 	}
-	old, err := openTagged(dir, "0000deadbeef0000", false)
+	old, err := openTagged(dir, "0000deadbeef0000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.StoreTrial(w, res); err != nil {
+	if err := old.StoreTrialSpec(prepared(t, w), res); err != nil {
 		t.Fatal(err)
 	}
 	if err := old.Close(); err != nil {

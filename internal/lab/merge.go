@@ -7,13 +7,7 @@
 // re-merging is idempotent.
 package lab
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // MergeStats reports one Merge call's traffic.
 type MergeStats struct {
@@ -23,9 +17,8 @@ type MergeStats struct {
 }
 
 // Merge copies every sound entry of the src stores into dst, skipping keys
-// dst already holds. Sources may be packed, loose, or mixed-layout; copied
-// entries always land on dst's packed write path (the caller's Close makes
-// them durable and persists the index sidecar).
+// dst already holds. Copied entries land on dst's segment write path (the
+// caller's Close makes them durable and persists the index sidecar).
 //
 // Engine-tag discipline mirrors SnapshotCells: a source that mixes engine
 // versions is refused, and a source whose tag differs from the destination's
@@ -53,12 +46,12 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 				src.Dir(), srcTag, dst.Dir(), dstTag)
 		}
 		dstTag = srcTag
-		err = src.forEachPayload(func(key string, payload []byte) error {
-			if dst.has(key) {
+		err = src.forEachPayload(func(e SpecEntry, payload []byte) error {
+			if dst.has(e.Key) {
 				stats.Skipped++
 				return nil
 			}
-			if err := dst.putPayload(key, payload); err != nil {
+			if err := dst.putPayload(e.Key, payload); err != nil {
 				return err
 			}
 			stats.Added++
@@ -76,11 +69,8 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 // coexist — the SnapshotCells refusal, reused by Merge.
 func soleTag(s *Store) (string, error) {
 	tags := map[string]int{}
-	err := s.forEachPayload(func(key string, payload []byte) error {
-		env, verr := verifyPayload(key, payload)
-		if verr == nil {
-			tags[env.Tag]++
-		}
+	err := s.forEachPayload(func(e SpecEntry, _ []byte) error {
+		tags[e.Tag]++
 		return nil
 	})
 	if err != nil {
@@ -95,19 +85,18 @@ func soleTag(s *Store) (string, error) {
 	return "", nil
 }
 
-// forEachPayload visits every sound entry's raw envelope payload across both
-// layouts, packed index winners first, then loose files the index does not
-// shadow — in deterministic (sorted key) order per layout. It flushes and
-// refreshes first, so it sees every durable record. Corrupt entries are
-// skipped.
-func (s *Store) forEachPayload(fn func(key string, payload []byte) error) error {
+// forEachPayload is the one whole-store walk: it visits every sound entry
+// (verifyPayload) in sorted key order, with its spec decoded and its raw
+// envelope payload. It flushes and refreshes first, so it sees every
+// durable record, this handle's and others'. Corrupt entries are skipped —
+// Verify reports them.
+func (s *Store) forEachPayload(fn func(e SpecEntry, payload []byte) error) error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
 	if err := s.refresh(); err != nil {
 		return err
 	}
-	packed := map[string]bool{}
 	for _, key := range s.indexKeys() {
 		s.mu.RLock()
 		loc, ok := s.index[key]
@@ -119,60 +108,32 @@ func (s *Store) forEachPayload(fn func(key string, payload []byte) error) error 
 		if err != nil {
 			continue
 		}
-		if _, verr := verifyPayload(key, payload); verr != nil {
+		e, err := verifyPayload(key, payload)
+		if err != nil {
 			continue
 		}
-		packed[key] = true
-		if err := fn(key, payload); err != nil {
+		if err := fn(e, payload); err != nil {
 			return err
 		}
 	}
-	return s.walk(func(path string) error {
-		key := strings.TrimSuffix(filepath.Base(path), ".json")
-		if packed[key] {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil
-		}
-		s.opens.Add(1)
-		payload := []byte(strings.TrimSpace(string(data)))
-		if _, verr := verifyPayload(key, payload); verr != nil {
-			return nil
-		}
-		return fn(key, payload)
-	})
+	return nil
 }
 
 // has reports whether key is currently served by this handle: buffered in
-// the pending overlay, indexed in a packed segment, or present as a loose
-// file.
+// the pending overlay or indexed in a segment.
 func (s *Store) has(key string) bool {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	_, pending := s.pending[key]
 	_, indexed := s.index[key]
-	s.mu.RUnlock()
-	if pending || indexed {
-		return true
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
+	return pending || indexed
 }
 
-// putPayload writes one envelope payload under its content key, through the
-// handle's usual write path (packed append buffers, or a loose object file
-// on an OpenLoose handle). Both putKey and Merge land here. A failed packed
-// append drops the record from the pending overlay, so this handle cannot
-// serve an entry that will never be durable.
+// putPayload writes one envelope payload under its content key through the
+// handle's segment append buffers. Both putKey and Merge land here. A
+// failed append drops the record from the pending overlay, so this handle
+// cannot serve an entry that will never be durable.
 func (s *Store) putPayload(key string, payload []byte) error {
-	if s.loose {
-		if err := s.putLoose(key, payload); err != nil {
-			return err
-		}
-		s.puts.Add(1)
-		return nil
-	}
 	s.mu.Lock()
 	s.pending[key] = payload
 	s.mu.Unlock()
@@ -189,13 +150,12 @@ func (s *Store) putPayload(key string, payload []byte) error {
 // Keys returns the content keys of every sound entry in the store, sorted.
 func (s *Store) Keys() ([]string, error) {
 	var keys []string
-	err := s.forEachPayload(func(key string, _ []byte) error {
-		keys = append(keys, key)
+	err := s.forEachPayload(func(e SpecEntry, _ []byte) error {
+		keys = append(keys, e.Key)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(keys)
 	return keys, nil
 }

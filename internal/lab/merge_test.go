@@ -10,15 +10,9 @@ import (
 // storeTrials runs each workload through a store-backed Runner so the store
 // ends up holding one entry per workload, then closes the handle (packed
 // segments become durable, the index sidecar is persisted).
-func storeTrials(t *testing.T, dir string, loose bool, ws ...bench.Workload) {
+func storeTrials(t *testing.T, dir string, ws ...bench.Workload) {
 	t.Helper()
-	var st *Store
-	var err error
-	if loose {
-		st, err = OpenLoose(dir)
-	} else {
-		st, err = Open(dir)
-	}
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +37,8 @@ func mergeW(seed uint64) bench.Workload {
 func TestMergeDedupAndIdempotence(t *testing.T) {
 	w1, w2, w3 := mergeW(1), mergeW(2), mergeW(3)
 	dirA, dirB := t.TempDir(), t.TempDir()
-	storeTrials(t, dirA, false, w1, w2)
-	storeTrials(t, dirB, false, w2, w3)
+	storeTrials(t, dirA, w1, w2)
+	storeTrials(t, dirB, w2, w3)
 
 	srcA, err := OpenExisting(dirA)
 	if err != nil {
@@ -75,7 +69,7 @@ func TestMergeDedupAndIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []bench.Workload{w1, w2, w3} {
-		if _, ok := re.LookupTrial(w); !ok {
+		if _, ok := re.LookupTrialSpec(prepared(t, w)); !ok {
 			t.Fatalf("merged store misses workload seed %d", w.Seed)
 		}
 	}
@@ -91,51 +85,21 @@ func TestMergeDedupAndIdempotence(t *testing.T) {
 	}
 }
 
-// TestMergeLooseSource: a loose-layout source merges into a packed
-// destination; the copied entries land on the packed write path.
-func TestMergeLooseSource(t *testing.T) {
-	w := mergeW(7)
-	srcDir := t.TempDir()
-	storeTrials(t, srcDir, true, w)
-
-	src, err := OpenExisting(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := Merge(dst, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Added != 1 || stats.Skipped != 0 {
-		t.Fatalf("merge added %d skipped %d, want 1/0", stats.Added, stats.Skipped)
-	}
-	if _, ok := dst.LookupTrial(w); !ok {
-		t.Fatal("merged store misses the loose source's entry")
-	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMergeRefusesForeignTag: a source written under a different engine tag
 // must be refused — merging across engine versions would build a store that
 // every single-tag consumer rejects.
 func TestMergeRefusesForeignTag(t *testing.T) {
 	w := mergeW(11)
 	dstDir := t.TempDir()
-	storeTrials(t, dstDir, false, w)
+	storeTrials(t, dstDir, w)
 
 	srcDir := t.TempDir()
-	old, err := openTagged(srcDir, "0000deadbeef0000", false)
+	old, err := openTagged(srcDir, "0000deadbeef0000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := bench.Result{W: w}
-	if err := old.StoreTrial(w, res); err != nil {
+	if err := old.StoreTrialSpec(prepared(t, w), res); err != nil {
 		t.Fatal(err)
 	}
 	if err := old.Close(); err != nil {
@@ -164,12 +128,12 @@ func TestMergeRefusesForeignTag(t *testing.T) {
 func TestMergeRefusesMixedSource(t *testing.T) {
 	w := mergeW(13)
 	srcDir := t.TempDir()
-	storeTrials(t, srcDir, false, w)
-	old, err := openTagged(srcDir, "0000deadbeef0000", false)
+	storeTrials(t, srcDir, w)
+	old, err := openTagged(srcDir, "0000deadbeef0000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.StoreTrial(w, bench.Result{W: w}); err != nil {
+	if err := old.StoreTrialSpec(prepared(t, w), bench.Result{W: w}); err != nil {
 		t.Fatal(err)
 	}
 	if err := old.Close(); err != nil {

@@ -1,11 +1,10 @@
-// The packed store format. A loose store pays one open/read/parse per warm
-// lookup and one temp-file + rename per put — O(trials) filesystem work on
-// every re-run of a large sweep. The packed format amortizes both sides:
-// entries append to a handful of segment files (segments/NNNN.pack) as
-// length-prefixed, checksummed records, an in-memory index maps content key
-// to (segment, offset, length) so a warm lookup is a map probe plus one
-// ReadAt, and a sidecar index file persists the map so reopening a store
-// never rescans segment bytes it already indexed.
+// The packed store format. Entries append to a handful of segment files
+// (segments/NNNN.pack) as length-prefixed, checksummed records, so a cold
+// sweep's puts cost a few batched writes rather than one file per trial. An
+// in-memory index maps content key to (segment, offset, length) so a warm
+// lookup is a map probe plus one ReadAt, and a sidecar index file persists
+// the map so reopening a store never rescans segment bytes it already
+// indexed.
 //
 // Durability is layered so nothing is ever trusted ahead of its bytes:
 //
@@ -25,7 +24,6 @@ package lab
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -622,14 +620,14 @@ type packRec struct {
 	payload []byte
 }
 
-// compactSegments rewrites the store's packed layout: every current index
-// winner plus the extra records are written to one fresh segment, every old
-// segment file is removed, and the sidecar is rewritten. Superseded records
-// (heals, overwrites) and crash-truncated tails vanish in the rewrite.
-// Callers must have flushed and refreshed. Compaction assumes the usual
-// maintenance contract: no other handle is writing the store concurrently.
-func (s *Store) compactSegments(extra []packRec) error {
-	recs := extra
+// compactSegments rewrites the store's segments: every current index
+// winner is written to one fresh segment, every old segment file is
+// removed, and the sidecar is rewritten. Superseded records (heals,
+// overwrites) and crash-truncated tails vanish in the rewrite. Callers must
+// have flushed and refreshed. Compaction assumes the usual maintenance
+// contract: no other handle is writing the store concurrently.
+func (s *Store) compactSegments() error {
+	var recs []packRec
 	for _, key := range s.indexKeys() {
 		s.mu.RLock()
 		loc, ok := s.index[key]
@@ -710,57 +708,23 @@ func (s *Store) compactSegments(extra []packRec) error {
 	return s.writeSidecar()
 }
 
-// Pack converts and compacts the store in place: every sound loose object
-// is folded into the packed layout alongside the current packed records,
-// loose files are removed, and the whole keyspace lands in one fresh
-// segment behind a freshly written sidecar. A warm sweep over a packed
-// store opens O(1) files however many trials it serves. It returns the
-// number of packed entries and the number of loose files converted.
-func (s *Store) Pack() (packed, loose int, err error) {
+// Pack compacts the store in place: the whole keyspace lands in one fresh
+// segment behind a freshly written sidecar, and superseded records, corrupt
+// records a re-run has healed, and crash residue are dropped. A warm sweep
+// over a packed store opens O(1) files however many trials it serves. It
+// returns the number of packed entries.
+func (s *Store) Pack() (packed int, err error) {
 	if err := s.Flush(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := s.refresh(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-
-	// Loose entries whose key the index doesn't hold become extra records;
-	// loose files the index shadows are dropped (the packed copy is newer).
-	// Corrupt loose files stay where Verify can report them.
-	var extras []packRec
-	var loosePaths []string
-	err = s.walk(func(path string) error {
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
-		}
-		s.opens.Add(1)
-		key := strings.TrimSuffix(filepath.Base(path), ".json")
-		if _, verr := verifyPayload(key, data); verr != nil {
-			return nil
-		}
-		loosePaths = append(loosePaths, path)
-		s.mu.RLock()
-		_, shadowed := s.index[key]
-		s.mu.RUnlock()
-		if !shadowed {
-			extras = append(extras, packRec{key: key, payload: bytes.TrimSpace(data)})
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := s.compactSegments(extras); err != nil {
-		return 0, 0, err
-	}
-	for _, path := range loosePaths {
-		if err := os.Remove(path); err != nil {
-			return 0, 0, fmt.Errorf("lab: removing loose entry: %w", err)
-		}
+	if err := s.compactSegments(); err != nil {
+		return 0, err
 	}
 	s.mu.RLock()
 	packed = len(s.index)
 	s.mu.RUnlock()
-	return packed, len(loosePaths), nil
+	return packed, nil
 }

@@ -123,13 +123,13 @@ func TestTruncatedTailRecovers(t *testing.T) {
 		t.Fatalf("heal traffic %+v, want %d misses / %d hits", stats, len(segs), trials-len(segs))
 	}
 	for seed := uint64(1); seed <= trials; seed++ {
-		if _, ok := st2.LookupTrial(trialW(seed)); !ok {
+		if _, ok := st2.LookupTrialSpec(prepared(t, trialW(seed))); !ok {
 			t.Fatalf("seed %d still missing after heal", seed)
 		}
 	}
 
 	// Pack drops the garbage tails; the store verifies clean.
-	if packed, _, err := st2.Pack(); err != nil || packed != trials {
+	if packed, err := st2.Pack(); err != nil || packed != trials {
 		t.Fatalf("pack: %d entries (err %v), want %d", packed, err, trials)
 	}
 	sound, problems, err := st2.Verify()
@@ -380,7 +380,7 @@ func TestRebuildIndexMatchesScan(t *testing.T) {
 		t.Fatalf("rebuild: %d entries / %d segments, want %d entries", entries, segments, trials)
 	}
 	for seed := uint64(1); seed <= trials; seed++ {
-		if _, ok := st2.LookupTrial(trialW(seed)); !ok {
+		if _, ok := st2.LookupTrialSpec(prepared(t, trialW(seed))); !ok {
 			t.Fatalf("seed %d unreachable after rebuild", seed)
 		}
 	}
@@ -398,60 +398,6 @@ func TestRebuildIndexMatchesScan(t *testing.T) {
 	}
 	if len(es) != trials {
 		t.Fatalf("after rebuild+reopen: %d entries, want %d", len(es), trials)
-	}
-}
-
-// TestMixedLayoutLookupAndGC: a store holding both loose and packed entries
-// must serve lookups from both, prefer the packed copy, and gc both layouts.
-func TestMixedLayoutLookupAndGC(t *testing.T) {
-	dir := t.TempDir()
-	loose, err := OpenLoose(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bench.Runner{Store: loose}
-	if _, err := r.Run(trialW(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	packed, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := bench.Runner{Store: packed}
-	if _, ok := packed.LookupTrial(trialW(1)); !ok {
-		t.Fatal("packed handle cannot read the loose entry")
-	}
-	if _, err := rp.Run(trialW(2)); err != nil {
-		t.Fatal(err)
-	}
-	// A foreign-tag packed entry, to be collected.
-	old, err := openTagged(dir, "0000deadbeef0000", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.StoreTrial(trialW(3), bench.Result{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	removed, kept, err := packed.GC(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 || kept != 2 {
-		t.Fatalf("gc removed %d kept %d, want 1/2 (foreign packed gone, loose+current kept)", removed, kept)
-	}
-	if _, ok := packed.LookupTrial(trialW(1)); !ok {
-		t.Fatal("loose survivor lost after gc")
-	}
-	if _, ok := packed.LookupTrial(trialW(2)); !ok {
-		t.Fatal("packed survivor lost after gc")
-	}
-	if err := packed.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -563,18 +509,18 @@ func TestOversizedRecordRejectedAtWriteTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.StoreTrial(trialW(1), bench.Result{Throughput: 1}); err != nil {
+	if err := st.StoreTrialSpec(prepared(t, trialW(1)), bench.Result{Throughput: 1}); err != nil {
 		t.Fatal(err)
 	}
 	big := trialW(2)
 	big.DS = "list" + strings.Repeat("x", 8192)
-	if err := st.StoreTrial(big, bench.Result{}); err == nil || !strings.Contains(err.Error(), "frame limit") {
-		t.Fatalf("StoreTrial(oversized) err = %v, want frame-limit error", err)
+	if err := st.StoreTrialSpec(prepared(t, big), bench.Result{}); err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("StoreTrialSpec(oversized) err = %v, want frame-limit error", err)
 	}
-	if _, ok := st.LookupTrial(big); ok {
+	if _, ok := st.LookupTrialSpec(prepared(t, big)); ok {
 		t.Fatal("rejected oversized entry still served from the pending overlay")
 	}
-	if err := st.StoreTrial(trialW(3), bench.Result{Throughput: 3}); err != nil {
+	if err := st.StoreTrialSpec(prepared(t, trialW(3)), bench.Result{Throughput: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -588,13 +534,13 @@ func TestOversizedRecordRejectedAtWriteTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, ok := st2.LookupTrial(trialW(1)); !ok {
+	if _, ok := st2.LookupTrialSpec(prepared(t, trialW(1))); !ok {
 		t.Error("record before the rejected put is gone")
 	}
-	if _, ok := st2.LookupTrial(trialW(3)); !ok {
+	if _, ok := st2.LookupTrialSpec(prepared(t, trialW(3))); !ok {
 		t.Error("record after the rejected put is gone")
 	}
-	if _, ok := st2.LookupTrial(big); ok {
+	if _, ok := st2.LookupTrialSpec(prepared(t, big)); ok {
 		t.Error("oversized entry present after reopen")
 	}
 	sound, problems, err := st2.Verify()

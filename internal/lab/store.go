@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,22 +31,14 @@ const (
 // content address of the spec, so integrity is checkable offline and two
 // stores can be diffed by coordinates without sharing any state.
 //
-// Two coexisting layouts back the same keyspace:
-//
-//   - Packed (the write path): append-only segment files under segments/
-//     holding length-prefixed, checksummed records, plus an in-memory
-//     index loaded once per Open from a sidecar (segment.go). A warm
-//     lookup is a map probe and one ReadAt; puts buffer per stripe and
-//     flush in batches with one fsync per flush.
-//   - Loose (the historical layout): one self-describing JSON file per
-//     entry under objects/<kk>/<key>.json, written by pre-pack binaries
-//     (and by OpenLoose handles). Lookups consult the index first and fall
-//     back to the loose probe, so old stores keep serving without
-//     conversion; `calab pack` converts them in place.
+// Entries live in append-only segment files under segments/ holding
+// length-prefixed, checksummed records, plus an in-memory index loaded
+// once per Open from a sidecar (segment.go). A warm lookup is a map probe
+// and one ReadAt; puts buffer per stripe and flush in batches with one
+// fsync per flush.
 type Store struct {
-	dir   string
-	tag   string
-	loose bool // write loose objects instead of packed segments (OpenLoose)
+	dir string
+	tag string
 
 	mu      sync.RWMutex
 	index   map[string]recLoc // content key -> flushed packed record
@@ -64,8 +55,8 @@ type Store struct {
 	opens  atomic.Uint64 // file opens; warm packed sweeps keep this O(segments)
 
 	// Write-back durability counters (segment.go): batched flushes, bytes
-	// made durable (segment flushes and loose entry writes), and the time
-	// spent inside flushes (fsync included) and loading the index at Open.
+	// made durable by them, and the time spent inside flushes (fsync
+	// included) and loading the index at Open.
 	flushes        atomic.Uint64
 	bytesWritten   atomic.Uint64
 	flushNanos     atomic.Int64
@@ -80,12 +71,8 @@ type Store struct {
 	OnFlush func(records, bytes int)
 }
 
-// Store implements the harness's read-through/write-through contract,
-// including the keyed fast path.
-var (
-	_ bench.TrialStore      = (*Store)(nil)
-	_ bench.KeyedTrialStore = (*Store)(nil)
-)
+// Store implements the harness's read-through/write-through contract.
+var _ bench.TrialStore = (*Store)(nil)
 
 // writeStripes is the number of append buffers puts are striped across:
 // enough that pool workers rarely contend on one buffer's lock, few enough
@@ -98,23 +85,15 @@ const writeStripes = 4
 // index is loaded here, once: the sidecar if it is current, plus a scan of
 // whatever segment bytes it does not cover.
 func Open(dir string) (*Store, error) {
-	return openTagged(dir, bench.EngineTag(), false)
+	return openTagged(dir, bench.EngineTag())
 }
 
-// OpenLoose opens the store with the historical loose-object write path:
-// every put is its own temp-file + rename under objects/. Packed segments
-// are still read. It exists for benchmarking the two layouts against each
-// other and for producing stores shaped like pre-pack binaries left them.
-func OpenLoose(dir string) (*Store, error) {
-	return openTagged(dir, bench.EngineTag(), true)
-}
-
-func openTagged(dir, tag string, loose bool) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+func openTagged(dir, tag string) (*Store, error) {
+	if err := os.MkdirAll(filepath.Join(dir, "segments"), 0o755); err != nil {
 		return nil, fmt.Errorf("lab: opening store: %w", err)
 	}
 	s := &Store{
-		dir: dir, tag: tag, loose: loose,
+		dir: dir, tag: tag,
 		index:   map[string]recLoc{},
 		pending: map[string][]byte{},
 		readers: map[int]*os.File{},
@@ -134,11 +113,13 @@ func openTagged(dir, tag string, loose bool) (*Store, error) {
 
 // OpenExisting opens a store that must already exist. Read-only consumers
 // (calab) use this so a mistyped path fails loudly instead of silently
-// materializing an empty store and reporting zero entries.
+// materializing an empty store and reporting zero entries. A directory
+// holding only the objects/ tree of an older binary's loose layout is a
+// store too, so calab gc can reclaim it.
 func OpenExisting(dir string) (*Store, error) {
-	if _, err := os.Stat(filepath.Join(dir, "objects")); err != nil {
-		if _, serr := os.Stat(filepath.Join(dir, "segments")); serr != nil {
-			return nil, fmt.Errorf("lab: %s is not a result store (no objects/ or segments/ directory): %w", dir, err)
+	if _, err := os.Stat(filepath.Join(dir, "segments")); err != nil {
+		if _, lerr := os.Stat(filepath.Join(dir, looseDir)); lerr != nil {
+			return nil, fmt.Errorf("lab: %s is not a result store (no segments/ or objects/ directory): %w", dir, err)
 		}
 	}
 	return Open(dir)
@@ -164,7 +145,7 @@ type StoreStats struct {
 	Opens  uint64
 
 	Flushes      uint64 // durable write-back batches (one fsync each)
-	BytesWritten uint64 // bytes made durable (segment flushes + loose writes)
+	BytesWritten uint64 // bytes made durable by segment flushes
 
 	FlushNanos     int64
 	FsyncNanos     int64
@@ -224,9 +205,8 @@ func formatBytes(n uint64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// envelope is the entry payload format, shared by both layouts (a packed
-// record's payload is exactly a loose file's contents). Spec and Result are
-// the canonical serialized forms verbatim; Sum fingerprints Result so a
+// envelope is the entry payload format: a packed record's payload. Spec and
+// Result are the canonical serialized forms verbatim; Sum fingerprints Result so a
 // lookup (and Verify) can detect payload corruption. The field order is
 // part of the format: parseEnvelope reads the head in this order and needs
 // Result last (TestEnvelopeResultIsLast).
@@ -244,7 +224,7 @@ type envelope struct {
 // declaration order, Result last. So the head is read member by member, the
 // spec is skipped as one JSON object, and the result is every byte between
 // the `,"result":` member and the closing brace, past which only whitespace
-// (a loose file's newline) may follow. Spec and Result alias payload, which
+// may follow. Spec and Result alias payload, which
 // is never written: payloads in the pending overlay are shared across
 // goroutines. The result is not validated here; a lookup's decode and
 // verifyPayload's json.Valid do that.
@@ -344,48 +324,29 @@ func payloadSum(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, "objects", key[:2], key+".json")
-}
-
 // loadKey fetches the envelope payload for key, trying the in-process
-// overlay of unflushed puts, then the packed index (one ReadAt), then the
-// loose layout (one file read). It returns nil when the key is absent or
-// its bytes fail their checksums.
+// overlay of unflushed puts, then the packed index (one ReadAt). It returns
+// nil when the key is absent or its record fails its checksum.
 func (s *Store) loadKey(key string) []byte {
 	s.mu.RLock()
 	data, buffered := s.pending[key]
 	loc, indexed := s.index[key]
 	s.mu.RUnlock()
-	if buffered {
+	if buffered || !indexed {
 		return data
 	}
-	if indexed {
-		if payload, err := s.readRecord(loc); err == nil {
-			return payload
-		}
-		// A bad record (bitrot, lineage mismatch) falls through to the
-		// loose probe; a miss re-simulates and heals.
-	}
-	payload, err := s.readLoose(key)
+	payload, err := s.readRecord(loc)
 	if err != nil {
+		// A bad record (bitrot, lineage mismatch) is a miss; the trial
+		// re-simulates and its write-through appends a sound record.
 		return nil
 	}
 	return payload
 }
 
-// readLoose reads a loose entry file's raw contents.
-func (s *Store) readLoose(key string) ([]byte, error) {
-	data, err := os.ReadFile(s.path(key))
-	if err == nil {
-		s.opens.Add(1)
-	}
-	return data, err
-}
-
 // lookupKey reads the entry at key into out. Any defect — missing record,
 // unparsable envelope, wrong kind, corrupt payload — is a miss: the caller
-// re-simulates and the write-through overwrites the bad entry.
+// re-simulates and the write-through supersedes the bad record.
 func (s *Store) lookupKey(kind, key string, out any) bool {
 	env, err := parseEnvelope(s.loadKey(key))
 	if err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum || json.Unmarshal(env.Result, out) != nil {
@@ -396,9 +357,8 @@ func (s *Store) lookupKey(kind, key string, out any) bool {
 	return true
 }
 
-// putKey writes the entry for (kind, spec) under its precomputed key: a
-// buffered segment append on the packed path, an atomic loose file write on
-// an OpenLoose handle.
+// putKey writes the entry for (kind, spec) under its precomputed key as a
+// buffered segment append.
 func (s *Store) putKey(kind string, spec []byte, key string, res any) error {
 	payload, err := json.Marshal(res)
 	if err != nil {
@@ -414,44 +374,6 @@ func (s *Store) putKey(kind string, spec []byte, key string, res any) error {
 	return s.putPayload(key, data)
 }
 
-// putLoose writes one loose entry file atomically (temp file + rename), so
-// concurrent writers and interrupted runs never leave a partial entry under
-// a valid name.
-func (s *Store) putLoose(key string, data []byte) error {
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("lab: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("lab: %w", err)
-	}
-	s.opens.Add(1)
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lab: writing entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lab: writing entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lab: writing entry: %w", err)
-	}
-	s.bytesWritten.Add(uint64(len(data) + 1))
-	return nil
-}
-
-func readEnvelope(path string) (envelope, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return envelope{}, err
-	}
-	return parseEnvelope(data)
-}
-
 // specKeyOf resolves a prepared spec's memoized content key, deriving and
 // caching it on first use so the write-through after a miss never re-hashes.
 func (s *Store) specKeyOf(kind string, ps *bench.PreparedSpec) string {
@@ -461,65 +383,27 @@ func (s *Store) specKeyOf(kind string, ps *bench.PreparedSpec) string {
 	return ps.Key
 }
 
-// LookupTrialSpec implements bench.KeyedTrialStore: the spec is already
+// LookupTrialSpec implements bench.TrialStore: the spec is already
 // canonicalized, and the derived key is memoized on ps for the put.
 func (s *Store) LookupTrialSpec(ps *bench.PreparedSpec) (bench.Result, bool) {
 	var res bench.Result
 	return res, s.lookupKey(KindTrial, s.specKeyOf(KindTrial, ps), &res)
 }
 
-// StoreTrialSpec implements bench.KeyedTrialStore.
+// StoreTrialSpec implements bench.TrialStore.
 func (s *Store) StoreTrialSpec(ps *bench.PreparedSpec, res bench.Result) error {
 	return s.putKey(KindTrial, ps.Spec, s.specKeyOf(KindTrial, ps), res)
 }
 
-// LookupScenarioSpec implements bench.KeyedTrialStore.
+// LookupScenarioSpec implements bench.TrialStore.
 func (s *Store) LookupScenarioSpec(ps *bench.PreparedSpec) (bench.ScenarioResult, bool) {
 	var res bench.ScenarioResult
 	return res, s.lookupKey(KindScenario, s.specKeyOf(KindScenario, ps), &res)
 }
 
-// StoreScenarioSpec implements bench.KeyedTrialStore.
+// StoreScenarioSpec implements bench.TrialStore.
 func (s *Store) StoreScenarioSpec(ps *bench.PreparedSpec, res bench.ScenarioResult) error {
 	return s.putKey(KindScenario, ps.Spec, s.specKeyOf(KindScenario, ps), res)
-}
-
-// LookupTrial implements bench.TrialStore.
-func (s *Store) LookupTrial(w bench.Workload) (bench.Result, bool) {
-	spec, err := bench.TrialSpecBytes(w)
-	if err != nil {
-		s.misses.Add(1)
-		return bench.Result{}, false
-	}
-	return s.LookupTrialSpec(&bench.PreparedSpec{Spec: spec})
-}
-
-// StoreTrial implements bench.TrialStore.
-func (s *Store) StoreTrial(w bench.Workload, res bench.Result) error {
-	spec, err := bench.TrialSpecBytes(w)
-	if err != nil {
-		return fmt.Errorf("lab: encoding trial spec: %w", err)
-	}
-	return s.StoreTrialSpec(&bench.PreparedSpec{Spec: spec}, res)
-}
-
-// LookupScenario implements bench.TrialStore.
-func (s *Store) LookupScenario(sw bench.ScenarioWorkload) (bench.ScenarioResult, bool) {
-	spec, err := bench.ScenarioSpecBytes(sw)
-	if err != nil {
-		s.misses.Add(1)
-		return bench.ScenarioResult{}, false
-	}
-	return s.LookupScenarioSpec(&bench.PreparedSpec{Spec: spec})
-}
-
-// StoreScenario implements bench.TrialStore.
-func (s *Store) StoreScenario(sw bench.ScenarioWorkload, res bench.ScenarioResult) error {
-	spec, err := bench.ScenarioSpecBytes(sw)
-	if err != nil {
-		return fmt.Errorf("lab: encoding scenario spec: %w", err)
-	}
-	return s.StoreScenarioSpec(&bench.PreparedSpec{Spec: spec}, res)
 }
 
 // Entry is one fully decoded store entry. Exactly one of the (Workload,
@@ -586,35 +470,6 @@ func (e *SpecEntry) Decode() (Entry, error) {
 	return full, nil
 }
 
-// walk visits every loose entry file under the store in deterministic
-// (sorted path) order.
-func (s *Store) walk(fn func(path string) error) error {
-	root := filepath.Join(s.dir, "objects")
-	var paths []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("lab: walking store: %w", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // specEntryOf validates an envelope against its claimed content address and
 // decodes its spec, leaving the result raw.
 func specEntryOf(name string, env envelope) (SpecEntry, error) {
@@ -642,82 +497,23 @@ func specEntryOf(name string, env envelope) (SpecEntry, error) {
 	return e, nil
 }
 
-// forEachSpecEntry visits every valid entry across both layouts, packed
-// index winners first, then loose files whose key the index doesn't hold
-// (the packed write path is newer than any loose leftover). Corrupt entries
-// are skipped — Verify reports them. Whole-store reads flush and refresh
-// first, so they see every durable record, this handle's and others'.
-func (s *Store) forEachSpecEntry(fn func(SpecEntry)) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	if err := s.refresh(); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	packed := map[string]bool{}
-	for _, k := range keys {
-		s.mu.RLock()
-		loc, ok := s.index[k]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		payload, err := s.readRecord(loc)
-		if err != nil {
-			continue
-		}
-		env, err := parseEnvelope(payload)
-		if err != nil {
-			continue
-		}
-		e, err := specEntryOf(k, env)
-		if err != nil {
-			continue
-		}
-		packed[k] = true
-		fn(e)
-	}
-	return s.walk(func(path string) error {
-		name := strings.TrimSuffix(filepath.Base(path), ".json")
-		if packed[name] {
-			return nil
-		}
-		env, err := readEnvelope(path)
-		if err != nil {
-			return nil
-		}
-		s.opens.Add(1)
-		e, err := specEntryOf(name, env)
-		if err != nil {
-			return nil
-		}
-		fn(e)
-		return nil
-	})
-}
-
-// SpecEntries reads every valid entry (all engine tags, both layouts) with
-// specs decoded and results raw, in deterministic (sorted key) order.
+// SpecEntries reads every sound entry (all engine tags) with specs decoded
+// and results raw, in deterministic (sorted key) order.
 func (s *Store) SpecEntries() ([]SpecEntry, error) {
 	var entries []SpecEntry
-	err := s.forEachSpecEntry(func(e SpecEntry) { entries = append(entries, e) })
+	err := s.forEachPayload(func(e SpecEntry, _ []byte) error {
+		entries = append(entries, e)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return entries, nil
 }
 
-// Entries fully decodes every valid entry in the store (all engine tags,
-// both layouts), in deterministic order. Corrupt entries are skipped —
-// Verify reports them.
+// Entries fully decodes every valid entry in the store (all engine tags),
+// in deterministic order. Corrupt entries are skipped — Verify reports
+// them.
 func (s *Store) Entries() ([]Entry, error) {
 	specs, err := s.SpecEntries()
 	if err != nil {
@@ -740,31 +536,32 @@ type Problem struct {
 	Reason string
 }
 
-// verifyPayload checks one entry payload end to end: envelope parses, the
-// claimed key matches the content address of (tag, kind, spec), the result
-// payload matches its fingerprint and is valid JSON, and the spec decodes
-// under its kind.
-func verifyPayload(name string, payload []byte) (envelope, error) {
+// verifyPayload checks one entry payload end to end — the envelope parses,
+// the claimed key matches the content address of (tag, kind, spec), the
+// result payload matches its fingerprint and is valid JSON, and the spec
+// decodes under its kind — and returns the entry with its spec decoded.
+func verifyPayload(name string, payload []byte) (SpecEntry, error) {
 	env, err := parseEnvelope(payload)
 	if err != nil {
-		return env, err
+		return SpecEntry{}, err
 	}
-	if _, err := specEntryOf(name, env); err != nil {
-		return env, err
+	e, err := specEntryOf(name, env)
+	if err != nil {
+		return SpecEntry{}, err
 	}
 	if !json.Valid(env.Result) {
-		return env, errors.New("result payload is not valid JSON")
+		return SpecEntry{}, errors.New("result payload is not valid JSON")
 	}
-	return env, nil
+	return e, nil
 }
 
-// Verify checks the integrity of every entry in both layouts. For loose
-// entries: the envelope parses, the file name matches the content address,
-// and the payload matches its fingerprint. For packed segments every
-// record is re-framed, re-checksummed, and verified the same way; a
-// truncated or corrupt tail (the residue of a crashed flush) is reported
-// once per segment — lookups already ignore it, and Pack drops it. It
-// returns the number of sound records alongside the defects.
+// Verify checks the integrity of every record in every segment: each is
+// re-framed, re-checksummed, and its payload verified end to end
+// (verifyPayload). A truncated or corrupt tail (the residue of a crashed
+// flush) is reported once per segment. Segments are append-only, so a
+// defective record stays on disk after a re-run heals its lookups with a
+// newer one; Pack and GC rewrite the segments without it. It returns the
+// number of sound records alongside the defects.
 func (s *Store) Verify() (sound int, problems []Problem, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, nil, err
@@ -810,28 +607,15 @@ func (s *Store) Verify() (sound int, problems []Problem, err error) {
 			})
 		}
 	}
-	err = s.walk(func(path string) error {
-		data, derr := os.ReadFile(path)
-		if derr == nil {
-			s.opens.Add(1)
-			_, derr = verifyPayload(strings.TrimSuffix(filepath.Base(path), ".json"), data)
-		}
-		if derr != nil {
-			problems = append(problems, Problem{Path: path, Reason: derr.Error()})
-			return nil
-		}
-		sound++
-		return nil
-	})
-	return sound, problems, err
+	return sound, problems, nil
 }
 
 // GC removes store entries that can no longer serve lookups: entries
 // written under a different engine tag than the current one, and corrupt
-// entries. With all set, every entry goes. Loose entries are unlinked;
-// packed survivors are compacted into a fresh segment (which also drops
-// superseded records and crash residue). It returns the number of entries
-// removed and kept.
+// entries. With all set, every entry goes. Survivors are compacted into a
+// fresh segment, which also drops superseded records and crash residue. A
+// leftover objects/ tree of an older binary's loose layout goes whole. It
+// returns the number of entries (and loose files) removed and kept.
 func (s *Store) GC(all bool) (removed, kept int, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, 0, err
@@ -839,36 +623,6 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 	if err := s.refresh(); err != nil {
 		return 0, 0, err
 	}
-
-	// Loose layout: unlink losers file by file, as always; survivors stay
-	// loose (conversion is Pack's, not GC's).
-	err = s.walk(func(path string) error {
-		keep := false
-		if !all {
-			if data, derr := os.ReadFile(path); derr == nil {
-				s.opens.Add(1)
-				name := strings.TrimSuffix(filepath.Base(path), ".json")
-				env, verr := verifyPayload(name, data)
-				keep = verr == nil && env.Tag == s.tag
-			}
-		}
-		if keep {
-			kept++
-			return nil
-		}
-		if rerr := os.Remove(path); rerr != nil {
-			return fmt.Errorf("lab: gc: %w", rerr)
-		}
-		removed++
-		return nil
-	})
-	if err != nil {
-		return removed, kept, err
-	}
-
-	// Packed layout: prune the index of losers, then compact the
-	// survivors into a fresh segment (which also drops superseded records
-	// and crash residue).
 	for _, key := range s.indexKeys() {
 		s.mu.RLock()
 		loc, ok := s.index[key]
@@ -879,8 +633,8 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 		keep := false
 		if !all {
 			if payload, rerr := s.readRecord(loc); rerr == nil {
-				env, verr := verifyPayload(key, payload)
-				keep = verr == nil && env.Tag == s.tag
+				e, verr := verifyPayload(key, payload)
+				keep = verr == nil && e.Tag == s.tag
 			}
 		}
 		if keep {
@@ -893,10 +647,39 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 		s.mu.Unlock()
 		removed++
 	}
-	if err := s.compactSegments(nil); err != nil {
+	if err := s.compactSegments(); err != nil {
 		return removed, kept, err
 	}
-	return removed, kept, nil
+	loose, err := s.removeLoose()
+	return removed + loose, kept, err
+}
+
+// looseDir holds the one-file-per-entry layout older binaries wrote. Every
+// entry there predates the store schema in bench.EngineTag, so none can
+// serve a lookup.
+const looseDir = "objects"
+
+// removeLoose deletes a leftover loose objects/ tree and returns the number
+// of files it held.
+func (s *Store) removeLoose() (int, error) {
+	root := filepath.Join(s.dir, looseDir)
+	n := 0
+	err := filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			n++
+		}
+		return err
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	if err == nil {
+		err = os.RemoveAll(root)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("lab: gc: removing %s: %w", looseDir, err)
+	}
+	return n, nil
 }
 
 // indexKeys snapshots the index's keys in sorted order.

@@ -14,6 +14,17 @@ import (
 	"condaccess/internal/scenario"
 )
 
+// prepared canonicalizes w the way a Runner does before it consults a
+// store, so tests can address entries by Workload.
+func prepared(t testing.TB, w bench.Workload) *bench.PreparedSpec {
+	t.Helper()
+	spec, err := bench.TrialSpecBytes(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &bench.PreparedSpec{Spec: spec}
+}
+
 func testSweepConfig(store bench.TrialStore) bench.SweepConfig {
 	return bench.SweepConfig{
 		DS: "list", Schemes: []string{"ca", "rcu"},
@@ -238,7 +249,7 @@ func TestSpecsKeySeparately(t *testing.T) {
 	}
 	w2 := w
 	w2.Seed++
-	if _, ok := st.LookupTrial(w2); ok {
+	if _, ok := st.LookupTrialSpec(prepared(t, w2)); ok {
 		t.Fatal("seed change still hit the original entry")
 	}
 	entries, err := st.Entries()
@@ -253,59 +264,32 @@ func TestSpecsKeySeparately(t *testing.T) {
 	}
 }
 
-// entryPaths lists the store's entry files.
-func entryPaths(t *testing.T, st *Store) []string {
-	t.Helper()
-	var paths []string
-	err := filepath.WalkDir(filepath.Join(st.Dir(), "objects"), func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return paths
-}
-
 // TestCorruptionIsAMissAndVerifyReportsIt: a flipped payload byte must fail
 // the fingerprint check — lookups treat the entry as cold and re-simulation
-// repairs it, and Verify names the defect.
+// heals it, and Verify names the defect until a rewrite drops the
+// superseded record.
 func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
-	// A loose handle, so the entry is a file this test can flip bytes in;
-	// packed-record corruption is covered by the segment crash tests.
-	st, err := OpenLoose(t.TempDir())
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := bench.Workload{DS: "list", Scheme: "ca", Threads: 2, KeyRange: 32, UpdatePct: 50, OpsPerThread: 60, Seed: 1}
-	r := bench.Runner{Store: st}
-	res, err := r.Run(w)
+	res, err := bench.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := entryPaths(t, st)
-	if len(paths) != 1 {
-		t.Fatalf("entry files = %d, want 1", len(paths))
-	}
-	data, err := os.ReadFile(paths[0])
+	good, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a digit inside the result payload without breaking the JSON.
-	corrupt := strings.Replace(string(data), `"result":{"W":{"DS"`, `"result":{"X":{"DS"`, 1)
-	if corrupt == string(data) {
-		t.Fatal("corruption did not apply; envelope layout changed?")
+	// Flip a byte inside the result payload without breaking the JSON.
+	corrupt := strings.Replace(string(good), `{"W":{"DS"`, `{"X":{"DS"`, 1)
+	if corrupt == string(good) {
+		t.Fatal("corruption did not apply; result layout changed?")
 	}
-	if err := os.WriteFile(paths[0], []byte(corrupt), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	plantEntry(t, st, w, corrupt, payloadSum(good))
 
-	if _, ok := st.LookupTrial(w); ok {
+	if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
 		t.Fatal("corrupt entry served as a hit")
 	}
 	sound, problems, err := st.Verify()
@@ -319,16 +303,26 @@ func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
 		t.Fatalf("problem reason %q does not name the fingerprint", problems[0].Reason)
 	}
 
-	// Re-running repairs the entry in place.
-	repaired, err := r.Run(w)
+	// Re-running heals the lookup; the bad record stays behind its
+	// replacement until Pack rewrites the segments.
+	repaired, err := (&bench.Runner{Store: st}).Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, repaired) {
 		t.Fatal("repaired result diverges from original")
 	}
+	if got, ok := st.LookupTrialSpec(prepared(t, w)); !ok || !reflect.DeepEqual(got, res) {
+		t.Fatalf("re-run did not heal the lookup (hit %v)", ok)
+	}
+	if sound, problems, _ = st.Verify(); sound != 1 || len(problems) != 1 {
+		t.Fatalf("after re-run: %d sound, %d problems; want 1/1", sound, len(problems))
+	}
+	if _, err := st.Pack(); err != nil {
+		t.Fatal(err)
+	}
 	if sound, problems, _ = st.Verify(); sound != 1 || len(problems) != 0 {
-		t.Fatalf("after repair: %d sound, %d problems; want 1/0", sound, len(problems))
+		t.Fatalf("after pack: %d sound, %d problems; want 1/0", sound, len(problems))
 	}
 }
 
@@ -336,7 +330,7 @@ func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
 // unreachable and must be collected; current-tag entries stay.
 func TestGCRemovesForeignTags(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenLoose(dir)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,15 +342,18 @@ func TestGCRemovesForeignTags(t *testing.T) {
 	}
 
 	// A second handle pinned to a stale engine tag writes a foreign entry.
-	old, err := openTagged(dir, "0000deadbeef0000", true)
+	old, err := openTagged(dir, "0000deadbeef0000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.StoreTrial(w, res); err != nil {
+	if err := old.StoreTrialSpec(prepared(t, w), res); err != nil {
 		t.Fatal(err)
 	}
-	if len(entryPaths(t, st)) != 2 {
-		t.Fatal("foreign-tag entry landed on the current entry's path")
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := st.Keys(); err != nil || len(keys) != 2 {
+		t.Fatalf("keys = %v (err %v); the foreign-tag entry must not share the current entry's key", keys, err)
 	}
 
 	removed, kept, err := st.GC(false)
@@ -366,7 +363,7 @@ func TestGCRemovesForeignTags(t *testing.T) {
 	if removed != 1 || kept != 1 {
 		t.Fatalf("gc removed %d kept %d, want 1/1", removed, kept)
 	}
-	if _, ok := st.LookupTrial(w); !ok {
+	if _, ok := st.LookupTrialSpec(prepared(t, w)); !ok {
 		t.Fatal("gc removed the current-tag entry")
 	}
 
@@ -376,6 +373,115 @@ func TestGCRemovesForeignTags(t *testing.T) {
 	}
 	if removed != 1 || kept != 0 {
 		t.Fatalf("gc -all removed %d kept %d, want 1/0", removed, kept)
+	}
+}
+
+// TestOldTagStoreInvisibleAndCollected: every store written before the
+// store schema joined the engine tag carries the tag below, whatever its
+// results hold — here tail-recording trials stored without a Tail, which
+// the Runner once re-simulated as stale, and a file of the old loose
+// layout. A current handle must miss all of them, re-simulate them exactly,
+// count them as foreign-engine (as calab inspect does), and GC must remove
+// them and objects/ while keeping the current entries.
+func TestOldTagStoreInvisibleAndCollected(t *testing.T) {
+	const oldTag = "7b0c1eef028dbd71"
+	dir := t.TempDir()
+	cfg := bench.SweepConfig{
+		DS: "list", Schemes: []string{"ca", "rcu"}, Threads: []int{2}, Updates: []int{50},
+		KeyRange: 32, Ops: 60, Seed: 5, Trials: 2, RecordTail: true,
+	}
+	ws, err := bench.ShardWorkloads(cfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := openTagged(dir, oldTag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		res, err := bench.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Tail = nil
+		if err := old.StoreTrialSpec(prepared(t, w), res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One entry also as a loose file, the way pre-segment binaries wrote it.
+	ps := prepared(t, ws[0])
+	k := key(oldTag, KindTrial, ps.Spec)
+	loose := filepath.Join(dir, looseDir, k[:2], k+".json")
+	if err := os.MkdirAll(filepath.Dir(loose), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(loose, append(old.loadKey(k), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Tag() == oldTag {
+		t.Fatal("the engine tag did not move with the store schema")
+	}
+	for _, w := range ws {
+		if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
+			t.Fatalf("seed %d: old-tag entry visible to a current handle", w.Seed)
+		}
+	}
+
+	want, err := bench.Sweep(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = st
+	got, err := bench.Sweep(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sweep over the old-tag store diverges from a storeless sweep")
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Puts != uint64(len(ws)) {
+		t.Fatalf("sweep traffic %+v, want every trial re-simulated and stored", s)
+	}
+
+	entries, err := st.SpecEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := 0
+	for _, e := range entries {
+		if e.Tag != st.Tag() {
+			foreign++
+		}
+	}
+	if foreign != len(ws) || len(entries) != 2*len(ws) {
+		t.Fatalf("%d entries, %d foreign-engine; want %d of each tag", len(entries), foreign, len(ws))
+	}
+
+	removed, kept, err := st.GC(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != len(ws)+1 || kept != len(ws) {
+		t.Fatalf("gc removed %d kept %d, want %d (old entries and the loose file) / %d", removed, kept, len(ws)+1, len(ws))
+	}
+	if _, err := os.Stat(filepath.Join(dir, looseDir)); !os.IsNotExist(err) {
+		t.Fatalf("gc left %s behind (stat err %v)", looseDir, err)
+	}
+	warm, err := bench.Sweep(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, want) || st.Stats().Hits != uint64(len(ws)) {
+		t.Fatalf("current entries lost by gc (traffic %+v)", st.Stats())
 	}
 }
 
@@ -396,6 +502,15 @@ func TestOpenExisting(t *testing.T) {
 	if _, err := OpenExisting(missing); err != nil {
 		t.Fatalf("existing store refused: %v", err)
 	}
+	// A store an older binary left with only its loose objects/ tree is
+	// still a store: calab gc must be able to reclaim it.
+	legacy := filepath.Join(dir, "legacy")
+	if err := os.MkdirAll(filepath.Join(legacy, looseDir, "ab"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenExisting(legacy); err != nil {
+		t.Fatalf("legacy loose-only store refused: %v", err)
+	}
 }
 
 // TestEngineTagScopesLookups: a handle with a different tag must not see
@@ -414,11 +529,11 @@ func TestEngineTagScopesLookups(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	other, err := openTagged(dir, "ffffffffffffffff", false)
+	other, err := openTagged(dir, "ffffffffffffffff")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := other.LookupTrial(w); ok {
+	if _, ok := other.LookupTrialSpec(prepared(t, w)); ok {
 		t.Fatal("entry visible across engine tags")
 	}
 }
@@ -525,41 +640,6 @@ func TestEnvelopeResultIsLast(t *testing.T) {
 	}
 }
 
-// TestLooseEntryServedWarm: a loose entry file ends with a newline after
-// the envelope, and a lookup through a fresh handle still serves it.
-func TestLooseEntryServedWarm(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenLoose(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := trialW(3)
-	w.RecordTail = true
-	cold, err := (&bench.Runner{Store: st}).Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := entryPaths(t, st)
-	if len(paths) != 1 {
-		t.Fatalf("entry files = %d, want 1", len(paths))
-	}
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(string(data), "}\n") {
-		t.Fatalf("loose entry does not end with a newline after the envelope: %q", data[len(data)-8:])
-	}
-	fresh, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, ok := fresh.LookupTrial(w)
-	if !ok || !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("loose entry not served warm (hit %v)", ok)
-	}
-}
-
 // TestResultMemberTextInNamesRoundTrips: scenario and phase names holding
 // the text of the envelope's result member are escaped by JSON, so only the
 // envelope's own member matches and the trial round-trips warm, deeply
@@ -616,17 +696,17 @@ func TestResultMemberTextInNamesRoundTrips(t *testing.T) {
 	}
 }
 
-// plantEntry writes a payload under w's key whose result is not valid JSON
-// but matches its fingerprint, through st's write path.
-func plantEntry(t *testing.T, st *Store, w bench.Workload) {
+// plantEntry writes a crafted entry under w's key through st's write path:
+// its envelope holds result and the fingerprint sum as given, so a test can
+// plant a result that fails its fingerprint or is not valid JSON.
+func plantEntry(t *testing.T, st *Store, w bench.Workload, result, sum string) {
 	t.Helper()
 	spec, err := bench.TrialSpecBytes(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bad = `{"Ops":1,}`
 	payload := fmt.Sprintf(`{"tag":%q,"kind":%q,"spec":%s,"sum":%q,"result":%s}`,
-		st.Tag(), KindTrial, spec, payloadSum([]byte(bad)), bad)
+		st.Tag(), KindTrial, spec, sum, result)
 	if err := st.putPayload(key(st.Tag(), KindTrial, spec), []byte(payload)); err != nil {
 		t.Fatal(err)
 	}
@@ -637,15 +717,49 @@ func plantEntry(t *testing.T, st *Store, w bench.Workload) {
 
 // TestVerifyRejectsInvalidResultJSON: the head-only envelope parse leaves
 // the result unscanned, so Verify must still reject a result that is not
-// valid JSON even when its fingerprint matches, as a loose file and as a
-// packed record. A lookup misses it and a re-run heals it.
+// valid JSON even when its fingerprint matches. A lookup misses it, a
+// re-run heals it, and Pack drops the superseded record. The loose case
+// runs in a directory that also holds a sound copy of the entry in the
+// objects/ layout older binaries wrote: no lookup falls back to it, Verify
+// does not count it, and GC removes it.
 func TestVerifyRejectsInvalidResultJSON(t *testing.T) {
 	for _, layout := range []string{"loose", "packed"} {
 		t.Run(layout, func(t *testing.T) {
 			dir := t.TempDir()
-			st := openLayout(t, dir, layout)
 			w := trialW(5)
-			plantEntry(t, st, w)
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if layout == "loose" {
+				src, err := Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := bench.Run(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := src.StoreTrialSpec(prepared(t, w), res); err != nil {
+					t.Fatal(err)
+				}
+				k := key(src.Tag(), KindTrial, prepared(t, w).Spec)
+				loose := filepath.Join(dir, looseDir, k[:2], k+".json")
+				if err := os.MkdirAll(filepath.Dir(loose), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(loose, append(src.loadKey(k), '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := src.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
+					t.Fatal("loose file served as a hit")
+				}
+			}
+			const bad = `{"Ops":1,}`
+			plantEntry(t, st, w, bad, payloadSum([]byte(bad)))
 
 			sound, problems, err := st.Verify()
 			if err != nil {
@@ -654,7 +768,7 @@ func TestVerifyRejectsInvalidResultJSON(t *testing.T) {
 			if sound != 0 || len(problems) != 1 || !strings.Contains(problems[0].Reason, "not valid JSON") {
 				t.Fatalf("verify: %d sound, problems %+v; want the invalid result reported", sound, problems)
 			}
-			if _, ok := st.LookupTrial(w); ok {
+			if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
 				t.Fatal("entry with an invalid result served as a hit")
 			}
 
@@ -666,19 +780,29 @@ func TestVerifyRejectsInvalidResultJSON(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			st = openLayout(t, dir, layout)
-			if got, ok := st.LookupTrial(w); !ok || !reflect.DeepEqual(got, res) {
+			if st, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got, ok := st.LookupTrialSpec(prepared(t, w)); !ok || !reflect.DeepEqual(got, res) {
 				t.Fatalf("re-run did not heal the entry (hit %v)", ok)
 			}
-			if layout == "packed" {
-				// The superseded record stays in its segment until Pack
-				// compacts the winners.
-				if _, _, err := st.Pack(); err != nil {
-					t.Fatal(err)
-				}
+			// The superseded record stays in its segment until Pack
+			// compacts the winners.
+			if _, err := st.Pack(); err != nil {
+				t.Fatal(err)
 			}
 			if sound, problems, err := st.Verify(); err != nil || sound != 1 || len(problems) != 0 {
 				t.Fatalf("after healing: %d sound, problems %+v, err %v; want 1 sound", sound, problems, err)
+			}
+			if layout == "loose" {
+				removed, kept, err := st.GC(false)
+				if err != nil || removed != 1 || kept != 1 {
+					t.Fatalf("gc removed %d kept %d, err %v; want the loose file removed and 1 kept", removed, kept, err)
+				}
+				if _, err := os.Stat(filepath.Join(dir, looseDir)); !os.IsNotExist(err) {
+					t.Fatalf("gc left %s behind (stat err %v)", looseDir, err)
+				}
 			}
 		})
 	}

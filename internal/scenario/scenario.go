@@ -179,7 +179,7 @@ func (s *Scenario) Validate() error {
 		if ph.Ops < 0 {
 			return fmt.Errorf("scenario: %s: negative ops", where)
 		}
-		if ph.KeyShift < 0 || ph.KeyShift >= 1 {
+		if !(ph.KeyShift >= 0 && ph.KeyShift < 1) { // NaN fails both comparisons
 			return fmt.Errorf("scenario: %s: key shift %v out of [0,1)", where, ph.KeyShift)
 		}
 		if err := ph.Weights.validate(where); err != nil {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,6 +45,7 @@ func TestValidateRejects(t *testing.T) {
 		"zero-sum weights":   func(s *Scenario) { s.Phases[0].Weights = Weights{} },
 		"key shift too big":  func(s *Scenario) { s.Phases[0].KeyShift = 1 },
 		"key shift negative": func(s *Scenario) { s.Phases[0].KeyShift = -0.1 },
+		"key shift NaN":      func(s *Scenario) { s.Phases[0].KeyShift = math.NaN() },
 		"bad profile kind":   func(s *Scenario) { s.Phases[0].Profile.Kind = "poisson" },
 		"burst no period":    func(s *Scenario) { s.Phases[0].Profile = Profile{Kind: ProfileBurst} },
 		"burst len > period": func(s *Scenario) { s.Phases[0].Profile = Profile{Kind: ProfileBurst, Period: 4, Len: 5} },
