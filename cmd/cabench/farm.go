@@ -22,27 +22,14 @@ import (
 	"sync"
 
 	"condaccess/internal/bench"
+	"condaccess/internal/cli"
 	"condaccess/internal/lab"
 	"condaccess/internal/obs"
 )
 
 // shardRun executes one shard of the sweep's job list into the store. No
 // table is rendered — the store (plus the run manifest) is the output.
-func shardRun(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
-	store, err := lab.Open(opt.storePath)
-	if err != nil {
-		return err
-	}
-	store.OnFlush = rec.StoreFlushed
-	defer func() {
-		if cerr := store.Close(); err == nil {
-			err = cerr
-		}
-		rec.SetStore(store.Stats().Rollup())
-		if err == nil {
-			fmt.Fprintln(stderr, store.Stats())
-		}
-	}()
+func shardRun(opt options, rec *obs.Rec, store bench.TrialStore, stdout io.Writer) error {
 	ws, err := bench.ShardWorkloads(opt.cfg, opt.shardIdx, opt.shardOf)
 	if err != nil {
 		return err
@@ -97,35 +84,29 @@ func farmRun(opt options, rec *obs.Rec, stdout, stderr io.Writer) error {
 	if err := mergeShards(opt, n, stderr); err != nil {
 		return err
 	}
-	seq := opt
-	seq.farm = 0
-	return sweep(seq, rec, stdout, stderr)
+	return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
+		return sweep(opt, rec, st, stdout, stderr)
+	})
 }
 
-// mergeShards folds the N shard stores into the main store.
+// mergeShards folds the N shard stores into the main store, through a
+// handle of its own that is closed before the render opens the store: the
+// merge's flushes stay off the render's store line.
 func mergeShards(opt options, n int, stderr io.Writer) (err error) {
 	dst, err := lab.Open(opt.storePath)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := dst.Close(); err == nil {
-			err = cerr
-		}
-	}()
+	defer cli.Close(dst, &err)
 	srcs := make([]*lab.Store, n)
 	for i := range srcs {
-		// oerr, not err: the deferred closures must see the function's named
+		// oerr, not err: the deferred Close must see the function's named
 		// return, not a loop-scoped shadow.
 		src, oerr := lab.OpenExisting(shardDir(opt.storePath, i, n))
 		if oerr != nil {
 			return oerr
 		}
-		defer func() {
-			if cerr := src.Close(); err == nil {
-				err = cerr
-			}
-		}()
+		defer cli.Close(src, &err)
 		srcs[i] = src
 	}
 	stats, err := lab.Merge(dst, srcs...)

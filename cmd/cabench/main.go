@@ -17,7 +17,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -26,7 +25,7 @@ import (
 	"strings"
 
 	"condaccess/internal/bench"
-	"condaccess/internal/lab"
+	"condaccess/internal/cli"
 	"condaccess/internal/obs"
 	"condaccess/internal/trace"
 )
@@ -51,18 +50,10 @@ type options struct {
 	farm int
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 // parseArgs parses the flag set into a SweepConfig, applying the paper's
 // per-structure key-range defaults. Split out of main for testability.
 func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("cabench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("cabench", stderr)
 	var (
 		ds      = fs.String("ds", "list", "data structure: list, bst, hash, stack, queue")
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
@@ -89,18 +80,10 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	)
 	var ob obs.CLIFlags
 	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
 
-	kr := *keys
-	if kr == 0 {
-		kr = 1000 // paper: list, stack, hash use 1K keys
-		if *ds == "bst" {
-			kr = 10000 // paper: extbst uses 10K keys
-		}
-	}
-	schemeList := splitList(*schemes)
 	threadList, err := splitInts(*threads)
 	if err != nil {
 		return options{}, fmt.Errorf("-threads: %w", err)
@@ -142,10 +125,10 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	return options{
 		cfg: bench.SweepConfig{
 			DS:       *ds,
-			Schemes:  schemeList,
+			Schemes:  cli.SplitList(*schemes),
 			Threads:  threadList,
 			Updates:  updateList,
-			KeyRange: kr, Ops: *ops, Buckets: *buckets,
+			KeyRange: cli.KeyRange(*ds, *keys), Ops: *ops, Buckets: *buckets,
 			Seed: *seed, Check: *check, Trials: *trials, Workers: wk,
 			Dist: *dist, RecordLatency: *lat, RecordTail: *tail,
 			RecordTimeline: *tline, TimelineWindow: *tlWin,
@@ -179,84 +162,37 @@ func parseShard(s string) (idx, of int, err error) {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced, so the failure modes
-// (bad flags, unopenable store, unwritable CSV) are pinned by tests: every
-// error path prints exactly one line to stderr — never a panic, never a
-// usage dump — and returns non-zero (2 for command-line errors, 1 for
-// runtime failures).
+// run is main with its exit code and streams surfaced, on the exit contract
+// every command shares (internal/cli), so the failure modes (bad flags,
+// unopenable store, unwritable CSV) are pinned by tests.
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "cabench:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("cabench", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "cabench", EngineTag: bench.EngineTag(), Args: args,
-		Spec: opt.cfg, Stderr: stderr, StoreDir: opt.storePath,
-		TraceOut: opt.tracePath, Timeline: opt.timeline,
+	return cli.Run("cabench", args, stdout, stderr, err, cli.Spec{
+		Obs: opt.obs,
+		Session: obs.SessionConfig{
+			Spec: opt.cfg, StoreDir: opt.storePath,
+			TraceOut: opt.tracePath, Timeline: opt.timeline,
+		},
+		Body: func(rec *obs.Rec) error {
+			if opt.farm > 0 {
+				return farmRun(opt, rec, stdout, stderr)
+			}
+			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
+				if opt.shardOf > 0 {
+					return shardRun(opt, rec, st, stdout)
+				}
+				return sweep(opt, rec, st, stdout, stderr)
+			})
+		},
 	})
-	if err != nil {
-		fmt.Fprintln(stderr, "cabench:", err)
-		return 1
-	}
-	switch {
-	case opt.shardOf > 0:
-		err = shardRun(opt, sess.Rec, stdout, stderr)
-	case opt.farm > 0:
-		err = farmRun(opt, sess.Rec, stdout, stderr)
-	default:
-		err = sweep(opt, sess.Rec, stdout, stderr)
-	}
-	// A session teardown failure (manifest write, profile flush) only
-	// surfaces when the run itself succeeded; the run's error is primary.
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "cabench:", err)
-		return 1
-	}
-	return 0
 }
 
-// sweep executes the parsed sweep and renders every output. Observability
-// (rec may be nil) is out-of-band: stdout is byte-identical with or without
-// it.
-func sweep(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
+// sweep executes the parsed sweep through store (nil for none) and renders
+// every output. Observability (rec may be nil) is out-of-band: stdout is
+// byte-identical with or without it.
+func sweep(opt options, rec *obs.Rec, store bench.TrialStore, stdout, stderr io.Writer) (err error) {
 	cfg := opt.cfg
-	cfg.Obs = rec
-	var store *lab.Store
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		cfg.Store = st
-		// Close always runs — a failed sweep must not lose the batched
-		// segment writes of the trials that did complete. First error wins;
-		// the success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
-	}
+	cfg.Obs, cfg.Store = rec, store
 	var sink *trace.Sink
 	if opt.tracePath != "" {
 		sink = &trace.Sink{}
@@ -300,17 +236,15 @@ func sweep(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 	if opt.timeline {
 		printTimelines(stdout, points)
 	}
-	if opt.csvPath != "" {
-		f, err := os.Create(opt.csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteCSV(f, cfg.DS, points); err != nil {
-			return err
-		}
+	if opt.csvPath == "" {
+		return nil
 	}
-	return nil
+	f, err := cli.Create(opt.csvPath)
+	if err != nil {
+		return err
+	}
+	defer cli.Close(f, &err)
+	return bench.WriteCSV(f, cfg.DS, points)
 }
 
 // printTail renders the per-point tail-latency table: percentiles of the
@@ -342,19 +276,9 @@ func printTimelines(w io.Writer, points []bench.SweepPoint) {
 	}
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func splitInts(s string) ([]int, error) {
 	var out []int
-	for _, p := range splitList(s) {
+	for _, p := range cli.SplitList(s) {
 		n, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad integer %q", p)

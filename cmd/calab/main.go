@@ -31,7 +31,7 @@ import (
 	"strconv"
 	"strings"
 
-	"condaccess/internal/bench"
+	"condaccess/internal/cli"
 	"condaccess/internal/lab"
 	"condaccess/internal/obs"
 )
@@ -48,13 +48,6 @@ type options struct {
 	prof    obs.Profiler
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 const usageText = "usage: calab <inspect|diff|gc|export|verify|pack|index|merge|runs> [flags]\n"
 
 // parseArgs parses the subcommand and its flag set. Split out of main for
@@ -62,11 +55,10 @@ const usageText = "usage: calab <inspect|diff|gc|export|verify|pack|index|merge|
 func parseArgs(args []string, stderr io.Writer) (options, error) {
 	if len(args) == 0 {
 		fmt.Fprint(stderr, usageText)
-		return options{}, reportedError{errors.New("missing subcommand")}
+		return options{}, cli.Reported{Err: errors.New("missing subcommand")}
 	}
 	opt := options{cmd: args[0]}
-	fs := flag.NewFlagSet("calab "+opt.cmd, flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("calab "+opt.cmd, stderr)
 	storeFlag := func() *string { return fs.String("store", "", "result store directory (required)") }
 	var store, a, b, csvPath, runID *string
 	var all *bool
@@ -93,14 +85,14 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		return options{cmd: "version"}, nil
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stderr, usageText)
-		return options{}, reportedError{flag.ErrHelp}
+		return options{}, cli.Reported{Err: flag.ErrHelp}
 	default:
 		fmt.Fprint(stderr, usageText)
-		return options{}, reportedError{fmt.Errorf("unknown subcommand %q", opt.cmd)}
+		return options{}, cli.Reported{Err: fmt.Errorf("unknown subcommand %q", opt.cmd)}
 	}
 	opt.prof.Register(fs)
-	if err := fs.Parse(args[1:]); err != nil {
-		return options{}, reportedError{err}
+	if err := cli.Parse(fs, args[1:]); err != nil {
+		return options{}, err
 	}
 	if opt.cmd == "merge" {
 		args := fs.Args()
@@ -140,41 +132,23 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	return opt, nil
 }
 
-func main() {
-	opt, err := parseArgs(os.Args[1:], os.Stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(os.Stderr, "calab:", err)
-		}
-		os.Exit(2)
-	}
-	// Profiling (shared -cpuprofile/-memprofile/-exectrace flags) wraps the
-	// command body; a profile-teardown failure only surfaces when the command
-	// itself succeeded.
-	if err := opt.prof.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "calab:", err)
-		os.Exit(1)
-	}
-	err = run(opt, os.Stdout)
-	if perr := opt.prof.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "calab:", err)
-		os.Exit(1)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its exit code and streams surfaced, on the exit contract
+// every command shares (internal/cli): the version subcommand is -version,
+// and the profiling flags are the session's, so a profile-teardown failure
+// only surfaces when the command itself succeeded.
+func run(args []string, stdout, stderr io.Writer) int {
+	opt, err := parseArgs(args, stderr)
+	return cli.Run("calab", args, stdout, stderr, err, cli.Spec{
+		Obs:  obs.CLIFlags{Version: opt.cmd == "version", Prof: opt.prof},
+		Body: func(*obs.Rec) error { return dispatch(opt, stdout) },
+	})
 }
 
-// run dispatches a parsed command, writing its report to out.
-func run(opt options, out io.Writer) error {
+// dispatch runs a parsed command, writing its report to out.
+func dispatch(opt options, out io.Writer) error {
 	switch opt.cmd {
-	case "version":
-		fmt.Fprintln(out, obs.VersionLine("calab", bench.EngineTag()))
-		return nil
 	case "runs":
 		return runs(opt, out)
 	case "inspect":
@@ -197,21 +171,12 @@ func run(opt options, out io.Writer) error {
 	return fmt.Errorf("unknown subcommand %q", opt.cmd)
 }
 
-// closing runs after a command body and surfaces the store Close error —
-// which is where a packed store persists its sidecar index — unless the body
-// already failed with something more specific.
-func closing(st *lab.Store, err *error) {
-	if cerr := st.Close(); cerr != nil && *err == nil {
-		*err = cerr
-	}
-}
-
 func inspect(dir string, out io.Writer) (err error) {
 	st, err := lab.OpenExisting(dir)
 	if err != nil {
 		return err
 	}
-	defer closing(st, &err)
+	defer cli.Close(st, &err)
 	// Spec entries suffice: counting, tag partitioning, and cell statistics
 	// never need more of the result payload than the throughput.
 	entries, err := st.SpecEntries()
@@ -249,7 +214,7 @@ func verify(dir string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer closing(st, &err)
+	defer cli.Close(st, &err)
 	sound, problems, err := st.Verify()
 	if err != nil {
 		return err
@@ -271,7 +236,7 @@ func gc(dir string, all bool, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer closing(st, &err)
+	defer cli.Close(st, &err)
 	removed, kept, err := st.GC(all)
 	if err != nil {
 		return err
@@ -287,7 +252,7 @@ func pack(dir string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer closing(st, &err)
+	defer cli.Close(st, &err)
 	packed, err := st.Pack()
 	if err != nil {
 		return err
@@ -303,7 +268,7 @@ func index(dir string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer closing(st, &err)
+	defer cli.Close(st, &err)
 	entries, segments, err := st.RebuildIndex()
 	if err != nil {
 		return err
@@ -321,14 +286,16 @@ func merge(srcDirs []string, dstDir string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer closing(dst, &err)
+	defer cli.Close(dst, &err)
 	var srcs []*lab.Store
 	for _, dir := range srcDirs {
-		src, err := lab.OpenExisting(dir)
-		if err != nil {
-			return err
+		// oerr, not err: the deferred Close must see the function's named
+		// return, not a loop-scoped shadow.
+		src, oerr := lab.OpenExisting(dir)
+		if oerr != nil {
+			return oerr
 		}
-		defer closing(src, &err)
+		defer cli.Close(src, &err)
 		srcs = append(srcs, src)
 	}
 	stats, err := lab.Merge(dst, srcs...)
@@ -345,18 +312,18 @@ func export(dir, csvPath string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer closing(st, &err)
+	defer cli.Close(st, &err)
 	entries, err := st.Entries()
 	if err != nil {
 		return err
 	}
 	w := out
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
+		f, ferr := cli.Create(csvPath)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
+		defer cli.Close(f, &err)
 		w = f
 	}
 	// encoding/csv quotes as needed: scenario names come from user JSON and
@@ -399,7 +366,7 @@ func diff(dirA, dirB string, out io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		defer closing(st, &err)
+		defer cli.Close(st, &err)
 		return lab.SnapshotCells(st)
 	}
 	a, err := cellsOf(dirA)

@@ -89,7 +89,7 @@ func TestReadCommandsRejectMissingStore(t *testing.T) {
 		{cmd: "pack", store: missing},
 		{cmd: "index", store: missing},
 	} {
-		if err := run(opt, io.Discard); err == nil {
+		if err := dispatch(opt, io.Discard); err == nil {
 			t.Errorf("%s: missing store accepted", opt.cmd)
 		}
 	}
@@ -118,7 +118,7 @@ func TestExportQuotesCommas(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run(options{cmd: "export", store: dir}, &out); err != nil {
+	if err := dispatch(options{cmd: "export", store: dir}, &out); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(strings.NewReader(out.String())).ReadAll()
@@ -163,7 +163,7 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 	fillStore(t, dir)
 
 	var out strings.Builder
-	if err := run(options{cmd: "pack", store: dir}, &out); err != nil {
+	if err := dispatch(options{cmd: "pack", store: dir}, &out); err != nil {
 		t.Fatalf("pack: %v", err)
 	}
 	if !strings.Contains(out.String(), "store now holds 2 packed entries") {
@@ -178,7 +178,7 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(options{cmd: "index", store: dir}, &out); err != nil {
+	if err := dispatch(options{cmd: "index", store: dir}, &out); err != nil {
 		t.Fatalf("index: %v", err)
 	}
 	if !strings.Contains(out.String(), "indexed 2 entries across") {
@@ -186,14 +186,14 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "verify", store: dir}, &out); err != nil {
+	if err := dispatch(options{cmd: "verify", store: dir}, &out); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	if !strings.Contains(out.String(), "2 sound entries, 0 problems") {
 		t.Errorf("verify output after pack: %s", out.String())
 	}
 	out.Reset()
-	if err := run(options{cmd: "inspect", store: dir}, &out); err != nil {
+	if err := dispatch(options{cmd: "inspect", store: dir}, &out); err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
 	if !strings.Contains(out.String(), "2 trial + 0 scenario") {
@@ -229,22 +229,22 @@ func TestVerifyAdviceClearsCorruption(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if err := run(options{cmd: "verify", store: dir}, &out); err == nil {
+	if err := dispatch(options{cmd: "verify", store: dir}, &out); err == nil {
 		t.Fatalf("verify passed a corrupt record:\n%s", out.String())
 	}
 	if s := fillStore(t, dir); s.Misses != 1 || s.Hits != 1 {
 		t.Fatalf("re-run traffic %+v, want the corrupt entry's one miss and one hit", s)
 	}
 	out.Reset()
-	err = run(options{cmd: "verify", store: dir}, &out)
+	err = dispatch(options{cmd: "verify", store: dir}, &out)
 	if err == nil || !strings.Contains(err.Error(), "1 problems") || !strings.Contains(err.Error(), "then calab pack or calab gc") {
 		t.Fatalf("verify after re-run: err %v, want the bad record reported with pack/gc advice", err)
 	}
-	if err := run(options{cmd: "pack", store: dir}, io.Discard); err != nil {
+	if err := dispatch(options{cmd: "pack", store: dir}, io.Discard); err != nil {
 		t.Fatalf("pack: %v", err)
 	}
 	out.Reset()
-	if err := run(options{cmd: "verify", store: dir}, &out); err != nil {
+	if err := dispatch(options{cmd: "verify", store: dir}, &out); err != nil {
 		t.Fatalf("verify after pack: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "2 sound entries, 0 problems") {
@@ -278,7 +278,7 @@ func TestMergeEndToEnd(t *testing.T) {
 
 	dst := filepath.Join(t.TempDir(), "main")
 	var out strings.Builder
-	if err := run(options{cmd: "merge", srcs: []string{dirA, dirB}, store: dst}, &out); err != nil {
+	if err := dispatch(options{cmd: "merge", srcs: []string{dirA, dirB}, store: dst}, &out); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	if !strings.Contains(out.String(), "merged 4 entries from 2 sources into "+dst+" (2 already present)") {
@@ -286,7 +286,7 @@ func TestMergeEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "inspect", store: dst}, &out); err != nil {
+	if err := dispatch(options{cmd: "inspect", store: dst}, &out); err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
 	if !strings.Contains(out.String(), "4 trial + 0 scenario") {
@@ -295,7 +295,7 @@ func TestMergeEndToEnd(t *testing.T) {
 
 	// Merge is idempotent: a second run copies nothing.
 	out.Reset()
-	if err := run(options{cmd: "merge", srcs: []string{dirA, dirB}, store: dst}, &out); err != nil {
+	if err := dispatch(options{cmd: "merge", srcs: []string{dirA, dirB}, store: dst}, &out); err != nil {
 		t.Fatalf("re-merge: %v", err)
 	}
 	if !strings.Contains(out.String(), "merged 0 entries from 2 sources into "+dst+" (6 already present)") {
@@ -303,7 +303,7 @@ func TestMergeEndToEnd(t *testing.T) {
 	}
 
 	missing := filepath.Join(t.TempDir(), "nosuchstore")
-	if err := run(options{cmd: "merge", srcs: []string{missing}, store: dst}, io.Discard); err == nil {
+	if err := dispatch(options{cmd: "merge", srcs: []string{missing}, store: dst}, io.Discard); err == nil {
 		t.Error("merge accepted a missing source store")
 	}
 }
@@ -315,7 +315,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	fillStore(t, dirB)
 
 	var out strings.Builder
-	if err := run(options{cmd: "inspect", store: dirA}, &out); err != nil {
+	if err := dispatch(options{cmd: "inspect", store: dirA}, &out); err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
 	for _, want := range []string{"2 trial + 0 scenario", "list/ca t=2 u=100"} {
@@ -325,7 +325,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "verify", store: dirA}, &out); err != nil {
+	if err := dispatch(options{cmd: "verify", store: dirA}, &out); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	if !strings.Contains(out.String(), "2 sound entries, 0 problems") {
@@ -333,7 +333,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "export", store: dirA}, &out); err != nil {
+	if err := dispatch(options{cmd: "export", store: dirA}, &out); err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -345,7 +345,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "diff", a: dirA, b: dirB}, &out); err != nil {
+	if err := dispatch(options{cmd: "diff", a: dirA, b: dirB}, &out); err != nil {
 		t.Fatalf("diff: %v", err)
 	}
 	if !strings.Contains(out.String(), "1 aligned cells, 0 significant differences") {
@@ -353,7 +353,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "gc", store: dirA}, &out); err != nil {
+	if err := dispatch(options{cmd: "gc", store: dirA}, &out); err != nil {
 		t.Fatalf("gc: %v", err)
 	}
 	if !strings.Contains(out.String(), "removed 0 entries, kept 2") {
@@ -361,10 +361,49 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(options{cmd: "gc", store: dirA, all: true}, &out); err != nil {
+	if err := dispatch(options{cmd: "gc", store: dirA, all: true}, &out); err != nil {
 		t.Fatalf("gc -all: %v", err)
 	}
 	if !strings.Contains(out.String(), "removed 2 entries, kept 0") {
 		t.Errorf("gc -all output: %s", out.String())
+	}
+}
+
+// TestRunFailureModes pins the exit contract calab shares with every
+// command: command-line errors exit 2, runtime failures exit 1, each after
+// exactly one stderr line, and version prints one stdout line and exits 0.
+func TestRunFailureModes(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nosuchstore")
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout int    // stdout lines
+		prefix string // of the one stderr line; "" for none
+	}{
+		{"missing subcommand", nil, 2, 0, "usage: calab "},
+		{"unknown subcommand", []string{"nosuchcmd"}, 2, 0, "usage: calab "},
+		{"inspect without -store", []string{"inspect"}, 2, 0, "calab: inspect: -store is required"},
+		{"missing store", []string{"inspect", "-store", missing}, 1, 0, "calab: lab: "},
+		{"version", []string{"version"}, 0, 1, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			code := run(tc.args, &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("run(%v) = %d, want %d (stderr %q)", tc.args, code, tc.code, stderr.String())
+			}
+			if n := strings.Count(stdout.String(), "\n"); n != tc.stdout {
+				t.Errorf("stdout has %d lines, want %d:\n%s", n, tc.stdout, stdout.String())
+			}
+			got := stderr.String()
+			if tc.prefix == "" {
+				if got != "" {
+					t.Errorf("stderr = %q, want empty", got)
+				}
+			} else if strings.Count(got, "\n") != 1 || !strings.HasPrefix(got, tc.prefix) {
+				t.Errorf("stderr is not one line starting %q:\n%s", tc.prefix, got)
+			}
+		})
 	}
 }

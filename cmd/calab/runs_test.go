@@ -46,8 +46,8 @@ func TestParseArgsVersion(t *testing.T) {
 		}
 	}
 	var out strings.Builder
-	if err := run(options{cmd: "version"}, &out); err != nil {
-		t.Fatal(err)
+	if code := run([]string{"version"}, &out, io.Discard); code != 0 {
+		t.Fatalf("run version = %d", code)
 	}
 	if !strings.HasPrefix(out.String(), "calab ") || !strings.Contains(out.String(), "engine ") {
 		t.Errorf("version output = %q", out.String())
@@ -106,7 +106,7 @@ func TestRunsListDeterministicOrder(t *testing.T) {
 
 	render := func() string {
 		var out strings.Builder
-		if err := run(options{cmd: "runs", store: store}, &out); err != nil {
+		if err := dispatch(options{cmd: "runs", store: store}, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
@@ -135,7 +135,7 @@ func TestRunsEndToEnd(t *testing.T) {
 	idB := fakeRun(t, store, "cabench", true, 0)
 
 	var list strings.Builder
-	if err := run(options{cmd: "runs", store: store}, &list); err != nil {
+	if err := dispatch(options{cmd: "runs", store: store}, &list); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(list.String(), idA) || !strings.Contains(list.String(), idB) {
@@ -147,11 +147,11 @@ func TestRunsEndToEnd(t *testing.T) {
 
 	// Inspect by id (resolved in the store) and by direct path.
 	var byID, byPath strings.Builder
-	if err := run(options{cmd: "runs", store: store, runID: idB}, &byID); err != nil {
+	if err := dispatch(options{cmd: "runs", store: store, runID: idB}, &byID); err != nil {
 		t.Fatal(err)
 	}
 	path := obs.ManifestPath(obs.RunsDir(store), idB)
-	if err := run(options{cmd: "runs", runID: path}, &byPath); err != nil {
+	if err := dispatch(options{cmd: "runs", runID: path}, &byPath); err != nil {
 		t.Fatal(err)
 	}
 	if byID.String() != byPath.String() {
@@ -165,7 +165,7 @@ func TestRunsEndToEnd(t *testing.T) {
 	}
 
 	var diffOut strings.Builder
-	if err := run(options{cmd: "runs", store: store, a: idA, b: idB}, &diffOut); err != nil {
+	if err := dispatch(options{cmd: "runs", store: store, a: idA, b: idB}, &diffOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"A = " + idA, "B = " + idB, "simulate", "wall", "B/A"} {
@@ -175,13 +175,13 @@ func TestRunsEndToEnd(t *testing.T) {
 	}
 
 	// An id with no -store is unresolvable and must say so.
-	if err := run(options{cmd: "runs", runID: "someid"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-store") {
+	if err := dispatch(options{cmd: "runs", runID: "someid"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-store") {
 		t.Errorf("bare run id error = %v, want a -store hint", err)
 	}
 
 	// An empty archive is a report, not an error.
 	var empty strings.Builder
-	if err := run(options{cmd: "runs", store: t.TempDir()}, &empty); err == nil {
+	if err := dispatch(options{cmd: "runs", store: t.TempDir()}, &empty); err == nil {
 		t.Error("listing a store with no runs/ dir should fail (nothing recorded there)")
 	} else if !strings.Contains(err.Error(), "runs") {
 		t.Errorf("empty archive error = %v", err)

@@ -10,7 +10,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -19,7 +18,7 @@ import (
 	"strings"
 
 	"condaccess/internal/bench"
-	"condaccess/internal/lab"
+	"condaccess/internal/cli"
 	"condaccess/internal/obs"
 )
 
@@ -34,18 +33,10 @@ type options struct {
 	obs       obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 // parseArgs parses the flag set into per-scheme workloads. Split out of
 // main for testability.
 func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("camem", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("camem", stderr)
 	var (
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
 		threads = fs.Int("threads", 16, "threads (paper: 16)")
@@ -60,16 +51,11 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	)
 	var ob obs.CLIFlags
 	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
 
-	var names []string
-	for _, scheme := range strings.Split(*schemes, ",") {
-		if scheme = strings.TrimSpace(scheme); scheme != "" {
-			names = append(names, scheme)
-		}
-	}
+	names := cli.SplitList(*schemes)
 	if len(names) == 0 {
 		return options{}, errors.New("-schemes: empty list")
 	}
@@ -91,71 +77,26 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced (the same contract as
-// the other commands): every error path prints exactly one line to stderr
-// and returns non-zero (2 for command-line errors, 1 for runtime failures).
+// run is main with its exit code and streams surfaced, on the exit contract
+// every command shares (internal/cli).
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "camem:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("camem", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "camem", EngineTag: bench.EngineTag(), Args: args,
-		Spec: opt.ws, Stderr: stderr, StoreDir: opt.storePath,
+	return cli.Run("camem", args, stdout, stderr, err, cli.Spec{
+		Obs:     opt.obs,
+		Session: obs.SessionConfig{Spec: opt.ws, StoreDir: opt.storePath},
+		Body: func(rec *obs.Rec) error {
+			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
+				return footprint(opt, rec, st, stdout)
+			})
+		},
 	})
-	if err != nil {
-		fmt.Fprintln(stderr, "camem:", err)
-		return 1
-	}
-	err = footprint(opt, sess.Rec, stdout, stderr)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "camem:", err)
-		return 1
-	}
-	return 0
 }
 
 // footprint runs the per-scheme workloads and renders the Figure 3 table
-// (and CSV). Observability (rec may be nil) is out-of-band.
-func footprint(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
-	var store *lab.Store
-	var trialStore bench.TrialStore // typed nil must stay an untyped nil interface
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		trialStore = store
-		// Close always runs — a failed run must not lose the batched segment
-		// writes of the trials that did complete. First error wins; the
-		// success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
-	}
-	results, err := bench.RunManyObserved(opt.ws, opt.workers, trialStore, rec)
+// (and CSV). Observability (rec may be nil) is out-of-band; store is nil
+// when no -store was given.
+func footprint(opt options, rec *obs.Rec, store bench.TrialStore, stdout io.Writer) (err error) {
+	results, err := bench.RunManyObserved(opt.ws, opt.workers, store, rec)
 	if err != nil {
 		return err
 	}
@@ -192,21 +133,22 @@ func footprint(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) 
 	fmt.Fprintf(stdout, "Figure 3: allocated-but-not-freed nodes, lazy list, %d threads, 100%% updates\n", opt.ws[0].Threads)
 	fmt.Fprint(stdout, out.String())
 
-	if opt.csvPath != "" {
-		f, err := os.Create(opt.csvPath)
-		if err != nil {
-			return err
+	if opt.csvPath == "" {
+		return nil
+	}
+	f, err := cli.Create(opt.csvPath)
+	if err != nil {
+		return err
+	}
+	defer cli.Close(f, &err)
+	fmt.Fprintln(f, "ops,"+strings.Join(names, ","))
+	for _, x := range xs {
+		row := make([]string, 0, len(names)+1)
+		row = append(row, fmt.Sprint(x))
+		for _, n := range names {
+			row = append(row, fmt.Sprint(series[n][x]))
 		}
-		defer f.Close()
-		fmt.Fprintln(f, "ops,"+strings.Join(names, ","))
-		for _, x := range xs {
-			row := make([]string, 0, len(names)+1)
-			row = append(row, fmt.Sprint(x))
-			for _, n := range names {
-				row = append(row, fmt.Sprint(series[n][x]))
-			}
-			fmt.Fprintln(f, strings.Join(row, ","))
-		}
+		fmt.Fprintln(f, strings.Join(row, ","))
 	}
 	return nil
 }

@@ -4,8 +4,12 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"condaccess/internal/cli"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -66,7 +70,7 @@ func TestParseArgsBadFlagIsReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad -ops accepted")
 	}
-	var rep reportedError
+	var rep cli.Reported
 	if !errors.As(err, &rep) {
 		t.Errorf("flag-package error not marked reported: %v", err)
 	}
@@ -95,5 +99,43 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("stderr = %q, want empty", stderr.String())
+	}
+}
+
+// TestRunFailureModes pins the CLI error contract: every failure exits
+// non-zero after exactly one line on stderr — no panic, no usage dump.
+func TestRunFailureModes(t *testing.T) {
+	plain := filepath.Join(t.TempDir(), "plainfile")
+	if err := os.WriteFile(plain, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	small := []string{"-schemes", "ca,rcu", "-threads", "2", "-ops", "200", "-range", "64", "-sample", "100"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		dev  string // skip unless this device exists
+	}{
+		{"empty scheme list", []string{"-schemes", ","}, 2, ""},
+		{"unopenable store", append(small, "-store", filepath.Join(plain, "store")), 1, ""},
+		{"csv on a full device", append(small, "-csv", "/dev/full"), 1, "/dev/full"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.dev != "" {
+				if _, err := os.Stat(tc.dev); err != nil {
+					t.Skipf("%s: %v", tc.dev, err)
+				}
+			}
+			var stdout, stderr strings.Builder
+			code := run(tc.args, &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("run(%v) = %d, want %d (stderr %q)", tc.args, code, tc.code, stderr.String())
+			}
+			if got := stderr.String(); strings.Count(got, "\n") != 1 {
+				t.Errorf("stderr is not exactly one line:\n%s", got)
+			} else if strings.Contains(got, "Usage") || !strings.HasPrefix(got, "camem: ") {
+				t.Errorf("stderr is not a bare one-line diagnosis:\n%s", got)
+			}
+		})
 	}
 }

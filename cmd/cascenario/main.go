@@ -16,14 +16,12 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"condaccess/internal/bench"
-	"condaccess/internal/lab"
+	"condaccess/internal/cli"
 	"condaccess/internal/obs"
 	"condaccess/internal/scenario"
 	"condaccess/internal/trace"
@@ -42,19 +40,11 @@ type options struct {
 	obs       obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 // parseArgs parses the flag set into a scenario binding, applying the
 // paper's per-structure key-range defaults. Split out of main for
 // testability.
 func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("cascenario", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("cascenario", stderr)
 	var (
 		preset  = fs.String("preset", "", "built-in scenario name (see -list)")
 		file    = fs.String("file", "", "load scenario from this JSON file")
@@ -76,8 +66,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	)
 	var ob obs.CLIFlags
 	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
 	// -version and -list need no scenario; they win before the
 	// one-of-preset/file/list requirement can reject the command line.
@@ -104,14 +94,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		return options{}, err
 	}
 
-	kr := *keys
-	if kr == 0 {
-		kr = 1000 // paper: list, stack, hash use 1K keys
-		if *ds == "bst" {
-			kr = 10000 // paper: extbst uses 10K keys
-		}
-	}
-	schemeList := splitList(*schemes)
+	schemeList := cli.SplitList(*schemes)
 	if len(schemeList) == 0 {
 		return options{}, errors.New("-schemes: empty list")
 	}
@@ -122,7 +105,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		sw: bench.ScenarioWorkload{
 			DS:       *ds,
 			Threads:  *threads,
-			KeyRange: kr, Buckets: *buckets,
+			KeyRange: cli.KeyRange(*ds, *keys), Buckets: *buckets,
 			Seed: *seed, Check: *check, Dist: *dist,
 			RecordLatency: *lat, RecordTail: *tail,
 			RecordTimeline: *tline, TimelineWindow: *tlWin,
@@ -140,82 +123,36 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced, so the failure modes
-// (bad flags, unreadable scenario file, unopenable store) are pinned by
-// tests: every error path prints exactly one line to stderr — never a panic,
-// never a usage dump — and returns non-zero (2 for command-line errors, 1
-// for runtime failures).
+// run is main with its exit code and streams surfaced, on the exit contract
+// every command shares (internal/cli), so the failure modes (bad flags,
+// unreadable scenario file, unopenable store) are pinned by tests.
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "cascenario:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("cascenario", bench.EngineTag()))
-		return 0
-	}
-	if opt.list {
+	if err == nil && opt.list { // no session: -list records nothing
 		printPresets(stdout)
 		return 0
 	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "cascenario", EngineTag: bench.EngineTag(), Args: args,
-		Spec: struct {
-			Schemes  []string
-			Scenario bench.ScenarioWorkload
-		}{opt.schemes, opt.sw},
-		Stderr: stderr, StoreDir: opt.storePath,
-		TraceOut: opt.tracePath, Timeline: opt.timeline,
+	return cli.Run("cascenario", args, stdout, stderr, err, cli.Spec{
+		Obs: opt.obs,
+		Session: obs.SessionConfig{
+			Spec: struct {
+				Schemes  []string
+				Scenario bench.ScenarioWorkload
+			}{opt.schemes, opt.sw},
+			StoreDir: opt.storePath, TraceOut: opt.tracePath, Timeline: opt.timeline,
+		},
+		Body: func(rec *obs.Rec) error {
+			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
+				return runScenarios(opt, rec, st, stdout, stderr)
+			})
+		},
 	})
-	if err != nil {
-		fmt.Fprintln(stderr, "cascenario:", err)
-		return 1
-	}
-	err = runScenarios(opt, sess.Rec, stdout, stderr)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "cascenario:", err)
-		return 1
-	}
-	return 0
 }
 
 // runScenarios executes one scenario trial per scheme, each declared as one
-// observability point (rec may be nil).
-func runScenarios(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
-	var runner bench.Runner
-	var store *lab.Store
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		runner.Store = st
-		// Close always runs — a failed run must not lose the batched segment
-		// writes of the trials that did complete. First error wins; the
-		// success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
-	}
-	runner.Obs = rec.Worker(0)
+// observability point (rec may be nil), through store (nil for none).
+func runScenarios(opt options, rec *obs.Rec, store bench.TrialStore, stdout, stderr io.Writer) error {
+	runner := bench.Runner{Store: store, Obs: rec.Worker(0)}
 	var sink *trace.Sink
 	if opt.tracePath != "" {
 		sink = &trace.Sink{}
@@ -367,14 +304,4 @@ func missPct(seg bench.PhaseSegment) float64 {
 		return 0
 	}
 	return 100 * float64(seg.Cache.L1Misses) / float64(acc)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

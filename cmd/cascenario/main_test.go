@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"condaccess/internal/bench"
+	"condaccess/internal/cli"
 	"condaccess/internal/scenario"
 )
 
@@ -114,7 +115,7 @@ func TestParseArgsBadFlagIsReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad -threads accepted")
 	}
-	var rep reportedError
+	var rep cli.Reported
 	if !errors.As(err, &rep) {
 		t.Errorf("flag-package error not marked reported: %v", err)
 	}

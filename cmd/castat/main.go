@@ -11,13 +11,12 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"condaccess/internal/bench"
+	"condaccess/internal/cli"
 	"condaccess/internal/obs"
 )
 
@@ -29,18 +28,10 @@ type options struct {
 	obs     obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 // parseArgs parses the flag set into a workload template plus scheme list.
 // Split out of main for testability (same pattern as cmd/cabench).
 func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("castat", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("castat", stderr)
 	var (
 		ds      = fs.String("ds", "list", "data structure: list, hmlist, bst, hash, stack, queue")
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
@@ -53,15 +44,10 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	)
 	var ob obs.CLIFlags
 	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
-	var schemeList []string
-	for _, scheme := range strings.Split(*schemes, ",") {
-		if scheme = strings.TrimSpace(scheme); scheme != "" {
-			schemeList = append(schemeList, scheme)
-		}
-	}
+	schemeList := cli.SplitList(*schemes)
 	if len(schemeList) == 0 {
 		return options{}, errors.New("-schemes: no schemes given")
 	}
@@ -79,42 +65,15 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced (the same contract as
-// the other commands): every error path prints exactly one line to stderr
-// and returns non-zero (2 for command-line errors, 1 for runtime failures).
+// run is main with its exit code and streams surfaced, on the exit contract
+// every command shares (internal/cli).
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "castat:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("castat", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "castat", EngineTag: bench.EngineTag(), Args: args,
-		Spec: opt.w, Stderr: stderr,
+	return cli.Run("castat", args, stdout, stderr, err, cli.Spec{
+		Obs:     opt.obs,
+		Session: obs.SessionConfig{Spec: opt.w},
+		Body:    func(rec *obs.Rec) error { return stat(opt, rec, stdout) },
 	})
-	if err != nil {
-		fmt.Fprintln(stderr, "castat:", err)
-		return 1
-	}
-	err = stat(opt, sess.Rec, stdout)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "castat:", err)
-		return 1
-	}
-	return 0
 }
 
 // stat runs one workload per scheme and prints the detail blocks.
@@ -161,11 +120,4 @@ func stat(opt options, rec *obs.Rec, stdout io.Writer) error {
 			l.P50, l.P90, l.P99, l.P999, l.Max, res.Retries)
 	}
 	return nil
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"condaccess/internal/cli"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -59,7 +61,7 @@ func TestParseArgsBadFlagIsReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad -threads accepted")
 	}
-	var rep reportedError
+	var rep cli.Reported
 	if !errors.As(err, &rep) {
 		t.Errorf("flag-package error not marked reported: %v", err)
 	}

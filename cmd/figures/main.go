@@ -19,8 +19,6 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -32,7 +30,7 @@ import (
 
 	"condaccess/internal/bench"
 	"condaccess/internal/cache"
-	"condaccess/internal/lab"
+	"condaccess/internal/cli"
 	"condaccess/internal/latency"
 	"condaccess/internal/obs"
 	"condaccess/internal/scenario"
@@ -54,18 +52,10 @@ type options struct {
 	obs       obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 // parseArgs parses the flag set and resolves the experiment scale. Split
 // out of main for testability.
 func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("figures", stderr)
 	var (
 		out     = fs.String("out", "results", "output directory for CSV files")
 		fig     = fs.String("fig", "all", "which figure: all, "+strings.Join(figOrder, ", "))
@@ -78,8 +68,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	)
 	var ob obs.CLIFlags
 	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
+	if err := cli.Parse(fs, args); err != nil {
+		return options{}, err
 	}
 	if *fig != "all" && !slices.Contains(figOrder, *fig) {
 		return options{}, fmt.Errorf("-fig %q: unknown figure (want all, %s)", *fig, strings.Join(figOrder, ", "))
@@ -108,84 +98,40 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced, so the failure modes
-// (bad flags, unopenable store, uncreatable output directory) are pinned by
-// tests: every error path prints exactly one line to stderr — never a
-// panic, never a usage dump — and returns non-zero (2 for command-line
-// errors, 1 for runtime failures). The figure jobs themselves stream their
-// panel summaries to the process stdout.
+// run is main with its exit code and streams surfaced, on the exit contract
+// every command shares (internal/cli), so the failure modes (bad flags,
+// unopenable store, uncreatable output directory, unwritable CSV) are
+// pinned by tests.
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "figures:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("figures", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "figures", EngineTag: bench.EngineTag(), Args: args,
-		Spec: struct {
-			Fig     string `json:"fig"`
-			Threads []int  `json:"threads"`
-			Ops     int    `json:"ops"`
-			Trials  int    `json:"trials"`
-			MemOps  int    `json:"memOps"`
-			Workers int    `json:"workers"`
-			Seed    uint64 `json:"seed"`
-			Check   bool   `json:"check"`
-		}{opt.fig, opt.g.threads, opt.g.ops, opt.g.trials, opt.g.memOps, opt.g.workers, opt.g.seed, opt.g.check},
-		Stderr: stderr, StoreDir: opt.storePath,
+	return cli.Run("figures", args, stdout, stderr, err, cli.Spec{
+		Obs: opt.obs,
+		Session: obs.SessionConfig{
+			Spec: struct {
+				Fig     string `json:"fig"`
+				Threads []int  `json:"threads"`
+				Ops     int    `json:"ops"`
+				Trials  int    `json:"trials"`
+				MemOps  int    `json:"memOps"`
+				Workers int    `json:"workers"`
+				Seed    uint64 `json:"seed"`
+				Check   bool   `json:"check"`
+			}{opt.fig, opt.g.threads, opt.g.ops, opt.g.trials, opt.g.memOps, opt.g.workers, opt.g.seed, opt.g.check},
+			StoreDir: opt.storePath,
+		},
+		Body: func(rec *obs.Rec) error {
+			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
+				g := opt.g
+				g.stdout, g.store, g.rec = stdout, st, rec
+				return figures(g, opt.fig)
+			})
+		},
 	})
-	if err != nil {
-		fmt.Fprintln(stderr, "figures:", err)
-		return 1
-	}
-	err = figures(opt, sess.Rec, stdout, stderr)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "figures:", err)
-		return 1
-	}
-	return 0
 }
 
-// figures runs the selected figure jobs. Observability (rec may be nil) is
-// out-of-band: stdout is byte-identical with or without it.
-func figures(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
-	g := opt.g
-	g.rec = rec
-	var store *lab.Store
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		g.store = store
-		// Close always runs — a failed figure job must not lose the batched
-		// segment writes of the trials that did complete. First error wins;
-		// the success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
-	}
+// figures runs the selected figure jobs. Observability (g.rec may be nil)
+// is out-of-band: stdout is byte-identical with or without it.
+func figures(g generator, fig string) error {
 	if err := os.MkdirAll(g.out, 0o755); err != nil {
 		return err
 	}
@@ -204,21 +150,22 @@ func figures(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 		"timeline":  g.timeline,
 	}
 	for _, name := range figOrder {
-		if opt.fig != "all" && opt.fig != name {
+		if fig != "all" && fig != name {
 			continue
 		}
 		start := time.Now()
-		fmt.Fprintf(stdout, "### %s\n", name)
+		fmt.Fprintf(g.stdout, "### %s\n", name)
 		if err := jobs[name](); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "### %s done in %v\n\n", name, time.Since(start).Round(time.Second))
+		fmt.Fprintf(g.stdout, "### %s done in %v\n\n", name, time.Since(start).Round(time.Second))
 	}
 	return nil
 }
 
 type generator struct {
-	out     string
+	stdout  io.Writer // panel summaries
+	out     string    // CSV directory
 	check   bool
 	seed    uint64
 	threads []int
@@ -246,7 +193,7 @@ func (g generator) runAt(pt int, w bench.Workload) (bench.Result, error) {
 	return res, nil
 }
 
-func (g generator) sweepFig(name, ds string, keyRange uint64) error {
+func (g generator) sweepFig(name, ds string, keyRange uint64) (err error) {
 	cfg := bench.SweepConfig{
 		DS: ds, Schemes: allSchemes, Threads: g.threads,
 		Updates: []int{0, 10, 100}, KeyRange: keyRange,
@@ -258,13 +205,13 @@ func (g generator) sweepFig(name, ds string, keyRange uint64) error {
 		return err
 	}
 	for _, u := range cfg.Updates {
-		fmt.Printf("-- %s %d%% updates [ops/Mcyc] --\n%s", ds, u, bench.FormatTable(points, u))
+		fmt.Fprintf(g.stdout, "-- %s %d%% updates [ops/Mcyc] --\n%s", ds, u, bench.FormatTable(points, u))
 	}
-	f, err := os.Create(filepath.Join(g.out, name+".csv"))
+	f, err := cli.Create(filepath.Join(g.out, name+".csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	return bench.WriteCSV(f, ds, points)
 }
 
@@ -273,12 +220,12 @@ func (g generator) fig1bst() error   { return g.sweepFig("fig1_bst", "bst", 1000
 func (g generator) fig2hash() error  { return g.sweepFig("fig2_hash", "hash", 1000) }
 func (g generator) fig2stack() error { return g.sweepFig("fig2_stack", "stack", 1000) }
 
-func (g generator) fig3mem() error {
-	f, err := os.Create(filepath.Join(g.out, "fig3_mem.csv"))
+func (g generator) fig3mem() (err error) {
+	f, err := cli.Create(filepath.Join(g.out, "fig3_mem.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "scheme,ops,live_nodes")
 	ws := make([]bench.Workload, len(allSchemes))
 	for i, scheme := range allSchemes {
@@ -296,7 +243,7 @@ func (g generator) fig3mem() error {
 	for i, scheme := range allSchemes {
 		res := results[i]
 		last := res.Footprint[len(res.Footprint)-1]
-		fmt.Printf("%-5s: final live %5d after %d ops (peak %d)\n",
+		fmt.Fprintf(g.stdout, "%-5s: final live %5d after %d ops (peak %d)\n",
 			scheme, last.Live, last.AfterOps, res.Mem.PeakLive)
 		for _, s := range res.Footprint {
 			fmt.Fprintf(f, "%s,%d,%d\n", scheme, s.AfterOps, s.Live)
@@ -308,12 +255,12 @@ func (g generator) fig3mem() error {
 // assoc reproduces the Section III claim that L1 associativity (the tagSet
 // capacity bound) has no significant impact: spurious revocations from
 // self-evictions stay negligible even at low associativity.
-func (g generator) assoc() error {
-	f, err := os.Create(filepath.Join(g.out, "ablation_assoc.csv"))
+func (g generator) assoc() (err error) {
+	f, err := cli.Create(filepath.Join(g.out, "ablation_assoc.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "l1_assoc,ops_per_mcyc,retries,self_evict_revocations,creads")
 	threads := 16
 	assocs := []int{2, 4, 8, 16}
@@ -333,7 +280,7 @@ func (g generator) assoc() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("assoc=%2d: %9.1f ops/Mcyc, retries %6d, revocations %6d (creads %d)\n",
+		fmt.Fprintf(g.stdout, "assoc=%2d: %9.1f ops/Mcyc, retries %6d, revocations %6d (creads %d)\n",
 			assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
 		fmt.Fprintf(f, "%d,%.2f,%d,%d,%d\n", assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
 	}
@@ -344,12 +291,12 @@ func (g generator) assoc() error {
 // hardware threads run on 16 dedicated cores versus 8 cores with 2-way SMT.
 // Hyperthread siblings revoke each other's tags on every write to a shared
 // line, so CA retries more under SMT; the measurement quantifies the cost.
-func (g generator) smt() error {
-	f, err := os.Create(filepath.Join(g.out, "ablation_smt.csv"))
+func (g generator) smt() (err error) {
+	f, err := cli.Create(filepath.Join(g.out, "ablation_smt.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "threads_per_core,scheme,ops_per_mcyc,retries")
 	schemes := []string{"ca", "rcu"}
 	var labels []string
@@ -371,7 +318,7 @@ func (g generator) smt() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("smt=%d %-4s: %9.1f ops/Mcyc, retries %d\n", tpc, scheme, res.Throughput, res.Retries)
+			fmt.Fprintf(g.stdout, "smt=%d %-4s: %9.1f ops/Mcyc, retries %d\n", tpc, scheme, res.Throughput, res.Retries)
 			fmt.Fprintf(f, "%d,%s,%.2f,%d\n", tpc, scheme, res.Throughput, res.Retries)
 			pt++
 		}
@@ -381,7 +328,7 @@ func (g generator) smt() error {
 
 // hmlist measures the future-work extension: the Harris-Michael lock-free
 // list under Conditional Access versus the reclamation baselines.
-func (g generator) hmlist() error {
+func (g generator) hmlist() (err error) {
 	cfg := bench.SweepConfig{
 		DS: "hmlist", Schemes: allSchemes, Threads: g.threads,
 		Updates: []int{0, 100}, KeyRange: 1000,
@@ -393,13 +340,13 @@ func (g generator) hmlist() error {
 		return err
 	}
 	for _, u := range cfg.Updates {
-		fmt.Printf("-- hmlist %d%% updates [ops/Mcyc] --\n%s", u, bench.FormatTable(points, u))
+		fmt.Fprintf(g.stdout, "-- hmlist %d%% updates [ops/Mcyc] --\n%s", u, bench.FormatTable(points, u))
 	}
-	f, err := os.Create(filepath.Join(g.out, "ext_hmlist.csv"))
+	f, err := cli.Create(filepath.Join(g.out, "ext_hmlist.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	return bench.WriteCSV(f, "hmlist", points)
 }
 
@@ -411,12 +358,12 @@ func (g generator) hmlist() error {
 // histogram (cycles = bucket upper edge, cdf = cumulative sample fraction),
 // plus the reclamation-pause CDF — the "long program interruptions"
 // themselves, which the attribution split isolates from contention retries.
-func (g generator) tail() error {
-	f, err := os.Create(filepath.Join(g.out, "fig_tail_cdf.csv"))
+func (g generator) tail() (err error) {
+	f, err := cli.Create(filepath.Join(g.out, "fig_tail_cdf.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "config,series,cycles,cdf")
 	configs := []struct {
 		name string
@@ -463,7 +410,7 @@ func (g generator) tail() error {
 			}
 		}
 		s := t.Total.Summary()
-		fmt.Printf("%-12s: p50 %5d  p99 %5d  p99.9 %5d  max %5d  | reclaim-tagged %d/%d ops, pause p99 %d\n",
+		fmt.Fprintf(g.stdout, "%-12s: p50 %5d  p99 %5d  p99.9 %5d  max %5d  | reclaim-tagged %d/%d ops, pause p99 %d\n",
 			tc.name, s.P50, s.P99, s.P999, s.Max,
 			t.Reclaim.Count(), t.Total.Count(), t.Pause.Quantile(0.99))
 	}
@@ -478,12 +425,12 @@ func (g generator) tail() error {
 // cycles the window's ops spent inside reclamation pauses — so the batching
 // schemes' periodic pause spikes line up against CA's flat zero-pause line
 // on a shared simulated-time axis.
-func (g generator) timeline() error {
-	f, err := os.Create(filepath.Join(g.out, "fig_timeline.csv"))
+func (g generator) timeline() (err error) {
+	f, err := cli.Create(filepath.Join(g.out, "fig_timeline.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "config,window_start,window_end,ops,insert,delete,read,retries,pause_cycles")
 	sc, err := scenario.Preset(scenario.PresetChurnDrain)
 	if err != nil {
@@ -531,7 +478,7 @@ func (g generator) timeline() error {
 			fmt.Fprintf(f, "%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
 				tc.name, row.Start, row.End, ops, row.Insert, row.Delete, row.Read, row.Retries, row.Pause)
 		}
-		fmt.Printf("%-12s: %3d windows of %d kcycles, peak %4d ops/window, pause cycles %d\n",
+		fmt.Fprintf(g.stdout, "%-12s: %3d windows of %d kcycles, peak %4d ops/window, pause cycles %d\n",
 			tc.name, len(tl.Rows()), tl.Window/1000, peak, pauseSum)
 	}
 	return nil
@@ -540,12 +487,12 @@ func (g generator) timeline() error {
 // tuning reproduces the paper's motivation: the baselines' throughput and
 // footprint depend on the reclamation and epoch frequencies the programmer
 // must pick, while CA has no parameters at all.
-func (g generator) tuning() error {
-	f, err := os.Create(filepath.Join(g.out, "ablation_tuning.csv"))
+func (g generator) tuning() (err error) {
+	f, err := cli.Create(filepath.Join(g.out, "ablation_tuning.csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "scheme,reclaim_every,epoch_every,ops_per_mcyc,live_nodes,peak_live")
 	threads := 16
 	type cfg struct{ reclaim, epoch int }
@@ -583,7 +530,7 @@ func (g generator) tuning() error {
 				break // CA has no parameters; one point suffices
 			}
 		}
-		fmt.Printf("%-4s %s\n", scheme, strings.Join(row, " | "))
+		fmt.Fprintf(g.stdout, "%-4s %s\n", scheme, strings.Join(row, " | "))
 	}
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"condaccess/internal/cli"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -84,7 +86,7 @@ func TestParseArgsBadFlagIsReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad -trials accepted")
 	}
-	var rep reportedError
+	var rep cli.Reported
 	if !errors.As(err, &rep) {
 		t.Errorf("flag-package error not marked reported: %v", err)
 	}
@@ -117,16 +119,28 @@ func TestRunFailureModes(t *testing.T) {
 	if err := os.WriteFile(plain, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A CSV whose writes fail: the figure's output file is /dev/full.
+	full := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(full, "fig_tail_cdf.csv")); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		args []string
 		code int
+		dev  string // skip unless this device exists
 	}{
-		{"unopenable store", []string{"-store", filepath.Join(plain, "store")}, 1},
-		{"uncreatable output dir", []string{"-out", filepath.Join(plain, "results")}, 1},
-		{"unknown figure", []string{"-fig", "nope"}, 2},
+		{"unopenable store", []string{"-store", filepath.Join(plain, "store")}, 1, ""},
+		{"uncreatable output dir", []string{"-out", filepath.Join(plain, "results")}, 1, ""},
+		{"unknown figure", []string{"-fig", "nope"}, 2, ""},
+		{"csv on a full device", []string{"-quick", "-fig", "tail", "-out", full}, 1, "/dev/full"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.dev != "" {
+				if _, err := os.Stat(tc.dev); err != nil {
+					t.Skipf("%s: %v", tc.dev, err)
+				}
+			}
 			var stdout, stderr strings.Builder
 			code := run(tc.args, &stdout, &stderr)
 			if code != tc.code {
@@ -154,5 +168,19 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("stderr = %q, want empty", stderr.String())
+	}
+}
+
+// TestPanelsGoToRunsWriter: a figure's panel summaries go to run's stdout
+// writer, not to the process's, so a caller of run sees the whole report.
+func TestPanelsGoToRunsWriter(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-quick", "-fig", "tail", "-out", t.TempDir()}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d (stderr %q)", code, stderr.String())
+	}
+	for _, config := range []string{"ca          : p50 ", "rcu_batch30 : p50 ", "rcu_batch400: p50 "} {
+		if !strings.Contains(stdout.String(), config) {
+			t.Errorf("panel line %q missing from run's stdout:\n%s", config, stdout.String())
+		}
 	}
 }

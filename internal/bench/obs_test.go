@@ -131,6 +131,38 @@ func (failingStore) StoreScenarioSpec(*PreparedSpec, ScenarioResult) error {
 	return errors.New("disk full")
 }
 
+// checkPointPairing requires the point events of a JSONL event log to pair
+// up in order: point_start for the next point, then point_done for the same
+// point. It returns the number of points closed and the point left open
+// (-1 for none).
+func checkPointPairing(t *testing.T, events string) (closed, open int) {
+	t.Helper()
+	type ev struct {
+		Ev    string `json:"ev"`
+		Point *int   `json:"point"`
+	}
+	open = -1
+	for _, line := range strings.Split(strings.TrimSpace(events), "\n") {
+		var e ev
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("unparsable event %q: %v", line, err)
+		}
+		switch e.Ev {
+		case "point_start":
+			if open != -1 || e.Point == nil || *e.Point != closed {
+				t.Fatalf("point_start out of order: got %v while open=%d next=%d", e.Point, open, closed)
+			}
+			open = closed
+		case "point_done":
+			if e.Point == nil || *e.Point != open {
+				t.Fatalf("point_done %v does not match open point %d", e.Point, open)
+			}
+			open, closed = -1, closed+1
+		}
+	}
+	return closed, open
+}
+
 // TestPoolErrorPathKeepsObsConsistent injects a failing TrialStore under a
 // parallel sweep and checks the observability contract on the error path:
 // the error propagates, point events stay strictly sequential, and Close
@@ -157,29 +189,7 @@ func TestPoolErrorPathKeepsObsConsistent(t *testing.T) {
 
 	// Events: point_start/point_done must be a strictly sequential prefix
 	// even though pool workers finish out of order and the run died early.
-	type ev struct {
-		Ev    string `json:"ev"`
-		Point *int   `json:"point"`
-	}
-	next, open := 0, -1
-	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
-		var e ev
-		if uerr := json.Unmarshal([]byte(line), &e); uerr != nil {
-			t.Fatalf("unparsable event %q: %v", line, uerr)
-		}
-		switch e.Ev {
-		case "point_start":
-			if open != -1 || e.Point == nil || *e.Point != next {
-				t.Fatalf("point_start out of order: got %v while open=%d next=%d", e.Point, open, next)
-			}
-			open = next
-		case "point_done":
-			if e.Point == nil || *e.Point != open {
-				t.Fatalf("point_done %v does not match open point %d", e.Point, open)
-			}
-			open, next = -1, next+1
-		}
-	}
+	checkPointPairing(t, events.String())
 
 	// Manifest: exactly one complete file, no .manifest-* temp residue, the
 	// error recorded.
@@ -208,15 +218,29 @@ func TestPoolErrorPathKeepsObsConsistent(t *testing.T) {
 }
 
 // TestRunManyObservedCountsPoints pins the RunMany wrapper: one point per
-// workload, committed in input order.
+// workload, committed in input order, with every point_done preceded by its
+// point_start; on a failing store the failed point stays open.
 func TestRunManyObservedCountsPoints(t *testing.T) {
-	rec := obs.New(obs.Config{Tool: "test"})
+	var events bytes.Buffer
+	rec := obs.New(obs.Config{Tool: "test", Events: &events})
 	ws := []Workload{
 		{DS: "list", Scheme: "ca", Threads: 2, KeyRange: 64, UpdatePct: 100, OpsPerThread: 80, Seed: 1},
 		{DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 64, UpdatePct: 100, OpsPerThread: 80, Seed: 1},
 	}
 	if _, err := RunManyObserved(ws, 2, nil, rec); err != nil {
 		t.Fatal(err)
+	}
+	if closed, open := checkPointPairing(t, events.String()); closed != len(ws) || open != -1 {
+		t.Errorf("points closed/open = %d/%d, want %d/-1", closed, open, len(ws))
+	}
+
+	var failEvents bytes.Buffer
+	failRec := obs.New(obs.Config{Tool: "test", Events: &failEvents})
+	if _, err := RunManyObserved(ws, 2, failingStore{newMemStore()}, failRec); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("RunManyObserved error = %v, want the injected store failure", err)
+	}
+	if closed, open := checkPointPairing(t, failEvents.String()); closed != 0 || open != 0 {
+		t.Errorf("failing run points closed/open = %d/%d, want 0/0", closed, open)
 	}
 	m := rec.Manifest()
 	if m.TrialsDone != 2 || len(m.Points) != 2 {

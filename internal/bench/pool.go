@@ -143,8 +143,9 @@ func RunMany(ws []Workload, workers int, store TrialStore) ([]Result, error) {
 
 // RunManyObserved is RunMany with out-of-band instrumentation: each
 // workload is declared as one single-trial point on rec (nil for none) and
-// its spans are committed by whichever worker ran it; point_done marks are
-// emitted in input order after the pool drains.
+// its spans are committed by whichever worker ran it; the point_start and
+// point_done marks are emitted in input order after the pool drains, and a
+// failed point stays open, as in sweepParallel.
 func RunManyObserved(ws []Workload, workers int, store TrialStore, rec *obs.Rec) ([]Result, error) {
 	base := 0
 	if rec != nil {
@@ -173,6 +174,7 @@ func RunManyObserved(ws []Workload, workers int, store TrialStore, rec *obs.Rec)
 		}
 	})()
 	for i, err := range errs {
+		rec.PointStart(base + i)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,177 @@
+// Package cli is the scaffold every command under cmd/ runs on: the exit
+// contract, the observability session, the result-store lifecycle and
+// checked output files, written once.
+//
+// The exit contract: -h exits 0; a command-line error exits 2 after one
+// "tool: ..." line on stderr (or after the flag package's own report);
+// -version prints one line on stdout and exits 0; a runtime error exits 1
+// after one "tool: ..." line. A failing run prints nothing else on stderr.
+package cli
+
+import (
+	"bufio"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strings"
+
+	"condaccess/internal/bench"
+	"condaccess/internal/lab"
+	"condaccess/internal/obs"
+)
+
+// Reported marks an error the flag package has already printed to stderr
+// (with usage), so Run must not print it a second time.
+type Reported struct{ Err error }
+
+func (e Reported) Error() string { return e.Err.Error() }
+func (e Reported) Unwrap() error { return e.Err }
+
+// NewFlagSet returns a flag set that reports its errors to stderr and
+// returns them instead of exiting, as Run's contract needs.
+func NewFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// Parse parses args into fs, marking a failure Reported: the flag package
+// has printed it already.
+func Parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return Reported{err}
+	}
+	return nil
+}
+
+// Spec is one parsed invocation: what Run needs beyond the parser's error.
+type Spec struct {
+	// Obs is the parsed observability flag block.
+	Obs obs.CLIFlags
+	// Session holds the run's manifest fields (Spec, StoreDir, TraceOut,
+	// Timeline); Run fills in Tool, EngineTag, Args and Stderr.
+	Session obs.SessionConfig
+	// Body is the command proper. rec may be nil; its methods are nil-safe.
+	Body func(rec *obs.Rec) error
+}
+
+// Run executes one invocation of tool under the exit contract and returns
+// the exit code. parseErr is the parser's result: flag.ErrHelp exits 0,
+// any other error is a command-line error. A session teardown failure
+// (manifest write, profile flush) surfaces only when the body succeeded.
+func Run(tool string, args []string, stdout, stderr io.Writer, parseErr error, spec Spec) int {
+	if parseErr != nil {
+		if errors.Is(parseErr, flag.ErrHelp) {
+			return 0
+		}
+		if !errors.As(parseErr, new(Reported)) {
+			fmt.Fprintln(stderr, tool+":", parseErr)
+		}
+		return 2
+	}
+	if spec.Obs.Version {
+		fmt.Fprintln(stdout, obs.VersionLine(tool, bench.EngineTag()))
+		return 0
+	}
+	cfg := spec.Session
+	cfg.Tool, cfg.EngineTag, cfg.Args, cfg.Stderr = tool, bench.EngineTag(), args, stderr
+	sess, err := spec.Obs.Start(cfg)
+	if err == nil {
+		err = spec.Body(sess.Rec)
+		if cerr := sess.Close(err); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, tool+":", err)
+		return 1
+	}
+	return 0
+}
+
+// WithStore runs body against the result store at dir, or against an
+// untyped nil TrialStore when dir is "" (a typed nil *lab.Store would look
+// like a store to the runner). The store reports its flushes to rec. Close
+// always runs, so a failed body keeps the batched writes of the trials
+// that did complete; the first error wins, and the store's traffic line
+// goes to stderr only on success, keeping the one-line failure contract.
+func WithStore(dir string, rec *obs.Rec, stderr io.Writer, body func(bench.TrialStore) error) (err error) {
+	if dir == "" {
+		return body(nil)
+	}
+	st, err := lab.Open(dir)
+	if err != nil {
+		return err
+	}
+	st.OnFlush = rec.StoreFlushed
+	defer func() {
+		Close(st, &err)
+		rec.SetStore(st.Stats().Rollup())
+		if err == nil {
+			fmt.Fprintln(stderr, st.Stats())
+		}
+	}()
+	return body(st)
+}
+
+// Close closes c and keeps the first error: *err takes Close's error only
+// when it holds none. Deferred with a named result, it checks the Close of
+// a store or an output file on every path.
+func Close(c io.Closer, err *error) {
+	if cerr := c.Close(); *err == nil {
+		*err = cerr
+	}
+}
+
+// File is an output file written through a buffer. The buffer keeps the
+// first write error and drops every later write, so renderers may ignore
+// the errors of single writes: Close reports the first failure among the
+// writes, the flush and the file's own close.
+type File struct {
+	*bufio.Writer
+	f *os.File
+}
+
+// Create creates or truncates the output file at path.
+func Create(path string) (*File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &File{bufio.NewWriter(f), f}, nil
+}
+
+// Close flushes the buffer and closes the file.
+func (f *File) Close() error {
+	err := f.Flush()
+	if cerr := f.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// SplitList splits a comma-separated flag value, trimming spaces and
+// dropping empty items.
+func SplitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// KeyRange returns keys, or when it is 0 the paper's key range for ds:
+// 10K keys for the external BST, 1K for every other structure.
+func KeyRange(ds string, keys uint64) uint64 {
+	switch {
+	case keys != 0:
+		return keys
+	case ds == "bst":
+		return 10000
+	}
+	return 1000
+}
