@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"condaccess/internal/cache"
 )
 
 // The golden-checksum suite pins the simulator's observable output. Each
@@ -20,7 +22,7 @@ import (
 // are bit-for-bit output-preserving. Regenerate deliberately with:
 //
 //	go test ./internal/bench -run TestGoldenResults -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from the current engine")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json and golden_geometry.json from the current engine")
 
 // goldenSchemes spans the three reclamation families: conditional access,
 // pointer-reservation (hp), and epoch/quiescence batching (rcu).
@@ -54,11 +56,6 @@ func goldenSum(res Result) uint64 {
 	return h.Sum64()
 }
 
-func goldenPath(t *testing.T) string {
-	t.Helper()
-	return filepath.Join("testdata", "golden.json")
-}
-
 func TestGoldenResults(t *testing.T) {
 	sums := map[string]string{}
 	for _, ds := range Structures() {
@@ -71,8 +68,60 @@ func TestGoldenResults(t *testing.T) {
 		}
 	}
 
-	path := goldenPath(t)
-	if *updateGolden {
+	checkGolden(t, filepath.Join("testdata", "golden.json"), sums, *updateGolden)
+}
+
+// goldenGeometries are the non-default machines TestGoldenResultsGeometry
+// pins. The default goldens barely evict from the 32 KiB L1. On the small L1
+// a list trial makes ~100k L1 evictions, so every LRU victim choice — and
+// every revocation of a tag on a victim — feeds the results. The SMT machine
+// pins the shared-L1 paths: a write notifies the writer's siblings, and a
+// lost line notifies every hyperthread of its core. The small L1 is 4-way
+// because a 2-way L1 makes bst/ca exceed core.MaxSpuriousRetries, the
+// paper's associativity limit.
+var goldenGeometries = []struct {
+	name  string
+	cache func(threads int) cache.Params
+}{
+	{"l1-4k4w-l2-32k8w", func(n int) cache.Params {
+		p := cache.DefaultParams(n)
+		p.L1Bytes, p.L1Assoc = 4<<10, 4
+		p.L2Bytes, p.L2Assoc = 32<<10, 8
+		return p
+	}},
+	{"smt2", func(n int) cache.Params {
+		p := cache.DefaultParams(n)
+		p.ThreadsPerCore = 2
+		return p
+	}},
+}
+
+// TestGoldenResultsGeometry is the golden matrix on goldenGeometries,
+// checksummed against testdata/golden_geometry.json. -update-golden
+// rewrites it together with golden.json.
+func TestGoldenResultsGeometry(t *testing.T) {
+	sums := map[string]string{}
+	for _, g := range goldenGeometries {
+		for _, ds := range Structures() {
+			for _, scheme := range goldenSchemes {
+				w := goldenWorkload(ds, scheme)
+				w.Cache = g.cache(w.Threads)
+				res, err := Run(w)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", g.name, ds, scheme, err)
+				}
+				sums[g.name+"/"+ds+"/"+scheme] = fmt.Sprintf("%016x", goldenSum(res))
+			}
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_geometry.json"), sums, *updateGolden)
+}
+
+// checkGolden compares a golden matrix's checksums against the file at
+// path, or rewrites the file when update is set.
+func checkGolden(t *testing.T, path string, sums map[string]string, update bool) {
+	t.Helper()
+	if update {
 		data, err := json.MarshalIndent(sums, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -86,10 +135,9 @@ func TestGoldenResults(t *testing.T) {
 		t.Logf("wrote %d golden sums to %s", len(sums), path)
 		return
 	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden file (run with -update-golden to create): %v", err)
+		t.Fatalf("reading golden file (run with the matching -update flag to create): %v", err)
 	}
 	want := map[string]string{}
 	if err := json.Unmarshal(data, &want); err != nil {

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -80,42 +78,7 @@ func TestScenarioGoldenResults(t *testing.T) {
 		sums[scenarioCellKey(sw)] = fmt.Sprintf("%016x", scenarioGoldenSum(res))
 	}
 
-	path := filepath.Join("testdata", "golden_scenario.json")
-	if *updateScenarioGolden {
-		data, err := json.MarshalIndent(sums, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d scenario golden sums to %s", len(sums), path)
-		return
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading scenario golden file (run with -update-scenario-golden to create): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(sums) {
-		t.Errorf("golden file has %d entries, matrix has %d", len(want), len(sums))
-	}
-	for key, sum := range sums {
-		if want[key] == "" {
-			t.Errorf("%s: no golden entry", key)
-			continue
-		}
-		if sum != want[key] {
-			t.Errorf("%s: result checksum %s != golden %s — scenario engine output changed", key, sum, want[key])
-		}
-	}
+	checkGolden(t, filepath.Join("testdata", "golden_scenario.json"), sums, *updateScenarioGolden)
 }
 
 // TestScenarioGoldenRunnerReuse: a reused machine must produce the same
