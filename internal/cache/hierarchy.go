@@ -46,7 +46,7 @@ type Listener interface {
 
 // Stats aggregates hierarchy activity for one simulation.
 type Stats struct {
-	L1Hits        uint64
+	L1Hits        uint64 // L1 accesses (the L1 clocks' sum) minus L1Misses
 	L1Misses      uint64
 	L2Hits        uint64
 	L2Misses      uint64
@@ -59,13 +59,28 @@ type Stats struct {
 
 // l1cache stores each per-way field as one contiguous slab — set s occupies
 // indices [s*assoc, (s+1)*assoc) — indexed by shifting and masking the
-// address. The slabs are struct-of-arrays: the tag probe on every access
-// scans only the lines slab (8 ways = exactly one host cache line at the
-// default associativity), touching lru/state solely on the way it hits.
+// address. A lookup is one load of the residency index wayOf; a hit then
+// touches only its own way's lru (and state, for a write) and the L1's own
+// clock and hit counter. The fields a hit touches come first.
 type l1cache struct {
-	lines []uint64 // line base addresses; invalidLine iff the way is empty
+	// wayOf is the residency index: wayOf[li] is 1 + the slab index of the
+	// way holding line li<<lineShift, or 0 when the line is not resident.
+	// Simulated line numbers are small and dense (the heap carves lines
+	// upward from zero), so a flat table turns the per-access tag probe —
+	// the hottest operation in the whole simulator — from an
+	// associativity-wide scan into one load. install/drop keep it exactly
+	// in sync with the lines slab; find's result is identical to a scan.
+	wayOf []int32
 	lru   []uint64
+	// clock is this L1's replacement clock: every access to the L1 advances
+	// it exactly once and stamps the way it hits or fills. LRU stamps are
+	// compared only within one set of one cache, so a per-cache clock picks
+	// exactly the victims a machine-wide one would. Because it counts the
+	// L1's accesses, Stats derives the hit count from the clocks, and a hit
+	// updates no shared counter.
+	clock uint64
 	state []State
+	lines []uint64 // line base addresses; invalidLine iff the way is empty
 	// l2way caches each resident line's way index in the shared L2. The L2
 	// is inclusive and never relocates a resident line (a fill only claims an
 	// empty or evicted way, and an L2 eviction back-invalidates every L1
@@ -78,22 +93,16 @@ type l1cache struct {
 	full    []uint16
 	setMask uint64
 	assoc   uint64
-	// wayOf is the residency index: wayOf[li] is 1 + the slab index of the
-	// way holding line li<<lineShift, or 0 when the line is not resident.
-	// Simulated line numbers are small and dense (the heap carves lines
-	// upward from zero), so a flat table turns the per-access tag probe —
-	// the hottest operation in the whole simulator — from an
-	// associativity-wide scan into one load. install/drop keep it exactly
-	// in sync with the lines slab; find's result is identical to a scan.
-	wayOf []int32
 }
 
 // l2cache is laid out exactly like l1cache, with the directory state
 // (sharers, owner, dirty) in further parallel slabs. A way is valid iff its
-// line tag is not invalidLine.
+// line tag is not invalidLine. Its clock advances once per access that
+// reaches the L2: an L1 miss or an S->M upgrade.
 type l2cache struct {
 	lines   []uint64
 	lru     []uint64
+	clock   uint64
 	sharers []uint64 // bitmask of cores with an L1 copy
 	owner   []int8   // core holding Modified, or -1
 	dirty   []bool
@@ -114,15 +123,65 @@ type l2cache struct {
 // one hyperthread notifies its siblings (whose tags on the line must be
 // revoked even though the line stays resident — paper Section III).
 type Hierarchy struct {
-	p      Params
-	smt    int     // hardware threads per L1
-	coreOf []int32 // hardware thread -> physical core; a divide here would
-	// sit on every simulated access
+	p        Params
+	smt      int // hardware threads per L1
 	l1       []l1cache
 	l2       l2cache
+	ports    []Port // one per hardware thread, indexed by its id
 	listener Listener
-	tick     uint64
-	stats    Stats
+	stats    Stats // every count but L1Hits, which Stats derives
+}
+
+// Port is one hardware thread's own view of its L1, built once per
+// hierarchy. ReadHit and WriteHit serve an L1 hit from it alone: one
+// residency-index load, the way's LRU stamp and the L1's own clock. They are
+// small enough to inline into the simulator's access paths. Everything else
+// — misses, S->M upgrades, and write hits that must notify SMT siblings —
+// goes through Hierarchy.Read and Hierarchy.Write, which try the same port
+// first. A Port never changes after New, so callers keep a copy of it next
+// to their other per-thread state.
+type Port struct {
+	l1     *l1cache
+	core   int // index of l1 in Hierarchy.l1: tid / ThreadsPerCore
+	hitLat uint64
+	smt    bool // the L1 is shared with SMT siblings
+}
+
+// Port returns hardware thread tid's port.
+func (h *Hierarchy) Port(tid int) Port { return h.ports[tid] }
+
+// HitLatency is the latency of an access ReadHit or WriteHit served.
+func (p *Port) HitLatency() uint64 { return p.hitLat }
+
+// ReadHit serves a load of addr when its line is resident in the thread's
+// L1 and reports whether it did. On false nothing has changed, and the load
+// must go through Hierarchy.Read.
+func (p *Port) ReadHit(addr uint64) bool {
+	l1 := p.l1
+	if li := addr >> lineShift; li < uint64(len(l1.wayOf)) {
+		if w := l1.wayOf[li]; w != 0 {
+			l1.clock++
+			l1.lru[w-1] = l1.clock
+			return true
+		}
+	}
+	return false
+}
+
+// WriteHit serves a store to addr when the thread's L1 holds its line
+// Modified and has no SMT siblings, and reports whether it did. On false
+// nothing has changed, and the store must go through Hierarchy.Write: a
+// sibling's tags on the line must be revoked even on a hit.
+func (p *Port) WriteHit(addr uint64) bool {
+	l1 := p.l1
+	if li := addr >> lineShift; li < uint64(len(l1.wayOf)) && !p.smt {
+		if w := l1.wayOf[li]; w != 0 && l1.state[w-1] == Modified {
+			l1.clock++
+			l1.lru[w-1] = l1.clock
+			return true
+		}
+	}
+	return false
 }
 
 // New builds a hierarchy for p. listener may be nil. Geometry is validated
@@ -130,10 +189,6 @@ type Hierarchy struct {
 func New(p Params, listener Listener) *Hierarchy {
 	p.Validate()
 	h := &Hierarchy{p: p, smt: p.SMTWidth(), listener: listener}
-	h.coreOf = make([]int32, p.Cores)
-	for t := range h.coreOf {
-		h.coreOf[t] = int32(t / h.smt)
-	}
 	l1Ways := (p.L1Bytes / (p.L1Assoc * lineBytes)) * p.L1Assoc
 	h.l1 = make([]l1cache, p.L1Count())
 	for c := range h.l1 {
@@ -147,6 +202,11 @@ func New(p Params, listener Listener) *Hierarchy {
 			assoc:   uint64(p.L1Assoc),
 		}
 		h.l1[c].reset()
+	}
+	h.ports = make([]Port, p.Cores)
+	for t := range h.ports {
+		c := t / h.smt
+		h.ports[t] = Port{l1: &h.l1[c], core: c, hitLat: p.LatL1Hit, smt: h.smt > 1}
 	}
 	l2Ways := (p.L2Bytes / (p.L2Assoc * lineBytes)) * p.L2Assoc
 	h.l2 = l2cache{
@@ -171,6 +231,7 @@ func (c *l1cache) reset() {
 	clear(c.state)
 	clear(c.full)
 	clear(c.wayOf)
+	c.clock = 0
 }
 
 func (c *l2cache) reset() {
@@ -183,17 +244,17 @@ func (c *l2cache) reset() {
 	clear(c.dirty)
 	clear(c.full)
 	clear(c.wayOf)
+	c.clock = 0
 }
 
 // Reset empties every cache and zeroes the statistics and the replacement
-// tick, returning the hierarchy to its post-New state without reallocating
-// the slabs.
+// clocks, returning the hierarchy to its post-New state without
+// reallocating the slabs.
 func (h *Hierarchy) Reset() {
 	for c := range h.l1 {
 		h.l1[c].reset()
 	}
 	h.l2.reset()
-	h.tick = 0
 	h.stats = Stats{}
 }
 
@@ -201,7 +262,14 @@ func (h *Hierarchy) Reset() {
 func (h *Hierarchy) Params() Params { return h.p }
 
 // Stats returns a copy of the accumulated statistics.
-func (h *Hierarchy) Stats() Stats { return h.stats }
+func (h *Hierarchy) Stats() Stats {
+	s := h.stats
+	for c := range h.l1 {
+		s.L1Hits += h.l1[c].clock
+	}
+	s.L1Hits -= s.L1Misses
+	return s
+}
 
 // base returns the slab index of the first way of line's set.
 func (c *l1cache) base(line uint64) uint64 {
@@ -209,8 +277,8 @@ func (c *l1cache) base(line uint64) uint64 {
 }
 
 // min8 returns the index of the smallest of a's eight values, first index
-// winning ties (LRU ticks are unique in practice, but the tie-break matches
-// the sequential scan regardless). The tournament shape gives the CPU four
+// winning ties (the LRU stamps of one set's valid ways are unique, but the
+// tie-break matches the sequential scan regardless). The tournament shape gives the CPU four
 // independent comparisons instead of a serial dependency chain.
 func min8(a *[8]uint64) int {
 	i01, v01 := 0, a[0]
@@ -300,7 +368,7 @@ func growWays(w []int32, li uint64) []int32 {
 // HasLine reports the L1 state of line for hardware thread tid without
 // touching LRU or charging latency (a diagnostic, used by tests).
 func (h *Hierarchy) HasLine(tid int, line uint64) State {
-	l1 := &h.l1[h.coreOf[tid]]
+	l1 := h.ports[tid].l1
 	if w := l1.find(line); w >= 0 {
 		return l1.state[w]
 	}
@@ -325,7 +393,7 @@ func (h *Hierarchy) notifySiblings(tid int, line uint64) {
 	if h.listener == nil || h.smt == 1 {
 		return
 	}
-	base := int(h.coreOf[tid]) * h.smt
+	base := h.ports[tid].core * h.smt
 	for k := 0; k < h.smt; k++ {
 		if base+k != tid {
 			h.listener.LineInvalidated(base+k, line)
@@ -336,19 +404,18 @@ func (h *Hierarchy) notifySiblings(tid int, line uint64) {
 // Read performs a load by hardware thread tid from the line containing addr
 // and returns its latency in cycles.
 func (h *Hierarchy) Read(tid int, addr uint64) uint64 {
-	core := int(h.coreOf[tid])
-	line := addr &^ (lineBytes - 1)
-	h.tick++
-	l1 := &h.l1[core]
-	if w := l1.find(line); w >= 0 {
-		l1.lru[w] = h.tick
-		h.stats.L1Hits++
-		return h.p.LatL1Hit
+	p := &h.ports[tid]
+	if p.ReadHit(addr) {
+		return p.hitLat
 	}
+	core := p.core
+	line := addr &^ (lineBytes - 1)
+	p.l1.clock++
+	h.l2.clock++
 	h.stats.L1Misses++
 	lat, w2 := h.missFill(core, line, false)
 	h.l2.sharers[w2] |= 1 << uint(core)
-	h.l2.lru[w2] = h.tick
+	h.l2.lru[w2] = h.l2.clock
 	h.installL1(core, line, Shared, w2)
 	return lat
 }
@@ -357,19 +424,23 @@ func (h *Hierarchy) Read(tid int, addr uint64) uint64 {
 // thread tid and returns the latency. The caller performs the actual data
 // store in the simulated heap.
 func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
-	core := int(h.coreOf[tid])
+	p := &h.ports[tid]
+	if p.WriteHit(addr) {
+		return p.hitLat
+	}
+	core := p.core
 	line := addr &^ (lineBytes - 1)
-	h.tick++
-	l1 := &h.l1[core]
+	l1 := p.l1
+	l1.clock++
 	if w := l1.find(line); w >= 0 {
-		l1.lru[w] = h.tick
+		l1.lru[w] = l1.clock
 		if l1.state[w] == Modified {
-			h.stats.L1Hits++
+			// A hit WriteHit declined: the L1 has SMT siblings.
 			h.notifySiblings(tid, line)
 			return h.p.LatL1Hit
 		}
 		// S -> M upgrade.
-		h.stats.L1Hits++
+		h.l2.clock++
 		lat := h.p.LatL1Hit + h.p.LatDir
 		w2 := int(l1.l2way[w])
 		if h.l2.lines[w2] != line {
@@ -384,17 +455,18 @@ func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
 			h.stats.Upgrades++
 		}
 		h.l2.owner[w2] = int8(core)
-		h.l2.lru[w2] = h.tick
+		h.l2.lru[w2] = h.l2.clock
 		l1.state[w] = Modified
 		h.notifySiblings(tid, line)
 		return lat
 	}
 	// Miss: read-for-ownership.
+	h.l2.clock++
 	h.stats.L1Misses++
 	lat, w2 := h.missFill(core, line, true)
 	h.l2.sharers[w2] = 1 << uint(core)
 	h.l2.owner[w2] = int8(core)
-	h.l2.lru[w2] = h.tick
+	h.l2.lru[w2] = h.l2.clock
 	h.installL1(core, line, Modified, w2)
 	h.notifySiblings(tid, line)
 	return lat
@@ -532,7 +604,7 @@ place:
 	}
 	l1.lines[victim] = line
 	l1.state[victim] = st
-	l1.lru[victim] = h.tick
+	l1.lru[victim] = l1.clock
 	l1.l2way[victim] = int32(w2new)
 }
 
@@ -580,7 +652,7 @@ place:
 		l2.wayOf[li] = int32(victim) + 1
 	}
 	l2.lines[victim] = line
-	l2.lru[victim] = h.tick
+	l2.lru[victim] = l2.clock
 	l2.sharers[victim] = 0
 	l2.owner[victim] = -1
 	l2.dirty[victim] = false

@@ -199,6 +199,46 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestPortHits pins the port's hit path: it serves exactly the resident
+// lines, changes nothing when it declines, stamps LRU like a hierarchy hit
+// (so it steers the next victim), and is counted in L1Hits.
+func TestPortHits(t *testing.T) {
+	rec := &recorder{}
+	h := tiny(1, rec)
+	p := h.Port(0)
+	base, stride := uint64(0x10000), uint64(4*64) // one 2-way set of tiny's L1
+	if p.ReadHit(base) || p.WriteHit(base) {
+		t.Fatal("port served a cold line")
+	}
+	if st := h.Stats(); st != (Stats{}) {
+		t.Fatalf("a declined port access changed the stats: %+v", st)
+	}
+	h.Read(0, base)
+	h.Read(0, base+stride)
+	if !p.ReadHit(base) {
+		t.Fatal("port declined a resident line")
+	}
+	if p.WriteHit(base) {
+		t.Fatal("port served a write to a Shared line, which needs an upgrade")
+	}
+	rec.events = nil
+	h.Read(0, base+2*stride) // the port's hit made base+stride the LRU way
+	if len(rec.events) != 1 || rec.events[0].line != base+stride {
+		t.Fatalf("eviction events = %+v, want [{0 %#x}]", rec.events, base+stride)
+	}
+	h.Write(0, base) // S->M upgrade: a hit, served by the hierarchy
+	if !p.WriteHit(base) || p.HitLatency() != h.Params().LatL1Hit {
+		t.Fatal("port declined a write to a Modified line")
+	}
+	if st := h.Stats(); st.L1Hits != 3 || st.L1Misses != 3 {
+		t.Fatalf("L1 hits/misses = %d/%d, want 3/3", st.L1Hits, st.L1Misses)
+	}
+	h.Reset()
+	if st := h.Stats(); st != (Stats{}) {
+		t.Fatalf("Reset left stats %+v", st)
+	}
+}
+
 func TestBadGeometryPanics(t *testing.T) {
 	p := DefaultParams(1)
 	p.L1Bytes = 1000 // not divisible

@@ -61,6 +61,29 @@ func TestSMTSiblingWriteNotifiesSiblingOnly(t *testing.T) {
 	}
 }
 
+// TestSMTPortDeclinesWriteHits: on a shared L1 even a write hit must revoke
+// the siblings' tags, so the port leaves it to Hierarchy.Write. Read hits
+// notify nobody and stay on the port.
+func TestSMTPortDeclinesWriteHits(t *testing.T) {
+	rec := &recorder{}
+	h := smtRig(rec)
+	h.Write(0, 0x2000)
+	p := h.Port(0)
+	if p.WriteHit(0x2000) {
+		t.Fatal("SMT port served a write hit without notifying the sibling")
+	}
+	if !p.ReadHit(0x2000) {
+		t.Fatal("SMT port declined a read hit")
+	}
+	rec.events = nil
+	if lat := h.Write(0, 0x2000); lat != h.Params().LatL1Hit {
+		t.Fatalf("write hit latency = %d, want %d", lat, h.Params().LatL1Hit)
+	}
+	if len(rec.events) != 1 || rec.events[0].core != 1 {
+		t.Fatalf("events = %+v, want exactly thread 1", rec.events)
+	}
+}
+
 func TestSMTRemoteInvalidationNotifiesBothHyperthreads(t *testing.T) {
 	rec := &recorder{}
 	h := smtRig(rec)

@@ -68,6 +68,9 @@ type coreState struct {
 	era     uint64
 	count   int // live tag count: TagSetSize and the MaxTagSet high-water
 	revoked bool
+	// port is the hardware thread's L1 port: a cread or cwrite that hits
+	// its L1 is served inline, without a call into the hierarchy.
+	port cache.Port
 }
 
 // tagged reports whether line index li is in the tag set.
@@ -144,6 +147,9 @@ func (e *Extension) Attach(h *cache.Hierarchy, space *mem.Space) {
 	e.h = h
 	e.space = space
 	e.latFlag = h.Params().LatFlagCheck
+	for i := range e.cores {
+		e.cores[i].port = h.Port(i)
+	}
 }
 
 // Reset clears every core's tag set and accessRevokedBit and zeroes the
@@ -209,7 +215,11 @@ func (e *Extension) CRead(core int, addr mem.Addr) (val uint64, lat uint64, ok b
 	// The load may evict another tagged line of this core, setting the
 	// revoked bit; per the paper's atomicity, this cread still succeeds (its
 	// flag check happened first) and the next conditional access fails.
-	lat = e.h.Read(core, addr) + e.latFlag
+	lat = cs.port.HitLatency()
+	if !cs.port.ReadHit(addr) {
+		lat = e.h.Read(core, addr)
+	}
+	lat += e.latFlag
 	li := addr / mem.LineBytes
 	v, gen := e.space.ReadGen(addr)
 	if cs.tagged(li) {
@@ -255,7 +265,11 @@ func (e *Extension) CWrite(core int, addr mem.Addr, v uint64) (lat uint64, ok bo
 	}
 	// The line is tagged, hence still resident in this L1 (tags live on
 	// lines): the write is at worst an S->M upgrade, never a fill.
-	lat = e.h.Write(core, addr) + e.latFlag
+	lat = cs.port.HitLatency()
+	if !cs.port.WriteHit(addr) {
+		lat = e.h.Write(core, addr)
+	}
+	lat += e.latFlag
 	e.space.Write(addr, v)
 	e.stats.CWrites++
 	return lat, true

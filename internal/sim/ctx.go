@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"condaccess/internal/cache"
 	"condaccess/internal/mem"
 	"condaccess/internal/trace"
 )
@@ -19,6 +20,9 @@ type Ctx struct {
 	m     *Machine
 	clock *uint64 // &m.clocks[th.c]: charge is the hottest path in the simulator
 	limit uint64  // run-until quantum limit; the event loop rewrites it before every resume
+	// port is this thread's L1 port: every access tries its inlined hit
+	// check before calling into the hierarchy.
+	port cache.Port
 	// suspend transfers control back to the event loop at a quantum expiry
 	// (the iter.Pull yield function of this thread's coroutine). Nil on the
 	// single-thread fast path, where the limit is unbounded and yield is
@@ -51,6 +55,7 @@ func (c *Ctx) reset(t *thread, limit uint64) {
 	c.m = t.m
 	c.clock = &t.m.clocks[t.c]
 	c.limit = limit
+	c.port = t.m.Hier.Port(t.c)
 	c.suspend = nil
 	c.rng.seed(threadSeed(t.m.cfg.Seed, t.id))
 	c.zeroRun = 0
@@ -122,9 +127,13 @@ func (c *Ctx) Clock() uint64 { return *c.clock }
 // Machine returns the machine this context runs on.
 func (c *Ctx) Machine() *Machine { return c.m }
 
-// Read performs an ordinary load.
+// Read performs an ordinary load. Each access tries its port's hit check,
+// which inlines here, and calls into the hierarchy only when it declines.
 func (c *Ctx) Read(a mem.Addr) uint64 {
-	lat := c.m.Hier.Read(c.th.c, a)
+	lat := c.port.HitLatency()
+	if !c.port.ReadHit(a) {
+		lat = c.m.Hier.Read(c.th.c, a)
+	}
 	v := c.m.Space.Read(a)
 	c.charge(lat)
 	return v
@@ -132,7 +141,10 @@ func (c *Ctx) Read(a mem.Addr) uint64 {
 
 // Write performs an ordinary store.
 func (c *Ctx) Write(a mem.Addr, v uint64) {
-	lat := c.m.Hier.Write(c.th.c, a)
+	lat := c.port.HitLatency()
+	if !c.port.WriteHit(a) {
+		lat = c.m.Hier.Write(c.th.c, a)
+	}
 	c.m.Space.Write(a, v)
 	c.charge(lat)
 }
@@ -141,7 +153,10 @@ func (c *Ctx) Write(a mem.Addr, v uint64) {
 // hardware cmpxchg, it acquires the line exclusively whether or not the
 // comparison succeeds.
 func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
-	lat := c.m.Hier.Write(c.th.c, a)
+	lat := c.port.HitLatency()
+	if !c.port.WriteHit(a) {
+		lat = c.m.Hier.Write(c.th.c, a)
+	}
 	cur := c.m.Space.Read(a)
 	ok := cur == old
 	if ok {
@@ -153,7 +168,10 @@ func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
 
 // FetchAdd atomically adds d to the word at a and returns the previous value.
 func (c *Ctx) FetchAdd(a mem.Addr, d uint64) uint64 {
-	lat := c.m.Hier.Write(c.th.c, a)
+	lat := c.port.HitLatency()
+	if !c.port.WriteHit(a) {
+		lat = c.m.Hier.Write(c.th.c, a)
+	}
 	v := c.m.Space.Read(a)
 	c.m.Space.Write(a, v+d)
 	c.charge(lat + 1)

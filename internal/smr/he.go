@@ -30,6 +30,7 @@ type heThread struct {
 	allocs  uint64
 	slotVal [MaxSlots]uint64
 	retired []retiredNode
+	eras    []uint64 // scan's published eras, reused per thread as in hp
 }
 
 func newHE(space *mem.Space, nThreads int, o Options) *he {
@@ -127,7 +128,7 @@ func (h *he) scan(c *sim.Ctx, pt *heThread) {
 	c.BeginPause() // the pass is a reclamation pause for the triggering op
 	defer c.EndPause()
 	h.stats.Scans++
-	eras := make([]uint64, 0, len(h.resAddr)*MaxSlots)
+	eras := pt.eras[:0]
 	for t := range h.resAddr {
 		for s := 0; s < MaxSlots; s++ {
 			if v := c.Read(h.slotAddr(t, s)); v != 0 {
@@ -135,6 +136,7 @@ func (h *he) scan(c *sim.Ctx, pt *heThread) {
 			}
 		}
 	}
+	pt.eras = eras
 	kept := pt.retired[:0]
 	freed0 := h.stats.Freed
 	for _, rn := range pt.retired {

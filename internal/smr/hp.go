@@ -26,6 +26,10 @@ type hp struct {
 type hpThread struct {
 	used    [MaxSlots]bool
 	retired []retiredNode
+	// hazards is scan's set of published hazards, cleared and reused by
+	// each of this thread's scans. It is per thread because a scan's slot
+	// reads can end its quantum, and another thread's scan may run then.
+	hazards map[mem.Addr]struct{}
 }
 
 func newHP(space *mem.Space, nThreads int, o Options) *hp {
@@ -96,7 +100,11 @@ func (h *hp) scan(c *sim.Ctx, pt *hpThread) {
 	c.BeginPause() // the pass is a reclamation pause for the triggering op
 	defer c.EndPause()
 	h.stats.Scans++
-	hazards := make(map[mem.Addr]struct{}, len(h.resAddr)*MaxSlots)
+	if pt.hazards == nil {
+		pt.hazards = make(map[mem.Addr]struct{}, len(h.resAddr)*MaxSlots)
+	}
+	hazards := pt.hazards
+	clear(hazards)
 	for t := range h.resAddr {
 		for s := 0; s < MaxSlots; s++ {
 			if v := c.Read(h.slotAddr(t, s)); v != 0 {

@@ -30,7 +30,11 @@ type ibrThread struct {
 	allocs   uint64
 	cachedHi uint64 // value last published to hi (avoids re-publishing)
 	retired  []retiredNode
+	ivals    []ival // scan's reservations, reused per thread as in hp
 }
+
+// ival is one thread's reservation interval [lo, hi].
+type ival struct{ lo, hi uint64 }
 
 func newIBR(space *mem.Space, nThreads int, o Options) *ibr {
 	r := &ibr{o: o}
@@ -115,11 +119,11 @@ func (r *ibr) scan(c *sim.Ctx, pt *ibrThread) {
 	c.BeginPause() // the pass is a reclamation pause for the triggering op
 	defer c.EndPause()
 	r.stats.Scans++
-	type ival struct{ lo, hi uint64 }
-	ivals := make([]ival, len(r.resAddr))
-	for t, ra := range r.resAddr {
-		ivals[t] = ival{lo: c.Read(ra), hi: c.Read(ra + mem.WordBytes)}
+	ivals := pt.ivals[:0]
+	for _, ra := range r.resAddr {
+		ivals = append(ivals, ival{lo: c.Read(ra), hi: c.Read(ra + mem.WordBytes)})
 	}
+	pt.ivals = ivals
 	kept := pt.retired[:0]
 	freed0 := r.stats.Freed
 	for _, rn := range pt.retired {
