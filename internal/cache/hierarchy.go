@@ -61,15 +61,15 @@ type Stats struct {
 // indices [s*assoc, (s+1)*assoc) — indexed by shifting and masking the
 // address. A lookup is one load of the residency index wayOf; a hit then
 // touches only its own way's lru (and state, for a write) and the L1's own
-// clock and hit counter. The fields a hit touches come first.
+// clock. The fields a hit touches come first.
 type l1cache struct {
 	// wayOf is the residency index: wayOf[li] is 1 + the slab index of the
 	// way holding line li<<lineShift, or 0 when the line is not resident.
 	// Simulated line numbers are small and dense (the heap carves lines
-	// upward from zero), so a flat table turns the per-access tag probe —
-	// the hottest operation in the whole simulator — from an
-	// associativity-wide scan into one load. install/drop keep it exactly
-	// in sync with the lines slab; find's result is identical to a scan.
+	// upward from zero), so a flat table makes the per-access lookup — the
+	// hottest operation in the whole simulator — one load instead of a scan
+	// of the set. install/drop keep it exactly in sync with the lines slab,
+	// so a lookup's result is identical to a scan's.
 	wayOf []int32
 	lru   []uint64
 	// clock is this L1's replacement clock: every access to the L1 advances
@@ -278,8 +278,9 @@ func (c *l1cache) base(line uint64) uint64 {
 
 // min8 returns the index of the smallest of a's eight values, first index
 // winning ties (the LRU stamps of one set's valid ways are unique, but the
-// tie-break matches the sequential scan regardless). The tournament shape gives the CPU four
-// independent comparisons instead of a serial dependency chain.
+// tie-break matches the sequential scan regardless). The tournament shape
+// gives the CPU four independent comparisons instead of a serial dependency
+// chain.
 func min8(a *[8]uint64) int {
 	i01, v01 := 0, a[0]
 	if a[1] < v01 {
