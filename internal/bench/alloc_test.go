@@ -1,3 +1,5 @@
+//go:build !race
+
 package bench
 
 import (
@@ -12,8 +14,11 @@ import (
 // allocation in the simulator would add thousands.
 //
 // The count is the fewest of five trials, because a trial's fmt calls draw
-// from a sync.Pool: a GC empties it, and the race detector drops pooled
-// items at random, so an unlucky trial allocates a few more times.
+// from a sync.Pool that a GC empties, so an unlucky trial allocates a few
+// more times. The file is left out of -race builds: there a trial runs ten
+// times longer, the race runtime drops pooled items at random, and even the
+// fewest of five has read one allocation high. CI runs it in a step of its
+// own.
 func TestColdTrialAllocs(t *testing.T) {
 	for _, c := range []struct {
 		scheme string
