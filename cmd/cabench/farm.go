@@ -34,7 +34,7 @@ func shardRun(opt options, rec *obs.Rec, store bench.TrialStore, stdout io.Write
 	if err != nil {
 		return err
 	}
-	if _, err := bench.RunManyObserved(ws, opt.cfg.Workers, store, rec); err != nil {
+	if _, err := (bench.Exec{Workers: opt.cfg.Workers, Store: store, Obs: rec}).RunMany(ws, nil, nil); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "shard %d/%d: %d trials done\n", opt.shardIdx, opt.shardOf, len(ws))
@@ -42,8 +42,8 @@ func shardRun(opt options, rec *obs.Rec, store bench.TrialStore, stdout io.Write
 }
 
 // shardDir places shard i's private store under the main store root. The
-// store only claims objects/, segments/, and runs/, so shards/ rides along
-// without confusing any reader.
+// store only claims segments/ and runs/, so shards/ rides along without
+// confusing any reader.
 func shardDir(storePath string, i, n int) string {
 	return filepath.Join(storePath, "shards", fmt.Sprintf("%d-of-%d", i, n))
 }

@@ -170,7 +170,7 @@ func TestShardWorkersAndMerge(t *testing.T) {
 }
 
 // TestFailedSweepKeepsCompletedTrials pins the durability bugfix: a sweep
-// that fails partway (unknown scheme on the sequential path, after earlier
+// that fails partway (unknown scheme on one worker, after earlier
 // points completed) must still flush the completed trials on Close, so a
 // re-run of the good subset is warm.
 func TestFailedSweepKeepsCompletedTrials(t *testing.T) {

@@ -94,8 +94,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	}
 	wk := *workers
 	if *trPath != "" {
-		// Deterministic trace files need the sequential path: one sink
-		// recording trials in sweep order.
+		// Deterministic trace files need one worker: one sink recording
+		// trials in sweep order.
 		wk = 1
 	}
 	shardIdx, shardOf := 0, 0

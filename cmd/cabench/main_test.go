@@ -149,7 +149,7 @@ func TestParseArgsTimelineAndTraceFlags(t *testing.T) {
 		t.Error("-timeline must not drag in tracing or tail recording")
 	}
 
-	// -trace forces the sequential path: one sink, trials in sweep order.
+	// -trace forces one worker: one sink, trials in sweep order.
 	opt, err = parseArgs([]string{"-ds", "list", "-workers", "8", "-trace", "t.json"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)

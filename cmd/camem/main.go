@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // (and CSV). Observability (rec may be nil) is out-of-band; store is nil
 // when no -store was given.
 func footprint(opt options, rec *obs.Rec, store bench.TrialStore, stdout io.Writer) (err error) {
-	results, err := bench.RunManyObserved(opt.ws, opt.workers, store, rec)
+	results, err := bench.Exec{Workers: opt.workers, Store: store, Obs: rec}.RunMany(opt.ws, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -152,38 +152,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runScenarios executes one scenario trial per scheme, each declared as one
 // observability point (rec may be nil), through store (nil for none).
 func runScenarios(opt options, rec *obs.Rec, store bench.TrialStore, stdout, stderr io.Writer) error {
-	runner := bench.Runner{Store: store, Obs: rec.Worker(0)}
 	var sink *trace.Sink
 	if opt.tracePath != "" {
 		sink = &trace.Sink{}
-		runner.Trace = sink
 	}
-	base := 0
-	if rec != nil {
-		labels := make([]string, len(opt.schemes))
-		for i, scheme := range opt.schemes {
-			labels[i] = fmt.Sprintf("%s %s/%s t=%d", opt.sw.Scenario.Name, opt.sw.DS, scheme, opt.sw.Threads)
-		}
-		base = rec.AddPoints(labels, 1)
-	}
+	sws := make([]bench.ScenarioWorkload, len(opt.schemes))
 	for i, scheme := range opt.schemes {
-		rec.PointStart(base + i)
-		sw := opt.sw
-		sw.Scheme = scheme
-		res, err := runner.RunScenario(sw)
-		if err != nil {
-			runner.Obs.Abandon()
-			return err
-		}
-		runner.Obs.Commit(base + i)
-		rec.PointDone(base + i)
-		printResult(stdout, sw, res, opt.lat)
+		sws[i] = opt.sw
+		sws[i].Scheme = scheme
+	}
+	_, err := bench.Exec{Workers: 1, Store: store, Obs: rec, Trace: sink}.RunScenarios(sws, nil, func(i int, res bench.ScenarioResult) {
+		printResult(stdout, sws[i], res, opt.lat)
 		if opt.tail {
 			printTail(stdout, res)
 		}
 		if opt.timeline {
 			printTimeline(stdout, res)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	if sink != nil {
 		if err := sink.WriteFile(opt.tracePath); err != nil {

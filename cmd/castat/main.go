@@ -82,22 +82,13 @@ func stat(opt options, rec *obs.Rec, stdout io.Writer) error {
 	w := opt.w
 	fmt.Fprintf(stdout, "%s, %d threads, %d%% updates, %d keys (%s), %d ops/thread\n\n",
 		w.DS, w.Threads, w.UpdatePct, w.KeyRange, w.Dist, w.OpsPerThread)
-	labels := make([]string, len(opt.schemes))
+	ws := make([]bench.Workload, len(opt.schemes))
 	for i, scheme := range opt.schemes {
-		labels[i] = fmt.Sprintf("%s/%s t=%d u=%d", w.DS, scheme, w.Threads, w.UpdatePct)
+		ws[i] = w
+		ws[i].Scheme = scheme
 	}
-	base := rec.AddPoints(labels, 1)
-	runner := bench.Runner{Obs: rec.Worker(0)}
-	for i, scheme := range opt.schemes {
-		w.Scheme = scheme
-		rec.PointStart(base + i)
-		res, err := runner.Run(w)
-		if err != nil {
-			runner.Obs.Abandon()
-			return err
-		}
-		runner.Obs.Commit(base + i)
-		rec.PointDone(base + i)
+	_, err := bench.Exec{Workers: 1, Obs: rec}.RunMany(ws, nil, func(i int, res bench.Result) {
+		scheme := opt.schemes[i]
 		c := res.Cache
 		accesses := c.L1Hits + c.L1Misses
 		fmt.Fprintf(stdout, "== %s: %.1f ops/Mcyc ==\n", scheme, res.Throughput)
@@ -118,6 +109,6 @@ func stat(opt options, rec *obs.Rec, stdout io.Writer) error {
 		l := res.Latency
 		fmt.Fprintf(stdout, "  latency: p50 %d, p90 %d, p99 %d, p99.9 %d, max %d cycles (retries %d)\n\n",
 			l.P50, l.P90, l.P99, l.P999, l.Max, res.Retries)
-	}
-	return nil
+	})
+	return err
 }

@@ -177,20 +177,10 @@ type generator struct {
 	rec     *obs.Rec // out-of-band instrumentation; nil disables recording
 }
 
-// runAt executes one standalone trial through the store (the ablations'
-// point-by-point measurements are cacheable cells too), attributing its
-// phase spans to manifest point pt.
-func (g generator) runAt(pt int, w bench.Workload) (bench.Result, error) {
-	r := bench.Runner{Store: g.store, Obs: g.rec.Worker(0)}
-	g.rec.PointStart(pt)
-	res, err := r.Run(w)
-	if err != nil {
-		r.Obs.Abandon()
-		return res, err
-	}
-	r.Obs.Commit(pt)
-	g.rec.PointDone(pt)
-	return res, nil
+// exec is the trial executor of the ablations' point-by-point
+// measurements: cacheable cells on the -workers pool, like the sweeps.
+func (g generator) exec() bench.Exec {
+	return bench.Exec{Workers: g.workers, Store: g.store, Obs: g.rec}
 }
 
 func (g generator) sweepFig(name, ds string, keyRange uint64) (err error) {
@@ -236,55 +226,51 @@ func (g generator) fig3mem() (err error) {
 			FootprintEvery: 1000,
 		}
 	}
-	results, err := bench.RunManyObserved(ws, g.workers, g.store, g.rec)
-	if err != nil {
-		return err
-	}
-	for i, scheme := range allSchemes {
-		res := results[i]
+	_, err = g.exec().RunMany(ws, nil, func(i int, res bench.Result) {
+		scheme := allSchemes[i]
 		last := res.Footprint[len(res.Footprint)-1]
 		fmt.Fprintf(g.stdout, "%-5s: final live %5d after %d ops (peak %d)\n",
 			scheme, last.Live, last.AfterOps, res.Mem.PeakLive)
 		for _, s := range res.Footprint {
 			fmt.Fprintf(f, "%s,%d,%d\n", scheme, s.AfterOps, s.Live)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // assoc reproduces the Section III claim that L1 associativity (the tagSet
-// capacity bound) has no significant impact: spurious revocations from
-// self-evictions stay negligible even at low associativity.
+// capacity bound) has no significant impact on CA, even at low
+// associativity. The revocations column counts every revocation: remote
+// invalidations, back-invalidations, SMT sibling writes and RevokeThread as
+// well as self-evictions, so it bounds the spurious self-eviction
+// revocations from above.
 func (g generator) assoc() (err error) {
 	f, err := cli.Create(filepath.Join(g.out, "ablation_assoc.csv"))
 	if err != nil {
 		return err
 	}
 	defer cli.Close(f, &err)
-	fmt.Fprintln(f, "l1_assoc,ops_per_mcyc,retries,self_evict_revocations,creads")
+	fmt.Fprintln(f, "l1_assoc,ops_per_mcyc,retries,revocations,creads")
 	threads := 16
 	assocs := []int{2, 4, 8, 16}
+	ws := make([]bench.Workload, len(assocs))
 	labels := make([]string, len(assocs))
-	for i, assoc := range assocs {
-		labels[i] = fmt.Sprintf("assoc a=%d", assoc)
-	}
-	base := g.rec.AddPoints(labels, 1)
 	for i, assoc := range assocs {
 		p := cache.DefaultParams(threads)
 		p.L1Assoc = assoc
-		res, err := g.runAt(base+i, bench.Workload{
+		ws[i] = bench.Workload{
 			DS: "list", Scheme: "ca",
 			Threads: threads, KeyRange: 1000, UpdatePct: 100,
 			OpsPerThread: g.ops, Seed: g.seed, Check: g.check, Cache: p,
-		})
-		if err != nil {
-			return err
 		}
-		fmt.Fprintf(g.stdout, "assoc=%2d: %9.1f ops/Mcyc, retries %6d, revocations %6d (creads %d)\n",
-			assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
-		fmt.Fprintf(f, "%d,%.2f,%d,%d,%d\n", assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
+		labels[i] = fmt.Sprintf("assoc a=%d", assoc)
 	}
-	return nil
+	_, err = g.exec().RunMany(ws, labels, func(i int, res bench.Result) {
+		fmt.Fprintf(g.stdout, "assoc=%2d: %9.1f ops/Mcyc, retries %6d, revocations %6d (creads %d)\n",
+			assocs[i], res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
+		fmt.Fprintf(f, "%d,%.2f,%d,%d,%d\n", assocs[i], res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
+	})
+	return err
 }
 
 // smt exercises the paper's Section III SMT integration: the same 16
@@ -298,32 +284,26 @@ func (g generator) smt() (err error) {
 	}
 	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "threads_per_core,scheme,ops_per_mcyc,retries")
-	schemes := []string{"ca", "rcu"}
+	var ws []bench.Workload
 	var labels []string
 	for _, tpc := range []int{1, 2} {
-		for _, scheme := range schemes {
-			labels = append(labels, fmt.Sprintf("smt tpc=%d %s", tpc, scheme))
-		}
-	}
-	base, pt := g.rec.AddPoints(labels, 1), 0
-	for _, tpc := range []int{1, 2} {
-		for _, scheme := range schemes {
+		for _, scheme := range []string{"ca", "rcu"} {
 			p := cache.DefaultParams(16)
 			p.ThreadsPerCore = tpc
-			res, err := g.runAt(base+pt, bench.Workload{
+			ws = append(ws, bench.Workload{
 				DS: "list", Scheme: scheme,
 				Threads: 16, KeyRange: 1000, UpdatePct: 100,
 				OpsPerThread: g.ops, Seed: g.seed, Check: g.check, Cache: p,
 			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(g.stdout, "smt=%d %-4s: %9.1f ops/Mcyc, retries %d\n", tpc, scheme, res.Throughput, res.Retries)
-			fmt.Fprintf(f, "%d,%s,%.2f,%d\n", tpc, scheme, res.Throughput, res.Retries)
-			pt++
+			labels = append(labels, fmt.Sprintf("smt tpc=%d %s", tpc, scheme))
 		}
 	}
-	return nil
+	_, err = g.exec().RunMany(ws, labels, func(i int, res bench.Result) {
+		tpc, scheme := ws[i].Cache.ThreadsPerCore, ws[i].Scheme
+		fmt.Fprintf(g.stdout, "smt=%d %-4s: %9.1f ops/Mcyc, retries %d\n", tpc, scheme, res.Throughput, res.Retries)
+		fmt.Fprintf(f, "%d,%s,%.2f,%d\n", tpc, scheme, res.Throughput, res.Retries)
+	})
+	return err
 }
 
 // hmlist measures the future-work extension: the Harris-Michael lock-free
@@ -373,11 +353,8 @@ func (g generator) tail() (err error) {
 		{"rcu_batch30", bench.Workload{Scheme: "rcu", SMR: smr.Options{ReclaimEvery: 30}}},
 		{"rcu_batch400", bench.Workload{Scheme: "rcu", SMR: smr.Options{ReclaimEvery: 400}}},
 	}
+	ws := make([]bench.Workload, len(configs))
 	labels := make([]string, len(configs))
-	for i, tc := range configs {
-		labels[i] = "tail " + tc.name
-	}
-	base := g.rec.AddPoints(labels, 1)
 	for i, tc := range configs {
 		w := tc.w
 		w.DS = "list"
@@ -388,11 +365,11 @@ func (g generator) tail() (err error) {
 		w.Seed = g.seed
 		w.Check = g.check
 		w.RecordTail = true
-		res, err := g.runAt(base+i, w)
-		if err != nil {
-			return err
-		}
-		t := res.Tail
+		ws[i] = w
+		labels[i] = "tail " + tc.name
+	}
+	_, err = g.exec().RunMany(ws, labels, func(i int, res bench.Result) {
+		name, t := configs[i].name, res.Tail
 		series := []struct {
 			name string
 			h    *latency.Hist
@@ -406,15 +383,15 @@ func (g generator) tail() (err error) {
 			cum := uint64(0)
 			for _, b := range h.Buckets() {
 				cum += b.Count
-				fmt.Fprintf(f, "%s,%s,%d,%.6f\n", tc.name, sr.name, b.Hi, float64(cum)/float64(total))
+				fmt.Fprintf(f, "%s,%s,%d,%.6f\n", name, sr.name, b.Hi, float64(cum)/float64(total))
 			}
 		}
 		s := t.Total.Summary()
 		fmt.Fprintf(g.stdout, "%-12s: p50 %5d  p99 %5d  p99.9 %5d  max %5d  | reclaim-tagged %d/%d ops, pause p99 %d\n",
-			tc.name, s.P50, s.P99, s.P999, s.Max,
+			name, s.P50, s.P99, s.P999, s.Max,
 			t.Reclaim.Count(), t.Total.Count(), t.Pause.Quantile(0.99))
-	}
-	return nil
+	})
+	return err
 }
 
 // timeline renders the pause-storm picture behind the Section I critique as
@@ -445,28 +422,19 @@ func (g generator) timeline() (err error) {
 		{"rcu_batch30", "rcu", smr.Options{ReclaimEvery: 30}},
 		{"rcu_batch400", "rcu", smr.Options{ReclaimEvery: 400}},
 	}
+	sws := make([]bench.ScenarioWorkload, len(configs))
 	labels := make([]string, len(configs))
 	for i, tc := range configs {
-		labels[i] = "timeline " + tc.name
-	}
-	base := g.rec.AddPoints(labels, 1)
-	r := bench.Runner{Store: g.store, Obs: g.rec.Worker(0)}
-	for i, tc := range configs {
-		sw := bench.ScenarioWorkload{
+		sws[i] = bench.ScenarioWorkload{
 			DS: "list", Scheme: tc.scheme,
 			Threads: 8, KeyRange: 1000,
 			Seed: g.seed, Check: g.check, SMR: tc.smr,
 			RecordTimeline: true,
 			Scenario:       sc,
 		}
-		g.rec.PointStart(base + i)
-		res, err := r.RunScenario(sw)
-		if err != nil {
-			r.Obs.Abandon()
-			return err
-		}
-		r.Obs.Commit(base + i)
-		g.rec.PointDone(base + i)
+		labels[i] = "timeline " + tc.name
+	}
+	_, err = g.exec().RunScenarios(sws, labels, func(i int, res bench.ScenarioResult) {
 		tl := res.Timeline
 		var peak, pauseSum uint64
 		for _, row := range tl.Rows() {
@@ -476,12 +444,12 @@ func (g generator) timeline() (err error) {
 			}
 			pauseSum += row.Pause
 			fmt.Fprintf(f, "%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				tc.name, row.Start, row.End, ops, row.Insert, row.Delete, row.Read, row.Retries, row.Pause)
+				configs[i].name, row.Start, row.End, ops, row.Insert, row.Delete, row.Read, row.Retries, row.Pause)
 		}
 		fmt.Fprintf(g.stdout, "%-12s: %3d windows of %d kcycles, peak %4d ops/window, pause cycles %d\n",
-			tc.name, len(tl.Rows()), tl.Window/1000, peak, pauseSum)
-	}
-	return nil
+			configs[i].name, len(tl.Rows()), tl.Window/1000, peak, pauseSum)
+	})
+	return err
 }
 
 // tuning reproduces the paper's motivation: the baselines' throughput and
@@ -494,43 +462,35 @@ func (g generator) tuning() (err error) {
 	}
 	defer cli.Close(f, &err)
 	fmt.Fprintln(f, "scheme,reclaim_every,epoch_every,ops_per_mcyc,live_nodes,peak_live")
-	threads := 16
 	type cfg struct{ reclaim, epoch int }
 	grid := []cfg{{1, 10}, {10, 50}, {30, 150}, {100, 500}, {1000, 5000}}
-	schemes := []string{"rcu", "ibr", "hp", "ca"}
+	var ws []bench.Workload
 	var labels []string
-	for _, scheme := range schemes {
+	for _, scheme := range []string{"rcu", "ibr", "hp", "ca"} {
 		for _, tc := range grid {
-			labels = append(labels, fmt.Sprintf("tuning %s r%d/e%d", scheme, tc.reclaim, tc.epoch))
-			if scheme == "ca" {
-				break
-			}
-		}
-	}
-	base, pt := g.rec.AddPoints(labels, 1), 0
-	for _, scheme := range schemes {
-		row := []string{}
-		for _, tc := range grid {
-			w := bench.Workload{
+			ws = append(ws, bench.Workload{
 				DS: "list", Scheme: scheme,
-				Threads: threads, KeyRange: 1000, UpdatePct: 100,
+				Threads: 16, KeyRange: 1000, UpdatePct: 100,
 				OpsPerThread: g.ops, Seed: g.seed, Check: g.check,
 				SMR: smr.Options{ReclaimEvery: tc.reclaim, EpochEvery: tc.epoch},
-			}
-			res, err := g.runAt(base+pt, w)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(f, "%s,%d,%d,%.2f,%d,%d\n",
-				scheme, tc.reclaim, tc.epoch, res.Throughput, res.Mem.NodeLive(), res.Mem.PeakLive)
-			row = append(row, fmt.Sprintf("r%d/e%d: %.0f ops/Mcyc peak %d",
-				tc.reclaim, tc.epoch, res.Throughput, res.Mem.PeakLive))
-			pt++
+			})
+			labels = append(labels, fmt.Sprintf("tuning %s r%d/e%d", scheme, tc.reclaim, tc.epoch))
 			if scheme == "ca" {
 				break // CA has no parameters; one point suffices
 			}
 		}
-		fmt.Fprintf(g.stdout, "%-4s %s\n", scheme, strings.Join(row, " | "))
 	}
-	return nil
+	var row []string
+	_, err = g.exec().RunMany(ws, labels, func(i int, res bench.Result) {
+		w := ws[i]
+		fmt.Fprintf(f, "%s,%d,%d,%.2f,%d,%d\n",
+			w.Scheme, w.SMR.ReclaimEvery, w.SMR.EpochEvery, res.Throughput, res.Mem.NodeLive(), res.Mem.PeakLive)
+		row = append(row, fmt.Sprintf("r%d/e%d: %.0f ops/Mcyc peak %d",
+			w.SMR.ReclaimEvery, w.SMR.EpochEvery, res.Throughput, res.Mem.PeakLive))
+		if i+1 == len(ws) || ws[i+1].Scheme != w.Scheme {
+			fmt.Fprintf(g.stdout, "%-4s %s\n", w.Scheme, strings.Join(row, " | "))
+			row = nil
+		}
+	})
+	return err
 }

@@ -7,10 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"condaccess/internal/cli"
+	"condaccess/internal/obs"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -182,5 +186,46 @@ func TestPanelsGoToRunsWriter(t *testing.T) {
 		if !strings.Contains(stdout.String(), config) {
 			t.Errorf("panel line %q missing from run's stdout:\n%s", config, stdout.String())
 		}
+	}
+}
+
+// TestAblationsIgnoreWorkers: the ablations run on the -workers pool like
+// the sweeps, and what they print and write does not depend on it.
+func TestAblationsIgnoreWorkers(t *testing.T) {
+	timing := regexp.MustCompile(`(?m)^### .* done in .*$`)
+	var stdouts, csvs []string
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	for _, workers := range []int{1, 3} {
+		out := t.TempDir()
+		args := []string{"-quick", "-fig", "tail", "-workers", strconv.Itoa(workers), "-out", out}
+		if workers == 3 {
+			args = append(args, "-manifest", manifest)
+		}
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d (stderr %q)", args, code, stderr.String())
+		}
+		csv, err := os.ReadFile(filepath.Join(out, "fig_tail_cdf.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdouts = append(stdouts, timing.ReplaceAllString(stdout.String(), ""))
+		csvs = append(csvs, string(csv))
+	}
+	if stdouts[0] != stdouts[1] {
+		t.Errorf("stdout depends on -workers:\n%s\nvs\n%s", stdouts[0], stdouts[1])
+	}
+	if csvs[0] != csvs[1] {
+		t.Error("fig_tail_cdf.csv depends on -workers")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		return // one worker is all the pool can run here
+	}
+	m, err := obs.ReadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Workers) < 2 {
+		t.Errorf("-workers 3 ran on %d worker(s), want the ablation spread over several", len(m.Workers))
 	}
 }

@@ -217,17 +217,18 @@ func TestPoolErrorPathKeepsObsConsistent(t *testing.T) {
 	}
 }
 
-// TestRunManyObservedCountsPoints pins the RunMany wrapper: one point per
-// workload, committed in input order, with every point_done preceded by its
-// point_start; on a failing store the failed point stays open.
-func TestRunManyObservedCountsPoints(t *testing.T) {
+// TestRunManyCountsPoints pins the executor's workload-list entry point:
+// one point per workload, committed in input order, with every point_done
+// preceded by its point_start; on a failing store the failed point stays
+// open.
+func TestRunManyCountsPoints(t *testing.T) {
 	var events bytes.Buffer
 	rec := obs.New(obs.Config{Tool: "test", Events: &events})
 	ws := []Workload{
 		{DS: "list", Scheme: "ca", Threads: 2, KeyRange: 64, UpdatePct: 100, OpsPerThread: 80, Seed: 1},
 		{DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 64, UpdatePct: 100, OpsPerThread: 80, Seed: 1},
 	}
-	if _, err := RunManyObserved(ws, 2, nil, rec); err != nil {
+	if _, err := (Exec{Workers: 2, Obs: rec}).RunMany(ws, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if closed, open := checkPointPairing(t, events.String()); closed != len(ws) || open != -1 {
@@ -236,8 +237,8 @@ func TestRunManyObservedCountsPoints(t *testing.T) {
 
 	var failEvents bytes.Buffer
 	failRec := obs.New(obs.Config{Tool: "test", Events: &failEvents})
-	if _, err := RunManyObserved(ws, 2, failingStore{newMemStore()}, failRec); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("RunManyObserved error = %v, want the injected store failure", err)
+	if _, err := (Exec{Workers: 2, Store: failingStore{newMemStore()}, Obs: failRec}).RunMany(ws, nil, nil); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("RunMany error = %v, want the injected store failure", err)
 	}
 	if closed, open := checkPointPairing(t, failEvents.String()); closed != 0 || open != 0 {
 		t.Errorf("failing run points closed/open = %d/%d, want 0/0", closed, open)

@@ -1,26 +1,99 @@
-// Parallel sweep execution. A sweep is a cross product of fully independent,
-// fully deterministic simulated trials (each bench.Run builds its own
-// sim.Machine, heap, and caches, and the simulator's schedule depends only on
-// seeds), so trials can fan out across real OS threads freely. A trial's
-// simulation runs entirely on the worker goroutine that claimed it — the
-// sim core is channel-free and spawns no goroutines of its own — so the
-// pool's goroutine count is exactly the worker count, independent of the
-// simulated thread count, and a worker's Runner (with its reused machines)
-// is only ever touched by that one goroutine. The scheduler here expands a
-// SweepConfig into a flat job list — one job per (point, trial) — hands jobs
-// to a GOMAXPROCS-bounded worker pool, and merges results back in sweep
-// order, so the returned points, the report callback sequence, and any error
-// are byte-identical to the sequential path.
+// Trial execution. Every experiment here is a list of points, each a fixed
+// number of fully independent, fully deterministic trials: each bench.Run
+// builds or resets its own sim.Machine, heap and caches, and the
+// simulator's schedule depends only on seeds. So trials can fan out across
+// real OS threads freely. A trial's simulation runs entirely on the worker
+// goroutine that claimed it (the sim core is channel-free and spawns no
+// goroutines of its own), so the goroutine count is the worker count,
+// independent of the simulated thread count, and a worker's Runner, with
+// its reused machines, is only ever touched by that one goroutine.
 
 package bench
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"condaccess/internal/obs"
+	"condaccess/internal/trace"
 )
+
+// Exec is the trial executor that every command's trials run on, sweeps
+// included. A batch is a list of points, each of the same number of trials,
+// flattened into job order: point by point, trial by trial. Workers claim
+// jobs in that order, each on a Runner of its own, and finished points are
+// reported in point order. Results, reports and the returned error are
+// therefore the same for every worker count.
+type Exec struct {
+	// Workers bounds the OS-thread fan-out; it is clamped to GOMAXPROCS and
+	// to the job count. At 1 (or 0) the calling goroutine is the only
+	// worker.
+	Workers int
+
+	// Store, when non-nil, is every worker's read-through/write-through
+	// trial cache (Runner.Store); implementations are safe for concurrent
+	// use.
+	Store TrialStore
+
+	// Obs, when non-nil, receives the batch's points, each trial's phase
+	// spans (committed by whichever worker ran it) and the point_start and
+	// point_done events, in point order from the calling goroutine only.
+	// Observation changes no result, no report and no error.
+	Obs *obs.Rec
+
+	// Trace, when non-nil, receives every simulated trial's event stream,
+	// one track per trial in job order. It needs Workers <= 1: a sink shared
+	// across workers would record nondeterministically, so the executor
+	// rejects the combination before any trial runs.
+	Trace *trace.Sink
+}
+
+// RunMany runs one trial per workload and returns the results in input
+// order. labels name the points in the run recorder, one per workload; nil
+// labels each by its cell, as Sweep does. ready (may be nil) receives each
+// result in input order once it and every earlier one are done.
+func (e Exec) RunMany(ws []Workload, labels []string, ready func(i int, res Result)) ([]Result, error) {
+	if labels == nil {
+		labels = make([]string, len(ws))
+		for i, w := range ws {
+			labels[i] = pointLabel(w.DS, pointSpec{Scheme: w.Scheme, Threads: w.Threads, UpdatePct: w.UpdatePct})
+		}
+	}
+	return runEach(e, ws, labels, (*Runner).Run, ready)
+}
+
+// RunScenarios is RunMany for scenario trials. nil labels name each point
+// "scenario ds/scheme t=N".
+func (e Exec) RunScenarios(sws []ScenarioWorkload, labels []string, ready func(i int, res ScenarioResult)) ([]ScenarioResult, error) {
+	if labels == nil {
+		labels = make([]string, len(sws))
+		for i, sw := range sws {
+			labels[i] = fmt.Sprintf("%s %s/%s t=%d", sw.Scenario.Name, sw.DS, sw.Scheme, sw.Threads)
+		}
+	}
+	return runEach(e, sws, labels, (*Runner).RunScenario, ready)
+}
+
+// runEach runs one single-trial point per input.
+func runEach[W, R any](e Exec, ws []W, labels []string, run func(*Runner, W) (R, error), ready func(int, R)) ([]R, error) {
+	if len(labels) != len(ws) {
+		return nil, fmt.Errorf("bench: %d labels for %d trials", len(labels), len(ws))
+	}
+	out := make([]R, len(ws))
+	err := execute(e, labels, 1,
+		func(r *Runner, i, _ int) (R, error) { return run(r, ws[i]) },
+		func(i int, trials []R) {
+			out[i] = trials[0]
+			if ready != nil {
+				ready(i, out[i])
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // poolWorkers clamps a requested worker count to [1, GOMAXPROCS] and to the
 // number of jobs available.
@@ -38,147 +111,112 @@ func poolWorkers(requested, jobs int) int {
 	return w
 }
 
-// startPool launches workers goroutines that claim job indices [0, n) from a
-// shared counter and run them. run receives the worker's index alongside the
-// job's, so each worker can keep private reusable state (its Runner). If
-// abort is non-nil, workers stop claiming new jobs once it is set. The
-// returned function blocks until all workers exit.
-func startPool(n, workers int, abort *atomic.Bool, run func(worker, i int)) (wait func()) {
-	var next atomic.Int64
+// execute runs len(labels) points of perPoint trials each: trial(r, p, t)
+// runs trial t of point p on worker Runner r, and ready(p, trials) receives
+// point p's results in trial order. It declares the points on e.Obs and
+// commits (or, on error, abandons) each trial's spans.
+//
+// The calling goroutine is worker 0; any further workers run on goroutines
+// of their own for the duration of the call. Between its own trials the
+// caller reports every finished point at the head of the batch, in point
+// order: point_done, then ready, then point_start of the next point. A
+// point's trial slots are allocated when its first trial is claimed and
+// dropped once the point is reported.
+//
+// A worker checks for a failure before it claims a job, and a claimed job
+// always runs. So every job before the first failure in job order runs,
+// every point before the failed one is reported, the failure's error is
+// returned and the failed point stays open in the event log. With one
+// worker nothing runs after the failing trial.
+func execute[R any](e Exec, labels []string, perPoint int,
+	trial func(r *Runner, point, t int) (R, error),
+	ready func(point int, trials []R)) error {
+	if e.Trace != nil && e.Workers > 1 {
+		return fmt.Errorf("bench: tracing requires workers <= 1 (a sink shared across %d workers would record nondeterministically)", e.Workers)
+	}
+	points := len(labels)
+	jobs := points * perPoint
+	base := e.Obs.AddPoints(labels, perPoint)
+
+	var (
+		mu       sync.Mutex
+		next     int    // next job to claim
+		fail     = jobs // lowest failed job; jobs while none has failed
+		err      error  // job fail's error
+		slots    = make([][]R, points)
+		finished = make([]int, points) // trials of each point done
+		head     int                   // next point to report; the caller's alone
+	)
+
+	report := func() {
+		for head < points {
+			mu.Lock()
+			done := finished[head] == perPoint && fail/perPoint != head
+			mu.Unlock()
+			if !done {
+				return
+			}
+			// Every trial of head has finished, so no worker touches its
+			// slots again.
+			trials := slots[head]
+			slots[head] = nil
+			e.Obs.PointDone(base + head)
+			ready(head, trials)
+			if head++; head < points {
+				e.Obs.PointStart(base + head)
+			}
+		}
+	}
+
+	work := func(worker int) {
+		r := Runner{Store: e.Store, obs: e.Obs.Worker(worker), Trace: e.Trace}
+		for {
+			mu.Lock()
+			j := next
+			if j >= jobs || fail < jobs {
+				mu.Unlock()
+				return
+			}
+			next++
+			p, t := j/perPoint, j%perPoint
+			if t == 0 {
+				slots[p] = make([]R, perPoint)
+			}
+			s := slots[p]
+			mu.Unlock()
+
+			res, terr := trial(&r, p, t)
+			if terr != nil {
+				r.obs.Abandon()
+			} else {
+				r.obs.Commit(base + p)
+			}
+			s[t] = res // this job's own slot; the lock below publishes it
+			mu.Lock()
+			finished[p]++
+			if terr != nil && j < fail {
+				fail, err = j, terr
+			}
+			mu.Unlock()
+			if worker == 0 {
+				report()
+			}
+		}
+	}
+
+	if points > 0 {
+		e.Obs.PointStart(base)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < poolWorkers(e.Workers, jobs); w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || (abort != nil && abort.Load()) {
-					return
-				}
-				run(worker, i)
-			}
-		}(w)
+			work(w)
+		}()
 	}
-	return wg.Wait
-}
-
-// sweepParallel executes an expanded sweep on a worker pool. Results land in
-// per-point slots indexed by (point, trial); the main goroutine walks points
-// in sweep order, blocking on each point's completion, so merged points and
-// progress reports stream in exactly the sequential order while later points
-// are still being measured. On the first failed point (trials checked in
-// trial order, matching the sequential loop's first-error semantics) the pool
-// is aborted and the same wrapped error is returned.
-func sweepParallel(cfg SweepConfig, specs []pointSpec, base int, report func(SweepPoint)) ([]SweepPoint, error) {
-	type job struct{ point, trial int }
-	jobs := make([]job, 0, len(specs)*cfg.Trials)
-	for p := range specs {
-		for t := 0; t < cfg.Trials; t++ {
-			jobs = append(jobs, job{p, t})
-		}
-	}
-	results := make([][]Result, len(specs))
-	errs := make([][]error, len(specs))
-	remaining := make([]atomic.Int32, len(specs))
-	done := make([]chan struct{}, len(specs))
-	for i := range specs {
-		results[i] = make([]Result, cfg.Trials)
-		errs[i] = make([]error, cfg.Trials)
-		remaining[i].Store(int32(cfg.Trials))
-		done[i] = make(chan struct{})
-	}
-
-	var abort atomic.Bool
-	workers := poolWorkers(cfg.Workers, len(jobs))
-	runners := make([]Runner, workers) // one reusable machine set per worker
-	for i := range runners {
-		runners[i].Store = cfg.Store // shared store; implementations are concurrency-safe
-		runners[i].Obs = cfg.Obs.Worker(i)
-	}
-	wait := startPool(len(jobs), workers, &abort, func(worker, i int) {
-		j := jobs[i]
-		results[j.point][j.trial], errs[j.point][j.trial] = runners[worker].Run(trialWorkload(cfg, specs[j.point], j.trial))
-		// Trial commits happen here, on the worker, as trials finish (any
-		// order); the sequential point_start/point_done marks below come
-		// from the in-order merge loop only.
-		if errs[j.point][j.trial] != nil {
-			runners[worker].Obs.Abandon()
-		} else {
-			runners[worker].Obs.Commit(base + j.point)
-		}
-		if remaining[j.point].Add(-1) == 0 {
-			close(done[j.point])
-		}
-	})
-	defer wait()
-
-	var points []SweepPoint
-	for i, s := range specs {
-		cfg.Obs.PointStart(base + i)
-		<-done[i]
-		for trial := 0; trial < cfg.Trials; trial++ {
-			if err := errs[i][trial]; err != nil {
-				abort.Store(true)
-				return nil, pointError(cfg, s, err)
-			}
-		}
-		p := mergePoint(s, results[i])
-		points = append(points, p)
-		cfg.Obs.PointDone(base + i)
-		if report != nil {
-			report(p)
-		}
-	}
-	return points, nil
-}
-
-// RunMany executes independent workloads on a worker pool of at most workers
-// OS threads (clamped to GOMAXPROCS; <=1 runs sequentially) and returns their
-// results in input order. On failure it stops claiming further workloads and
-// returns the earliest-indexed error among those that ran. store (may be
-// nil) caches trial results across invocations, like SweepConfig.Store.
-func RunMany(ws []Workload, workers int, store TrialStore) ([]Result, error) {
-	return RunManyObserved(ws, workers, store, nil)
-}
-
-// RunManyObserved is RunMany with out-of-band instrumentation: each
-// workload is declared as one single-trial point on rec (nil for none) and
-// its spans are committed by whichever worker ran it; the point_start and
-// point_done marks are emitted in input order after the pool drains, and a
-// failed point stays open, as in sweepParallel.
-func RunManyObserved(ws []Workload, workers int, store TrialStore, rec *obs.Rec) ([]Result, error) {
-	base := 0
-	if rec != nil {
-		labels := make([]string, len(ws))
-		for i, w := range ws {
-			labels[i] = pointLabel(w.DS, pointSpec{Scheme: w.Scheme, Threads: w.Threads, UpdatePct: w.UpdatePct})
-		}
-		base = rec.AddPoints(labels, 1)
-	}
-	results := make([]Result, len(ws))
-	errs := make([]error, len(ws))
-	var abort atomic.Bool
-	nw := poolWorkers(workers, len(ws))
-	runners := make([]Runner, nw)
-	for i := range runners {
-		runners[i].Store = store
-		runners[i].Obs = rec.Worker(i)
-	}
-	startPool(len(ws), nw, &abort, func(worker, i int) {
-		results[i], errs[i] = runners[worker].Run(ws[i])
-		if errs[i] != nil {
-			runners[worker].Obs.Abandon()
-			abort.Store(true)
-		} else {
-			runners[worker].Obs.Commit(base + i)
-		}
-	})()
-	for i, err := range errs {
-		rec.PointStart(base + i)
-		if err != nil {
-			return nil, err
-		}
-		rec.PointDone(base + i)
-	}
-	return results, nil
+	work(0)
+	wg.Wait()
+	report()
+	return err
 }

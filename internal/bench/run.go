@@ -18,25 +18,24 @@ import (
 // rebuilding, so a sweep's dominant allocation cost is paid once per
 // geometry rather than once per trial. A reset machine is bit-for-bit
 // equivalent to a fresh one, so results are identical either way. A Runner
-// is not safe for concurrent use; parallel sweeps give each worker its own.
+// is not safe for concurrent use; the executor (Exec) gives each worker its
+// own.
 type Runner struct {
 	machines map[cache.Params]*sim.Machine
 
 	// Store, when non-nil, is consulted before every trial and updated after
 	// every simulated one (read-through/write-through): a hit returns the
-	// cached complete result and skips simulation entirely. Sweeps propagate
-	// SweepConfig.Store here on every execution path.
+	// cached complete result and skips simulation entirely. The executor
+	// sets it to Exec.Store on every worker.
 	Store TrialStore
 
-	// Obs, when non-nil, receives this Runner's per-trial phase spans
+	// obs, when non-nil, receives this Runner's per-trial phase spans
 	// (prepare, store lookup, simulate, store write) and warm-hit marks.
 	// Recording is strictly out-of-band — it never changes a result, a
 	// store key, or an error — and a nil recorder costs nothing: every
-	// method is a nil-receiver no-op. The Runner records spans only; the
-	// owner of the trial loop calls Obs.Commit (or Obs.Abandon on error)
-	// after each Run/RunScenario, naming the sweep point the trial
-	// belongs to.
-	Obs *obs.WorkerRec
+	// method is a nil-receiver no-op. Only the executor (Exec) sets it, and
+	// it commits or abandons each trial's spans under the trial's point.
+	obs *obs.WorkerRec
 
 	// Trace, when non-nil, receives every simulated trial's full event
 	// stream: the Runner opens a trial track on it and attaches it to the
@@ -59,58 +58,64 @@ type Runner struct {
 // program reproduces the historical engine's exact draw and charge sequence,
 // which testdata/golden.json pins.
 func (r *Runner) Run(w Workload) (Result, error) {
-	t0 := r.Obs.Start(obs.PhasePrepare)
 	if err := validate(&w); err != nil {
 		return Result{}, err
 	}
-	// The spec is canonicalized once here; the store memoizes the derived
-	// content key on ps across the lookup and the write-through, so a miss
-	// never marshals or hashes the spec a second time.
-	ps, err := r.prepare(func() ([]byte, error) { return TrialSpecBytes(w) })
-	r.Obs.End(obs.PhasePrepare, t0)
-	if err != nil {
-		return Result{}, err
+	return readThrough(r, func() ([]byte, error) { return TrialSpecBytes(w) },
+		TrialStore.LookupTrialSpec, TrialStore.StoreTrialSpec,
+		func() (Result, error) {
+			sres, err := r.runScenario(lowerWorkload(w))
+			sres.W = w
+			return sres.Result, err
+		})
+}
+
+// readThrough runs one trial through the Runner's store and records its
+// four phases on the Runner's recorder: prepare canonicalizes the spec,
+// lookup returns a stored result (a warm hit skips the rest), simulate runs
+// the trial, and store writes its result through. Without a store only
+// simulate does work. The spec is marshaled once, and the store memoizes
+// the derived content key on it across the lookup and the write-through,
+// so a miss never marshals or hashes the spec a second time.
+func readThrough[R any](r *Runner, spec func() ([]byte, error),
+	lookup func(TrialStore, *PreparedSpec) (R, bool),
+	store func(TrialStore, *PreparedSpec, R) error,
+	simulate func() (R, error)) (R, error) {
+	var zero R
+	var ps *PreparedSpec
+	t0 := r.obs.Start(obs.PhasePrepare)
+	if r.Store != nil {
+		b, err := spec()
+		if err != nil {
+			return zero, fmt.Errorf("bench: encoding canonical spec: %w", err)
+		}
+		ps = &PreparedSpec{Spec: b}
 	}
+	r.obs.End(obs.PhasePrepare, t0)
 	if ps != nil {
-		t0 = r.Obs.Start(obs.PhaseLookup)
-		res, ok := r.Store.LookupTrialSpec(ps)
-		r.Obs.End(obs.PhaseLookup, t0)
+		t0 = r.obs.Start(obs.PhaseLookup)
+		res, ok := lookup(r.Store, ps)
+		r.obs.End(obs.PhaseLookup, t0)
 		if ok {
-			r.Obs.Warm()
+			r.obs.Warm()
 			return res, nil
 		}
 	}
-	t0 = r.Obs.Start(obs.PhaseSimulate)
-	sres, err := r.runScenario(lowerWorkload(w))
-	r.Obs.End(obs.PhaseSimulate, t0)
+	t0 = r.obs.Start(obs.PhaseSimulate)
+	res, err := simulate()
+	r.obs.End(obs.PhaseSimulate, t0)
 	if err != nil {
-		return Result{}, err
+		return zero, err
 	}
-	res := sres.Result
-	res.W = w
 	if ps != nil {
-		t0 = r.Obs.Start(obs.PhaseStore)
-		err = r.Store.StoreTrialSpec(ps, res)
-		r.Obs.End(obs.PhaseStore, t0)
+		t0 = r.obs.Start(obs.PhaseStore)
+		err = store(r.Store, ps, res)
+		r.obs.End(obs.PhaseStore, t0)
 		if err != nil {
-			return Result{}, fmt.Errorf("bench: storing trial result: %w", err)
+			return zero, fmt.Errorf("bench: storing trial result: %w", err)
 		}
 	}
 	return res, nil
-}
-
-// prepare canonicalizes a trial's spec for the Runner's store, once per
-// trial. Without a store there is nothing to key and it returns nil. A spec
-// that cannot be marshaled is an error here, before anything is simulated.
-func (r *Runner) prepare(marshal func() ([]byte, error)) (*PreparedSpec, error) {
-	if r.Store == nil {
-		return nil, nil
-	}
-	spec, err := marshal()
-	if err != nil {
-		return nil, fmt.Errorf("bench: encoding canonical spec: %w", err)
-	}
-	return &PreparedSpec{Spec: spec}, nil
 }
 
 // lowerWorkload expresses a stationary Workload as a scenario: one phase of

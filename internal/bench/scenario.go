@@ -5,7 +5,6 @@ import (
 
 	"condaccess/internal/cache"
 	"condaccess/internal/latency"
-	"condaccess/internal/obs"
 	"condaccess/internal/scenario"
 	"condaccess/internal/sim"
 	"condaccess/internal/smr"
@@ -300,40 +299,9 @@ func compileProfile(p scenario.Profile) (workFn, error) {
 // keys on the Workload itself in Run and calls runScenario directly, so one
 // trial is never cached under two keys.)
 func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
-	// As in Run: canonicalize the spec once and let the store carry the
-	// derived content key from the lookup into the write-through.
-	// Phase spans are recorded at this level only (runScenario is also
-	// Run's engine, which would double-count the simulate span).
-	t0 := r.Obs.Start(obs.PhasePrepare)
-	ps, err := r.prepare(func() ([]byte, error) { return ScenarioSpecBytes(sw) })
-	r.Obs.End(obs.PhasePrepare, t0)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	if ps != nil {
-		t0 = r.Obs.Start(obs.PhaseLookup)
-		sres, ok := r.Store.LookupScenarioSpec(ps)
-		r.Obs.End(obs.PhaseLookup, t0)
-		if ok {
-			r.Obs.Warm()
-			return sres, nil
-		}
-	}
-	t0 = r.Obs.Start(obs.PhaseSimulate)
-	sres, err := r.runScenario(sw)
-	r.Obs.End(obs.PhaseSimulate, t0)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	if ps != nil {
-		t0 = r.Obs.Start(obs.PhaseStore)
-		err = r.Store.StoreScenarioSpec(ps, sres)
-		r.Obs.End(obs.PhaseStore, t0)
-		if err != nil {
-			return ScenarioResult{}, fmt.Errorf("bench: storing scenario result: %w", err)
-		}
-	}
-	return sres, nil
+	return readThrough(r, func() ([]byte, error) { return ScenarioSpecBytes(sw) },
+		TrialStore.LookupScenarioSpec, TrialStore.StoreScenarioSpec,
+		func() (ScenarioResult, error) { return r.runScenario(sw) })
 }
 
 // runScenario is the uncached scenario engine behind RunScenario.

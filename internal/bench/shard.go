@@ -10,7 +10,7 @@ package bench
 import "fmt"
 
 // ShardWorkloads expands cfg into its flat job list — the same
-// (point, trial) order both sweep execution paths use — and returns the
+// (point, trial) order Sweep runs its jobs in — and returns the
 // workloads of jobs assigned to shard (0-based) out of `of`. Every job lands
 // in exactly one shard; concatenating all shards' lists, interleaved by job
 // index, reproduces the full sweep. Execution knobs (Workers, Store, Obs,

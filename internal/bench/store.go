@@ -1,8 +1,8 @@
 // The trial-store contract. A sweep is a cross product of fully
 // deterministic trials, so a trial's complete serialized Result is a pure
 // function of its spec and the engine version — the classic serving-cache
-// shape. This file defines the pluggable store interface the execution paths
-// consult (the on-disk implementation lives in internal/lab), the canonical
+// shape. This file defines the pluggable store interface every Runner
+// consults (the on-disk implementation lives in internal/lab), the canonical
 // serialized spec forms that content-addressed keys are derived from, and
 // the engine tag that scopes keys to one pinned engine output.
 
@@ -27,7 +27,7 @@ import (
 // canonical spec, which the Runner marshals once per trial and passes to
 // both the lookup and the write-through after a miss, so the store derives
 // its content key once. Implementations must be safe for concurrent use:
-// the parallel sweep path shares one store across workers.
+// the executor (Exec) shares one store across its workers.
 type TrialStore interface {
 	// LookupTrialSpec returns the cached result of the stationary trial
 	// whose canonical spec (TrialSpecBytes) is ps.Spec, memoizing the

@@ -27,10 +27,10 @@ type SweepConfig struct {
 	Check    bool
 	Trials   int // >=1; throughput is averaged (paper: 3 trials)
 
-	// Workers bounds the OS-thread fan-out of trial execution. 1 (or 0)
-	// keeps the original sequential path; higher values run independent
-	// trials on a GOMAXPROCS-capped worker pool (pool.go). Either way the
-	// returned points, the report order, and any error are identical.
+	// Workers bounds the OS-thread fan-out of trial execution (Exec.Workers):
+	// 1 (or 0) runs every trial on the calling goroutine, higher values on a
+	// GOMAXPROCS-capped worker pool (pool.go). Either way the returned
+	// points, the report order, and any error are identical.
 	Workers int
 
 	// Cache overrides the simulated cache geometry for every trial; the
@@ -51,26 +51,23 @@ type SweepConfig struct {
 	TimelineWindow uint64
 
 	// Store, when non-nil, caches complete trial results by content-addressed
-	// spec (read-through/write-through, on both execution paths): re-running
-	// a sweep against a warm store executes zero simulator trials and
-	// reproduces the cold run's output byte for byte. Excluded from JSON:
-	// the handle is runtime wiring, not part of the sweep's specification
-	// (manifests record the spec).
+	// spec (read-through/write-through, on every worker): re-running a sweep
+	// against a warm store executes zero simulator trials and reproduces the
+	// cold run's output byte for byte. Excluded from JSON: the handle is
+	// runtime wiring, not part of the sweep's specification (manifests
+	// record the spec).
 	Store TrialStore `json:"-"`
 
-	// Obs, when non-nil, receives the sweep's out-of-band instrumentation:
-	// one declared point per cross-product cell, per-trial phase spans
-	// committed by whichever worker ran the trial, and point start/done
-	// marks emitted from the in-order reporting loop (so point events stay
-	// sequential even under the pool). Observation changes no point, no
+	// Obs, when non-nil, receives the sweep's out-of-band instrumentation
+	// (Exec.Obs): one declared point per cross-product cell, per-trial phase
+	// spans committed by whichever worker ran the trial, and point
+	// start/done marks in sweep order. Observation changes no point, no
 	// report, and no error.
 	Obs *obs.Rec `json:"-"`
 
 	// Trace, when non-nil, receives the full event stream of every
 	// simulated trial, one trace process track per trial, in sweep order.
-	// Requires the sequential path (Workers <= 1): a sink shared across
-	// pool workers would interleave events nondeterministically, so
-	// validateSweep rejects the combination. Excluded from JSON like Store.
+	// It needs Workers <= 1 (Exec.Trace). Excluded from JSON like Store.
 	Trace *trace.Sink `json:"-"`
 }
 
@@ -108,8 +105,8 @@ type pointSpec struct {
 }
 
 // expand flattens the cross product in the canonical sweep order — update
-// rate outermost, then scheme, then thread count — the order the sequential
-// loop has always used and the order parallel results are merged back into.
+// rate outermost, then scheme, then thread count — the order points are
+// declared, run and reported in.
 func expand(cfg SweepConfig) []pointSpec {
 	specs := make([]pointSpec, 0, len(cfg.Updates)*len(cfg.Schemes)*len(cfg.Threads))
 	for _, u := range cfg.Updates {
@@ -122,9 +119,9 @@ func expand(cfg SweepConfig) []pointSpec {
 	return specs
 }
 
-// trialWorkload builds one trial of one point. Both execution paths
+// trialWorkload builds one trial of one point. Sweep and ShardWorkloads
 // construct trials here, so a trial's seed — and therefore its simulated
-// result — cannot depend on which path or worker runs it.
+// result — cannot depend on which worker or process runs it.
 func trialWorkload(cfg SweepConfig, s pointSpec, trial int) Workload {
 	return Workload{
 		DS: cfg.DS, Scheme: s.Scheme,
@@ -188,19 +185,6 @@ func pointLabel(ds string, s pointSpec) string {
 	return fmt.Sprintf("%s/%s t=%d u=%d", ds, s.Scheme, s.Threads, s.UpdatePct)
 }
 
-// declarePoints registers the sweep's cross product with the run recorder,
-// returning the base point index (0 when unobserved).
-func declarePoints(cfg SweepConfig, specs []pointSpec) int {
-	if cfg.Obs == nil {
-		return 0
-	}
-	labels := make([]string, len(specs))
-	for i, s := range specs {
-		labels[i] = pointLabel(cfg.DS, s)
-	}
-	return cfg.Obs.AddPoints(labels, cfg.Trials)
-}
-
 // pointError wraps a trial failure with its sweep coordinates.
 func pointError(cfg SweepConfig, s pointSpec, err error) error {
 	return fmt.Errorf("sweep %s/%s t=%d u=%d: %w", cfg.DS, s.Scheme, s.Threads, s.UpdatePct, err)
@@ -211,7 +195,8 @@ func pointError(cfg SweepConfig, s pointSpec, err error) error {
 // silently empty output, and negative counts fell through to whatever the
 // execution path made of them. Per-workload fields (structure, scheme,
 // distribution names) are still validated per trial, where the error carries
-// the sweep coordinates.
+// the sweep coordinates. Execution knobs (a Trace shared across workers)
+// are the executor's to reject.
 func validateSweep(cfg SweepConfig) error {
 	if cfg.Trials < 1 {
 		return fmt.Errorf("bench: sweep trials %d, need at least 1", cfg.Trials)
@@ -228,16 +213,13 @@ func validateSweep(cfg SweepConfig) error {
 	if len(cfg.Updates) == 0 {
 		return fmt.Errorf("bench: sweep has no update rates")
 	}
-	if cfg.Trace != nil && cfg.Workers > 1 {
-		return fmt.Errorf("bench: sweep tracing requires workers <= 1 (a sink shared across %d workers would record nondeterministically)", cfg.Workers)
-	}
 	return nil
 }
 
-// Sweep runs the full cross product. report (may be nil) is called after
-// each point, always in sweep order. A zero Trials means 1, like every other
-// zero-valued default in the config; all other malformed values are
-// rejected up front.
+// Sweep runs the full cross product on the trial executor (Exec). report
+// (may be nil) is called after each point, always in sweep order. A zero
+// Trials means 1, like every other zero-valued default in the config; all
+// other malformed values are rejected up front.
 func Sweep(cfg SweepConfig, report func(SweepPoint)) ([]SweepPoint, error) {
 	if cfg.Trials == 0 {
 		cfg.Trials = 1
@@ -246,31 +228,29 @@ func Sweep(cfg SweepConfig, report func(SweepPoint)) ([]SweepPoint, error) {
 		return nil, err
 	}
 	specs := expand(cfg)
-	base := declarePoints(cfg, specs)
-	if cfg.Workers > 1 {
-		return sweepParallel(cfg, specs, base, report)
+	labels := make([]string, len(specs))
+	for i, s := range specs {
+		labels[i] = pointLabel(cfg.DS, s)
 	}
 	var points []SweepPoint
-	// reuses one machine per geometry across the sweep
-	runner := Runner{Store: cfg.Store, Obs: cfg.Obs.Worker(0), Trace: cfg.Trace}
-	for si, s := range specs {
-		cfg.Obs.PointStart(base + si)
-		trials := make([]Result, cfg.Trials)
-		for trial := range trials {
-			res, err := runner.Run(trialWorkload(cfg, s, trial))
+	e := Exec{Workers: cfg.Workers, Store: cfg.Store, Obs: cfg.Obs, Trace: cfg.Trace}
+	err := execute(e, labels, cfg.Trials,
+		func(r *Runner, p, trial int) (Result, error) {
+			res, err := r.Run(trialWorkload(cfg, specs[p], trial))
 			if err != nil {
-				runner.Obs.Abandon()
-				return nil, pointError(cfg, s, err)
+				return res, pointError(cfg, specs[p], err)
 			}
-			runner.Obs.Commit(base + si)
-			trials[trial] = res
-		}
-		p := mergePoint(s, trials)
-		points = append(points, p)
-		cfg.Obs.PointDone(base + si)
-		if report != nil {
-			report(p)
-		}
+			return res, nil
+		},
+		func(p int, trials []Result) {
+			pt := mergePoint(specs[p], trials)
+			points = append(points, pt)
+			if report != nil {
+				report(pt)
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

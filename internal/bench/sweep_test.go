@@ -7,8 +7,8 @@ import (
 )
 
 // TestSweepErrorPaths covers the ways a sweep configuration can fail, on
-// both execution paths: the error must carry the sweep coordinates and no
-// points may be returned.
+// one worker and on the pool: the error must carry the sweep coordinates
+// and no points may be returned.
 func TestSweepErrorPaths(t *testing.T) {
 	base := SweepConfig{
 		Schemes: []string{"ca"}, Threads: []int{2}, Updates: []int{50},

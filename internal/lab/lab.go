@@ -11,10 +11,10 @@
 // goldens or bumping the schema invalidates every stale entry
 // automatically), and stores the trial's own serialized result as the
 // value, one checksummed record in an append-only segment file. Plugged
-// into bench.Sweep / bench.RunMany / bench.Runner.RunScenario through the
-// bench.TrialStore interface, a warm store makes repeat sweeps near-free:
-// identical cells are never simulated twice, and the warm run's output is
-// byte-for-byte the cold run's.
+// into the trial executor (bench.Exec, which bench.Sweep runs on) or a
+// bench.Runner through the bench.TrialStore interface, a warm store makes
+// repeat sweeps near-free: identical cells are never simulated twice, and
+// the warm run's output is byte-for-byte the cold run's.
 //
 // On top of the store sit the analysis layers: Cells groups a store's
 // entries into experiment cells (same coordinates, any seed) and summarizes

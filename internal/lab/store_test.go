@@ -82,8 +82,8 @@ func TestWarmSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmSweepParallelPath: the pool path must hit the same store entries
-// the sequential path wrote, and reproduce its points exactly.
+// TestWarmSweepParallelPath: a pooled sweep must hit the same store entries
+// a one-worker sweep wrote, and reproduce its points exactly.
 func TestWarmSweepParallelPath(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -219,11 +219,11 @@ func TestRunManyWarm(t *testing.T) {
 		{DS: "list", Scheme: "ca", Threads: 2, KeyRange: 32, UpdatePct: 50, OpsPerThread: 60, Seed: 1},
 		{DS: "stack", Scheme: "none", Threads: 1, KeyRange: 32, UpdatePct: 100, OpsPerThread: 60, Seed: 2},
 	}
-	cold, err := bench.RunMany(ws, 2, st)
+	cold, err := bench.Exec{Workers: 2, Store: st}.RunMany(ws, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bench.RunMany(ws, 1, st)
+	warm, err := bench.Exec{Workers: 1, Store: st}.RunMany(ws, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -846,5 +846,46 @@ func TestWarmHitAllocs(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Fatalf("warm hit allocates %v times, budget %d", allocs, budget)
+	}
+}
+
+// TestStoredRecordBytes is the size budget of one stored record: the bytes
+// segment flushes make durable per Put, for one list/ca trial (2 threads ×
+// 40 ops over 32 keys, u=50), stored plain and with tail histograms. The
+// record is the trial's serialized result inside its envelope, so a field
+// added to Result, a spec repeated in the result, or a fatter histogram
+// encoding shows up here before it shows up in a store's size.
+func TestStoredRecordBytes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		tail   bool
+		budget uint64
+	}{
+		{"plain", false, 1643},
+		{"tail", true, 2787},
+	} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := bench.Workload{
+			DS: "list", Scheme: "ca", Threads: 2, KeyRange: 32, UpdatePct: 50,
+			OpsPerThread: 40, Seed: 1, RecordTail: c.tail,
+		}
+		if _, err := (&bench.Runner{Store: st}).Run(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := st.Stats()
+		if s.Puts != 1 {
+			t.Fatalf("%s: %d puts, want 1", c.name, s.Puts)
+		}
+		got := s.BytesWritten / s.Puts
+		t.Logf("%s: %d bytes per stored record", c.name, got)
+		if got > c.budget {
+			t.Errorf("%s: a stored record takes %d bytes, budget %d", c.name, got, c.budget)
+		}
 	}
 }

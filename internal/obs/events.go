@@ -2,8 +2,8 @@
 // so a future coordinator or caserve can follow a run without touching its
 // stdout. Event kinds: run_start, point_start, point_done, trials (batched
 // commit counter), store_flush, run_done. Point events are emitted only
-// from the sweeps' in-order reporting loop, so they are strictly sequential
-// even when the pool completes trials out of order.
+// by the trial executor's calling goroutine, in point order, so they are
+// strictly sequential even when the pool completes trials out of order.
 package obs
 
 import (

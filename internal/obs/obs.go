@@ -303,9 +303,10 @@ func (r *Rec) Worker(i int) *WorkerRec {
 }
 
 // PointStart records that point i is now at the head of the run's in-order
-// reporting sequence. Sweeps call PointStart/PointDone from their ordered
-// merge loop — never from pool workers — so the event stream's point events
-// are strictly sequential even when trials complete out of order.
+// reporting sequence. The trial executor (bench.Exec) calls
+// PointStart/PointDone from its calling goroutine in point order — never
+// from pool workers — so the event stream's point events are strictly
+// sequential even when trials complete out of order.
 func (r *Rec) PointStart(i int) {
 	if r == nil {
 		return
