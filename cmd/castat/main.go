@@ -104,8 +104,11 @@ func stat(opt options, rec *obs.Rec, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  smr:     retired %d, freed %d, scans %d, max backlog %d\n",
 				s.Retired, s.Freed, s.Scans, s.MaxBacklog)
 		}
+		// The allocator reuses a freed line before it carves a new one, so
+		// the heap's high-water mark is the peak live set plus the
+		// infrastructure lines.
 		fmt.Fprintf(stdout, "  memory:  live %d nodes, peak %d, heap high-water %d lines\n",
-			res.Mem.NodeLive(), res.Mem.PeakLive, res.Mem.NodeAllocs-res.Mem.NodeFrees+res.Mem.InfraLines)
+			res.Mem.NodeLive(), res.Mem.PeakLive, res.Mem.PeakLive+res.Mem.InfraLines)
 		l := res.Latency
 		fmt.Fprintf(stdout, "  latency: p50 %d, p90 %d, p99 %d, p99.9 %d, max %d cycles (retries %d)\n\n",
 			l.P50, l.P90, l.P99, l.P999, l.Max, res.Retries)

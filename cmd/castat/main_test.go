@@ -3,11 +3,13 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"condaccess/internal/bench"
 	"condaccess/internal/cli"
 )
 
@@ -90,5 +92,42 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("stderr = %q, want empty", stderr.String())
+	}
+}
+
+// TestHeapHighWater pins the memory line's high-water mark to the same
+// trial's peak live set plus its infrastructure lines: the allocator reuses
+// a freed line before it carves a new one, so the heap never grows past
+// that sum, and the live heap at the end of the trial is not its peak.
+func TestHeapHighWater(t *testing.T) {
+	args := []string{"-ds", "list", "-schemes", "rcu", "-threads", "4", "-ops", "300", "-range", "128"}
+	var stdout, stderr strings.Builder
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("castat = %d (stderr %q)", code, stderr.String())
+	}
+	var live, peak, highWater uint64
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "memory:") {
+			if _, err := fmt.Sscanf(line, "memory: live %d nodes, peak %d, heap high-water %d lines", &live, &peak, &highWater); err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+		}
+	}
+	opt, err := parseArgs(args, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := opt.w
+	w.Scheme = "rcu"
+	res, err := bench.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak != res.Mem.PeakLive {
+		t.Errorf("printed peak %d, trial peak %d", peak, res.Mem.PeakLive)
+	}
+	if want := res.Mem.PeakLive + res.Mem.InfraLines; highWater != want {
+		t.Errorf("printed heap high-water %d lines, want peak %d + infra %d = %d",
+			highWater, res.Mem.PeakLive, res.Mem.InfraLines, want)
 	}
 }

@@ -24,9 +24,9 @@ func TestColdTrialAllocs(t *testing.T) {
 		scheme string
 		budget uint64
 	}{
-		{"ca", 133},
-		{"hp", 216},
-		{"he", 248},
+		{"ca", 132},
+		{"hp", 215},
+		{"he", 247},
 	} {
 		w := Workload{
 			DS: "list", Scheme: c.scheme,

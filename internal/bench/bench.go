@@ -117,7 +117,9 @@ type Result struct {
 	Cycles     uint64  // simulated wall time of the measured phase
 	Throughput float64 // ops per million cycles
 
-	Retries uint64 // operation restarts (conditional-access or validation)
+	// Retries counts every thread's operation restarts (conditional-access
+	// or validation) from the prefill on, as sim.Ctx.CountRetry counts them.
+	Retries uint64
 
 	Cache cache.Stats
 	CA    core.Stats
@@ -188,13 +190,13 @@ type queueOps interface {
 	Peek(c *sim.Ctx) (uint64, bool)
 }
 
-// built bundles a constructed structure with its diagnostics accessors.
+// built bundles a constructed structure (exactly one of set, stk and que)
+// with its reclaimer. The machine, not the structure, counts restarts.
 type built struct {
-	set     setOps
-	stk     stackOps
-	que     queueOps
-	retries func() uint64
-	rec     smr.Reclaimer // nil for ca and none-less cases
+	set setOps
+	stk stackOps
+	que queueOps
+	rec smr.Reclaimer // nil for ca
 }
 
 // build constructs the requested structure+scheme pair on m.
@@ -207,23 +209,17 @@ func build(m *sim.Machine, w Workload) (built, error) {
 	if w.Scheme == "ca" {
 		switch w.DS {
 		case "list":
-			l := lazylist.NewCA(space)
-			return built{set: l, retries: func() uint64 { return l.Retries }}, nil
+			return built{set: lazylist.NewCA(space)}, nil
 		case "bst":
-			t := extbst.NewCA(space)
-			return built{set: t, retries: func() uint64 { return t.Retries }}, nil
+			return built{set: extbst.NewCA(space)}, nil
 		case "hash":
-			t := hashtable.NewCA(space, nb)
-			return built{set: t, retries: t.Retries}, nil
+			return built{set: hashtable.NewCA(space, nb)}, nil
 		case "stack":
-			s := stack.NewCA(space)
-			return built{stk: s, retries: func() uint64 { return 0 }}, nil
+			return built{stk: stack.NewCA(space)}, nil
 		case "queue":
-			q := queue.NewCA(space)
-			return built{que: q, retries: func() uint64 { return q.Retries }}, nil
+			return built{que: queue.NewCA(space)}, nil
 		case "hmlist":
-			l := hmlist.NewCA(space)
-			return built{set: l, retries: func() uint64 { return l.Retries }}, nil
+			return built{set: hmlist.NewCA(space)}, nil
 		}
 		return built{}, fmt.Errorf("bench: unknown structure %q", w.DS)
 	}
@@ -233,23 +229,17 @@ func build(m *sim.Machine, w Workload) (built, error) {
 	}
 	switch w.DS {
 	case "list":
-		l := lazylist.NewGuarded(space, r)
-		return built{set: l, retries: func() uint64 { return l.Retries }, rec: r}, nil
+		return built{set: lazylist.NewGuarded(space, r), rec: r}, nil
 	case "bst":
-		t := extbst.NewGuarded(space, r)
-		return built{set: t, retries: func() uint64 { return t.Retries }, rec: r}, nil
+		return built{set: extbst.NewGuarded(space, r), rec: r}, nil
 	case "hash":
-		t := hashtable.NewGuarded(space, r, nb)
-		return built{set: t, retries: t.Retries, rec: r}, nil
+		return built{set: hashtable.NewGuarded(space, r, nb), rec: r}, nil
 	case "stack":
-		s := stack.NewGuarded(space, r)
-		return built{stk: s, retries: func() uint64 { return 0 }, rec: r}, nil
+		return built{stk: stack.NewGuarded(space, r), rec: r}, nil
 	case "queue":
-		q := queue.NewGuarded(space, r)
-		return built{que: q, retries: func() uint64 { return q.Retries }, rec: r}, nil
+		return built{que: queue.NewGuarded(space, r), rec: r}, nil
 	case "hmlist":
-		l := hmlist.NewGuarded(space, r)
-		return built{set: l, retries: func() uint64 { return l.Retries }, rec: r}, nil
+		return built{set: hmlist.NewGuarded(space, r), rec: r}, nil
 	}
 	return built{}, fmt.Errorf("bench: unknown structure %q", w.DS)
 }

@@ -354,7 +354,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		Name:      "prefill",
 		Ops:       uint64(sres.PrefillSize),
 		Cycles:    m.MaxClock(),
-		Retries:   b.retries(),
+		Retries:   m.Retries(),
 		Cache:     m.Hier.Stats(),
 		LiveNodes: m.Space.Stats().NodeLive(),
 	}
@@ -448,7 +448,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		m.Run()
 
 		endClock := m.MaxClock()
-		endRetries := b.retries()
+		endRetries := m.Retries()
 		endCache := m.Hier.Stats()
 		seg := PhaseSegment{
 			Name:      plan.progs[pi][0].name,
@@ -507,7 +507,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	if sres.Cycles > 0 {
 		sres.Throughput = float64(sres.Ops) / (float64(sres.Cycles) / 1e6)
 	}
-	sres.Retries = b.retries()
+	sres.Retries = m.Retries()
 	sres.Cache = m.Hier.Stats()
 	sres.CA = m.Ext.Stats()
 	if b.rec != nil {
@@ -558,12 +558,12 @@ func runSegment(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, lat *[]uint64,
 // slice) and its tail classification (kind × attribution histograms) when
 // recording is on. Attribution deltas the executing thread's own
 // pause-cycle and retry counters (sim.Ctx.PauseCycles/RetryCount — the
-// shared per-structure Retries total would blame this op for any
-// concurrent thread's restart) around the op: an op that absorbed a
-// reclamation scan is tagged reclaim (and the pause span itself is
-// recorded), else an op that restarted at least once is tagged retry, else
-// useful — so the attribution counts partition the op count exactly, like
-// the kind counts do.
+// machine-wide Retries total would blame this op for any concurrent
+// thread's restart) around the op: an op that absorbed a reclamation scan
+// is tagged reclaim (and the pause span itself is recorded), else an op
+// that restarted at least once is tagged retry, else useful — so the
+// attribution counts partition the op count exactly, like the kind counts
+// do.
 func measuredOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, lat *[]uint64, tail *latency.Tail, tline *trace.Timeline) {
 	sink := c.Trace()
 	record := tail != nil || tline != nil || sink != nil

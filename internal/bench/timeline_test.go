@@ -100,54 +100,71 @@ func TestTraceDeterministicBytes(t *testing.T) {
 }
 
 // TestTimelineMatchesTotals cross-checks the timeline against the result's
-// independently-counted aggregates: per-phase window sums equal the phase's
-// op count, the trial timeline equals the merged phases, and pause cycles
-// agree exactly with the tail histogram's pause sum (both use the same
-// per-op delta attribution).
+// independently-counted aggregates on every structure under ca, hp and rcu:
+// per-phase window sums equal the phase's op count and restart count, the
+// trial timeline equals the merged phases, and pause cycles agree exactly
+// with the tail histogram's pause sum (both use the same per-op delta
+// attribution). Restarts are counted once, by sim.Ctx.CountRetry: the
+// timeline sums each thread's own count per op, the segment reads the
+// machine total, and no more ops are tagged retry than there were restarts.
 func TestTimelineMatchesTotals(t *testing.T) {
-	sw := timelineScenario(t)
-	sw.RecordTimeline = true
-	sw.RecordTail = true
 	var r Runner
-	res, err := r.RunScenario(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timeline == nil {
-		t.Fatal("no trial timeline")
-	}
-	merged := &trace.Timeline{Window: res.Timeline.Window}
-	for _, seg := range res.Phases {
-		if seg.Timeline == nil {
-			t.Fatalf("phase %s has no timeline", seg.Name)
+	for _, ds := range Structures() {
+		for _, scheme := range goldenSchemes {
+			sw := timelineScenario(t)
+			sw.DS, sw.Scheme = ds, scheme
+			sw.RecordTimeline = true
+			sw.RecordTail = true
+			res, err := r.RunScenario(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := ds + "/" + scheme
+			if res.Timeline == nil {
+				t.Fatalf("%s: no trial timeline", cell)
+			}
+			merged := &trace.Timeline{Window: res.Timeline.Window}
+			for _, seg := range res.Phases {
+				if seg.Timeline == nil {
+					t.Fatalf("%s: phase %s has no timeline", cell, seg.Name)
+				}
+				if got, want := seg.Timeline.TotalOps(), uint64(seg.Ops); got != want {
+					t.Errorf("%s: phase %s timeline ops %d, segment counted %d", cell, seg.Name, got, want)
+				}
+				var pause, retries uint64
+				for _, row := range seg.Timeline.Rows() {
+					pause += row.Pause
+					retries += row.Retries
+				}
+				if want := seg.Tail.Pause.Sum(); pause != want {
+					t.Errorf("%s: phase %s timeline pause cycles %d, tail histogram %d", cell, seg.Name, pause, want)
+				}
+				if retries != seg.Retries {
+					t.Errorf("%s: phase %s timeline retries %d, segment counted %d", cell, seg.Name, retries, seg.Retries)
+				}
+				if seg.Tail.Retry.Count() > seg.Retries {
+					t.Errorf("%s: phase %s has %d retry-tagged ops but only %d retries",
+						cell, seg.Name, seg.Tail.Retry.Count(), seg.Retries)
+				}
+				merged.Merge(seg.Timeline)
+			}
+			if got, want := res.Timeline.TotalOps(), uint64(res.Ops); got != want {
+				t.Errorf("%s: trial timeline ops %d, result counted %d", cell, got, want)
+			}
+			if !reflect.DeepEqual(merged, res.Timeline) {
+				t.Errorf("%s: trial timeline is not the merge of the phase timelines", cell)
+			}
+			var pause uint64
+			for _, row := range res.Timeline.Rows() {
+				pause += row.Pause
+			}
+			if pause == 0 && scheme == "rcu" {
+				t.Errorf("%s: batching reclaimer recorded zero pause cycles", cell)
+			}
+			if want := res.Tail.Pause.Sum(); pause != want {
+				t.Errorf("%s: trial timeline pause cycles %d, tail histogram %d", cell, pause, want)
+			}
 		}
-		if got, want := seg.Timeline.TotalOps(), uint64(seg.Ops); got != want {
-			t.Errorf("phase %s timeline ops %d, segment counted %d", seg.Name, got, want)
-		}
-		var pause uint64
-		for _, row := range seg.Timeline.Rows() {
-			pause += row.Pause
-		}
-		if want := seg.Tail.Pause.Sum(); pause != want {
-			t.Errorf("phase %s timeline pause cycles %d, tail histogram %d", seg.Name, pause, want)
-		}
-		merged.Merge(seg.Timeline)
-	}
-	if got, want := res.Timeline.TotalOps(), uint64(res.Ops); got != want {
-		t.Errorf("trial timeline ops %d, result counted %d", got, want)
-	}
-	if !reflect.DeepEqual(merged, res.Timeline) {
-		t.Error("trial timeline is not the merge of the phase timelines")
-	}
-	var pause uint64
-	for _, row := range res.Timeline.Rows() {
-		pause += row.Pause
-	}
-	if pause == 0 {
-		t.Error("batching reclaimer recorded zero pause cycles")
-	}
-	if want := res.Tail.Pause.Sum(); pause != want {
-		t.Errorf("trial timeline pause cycles %d, tail histogram %d", pause, want)
 	}
 }
 

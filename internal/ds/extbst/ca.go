@@ -14,8 +14,6 @@ import (
 type CATree struct {
 	// Root is the immortal sentinel root.
 	Root mem.Addr
-	// Retries counts operation restarts.
-	Retries uint64
 }
 
 // NewCA builds an empty Conditional Access tree on space.
@@ -36,7 +34,6 @@ retry:
 	c.UntagAll()
 	// Tag and validate the root (never marked; the cread tags it).
 	if m, ok := c.CRead(t.Root + layout.OffMark); !ok || m != 0 {
-		t.Retries++
 		c.CountRetry()
 		goto retry
 	}
@@ -44,14 +41,12 @@ retry:
 	for curr := t.Root; ; {
 		left, ok := c.CRead(curr + layout.OffLeft)
 		if !ok {
-			t.Retries++
 			c.CountRetry()
 			goto retry
 		}
 		if left == 0 { // leaf
 			lk, ok := c.CRead(curr + layout.OffKey)
 			if !ok {
-				t.Retries++
 				c.CountRetry()
 				goto retry
 			}
@@ -59,14 +54,12 @@ retry:
 		}
 		ckey, ok := c.CRead(curr + layout.OffKey)
 		if !ok {
-			t.Retries++
 			c.CountRetry()
 			goto retry
 		}
 		next := left
 		if key >= ckey {
 			if next, ok = c.CRead(curr + layout.OffRight); !ok {
-				t.Retries++
 				c.CountRetry()
 				goto retry
 			}
@@ -79,7 +72,6 @@ retry:
 		}
 		// Tag the child and validate it was unmarked when tagged (DII).
 		if m, ok := c.CRead(next + layout.OffMark); !ok || m != 0 {
-			t.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -109,7 +101,6 @@ func (t *CATree) Insert(c *sim.Ctx, key uint64) bool {
 			return false
 		}
 		if !core.TryLock(c, p+layout.OffLock) {
-			t.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -154,14 +145,12 @@ func (t *CATree) Delete(c *sim.Ctx, key uint64) bool {
 			panic("extbst: real leaf directly under root")
 		}
 		if !core.TryLock(c, gp+layout.OffLock) {
-			t.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		if !core.TryLock(c, p+layout.OffLock) {
 			core.Unlock(c, gp+layout.OffLock)
-			t.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -169,7 +158,6 @@ func (t *CATree) Delete(c *sim.Ctx, key uint64) bool {
 		if !core.TryLock(c, leaf+layout.OffLock) {
 			core.Unlock(c, gp+layout.OffLock)
 			core.Unlock(c, p+layout.OffLock)
-			t.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue

@@ -17,8 +17,6 @@ type Guarded struct {
 	Root mem.Addr
 	// R is the reclamation scheme.
 	R smr.Reclaimer
-	// Retries counts operation restarts.
-	Retries uint64
 }
 
 // NewGuarded builds an empty tree on space reclaimed by r.
@@ -57,14 +55,12 @@ retry:
 		}
 		ns := freeSlot4(gpSlot, pSlot, currSlot)
 		if !t.R.Protect(c, ns, next, src) {
-			t.Retries++
 			c.CountRetry()
 			goto retry
 		}
 		if validating && curr != t.Root && c.Read(curr+layout.OffMark) != 0 {
 			// hp/he: an unmarked curr at this instant proves next was
 			// reachable after the hazard publish (see lazylist.Guarded.find).
-			t.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -107,8 +103,7 @@ func (t *Guarded) Insert(c *sim.Ctx, key uint64) bool {
 			if c.Read(leaf+layout.OffMark) == 0 {
 				return false
 			}
-			t.Retries++ // a delete of the same key is mid-flight
-			c.CountRetry()
+			c.CountRetry() // a delete of the same key is mid-flight
 			continue
 		}
 		spinLock(c, p+layout.OffLock)
@@ -136,7 +131,6 @@ func (t *Guarded) Insert(c *sim.Ctx, key uint64) bool {
 			return true
 		}
 		unlock(c, p+layout.OffLock)
-		t.Retries++
 		c.CountRetry()
 	}
 }
@@ -186,7 +180,6 @@ func (t *Guarded) Delete(c *sim.Ctx, key uint64) bool {
 		unlock(c, gp+layout.OffLock)
 		unlock(c, p+layout.OffLock)
 		unlock(c, leaf+layout.OffLock)
-		t.Retries++
 		c.CountRetry()
 	}
 }

@@ -48,15 +48,6 @@ func (t *CA) Delete(c *sim.Ctx, key uint64) bool { return t.bucket(key).Delete(c
 // Contains reports membership.
 func (t *CA) Contains(c *sim.Ctx, key uint64) bool { return t.bucket(key).Contains(c, key) }
 
-// Retries sums the bucket lists' restart counters.
-func (t *CA) Retries() uint64 {
-	var n uint64
-	for _, b := range t.buckets {
-		n += b.Retries
-	}
-	return n
-}
-
 // Len returns the table's live size (test helper; not simulated work).
 func (t *CA) Len(space *mem.Space) int {
 	n := 0
@@ -100,15 +91,6 @@ func (t *Guarded) Contains(c *sim.Ctx, key uint64) bool { return t.bucket(key).C
 
 // Reclaimer returns the shared reclamation scheme.
 func (t *Guarded) Reclaimer() smr.Reclaimer { return t.r }
-
-// Retries sums the bucket lists' restart counters.
-func (t *Guarded) Retries() uint64 {
-	var n uint64
-	for _, b := range t.buckets {
-		n += b.Retries
-	}
-	return n
-}
 
 // Len returns the table's live size (test helper; not simulated work).
 func (t *Guarded) Len(space *mem.Space) int {

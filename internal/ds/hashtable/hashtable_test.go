@@ -138,9 +138,7 @@ func TestGuardedConcurrentAndCounters(t *testing.T) {
 		})
 	}
 	m.Run()
-	// Retries is a sum over buckets; it must at least not panic and the
-	// table must satisfy set semantics on a drain.
-	_ = tbl.Retries()
+	// The table must satisfy set semantics on a drain.
 	m.Spawn(func(c *sim.Ctx) {
 		for k := uint64(1); k <= 128; k++ {
 			if tbl.Contains(c, k) && !tbl.Delete(c, k) {

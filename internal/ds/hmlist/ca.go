@@ -11,8 +11,6 @@ import (
 type CAList struct {
 	// Head is the immortal head sentinel.
 	Head mem.Addr
-	// Retries counts operation restarts.
-	Retries uint64
 	// Helped counts marked nodes unlinked (and freed) by traversals on
 	// behalf of other threads' deletes.
 	Helped uint64
@@ -38,7 +36,6 @@ retry:
 	// Tag the head via its next field; the head is never marked.
 	pn, ok := c.CRead(pred + layout.OffNext)
 	if !ok {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
@@ -48,7 +45,6 @@ retry:
 		// validation: marked means logically deleted.
 		cn, ok := c.CRead(curr + layout.OffNext)
 		if !ok {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -57,7 +53,6 @@ retry:
 			// the cwrite succeeds only if pred is untouched since its cread
 			// — in which case this thread is the unique unlinker.
 			if !c.CWrite(pred+layout.OffNext, clearMark(cn)) {
-				l.Retries++
 				c.CountRetry()
 				goto retry
 			}
@@ -68,7 +63,6 @@ retry:
 		}
 		ck, ok := c.CRead(curr + layout.OffKey)
 		if !ok {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -111,7 +105,6 @@ func (l *CAList) Insert(c *sim.Ctx, key uint64) bool {
 			c.UntagAll()
 			return true
 		}
-		l.Retries++
 		c.CountRetry()
 		c.UntagAll()
 	}
@@ -131,7 +124,6 @@ func (l *CAList) Delete(c *sim.Ctx, key uint64) bool {
 		// Logical delete: mark curr's next pointer. Replaces
 		// CAS(curr.next, cn, cn|mark); revocation subsumes the comparison.
 		if !c.CWrite(curr+layout.OffNext, cn|markBit) { // LP
-			l.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue

@@ -14,8 +14,6 @@ type Guarded struct {
 	Head mem.Addr
 	// R is the reclamation scheme.
 	R smr.Reclaimer
-	// Retries counts operation restarts.
-	Retries uint64
 	// Helped counts nodes unlinked by helping traversals.
 	Helped uint64
 }
@@ -37,7 +35,6 @@ retry:
 	curr = clearMark(pn)
 	currSlot := 0
 	if !l.R.Protect(c, currSlot, curr, pred+layout.OffNext) {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
@@ -47,7 +44,6 @@ retry:
 			// Help unlink. The CAS requires pred's next to still be exactly
 			// curr (unmarked), which also proves pred itself was not snipped.
 			if !c.CAS(pred+layout.OffNext, curr, clearMark(cn)) {
-				l.Retries++
 				c.CountRetry()
 				goto retry
 			}
@@ -56,7 +52,6 @@ retry:
 			next := clearMark(cn)
 			ns := freeSlot(predSlot, currSlot)
 			if !l.R.Protect(c, ns, next, pred+layout.OffNext) {
-				l.Retries++
 				c.CountRetry()
 				goto retry
 			}
@@ -70,7 +65,6 @@ retry:
 		next := clearMark(cn)
 		ns := freeSlot(predSlot, currSlot)
 		if !l.R.Protect(c, ns, next, curr+layout.OffNext) {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -118,7 +112,6 @@ func (l *Guarded) Insert(c *sim.Ctx, key uint64) bool {
 		if c.CAS(pred+layout.OffNext, curr, n) { // LP
 			return true
 		}
-		l.Retries++
 		c.CountRetry()
 	}
 }
@@ -134,7 +127,6 @@ func (l *Guarded) Delete(c *sim.Ctx, key uint64) bool {
 			return false
 		}
 		if !c.CAS(curr+layout.OffNext, cn, cn|markBit) { // LP (logical delete)
-			l.Retries++
 			c.CountRetry()
 			continue
 		}

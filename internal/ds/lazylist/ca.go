@@ -13,10 +13,6 @@ import (
 type CAList struct {
 	// Head is the immortal head sentinel.
 	Head mem.Addr
-	// Retries counts operation restarts caused by failed conditional
-	// accesses or failed try-locks (diagnostic, written only by the
-	// simulator's serialized threads).
-	Retries uint64
 }
 
 // NewCA builds an empty Conditional Access lazy list on space.
@@ -45,13 +41,11 @@ retry:
 	// tags the line; Algorithm 3 line 11).
 	m, ok := c.CRead(pred + layout.OffMark)
 	if !ok || m != 0 {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
 	curr, ok = c.CRead(pred + layout.OffNext)
 	if !ok {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
@@ -59,13 +53,11 @@ retry:
 	// it was unmarked — hence reachable (Lemma 5) — when tagged.
 	m, ok = c.CRead(curr + layout.OffMark)
 	if !ok || m != 0 {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
 	currKey, ok = c.CRead(curr + layout.OffKey)
 	if !ok {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
@@ -74,19 +66,16 @@ retry:
 		pred = curr
 		curr, ok = c.CRead(pred + layout.OffNext)
 		if !ok {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
 		m, ok = c.CRead(curr + layout.OffMark)
 		if !ok || m != 0 {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
 		currKey, ok = c.CRead(curr + layout.OffKey)
 		if !ok {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -113,14 +102,12 @@ func (l *CAList) Insert(c *sim.Ctx, key uint64) bool {
 			return false
 		}
 		if !core.TryLock(c, pred+layout.OffLock) {
-			l.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		if !core.TryLock(c, curr+layout.OffLock) {
 			core.Unlock(c, pred+layout.OffLock)
-			l.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -150,14 +137,12 @@ func (l *CAList) Delete(c *sim.Ctx, key uint64) bool {
 			return false
 		}
 		if !core.TryLock(c, pred+layout.OffLock) {
-			l.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		if !core.TryLock(c, curr+layout.OffLock) {
 			core.Unlock(c, pred+layout.OffLock)
-			l.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue

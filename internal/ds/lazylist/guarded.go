@@ -16,8 +16,6 @@ type Guarded struct {
 	Head mem.Addr
 	// R is the reclamation scheme.
 	R smr.Reclaimer
-	// Retries counts operation restarts (failed protections/validations).
-	Retries uint64
 }
 
 // NewGuarded builds an empty lazy list on space reclaimed by r.
@@ -50,7 +48,6 @@ retry:
 	curr = c.Read(pred + layout.OffNext)
 	currSlot := 0
 	if !l.R.Protect(c, currSlot, curr, pred+layout.OffNext) {
-		l.Retries++
 		c.CountRetry()
 		goto retry
 	}
@@ -64,7 +61,6 @@ retry:
 		next := c.Read(curr + layout.OffNext)
 		ns := freeSlot(predSlot, currSlot)
 		if !l.R.Protect(c, ns, next, curr+layout.OffNext) {
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -73,7 +69,6 @@ retry:
 			// linked from curr; curr being unmarked at this later instant
 			// proves curr — and therefore next — was reachable after the
 			// hazard was published, so next cannot have been retired before.
-			l.Retries++
 			c.CountRetry()
 			goto retry
 		}
@@ -120,7 +115,6 @@ func (l *Guarded) Insert(c *sim.Ctx, key uint64) bool {
 			if c.Read(curr+layout.OffMark) == 0 {
 				return false
 			}
-			l.Retries++
 			c.CountRetry()
 			continue
 		}
@@ -139,7 +133,6 @@ func (l *Guarded) Insert(c *sim.Ctx, key uint64) bool {
 		}
 		unlock(c, pred+layout.OffLock)
 		unlock(c, curr+layout.OffLock)
-		l.Retries++
 		c.CountRetry()
 	}
 }
@@ -169,7 +162,6 @@ func (l *Guarded) Delete(c *sim.Ctx, key uint64) bool {
 		}
 		unlock(c, pred+layout.OffLock)
 		unlock(c, curr+layout.OffLock)
-		l.Retries++
 		c.CountRetry()
 	}
 }

@@ -24,8 +24,6 @@ import (
 type CA struct {
 	headAddr mem.Addr
 	tailAddr mem.Addr
-	// Retries counts operation restarts.
-	Retries uint64
 }
 
 // NewCA builds an empty queue (one dummy node) on space.
@@ -47,14 +45,12 @@ func (q *CA) Enqueue(c *sim.Ctx, key uint64) {
 		}
 		t, ok := c.CRead(q.tailAddr) // tags the tail-pointer line
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		next, ok := c.CRead(t + layout.OffNext) // tags node t
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -63,13 +59,11 @@ func (q *CA) Enqueue(c *sim.Ctx, key uint64) {
 			// Tail lags: help swing it. Success and failure both mean the
 			// tail has moved on; re-read either way.
 			c.CWrite(q.tailAddr, next)
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		if !c.CWrite(t+layout.OffNext, n) { // LP
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -91,14 +85,12 @@ func (q *CA) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 		}
 		h, ok := c.CRead(q.headAddr) // tags the head-pointer line
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		next, ok := c.CRead(h + layout.OffNext) // tags node h
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -110,14 +102,12 @@ func (q *CA) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 		// Keep the tail from pointing at the node we are about to free.
 		t, ok2 := c.CRead(q.tailAddr)
 		if !ok2 {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		if t == h {
 			c.CWrite(q.tailAddr, next) // help; outcome re-checked on retry
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -125,13 +115,11 @@ func (q *CA) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 		// Read the value before unlinking (after the swing h is recycled).
 		key, ok = c.CRead(next + layout.OffKey)
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		if !c.CWrite(q.headAddr, next) { // LP
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -157,14 +145,12 @@ func (q *CA) Peek(c *sim.Ctx) (key uint64, ok bool) {
 		}
 		h, ok := c.CRead(q.headAddr) // tags the head-pointer line
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
 		}
 		next, ok := c.CRead(h + layout.OffNext) // tags node h
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -175,7 +161,6 @@ func (q *CA) Peek(c *sim.Ctx) (key uint64, ok bool) {
 		}
 		key, ok = c.CRead(next + layout.OffKey)
 		if !ok {
-			q.Retries++
 			c.CountRetry()
 			c.UntagAll()
 			continue
@@ -190,8 +175,6 @@ type Guarded struct {
 	headAddr mem.Addr
 	tailAddr mem.Addr
 	r        smr.Reclaimer
-	// Retries counts operation restarts.
-	Retries uint64
 }
 
 // NewGuarded builds an empty queue on space reclaimed by r.
@@ -215,19 +198,16 @@ func (q *Guarded) Enqueue(c *sim.Ctx, key uint64) {
 	for {
 		t := c.Read(q.tailAddr)
 		if !q.r.Protect(c, 0, t, q.tailAddr) {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
 		next := c.Read(t + layout.OffNext)
 		if c.Read(q.tailAddr) != t {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
 		if next != 0 {
 			c.CAS(q.tailAddr, t, next) // help
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
@@ -235,7 +215,6 @@ func (q *Guarded) Enqueue(c *sim.Ctx, key uint64) {
 			c.CAS(q.tailAddr, t, n)
 			return
 		}
-		q.Retries++
 		c.CountRetry()
 	}
 }
@@ -247,14 +226,12 @@ func (q *Guarded) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 	for {
 		h := c.Read(q.headAddr)
 		if !q.r.Protect(c, 0, h, q.headAddr) {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
 		t := c.Read(q.tailAddr)
 		next := c.Read(h + layout.OffNext)
 		if c.Read(q.headAddr) != h {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
@@ -263,12 +240,10 @@ func (q *Guarded) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 		}
 		if h == t {
 			c.CAS(q.tailAddr, t, next) // help the lagging tail
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
 		if !q.r.Protect(c, 1, next, h+layout.OffNext) {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
@@ -277,7 +252,6 @@ func (q *Guarded) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 			q.r.Retire(c, h)
 			return key, true
 		}
-		q.Retries++
 		c.CountRetry()
 	}
 }
@@ -291,13 +265,11 @@ func (q *Guarded) Peek(c *sim.Ctx) (key uint64, ok bool) {
 	for {
 		h := c.Read(q.headAddr)
 		if !q.r.Protect(c, 0, h, q.headAddr) {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
 		next := c.Read(h + layout.OffNext)
 		if c.Read(q.headAddr) != h {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
@@ -305,13 +277,11 @@ func (q *Guarded) Peek(c *sim.Ctx) (key uint64, ok bool) {
 			return 0, false
 		}
 		if !q.r.Protect(c, 1, next, h+layout.OffNext) {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}
 		key = c.Read(next + layout.OffKey)
 		if c.Read(q.headAddr) != h {
-			q.Retries++
 			c.CountRetry()
 			continue
 		}

@@ -38,11 +38,11 @@ type Ctx struct {
 	pauseMark  uint64
 	pauseTotal uint64
 
-	// retryCount counts this thread's own operation restarts (CountRetry).
-	// The data structures also keep per-structure totals, but those are
-	// shared across threads: a per-op delta of a shared counter would tag
-	// an operation as retried whenever any concurrent thread restarted
-	// inside its window, so attribution reads this thread-local counter.
+	// retryCount counts this thread's own operation restarts (CountRetry)
+	// in this Run phase. The machine-wide total is shared across threads:
+	// a per-op delta of it would tag an operation as retried whenever any
+	// concurrent thread restarted inside its window, so attribution reads
+	// this thread-local counter.
 	retryCount uint64
 }
 
@@ -278,10 +278,12 @@ func (c *Ctx) PauseCycles() uint64 { return c.pauseTotal }
 
 // CountRetry records one operation restart by this thread (a failed
 // conditional access or a validation failure forcing the operation back to
-// the top). The data structures call it wherever they bump their own
-// Retries counters. Purely observational: no cycles are charged.
+// the top). The data structures call it at every restart; it is the only
+// restart counter, feeding both this thread's RetryCount and the machine's
+// Retries total. Purely observational: no cycles are charged.
 func (c *Ctx) CountRetry() {
 	c.retryCount++
+	c.m.retries++
 	if s := c.m.trace; s != nil {
 		s.Retry(c.th.c, *c.clock)
 	}

@@ -114,6 +114,11 @@ type Machine struct {
 	// producer guards with one nil check, so the off path costs a single
 	// predictable branch.
 	trace *trace.Sink
+
+	// retries counts every thread's operation restarts (Ctx.CountRetry)
+	// since New or Reset. ResetClocks leaves it alone, so it spans the
+	// prefill and every measured phase.
+	retries uint64
 }
 
 // thread is one simulated thread's scheduler record. Its lifetime is a
@@ -217,6 +222,7 @@ func (m *Machine) Reset(cfg Config) bool {
 	for i := range m.clocks {
 		m.clocks[i] = 0
 	}
+	m.retries = 0
 	m.spawned = 0
 	return true
 }
@@ -389,8 +395,12 @@ func (m *Machine) MaxClock() uint64 {
 	return max
 }
 
+// Retries returns how many operation restarts (Ctx.CountRetry) every
+// thread has made since New or Reset, across all Run phases.
+func (m *Machine) Retries() uint64 { return m.retries }
+
 // ResetClocks zeroes all core clocks. The harness calls it between the
-// prefill phase and the measured phase.
+// prefill phase and the measured phase. The restart total is kept.
 func (m *Machine) ResetClocks() {
 	if len(m.threads) != 0 {
 		panic("sim: ResetClocks with threads pending")

@@ -327,3 +327,38 @@ func TestRetryCounting(t *testing.T) {
 		t.Fatalf("retry counts %v, want [1 4] (thread-local)", got)
 	}
 }
+
+// TestMachineRetries: the machine total counts every thread's CountRetry
+// across Run phases (the single-thread fast path and the event loop alike),
+// survives ResetClocks, and Reset zeroes it.
+func TestMachineRetries(t *testing.T) {
+	cfg := Config{Cores: 2, Seed: 1}
+	m := New(cfg)
+	if m.Retries() != 0 {
+		t.Fatalf("new machine counts %d retries", m.Retries())
+	}
+	m.Spawn(func(c *Ctx) { c.CountRetry(); c.CountRetry() })
+	m.Run()
+	if m.Retries() != 2 {
+		t.Fatalf("after a one-thread phase: %d retries, want 2", m.Retries())
+	}
+	m.ResetClocks()
+	for i := 0; i < 2; i++ {
+		m.Spawn(func(c *Ctx) {
+			for j := 0; j < 3; j++ {
+				c.CountRetry()
+				c.Work(50)
+			}
+		})
+	}
+	m.Run()
+	if m.Retries() != 8 {
+		t.Fatalf("after ResetClocks and a two-thread phase: %d retries, want 8", m.Retries())
+	}
+	if !m.Reset(cfg) {
+		t.Fatal("Reset refused the machine's own config")
+	}
+	if m.Retries() != 0 {
+		t.Fatalf("Reset left %d retries", m.Retries())
+	}
+}
