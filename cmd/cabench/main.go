@@ -55,7 +55,7 @@ type options struct {
 func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs := cli.NewFlagSet("cabench", stderr)
 	var (
-		ds      = fs.String("ds", "list", "data structure: list, bst, hash, stack, queue")
+		ds      = fs.String("ds", "list", "data structure: "+strings.Join(bench.Structures(), ", "))
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
 		threads = fs.String("threads", "1,2,4,8,16,32", "comma-separated thread counts")
 		updates = fs.String("updates", "0,10,100", "comma-separated update percentages")

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"condaccess/internal/bench"
 	"condaccess/internal/cli"
@@ -49,7 +50,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		preset  = fs.String("preset", "", "built-in scenario name (see -list)")
 		file    = fs.String("file", "", "load scenario from this JSON file")
 		list    = fs.Bool("list", false, "print the built-in scenarios and exit")
-		ds      = fs.String("ds", "list", "data structure: list, bst, hash, stack, queue, hmlist")
+		ds      = fs.String("ds", "list", "data structure: "+strings.Join(bench.Structures(), ", "))
 		schemes = fs.String("schemes", "ca,rcu", "comma-separated reclamation schemes")
 		threads = fs.Int("threads", 8, "simulated threads")
 		keys    = fs.Uint64("range", 0, "key range (default: paper's per-structure value)")

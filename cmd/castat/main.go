@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"condaccess/internal/bench"
 	"condaccess/internal/cli"
@@ -33,7 +34,7 @@ type options struct {
 func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs := cli.NewFlagSet("castat", stderr)
 	var (
-		ds      = fs.String("ds", "list", "data structure: list, hmlist, bst, hash, stack, queue")
+		ds      = fs.String("ds", "list", "data structure: "+strings.Join(bench.Structures(), ", "))
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
 		threads = fs.Int("threads", 16, "threads")
 		updates = fs.Int("updates", 100, "update percentage")

@@ -46,7 +46,7 @@ func Structures() []string { return []string{"list", "bst", "hash", "stack", "qu
 
 // Workload describes one trial.
 type Workload struct {
-	DS     string // list, bst, hash, stack, queue
+	DS     string // one of Structures()
 	Scheme string // ca, none, rcu, qsbr, ibr, hp, he
 
 	Threads      int

@@ -564,53 +564,28 @@ func (s *Store) sidecarMissing() bool {
 }
 
 // RebuildIndex discards the in-memory index and the sidecar and rebuilds
-// both by scanning every segment from its first byte — the recovery path
-// for a missing, stale, or corrupt sidecar (calab index). It returns the
-// number of indexed entries and scanned segments.
+// both by scanning every segment from its first byte (refresh, with
+// nothing covered) — the recovery path for a missing, stale, or corrupt
+// sidecar (calab index). It returns the number of indexed entries and
+// scanned segments.
 func (s *Store) RebuildIndex() (entries, segments int, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, 0, err
 	}
-	segs, err := s.listSegments()
-	if err != nil {
-		return 0, 0, err
-	}
-	index := map[string]recLoc{}
-	covered := map[int]int64{}
-	for _, seg := range segs {
-		f, err := os.Open(s.segmentPath(seg))
-		if err != nil {
-			return 0, 0, fmt.Errorf("lab: opening segment: %w", err)
-		}
-		s.opens.Add(1)
-		end, err := scanSegment(f, 0, func(key string, loc recLoc, _ []byte) error {
-			index[key] = loc
-			return nil
-		}, seg)
-		f.Close()
-		if err != nil {
-			return 0, 0, err
-		}
-		covered[seg] = end
-	}
 	s.mu.Lock()
-	s.index = index
-	s.covered = covered
+	s.index = map[string]recLoc{}
+	s.covered = map[int]int64{}
 	s.dirty = true
-	if len(segs) > 0 && segs[len(segs)-1] >= s.nextSeg {
-		s.nextSeg = segs[len(segs)-1] + 1
-	}
 	s.mu.Unlock()
-	if err := s.refresh(); err != nil { // reopen reader handles for new segments
+	if err := s.refresh(); err != nil {
 		return 0, 0, err
 	}
 	if err := s.writeSidecar(); err != nil {
 		return 0, 0, err
 	}
 	s.mu.Lock()
-	entries = len(s.index)
-	s.mu.Unlock()
-	return entries, len(segs), nil
+	defer s.mu.Unlock()
+	return len(s.index), len(s.readers), nil
 }
 
 // packRec is one (key, envelope payload) pair bound for a compacted

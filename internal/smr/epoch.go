@@ -20,45 +20,25 @@ import (
 // none) to be the fastest baselines. Reclamation frees a retired node once
 // its retire epoch precedes every announced reservation.
 type epoch struct {
+	batch[epochThread, *epochThread]
 	qsbr bool
-	o    Options
-
-	globalAddr mem.Addr   // global epoch word
-	resAddr    []mem.Addr // per-thread reservation word, one line each
-
-	perThread []epochThread
-	stats     Stats
 }
 
-type epochThread struct {
-	allocs  uint64
-	retired []retiredNode
-}
+// epochThread is one thread's scan snapshot: the oldest announced epoch.
+type epochThread struct{ minRes uint64 }
 
 func newEpoch(space *mem.Space, nThreads int, o Options, qsbr bool) *epoch {
-	e := &epoch{qsbr: qsbr, o: o}
-	e.globalAddr = space.AllocInfra()
-	space.Write(e.globalAddr, 1) // epochs start at 1 so 0 reads as "idle"
-	e.resAddr = make([]mem.Addr, nThreads)
-	for t := range e.resAddr {
-		e.resAddr[t] = space.AllocInfra()
-		if qsbr {
-			// qsbr threads have not passed a quiescent state yet; epoch 0
-			// blocks reclamation until they first announce.
-			space.Write(e.resAddr[t], 0)
-		} else {
-			space.Write(e.resAddr[t], inf)
-		}
+	if qsbr {
+		// qsbr threads have not passed a quiescent state yet; their zeroed
+		// reservations (epoch 0) block reclamation until they first
+		// announce.
+		return &epoch{newBatch[epochThread]("qsbr", space, nThreads, o, true, false), true}
 	}
-	e.perThread = make([]epochThread, nThreads)
+	e := &epoch{newBatch[epochThread]("rcu", space, nThreads, o, true, false), false}
+	for _, ra := range e.res {
+		space.Write(ra, inf)
+	}
 	return e
-}
-
-func (e *epoch) Name() string {
-	if e.qsbr {
-		return "qsbr"
-	}
-	return "rcu"
 }
 
 func (e *epoch) BeginOp(c *sim.Ctx) {
@@ -66,8 +46,8 @@ func (e *epoch) BeginOp(c *sim.Ctx) {
 		return
 	}
 	t := c.ThreadID()
-	v := c.Read(e.globalAddr)
-	c.Write(e.resAddr[t], v)
+	v := c.Read(e.clock)
+	c.Write(e.res[t], v)
 	c.Fence()
 }
 
@@ -76,70 +56,27 @@ func (e *epoch) EndOp(c *sim.Ctx) {
 	if e.qsbr {
 		// Operation boundaries are the quiescent states: announce the
 		// current epoch with a plain (unfenced) store.
-		v := c.Read(e.globalAddr)
-		c.Write(e.resAddr[t], v)
+		v := c.Read(e.clock)
+		c.Write(e.res[t], v)
 		return
 	}
-	c.Write(e.resAddr[t], inf)
+	c.Write(e.res[t], inf)
 }
 
 // Protect is free: epoch-based readers pay nothing per read.
 func (e *epoch) Protect(c *sim.Ctx, slot int, node, src mem.Addr) bool { return true }
 
-func (e *epoch) Alloc(c *sim.Ctx) mem.Addr {
-	t := c.ThreadID()
-	pt := &e.perThread[t]
-	pt.allocs++
-	if pt.allocs%uint64(e.o.EpochEvery) == 0 {
-		c.FetchAdd(e.globalAddr, 1)
-	}
-	return c.AllocNode()
-}
-
-func (e *epoch) Retire(c *sim.Ctx, node mem.Addr) {
-	t := c.ThreadID()
-	pt := &e.perThread[t]
-	pt.retired = append(pt.retired, retiredNode{addr: node, retire: c.Read(e.globalAddr)})
-	e.stats.Retired++
-	c.Work(retireCost)
-	if len(pt.retired) >= e.o.ReclaimEvery {
-		e.scan(c, pt)
-	}
-	if len(pt.retired) > e.stats.MaxBacklog {
-		e.stats.MaxBacklog = len(pt.retired)
-	}
-}
-
-// scan frees every retired node whose retire epoch precedes all announced
-// reservations. The reservation reads are real shared-memory reads, so the
-// scan cost (and the cache misses it takes) is charged to the reclaimer.
-func (e *epoch) scan(c *sim.Ctx, pt *epochThread) {
-	// The whole pass is a reclamation pause: the triggering operation
-	// absorbs every cycle charged here (the paper's batching critique).
-	c.BeginPause()
-	defer c.EndPause()
-	e.stats.Scans++
-	minRes := uint64(inf)
-	for _, ra := range e.resAddr {
-		if v := c.Read(ra); v < minRes {
-			minRes = v
+func (s *epochThread) snapshot(c *sim.Ctx, res []mem.Addr) {
+	s.minRes = inf
+	for _, ra := range res {
+		if v := c.Read(ra); v < s.minRes {
+			s.minRes = v
 		}
 	}
-	kept := pt.retired[:0]
-	freed0 := e.stats.Freed
-	for _, rn := range pt.retired {
-		if rn.retire < minRes {
-			c.Free(rn.addr)
-			e.stats.Freed++
-		} else {
-			kept = append(kept, rn)
-		}
-	}
-	pt.retired = kept
-	c.TraceScan(e.Name(), int(e.stats.Freed-freed0), len(kept))
 }
 
-func (e *epoch) Stats() Stats { return e.stats }
+// pinned: rn did not retire before the oldest announced epoch.
+func (s *epochThread) pinned(rn retiredNode) bool { return rn.retire >= s.minRes }
 
 // Validating: epoch reservations protect every unreclaimed node.
 func (e *epoch) Validating() bool { return false }

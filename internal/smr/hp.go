@@ -16,61 +16,39 @@ import (
 // tightest bound of the baselines — paid for with the per-read fence and the
 // O(threads) scan, which is why the paper measures it among the slowest.
 type hp struct {
-	o       Options
-	resAddr []mem.Addr // per-thread line: MaxSlots hazard words
-
-	perThread []hpThread
-	stats     Stats
+	batch[hpThread, *hpThread] // reservation line: MaxSlots hazard words
 }
 
 type hpThread struct {
 	used    [MaxSlots]bool
-	retired []retiredNode
-	// hazards is scan's set of published hazards, cleared and reused by
-	// each of this thread's scans. It is per thread because a scan's slot
-	// reads can end its quantum, and another thread's scan may run then.
-	hazards map[mem.Addr]struct{}
+	hazards map[mem.Addr]struct{} // the hazards this thread's last scan read
 }
 
 func newHP(space *mem.Space, nThreads int, o Options) *hp {
-	h := &hp{o: o}
-	h.resAddr = make([]mem.Addr, nThreads)
-	for t := range h.resAddr {
-		h.resAddr[t] = space.AllocInfra() // zeroed: all slots empty
-	}
-	h.perThread = make([]hpThread, nThreads)
-	return h
+	// No era clock; zeroed lines: all slots empty.
+	return &hp{newBatch[hpThread]("hp", space, nThreads, o, false, false)}
 }
-
-func (h *hp) Name() string { return "hp" }
 
 func (h *hp) BeginOp(c *sim.Ctx) {}
 
 // EndOp clears the slots published during the operation (plain stores; the
 // next Protect's fence orders them).
 func (h *hp) EndOp(c *sim.Ctx) {
-	t := c.ThreadID()
-	pt := &h.perThread[t]
+	pt := h.own(c)
 	for s := range pt.used {
 		if pt.used[s] {
-			c.Write(h.slotAddr(t, s), 0)
+			c.Write(slotAddr(h.res[c.ThreadID()], s), 0)
 			pt.used[s] = false
 		}
 	}
-}
-
-func (h *hp) slotAddr(t, slot int) mem.Addr {
-	return h.resAddr[t] + mem.Addr(slot)*mem.WordBytes
 }
 
 // Protect publishes node to slot, fences, and validates that src still
 // points at node. src == 0 skips validation (immortal roots such as
 // sentinels). Returning false obliges the caller to restart its operation.
 func (h *hp) Protect(c *sim.Ctx, slot int, node, src mem.Addr) bool {
-	t := c.ThreadID()
-	pt := &h.perThread[t]
-	c.Write(h.slotAddr(t, slot), node)
-	pt.used[slot] = true
+	c.Write(slotAddr(h.res[c.ThreadID()], slot), node)
+	h.own(c).used[slot] = true
 	c.Fence()
 	if src == 0 {
 		return true
@@ -78,55 +56,25 @@ func (h *hp) Protect(c *sim.Ctx, slot int, node, src mem.Addr) bool {
 	return c.Read(src) == node
 }
 
-func (h *hp) Alloc(c *sim.Ctx) mem.Addr { return c.AllocNode() }
-
-func (h *hp) Retire(c *sim.Ctx, node mem.Addr) {
-	t := c.ThreadID()
-	pt := &h.perThread[t]
-	pt.retired = append(pt.retired, retiredNode{addr: node})
-	h.stats.Retired++
-	c.Work(retireCost)
-	if len(pt.retired) >= h.o.ReclaimEvery {
-		h.scan(c, pt)
+func (s *hpThread) snapshot(c *sim.Ctx, res []mem.Addr) {
+	if s.hazards == nil {
+		s.hazards = make(map[mem.Addr]struct{}, len(res)*MaxSlots)
 	}
-	if len(pt.retired) > h.stats.MaxBacklog {
-		h.stats.MaxBacklog = len(pt.retired)
-	}
-}
-
-// scan reads every hazard slot of every thread and frees the retired nodes
-// protected by none of them.
-func (h *hp) scan(c *sim.Ctx, pt *hpThread) {
-	c.BeginPause() // the pass is a reclamation pause for the triggering op
-	defer c.EndPause()
-	h.stats.Scans++
-	if pt.hazards == nil {
-		pt.hazards = make(map[mem.Addr]struct{}, len(h.resAddr)*MaxSlots)
-	}
-	hazards := pt.hazards
-	clear(hazards)
-	for t := range h.resAddr {
-		for s := 0; s < MaxSlots; s++ {
-			if v := c.Read(h.slotAddr(t, s)); v != 0 {
-				hazards[v] = struct{}{}
+	clear(s.hazards)
+	for _, ra := range res {
+		for slot := 0; slot < MaxSlots; slot++ {
+			if v := c.Read(slotAddr(ra, slot)); v != 0 {
+				s.hazards[v] = struct{}{}
 			}
 		}
 	}
-	kept := pt.retired[:0]
-	freed0 := h.stats.Freed
-	for _, rn := range pt.retired {
-		if _, hazardous := hazards[rn.addr]; hazardous {
-			kept = append(kept, rn)
-		} else {
-			c.Free(rn.addr)
-			h.stats.Freed++
-		}
-	}
-	pt.retired = kept
-	c.TraceScan(h.Name(), int(h.stats.Freed-freed0), len(kept))
 }
 
-func (h *hp) Stats() Stats { return h.stats }
+// pinned: some hazard slot holds rn.
+func (s *hpThread) pinned(rn retiredNode) bool {
+	_, hazardous := s.hazards[rn.addr]
+	return hazardous
+}
 
 // Validating: hazard pointers only protect nodes reachable at publish time,
 // so traversals must re-validate links/marks after each Protect.

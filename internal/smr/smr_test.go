@@ -1,10 +1,13 @@
 package smr
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"condaccess/internal/mem"
 	"condaccess/internal/sim"
+	"condaccess/internal/trace"
 )
 
 // await spins in simulated time until the flag word reaches v.
@@ -218,25 +221,91 @@ func TestEraSchemesStampBirth(t *testing.T) {
 	}
 }
 
+// TestSchemeStatsAccumulate pins the counters every batching scheme keeps:
+// 20 rounds of BeginOp/Alloc/Retire/EndOp on one thread, with the epoch
+// advancing fast enough that the epoch- and era-based schemes can free.
 func TestSchemeStatsAccumulate(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 6, Check: true})
-	// EpochEvery must be small enough for the epoch to advance during the
-	// test: epoch-based schemes can free a node only once every reservation
-	// postdates its retire epoch.
-	r, _ := New("rcu", m.Space, 1, Options{ReclaimEvery: 5, EpochEvery: 2})
-	m.Spawn(func(c *sim.Ctx) {
-		for i := 0; i < 20; i++ {
-			r.BeginOp(c)
-			n := r.Alloc(c)
-			c.Write(n, 1)
-			r.Retire(c, n)
-			r.EndOp(c)
-		}
-	})
-	m.Run()
-	st := r.Stats()
-	if st.Retired != 20 || st.Scans == 0 || st.Freed == 0 {
-		t.Fatalf("stats = %+v", st)
+	for _, tc := range []struct {
+		name  string
+		freed uint64
+	}{{"rcu", 17}, {"qsbr", 17}, {"ibr", 18}, {"hp", 20}, {"he", 20}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := sim.New(sim.Config{Cores: 1, Seed: 6, Check: true})
+			r, _ := New(tc.name, m.Space, 1, Options{ReclaimEvery: 5, EpochEvery: 2})
+			m.Spawn(func(c *sim.Ctx) {
+				for i := 0; i < 20; i++ {
+					r.BeginOp(c)
+					n := r.Alloc(c)
+					c.Write(n, 1)
+					r.Retire(c, n)
+					r.EndOp(c)
+				}
+			})
+			m.Run()
+			st, sp := r.Stats(), m.Space.Stats()
+			if st.Retired != 20 || st.Scans == 0 || st.Freed != tc.freed {
+				t.Fatalf("stats = %+v, want 20 retired, some scans, %d freed", st, tc.freed)
+			}
+			if st.Freed != sp.NodeFrees {
+				t.Errorf("Freed = %d, space freed %d nodes", st.Freed, sp.NodeFrees)
+			}
+			backlog := st.Retired - st.Freed
+			if backlog != sp.NodeLive() {
+				t.Errorf("Retired-Freed = %d, space holds %d live nodes", backlog, sp.NodeLive())
+			}
+			if uint64(st.MaxBacklog) < backlog {
+				t.Errorf("MaxBacklog = %d, below the final backlog %d", st.MaxBacklog, backlog)
+			}
+		})
+	}
+}
+
+// TestScanTraceCountsOwnFrees: each traced scan reports the nodes that scan
+// freed, so the traced counts sum to Stats().Freed even when the scans of
+// several threads interleave (a scan's frees can end its quantum).
+func TestScanTraceCountsOwnFrees(t *testing.T) {
+	for _, name := range []string{"rcu", "qsbr", "ibr", "hp", "he"} {
+		t.Run(name, func(t *testing.T) {
+			m := sim.New(sim.Config{Cores: 4, Seed: 7, Check: true})
+			sink := &trace.Sink{}
+			m.SetTrace(sink)
+			r, _ := New(name, m.Space, 4, Options{ReclaimEvery: 30, EpochEvery: 10})
+			for range 4 {
+				m.Spawn(func(c *sim.Ctx) {
+					for i := 0; i < 300; i++ {
+						r.BeginOp(c)
+						n := r.Alloc(c)
+						c.Write(n, 1)
+						r.Retire(c, n)
+						r.EndOp(c)
+					}
+				})
+			}
+			m.Run()
+			var buf bytes.Buffer
+			if err := sink.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Name string
+					Args struct{ Freed uint64 }
+				}
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var scans, freed uint64
+			for _, e := range doc.TraceEvents {
+				if e.Name == "scan" {
+					scans++
+					freed += e.Args.Freed
+				}
+			}
+			if st := r.Stats(); scans != st.Scans || freed != st.Freed || freed == 0 {
+				t.Fatalf("trace: %d scans freeing %d nodes; stats: %d scans freeing %d", scans, freed, st.Scans, st.Freed)
+			}
+		})
 	}
 }
 
