@@ -39,7 +39,7 @@ type options struct {
 	tail      bool
 	timeline  bool
 	tracePath string
-	obs       obs.CLIFlags
+	flags     cli.Flags
 
 	// shardIdx/shardOf select worker mode (-shard I/N): run only this
 	// shard's jobs into the store, render no table. shardOf == 0 means
@@ -78,8 +78,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		shard   = fs.String("shard", "", "worker mode: run only shard I/N of the sweep's job list into -store, render no table")
 		farm    = fs.Int("farm", 0, "coordinator mode: spawn N worker processes over private shard stores, merge into -store, render warm")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
+	var fl cli.Flags
+	fl.Register(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return options{}, err
 	}
@@ -139,7 +139,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		tail:      *tail,
 		timeline:  *tline,
 		tracePath: *trPath,
-		obs:       ob,
+		flags:     fl,
 		shardIdx:  shardIdx,
 		shardOf:   shardOf,
 		farm:      *farm,
@@ -168,11 +168,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
 	return cli.Run("cabench", args, stdout, stderr, err, cli.Spec{
-		Obs: opt.obs,
-		Session: obs.SessionConfig{
-			Spec: opt.cfg, StoreDir: opt.storePath,
-			TraceOut: opt.tracePath, Timeline: opt.timeline,
-		},
+		Flags:  opt.flags,
+		Config: opt.cfg, StoreDir: opt.storePath,
+		TraceOut: opt.tracePath, Timeline: opt.timeline,
 		Body: func(rec *obs.Rec) error {
 			if opt.farm > 0 {
 				return farmRun(opt, rec, stdout, stderr)

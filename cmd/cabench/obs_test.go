@@ -20,18 +20,18 @@ func TestParseArgsObsFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opt.obs.Progress || opt.obs.Manifest != "m.json" || opt.obs.Events != "ev.jsonl" {
-		t.Errorf("obs flags not parsed: %+v", opt.obs)
+	if !opt.flags.Progress || opt.flags.Manifest != "m.json" || opt.flags.Events != "ev.jsonl" {
+		t.Errorf("obs flags not parsed: %+v", opt.flags)
 	}
-	if opt.obs.Prof.CPUPath != "cpu.out" || opt.obs.Prof.MemPath != "mem.out" || opt.obs.Prof.TracePath != "trace.out" {
-		t.Errorf("profiling flags not parsed: %+v", opt.obs.Prof)
+	if opt.flags.Prof.CPUPath != "cpu.out" || opt.flags.Prof.MemPath != "mem.out" || opt.flags.Prof.TracePath != "trace.out" {
+		t.Errorf("profiling flags not parsed: %+v", opt.flags.Prof)
 	}
 
 	opt, err = parseArgs([]string{"-version"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opt.obs.Version {
+	if !opt.flags.Version {
 		t.Error("-version not parsed")
 	}
 }

@@ -45,7 +45,7 @@ type options struct {
 	all     bool   // gc
 	csvPath string // export; empty writes to stdout
 	runID   string // runs
-	prof    obs.Profiler
+	prof    cli.Profiler
 }
 
 const usageText = "usage: calab <inspect|diff|gc|export|verify|pack|index|merge|runs> [flags]\n"
@@ -141,8 +141,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
 	return cli.Run("calab", args, stdout, stderr, err, cli.Spec{
-		Obs:  obs.CLIFlags{Version: opt.cmd == "version", Prof: opt.prof},
-		Body: func(*obs.Rec) error { return dispatch(opt, stdout) },
+		Flags: cli.Flags{Version: opt.cmd == "version", Prof: opt.prof},
+		Body:  func(*obs.Rec) error { return dispatch(opt, stdout) },
 	})
 }
 

@@ -30,7 +30,7 @@ type options struct {
 	csvPath   string
 	storePath string
 	workers   int
-	obs       obs.CLIFlags
+	flags     cli.Flags
 }
 
 // parseArgs parses the flag set into per-scheme workloads. Split out of
@@ -49,12 +49,14 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		store   = fs.String("store", "", "content-addressed result store directory (warm schemes skip simulation)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel scheme workers (1: sequential)")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
+	var fl cli.Flags
+	fl.Register(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return options{}, err
 	}
-
+	if *every < 1 {
+		return options{}, fmt.Errorf("-sample %d: want at least 1", *every)
+	}
 	names := cli.SplitList(*schemes)
 	if len(names) == 0 {
 		return options{}, errors.New("-schemes: empty list")
@@ -71,7 +73,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	return options{
 		ws: ws, schemes: names,
 		csvPath: *csvPath, storePath: *store, workers: *workers,
-		obs: ob,
+		flags: fl,
 	}, nil
 }
 
@@ -82,8 +84,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
 	return cli.Run("camem", args, stdout, stderr, err, cli.Spec{
-		Obs:     opt.obs,
-		Session: obs.SessionConfig{Spec: opt.ws, StoreDir: opt.storePath},
+		Flags:  opt.flags,
+		Config: opt.ws, StoreDir: opt.storePath,
 		Body: func(rec *obs.Rec) error {
 			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
 				return footprint(opt, rec, st, stdout)

@@ -117,6 +117,8 @@ func TestRunFailureModes(t *testing.T) {
 		dev  string // skip unless this device exists
 	}{
 		{"empty scheme list", []string{"-schemes", ","}, 2, ""},
+		{"zero sample interval", append(small, "-sample", "0"), 2, ""},
+		{"negative sample interval", append(small, "-sample", "-200"), 2, ""},
 		{"unopenable store", append(small, "-store", filepath.Join(plain, "store")), 1, ""},
 		{"csv on a full device", append(small, "-csv", "/dev/full"), 1, "/dev/full"},
 	} {

@@ -38,7 +38,7 @@ type options struct {
 	timeline  bool
 	tracePath string
 	list      bool
-	obs       obs.CLIFlags
+	flags     cli.Flags
 }
 
 // parseArgs parses the flag set into a scenario binding, applying the
@@ -65,15 +65,15 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		trPath  = fs.String("trace", "", "write a Chrome trace_event JSON file of every simulated trial")
 		store   = fs.String("store", "", "content-addressed result store directory (warm trials skip simulation)")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
+	var fl cli.Flags
+	fl.Register(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return options{}, err
 	}
 	// -version and -list need no scenario; they win before the
 	// one-of-preset/file/list requirement can reject the command line.
-	if ob.Version {
-		return options{obs: ob}, nil
+	if fl.Version {
+		return options{flags: fl}, nil
 	}
 	if *list {
 		return options{list: true}, nil
@@ -118,7 +118,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		tail:      *tail,
 		timeline:  *tline,
 		tracePath: *trPath,
-		obs:       ob,
+		flags:     fl,
 	}, nil
 }
 
@@ -134,14 +134,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	return cli.Run("cascenario", args, stdout, stderr, err, cli.Spec{
-		Obs: opt.obs,
-		Session: obs.SessionConfig{
-			Spec: struct {
-				Schemes  []string
-				Scenario bench.ScenarioWorkload
-			}{opt.schemes, opt.sw},
-			StoreDir: opt.storePath, TraceOut: opt.tracePath, Timeline: opt.timeline,
-		},
+		Flags: opt.flags,
+		Config: struct {
+			Schemes  []string
+			Scenario bench.ScenarioWorkload
+		}{opt.schemes, opt.sw},
+		StoreDir: opt.storePath, TraceOut: opt.tracePath, Timeline: opt.timeline,
 		Body: func(rec *obs.Rec) error {
 			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
 				return runScenarios(opt, rec, st, stdout, stderr)

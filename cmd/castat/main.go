@@ -26,7 +26,7 @@ import (
 type options struct {
 	w       bench.Workload
 	schemes []string
-	obs     obs.CLIFlags
+	flags   cli.Flags
 }
 
 // parseArgs parses the flag set into a workload template plus scheme list.
@@ -43,8 +43,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		dist    = fs.String("dist", "uniform", "key distribution: uniform or zipf")
 		seed    = fs.Uint64("seed", 1, "RNG seed")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
+	var fl cli.Flags
+	fl.Register(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return options{}, err
 	}
@@ -60,7 +60,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 			RecordLatency: true,
 		},
 		schemes: schemeList,
-		obs:     ob,
+		flags:   fl,
 	}, nil
 }
 
@@ -71,9 +71,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
 	return cli.Run("castat", args, stdout, stderr, err, cli.Spec{
-		Obs:     opt.obs,
-		Session: obs.SessionConfig{Spec: opt.w},
-		Body:    func(rec *obs.Rec) error { return stat(opt, rec, stdout) },
+		Flags:  opt.flags,
+		Config: opt.w,
+		Body:   func(rec *obs.Rec) error { return stat(opt, rec, stdout) },
 	})
 }
 

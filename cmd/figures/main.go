@@ -49,7 +49,7 @@ type options struct {
 	g         generator
 	fig       string
 	storePath string
-	obs       obs.CLIFlags
+	flags     cli.Flags
 }
 
 // parseArgs parses the flag set and resolves the experiment scale. Split
@@ -66,8 +66,8 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel trial workers (1: sequential)")
 		store   = fs.String("store", "", "content-addressed result store directory (warm cells skip simulation)")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
+	var fl cli.Flags
+	fl.Register(fs)
 	if err := cli.Parse(fs, args); err != nil {
 		return options{}, err
 	}
@@ -92,7 +92,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		},
 		fig:       *fig,
 		storePath: *store,
-		obs:       ob,
+		flags:     fl,
 	}, nil
 }
 
@@ -105,20 +105,18 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseArgs(args, stderr)
 	return cli.Run("figures", args, stdout, stderr, err, cli.Spec{
-		Obs: opt.obs,
-		Session: obs.SessionConfig{
-			Spec: struct {
-				Fig     string `json:"fig"`
-				Threads []int  `json:"threads"`
-				Ops     int    `json:"ops"`
-				Trials  int    `json:"trials"`
-				MemOps  int    `json:"memOps"`
-				Workers int    `json:"workers"`
-				Seed    uint64 `json:"seed"`
-				Check   bool   `json:"check"`
-			}{opt.fig, opt.g.threads, opt.g.ops, opt.g.trials, opt.g.memOps, opt.g.workers, opt.g.seed, opt.g.check},
-			StoreDir: opt.storePath,
-		},
+		Flags: opt.flags,
+		Config: struct {
+			Fig     string `json:"fig"`
+			Threads []int  `json:"threads"`
+			Ops     int    `json:"ops"`
+			Trials  int    `json:"trials"`
+			MemOps  int    `json:"memOps"`
+			Workers int    `json:"workers"`
+			Seed    uint64 `json:"seed"`
+			Check   bool   `json:"check"`
+		}{opt.fig, opt.g.threads, opt.g.ops, opt.g.trials, opt.g.memOps, opt.g.workers, opt.g.seed, opt.g.check},
+		StoreDir: opt.storePath,
 		Body: func(rec *obs.Rec) error {
 			return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
 				g := opt.g

@@ -30,6 +30,7 @@ func TestRunRejectsBadWorkloads(t *testing.T) {
 		{DS: "list", Scheme: "ca", Threads: 1, KeyRange: 10, OpsPerThread: 1, UpdatePct: 150},
 		{DS: "wat", Scheme: "ca", Threads: 1, KeyRange: 10, OpsPerThread: 1},
 		{DS: "list", Scheme: "wat", Threads: 1, KeyRange: 10, OpsPerThread: 1},
+		{DS: "list", Scheme: "ca", Threads: 1, KeyRange: 10, OpsPerThread: 1, FootprintEvery: -1},
 	}
 	for i, w := range bad {
 		if _, err := Run(w); err == nil {

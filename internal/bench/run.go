@@ -182,15 +182,12 @@ func Run(w Workload) (Result, error) {
 	return r.Run(w)
 }
 
-// validate rejects malformed workloads up front — including the fields
-// (distribution, scheme, buckets) that historically failed later, mid-build
-// or after the prefill had already run.
+// validate rejects a malformed stationary workload up front: the binding
+// checks every trial shares, then the update percentage and op count that
+// only a stationary workload has.
 func validate(w *Workload) error {
-	if w.Threads <= 0 || w.Threads > 64 {
-		return fmt.Errorf("bench: threads %d out of [1,64]", w.Threads)
-	}
-	if w.KeyRange == 0 {
-		return fmt.Errorf("bench: key range must be positive")
+	if err := validBinding(w); err != nil {
+		return err
 	}
 	if w.UpdatePct < 0 || w.UpdatePct > 100 {
 		return fmt.Errorf("bench: update pct %d out of [0,100]", w.UpdatePct)
@@ -198,8 +195,26 @@ func validate(w *Workload) error {
 	if w.OpsPerThread <= 0 {
 		return fmt.Errorf("bench: ops per thread must be positive")
 	}
+	return nil
+}
+
+// validBinding checks the fields a Workload shares with a ScenarioWorkload
+// (a scenario trial passes its binding's Workload view), including those
+// (distribution, scheme, buckets) that historically failed later, mid-build
+// or after the prefill had already run. Scenario-structural checks live in
+// scenario.Validate and the binding-dependent ones in compileScenario.
+func validBinding(w *Workload) error {
+	if w.Threads <= 0 || w.Threads > 64 {
+		return fmt.Errorf("bench: threads %d out of [1,64]", w.Threads)
+	}
+	if w.KeyRange == 0 {
+		return fmt.Errorf("bench: key range must be positive")
+	}
 	if w.Buckets < 0 {
 		return fmt.Errorf("bench: buckets %d must be non-negative", w.Buckets)
+	}
+	if w.FootprintEvery < 0 {
+		return fmt.Errorf("bench: footprint interval %d must be non-negative", w.FootprintEvery)
 	}
 	if err := validTimelineWindow(w.TimelineWindow); err != nil {
 		return err

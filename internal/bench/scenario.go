@@ -128,29 +128,20 @@ type scenarioPlan struct {
 	roleOf []int       // [thread] -> role index
 }
 
-// validateScenarioWorkload checks the binding the way validate checks a
-// Workload; scenario-structural checks live in scenario.Validate and the
-// binding-dependent ones in compileScenario.
-func validateScenarioWorkload(sw *ScenarioWorkload) error {
-	if sw.Threads <= 0 || sw.Threads > 64 {
-		return fmt.Errorf("bench: threads %d out of [1,64]", sw.Threads)
+// binding rephrases the binding as a Workload, for the shared checks
+// (validBinding), the build and prefill paths, and Result.W, so
+// Result.String and downstream reporting keep working. The per-phase fields
+// stay zero.
+func (sw *ScenarioWorkload) binding() Workload {
+	return Workload{
+		DS: sw.DS, Scheme: sw.Scheme,
+		Threads: sw.Threads, KeyRange: sw.KeyRange, Buckets: sw.Buckets,
+		Seed: sw.Seed, Check: sw.Check,
+		SMR: sw.SMR, Cache: sw.Cache, Slack: sw.Slack,
+		Dist: sw.Dist, FootprintEvery: sw.FootprintEvery,
+		RecordLatency: sw.RecordLatency, RecordTail: sw.RecordTail,
+		RecordTimeline: sw.RecordTimeline, TimelineWindow: sw.TimelineWindow,
 	}
-	if sw.KeyRange == 0 {
-		return fmt.Errorf("bench: key range must be positive")
-	}
-	if sw.Buckets < 0 {
-		return fmt.Errorf("bench: buckets %d must be non-negative", sw.Buckets)
-	}
-	if err := validTimelineWindow(sw.TimelineWindow); err != nil {
-		return err
-	}
-	if err := validDist(sw.Dist); err != nil {
-		return err
-	}
-	if err := validDS(sw.DS); err != nil {
-		return err
-	}
-	return validScheme(sw.Scheme)
 }
 
 // compileScenario resolves defaults, checks the scenario against the
@@ -293,22 +284,25 @@ func compileProfile(p scenario.Profile) (workFn, error) {
 // thread's workload RNG stream is created once and carried across phases
 // (phases continue the stream; they do not replay it).
 //
-// With a Store attached, the trial is read-through/write-through cached
-// under the scenario's canonical spec: a warm call returns the cold call's
-// exact serialized result without simulating. (The stationary Workload path
-// keys on the Workload itself in Run and calls runScenario directly, so one
-// trial is never cached under two keys.)
+// A malformed binding is rejected before the store is consulted. With a
+// Store attached, the trial is read-through/write-through cached under the
+// scenario's canonical spec: a warm call returns the cold call's exact
+// serialized result without simulating. (The stationary Workload path
+// validates and keys on the Workload itself in Run and calls runScenario
+// directly, so one trial is never checked twice or cached under two keys.)
 func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
+	wv := sw.binding()
+	if err := validBinding(&wv); err != nil {
+		return ScenarioResult{}, err
+	}
 	return readThrough(r, func() ([]byte, error) { return ScenarioSpecBytes(sw) },
 		TrialStore.LookupScenarioSpec, TrialStore.StoreScenarioSpec,
 		func() (ScenarioResult, error) { return r.runScenario(sw) })
 }
 
-// runScenario is the uncached scenario engine behind RunScenario.
+// runScenario is the uncached scenario engine behind RunScenario and Run,
+// which have validated the binding.
 func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
-	if err := validateScenarioWorkload(&sw); err != nil {
-		return ScenarioResult{}, err
-	}
 	plan, err := compileScenario(sw)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -330,18 +324,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	}
 	m := r.acquire(cfg)
 
-	// wv is the binding rephrased as a Workload for the shared build and
-	// prefill paths (and for Result.W, so Result.String and downstream
-	// reporting keep working; the per-phase fields stay zero).
-	wv := Workload{
-		DS: sw.DS, Scheme: sw.Scheme,
-		Threads: sw.Threads, KeyRange: sw.KeyRange, Buckets: sw.Buckets,
-		Seed: sw.Seed, Check: sw.Check,
-		SMR: sw.SMR, Cache: sw.Cache, Slack: sw.Slack,
-		Dist: sw.Dist, FootprintEvery: sw.FootprintEvery,
-		RecordLatency: sw.RecordLatency, RecordTail: sw.RecordTail,
-		RecordTimeline: sw.RecordTimeline, TimelineWindow: sw.TimelineWindow,
-	}
+	wv := sw.binding()
 	b, err := build(m, wv)
 	if err != nil {
 		return ScenarioResult{}, err

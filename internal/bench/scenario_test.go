@@ -313,6 +313,7 @@ func TestScenarioRejectsBadBindings(t *testing.T) {
 		"threads":        func(sw *ScenarioWorkload) { sw.Threads = 0 },
 		"key range":      func(sw *ScenarioWorkload) { sw.KeyRange = 0 },
 		"buckets":        func(sw *ScenarioWorkload) { sw.Buckets = -1 },
+		"footprint":      func(sw *ScenarioWorkload) { sw.FootprintEvery = -1 },
 		"dist":           func(sw *ScenarioWorkload) { sw.Dist = "pareto" },
 		"ds":             func(sw *ScenarioWorkload) { sw.DS = "wat" },
 		"scheme":         func(sw *ScenarioWorkload) { sw.Scheme = "wat" },

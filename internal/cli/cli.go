@@ -1,6 +1,7 @@
 // Package cli is the scaffold every command under cmd/ runs on: the exit
-// contract, the observability session, the result-store lifecycle and
-// checked output files, written once.
+// contract, the shared flag block and profiler, the run session around the
+// observability recorder, the result-store lifecycle and checked output
+// files, written once.
 //
 // The exit contract: -h exits 0; a command-line error exits 2 after one
 // "tool: ..." line on stderr (or after the flag package's own report);
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strings"
 
 	"condaccess/internal/bench"
@@ -46,13 +48,48 @@ func Parse(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
+// Flags is the flag block every command shares: -version, the recorder's
+// outputs (-progress, -manifest, -events) and the profiles.
+type Flags struct {
+	Version  bool
+	Progress bool
+	Manifest string
+	Events   string
+	Prof     Profiler
+}
+
+// Register installs the shared flag block on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.BoolVar(&f.Version, "version", false, "print tool, module version, and engine tag, then exit")
+	fs.BoolVar(&f.Progress, "progress", false, "render live run progress (trials done, rate, ETA, warm %) on stderr")
+	fs.StringVar(&f.Manifest, "manifest", "", "write the run manifest JSON to this path (default with -store: <store>/runs/<runid>.json)")
+	fs.StringVar(&f.Events, "events", "", "append JSONL run events (run/point/trials/store_flush) to this file")
+	f.Prof.Register(fs)
+}
+
+// VersionLine renders the -version output every command prints: tool,
+// module path and version, and the engine tag that scopes store keys and
+// goldens.
+func VersionLine(tool, engineTag string) string {
+	path := "condaccess"
+	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Path != "" {
+		path = bi.Main.Path
+	}
+	return fmt.Sprintf("%s %s %s engine %s", tool, path, obs.Version(), engineTag)
+}
+
 // Spec is one parsed invocation: what Run needs beyond the parser's error.
 type Spec struct {
-	// Obs is the parsed observability flag block.
-	Obs obs.CLIFlags
-	// Session holds the run's manifest fields (Spec, StoreDir, TraceOut,
-	// Timeline); Run fills in Tool, EngineTag, Args and Stderr.
-	Session obs.SessionConfig
+	// Flags is the parsed shared flag block.
+	Flags Flags
+	// Config, StoreDir, TraceOut and Timeline go into the run manifest:
+	// the run's full configuration, the store root ("" if none; a store
+	// defaults the manifest into its runs/ directory), the -trace output
+	// path, and whether windowed timelines were recorded.
+	Config   any
+	StoreDir string
+	TraceOut string
+	Timeline bool
 	// Body is the command proper. rec may be nil; its methods are nil-safe.
 	Body func(rec *obs.Rec) error
 }
@@ -60,7 +97,8 @@ type Spec struct {
 // Run executes one invocation of tool under the exit contract and returns
 // the exit code. parseErr is the parser's result: flag.ErrHelp exits 0,
 // any other error is a command-line error. A session teardown failure
-// (manifest write, profile flush) surfaces only when the body succeeded.
+// (manifest write, event log, profile flush) surfaces only when the body
+// succeeded.
 func Run(tool string, args []string, stdout, stderr io.Writer, parseErr error, spec Spec) int {
 	if parseErr != nil {
 		if errors.Is(parseErr, flag.ErrHelp) {
@@ -71,24 +109,64 @@ func Run(tool string, args []string, stdout, stderr io.Writer, parseErr error, s
 		}
 		return 2
 	}
-	if spec.Obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine(tool, bench.EngineTag()))
+	if spec.Flags.Version {
+		fmt.Fprintln(stdout, VersionLine(tool, bench.EngineTag()))
 		return 0
 	}
-	cfg := spec.Session
-	cfg.Tool, cfg.EngineTag, cfg.Args, cfg.Stderr = tool, bench.EngineTag(), args, stderr
-	sess, err := spec.Obs.Start(cfg)
-	if err == nil {
-		err = spec.Body(sess.Rec)
-		if cerr := sess.Close(err); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := spec.session(tool, args, stderr); err != nil {
 		fmt.Fprintln(stderr, tool+":", err)
 		return 1
 	}
 	return 0
+}
+
+// session runs the body with the profiles started and, when some output
+// wants one (-progress, -manifest, -events, or a store to default the
+// manifest into), a live recorder. Teardown runs on every path, in order:
+// the recorder's Close (manifest and run_done), the event log's flush and
+// close, the profiles' stop. The body's error wins, then the first
+// teardown error.
+func (s *Spec) session(tool string, args []string, stderr io.Writer) (err error) {
+	f := &s.Flags
+	if err = f.Prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := f.Prof.Stop(); err == nil {
+			err = perr
+		}
+	}()
+	cfg := obs.Config{
+		Tool: tool, Args: args, EngineTag: bench.EngineTag(), Spec: s.Config,
+		ManifestPath: f.Manifest, TraceOut: s.TraceOut, Timeline: s.Timeline,
+	}
+	if f.Manifest == "" && s.StoreDir != "" {
+		cfg.ManifestDir = obs.RunsDir(s.StoreDir)
+	}
+	if f.Progress {
+		cfg.Progress = stderr
+	}
+	if f.Events != "" {
+		// Buffer the JSONL stream: events are small and frequent, and the
+		// recorder writes them from the run's hot path. The deferred Close
+		// flushes them before the file closes, on the failure path too;
+		// ev and oerr, not err, so that it sees the named result.
+		ev, oerr := openFile(f.Events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if oerr != nil {
+			return oerr
+		}
+		defer Close(ev, &err)
+		cfg.Events = ev
+	}
+	var rec *obs.Rec
+	if cfg.Progress != nil || cfg.Events != nil || cfg.ManifestPath != "" || cfg.ManifestDir != "" {
+		rec = obs.New(cfg)
+	}
+	err = s.Body(rec)
+	if cerr := rec.Close(err); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WithStore runs body against the result store at dir, or against an
@@ -136,7 +214,13 @@ type File struct {
 
 // Create creates or truncates the output file at path.
 func Create(path string) (*File, error) {
-	f, err := os.Create(path)
+	return openFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o666)
+}
+
+// openFile opens the output file at path with os.OpenFile's flags and
+// permissions.
+func openFile(path string, oflag int, perm os.FileMode) (*File, error) {
+	f, err := os.OpenFile(path, oflag, perm)
 	if err != nil {
 		return nil, err
 	}

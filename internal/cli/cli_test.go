@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,8 +24,8 @@ var tiny = bench.Workload{DS: "list", Scheme: "ca", Threads: 1, KeyRange: 16, Up
 // all of that.
 func stub(args []string, stdout, stderr io.Writer) int {
 	fs := NewFlagSet("stub", stderr)
-	var ob obs.CLIFlags
-	ob.Register(fs)
+	var fl Flags
+	fl.Register(fs)
 	bad := fs.Bool("bad", false, "reject the command line")
 	put := fs.Bool("put", false, "run one trial through the store")
 	store := fs.String("store", "", "result store directory")
@@ -35,8 +36,8 @@ func stub(args []string, stdout, stderr io.Writer) int {
 		err = errors.New("bad command line")
 	}
 	return Run("stub", args, stdout, stderr, err, Spec{
-		Obs:     ob,
-		Session: obs.SessionConfig{StoreDir: *store},
+		Flags:    fl,
+		StoreDir: *store,
 		Body: func(rec *obs.Rec) error {
 			return WithStore(*store, rec, stderr, func(st bench.TrialStore) (err error) {
 				if *put {
@@ -73,6 +74,7 @@ func TestRunContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	badManifest := filepath.Join(plain, "m.json") // its directory is a file
+	missing := filepath.Join(dir, "missing")      // a directory never created
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -84,7 +86,7 @@ func TestRunContract(t *testing.T) {
 		{"help", []string{"-h"}, 0, "", "Usage of stub:...", ""},
 		{"bad flag printed once", []string{"-nosuch"}, 2, "", "flag provided but not defined: -nosuch\nUsage of stub:...", ""},
 		{"command-line error", []string{"-bad"}, 2, "", "stub: bad command line\n", ""},
-		{"version", []string{"-version"}, 0, obs.VersionLine("stub", bench.EngineTag()) + "\n", "", ""},
+		{"version", []string{"-version"}, 0, VersionLine("stub", bench.EngineTag()) + "\n", "", ""},
 		{"success", nil, 0, "ran\n", "", ""},
 		{"runtime error", []string{"-fail", "boom"}, 1, "ran\n", "stub: boom\n", ""},
 		{"unopenable store", []string{"-store", filepath.Join(plain, "store")}, 1, "", "stub: ...", ""},
@@ -93,6 +95,9 @@ func TestRunContract(t *testing.T) {
 		{"teardown error surfaces on success", []string{"-manifest", badManifest}, 1, "ran\n", "stub: obs: ...", ""},
 		{"body error wins over teardown", []string{"-manifest", badManifest, "-fail", "boom"}, 1, "ran\n", "stub: boom\n", ""},
 		{"csv on a full device", []string{"-csv", "/dev/full"}, 1, "ran\n", "stub: write /dev/full: no space left on device\n", "/dev/full"},
+		{"events on a full device", []string{"-events", "/dev/full"}, 1, "ran\n", "stub: write /dev/full: no space left on device\n", "/dev/full"},
+		{"events in a missing directory", []string{"-events", filepath.Join(missing, "ev.jsonl")}, 1, "", "stub: ...", ""},
+		{"cpu profile in a missing directory", []string{"-cpuprofile", filepath.Join(missing, "cpu")}, 1, "", "stub: obs: open ...", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.dev != "" {
@@ -182,5 +187,178 @@ func TestCloseKeepsFirstError(t *testing.T) {
 		if err != tc.want {
 			t.Errorf("held %v, close %v: got %v, want %v", tc.held, tc.closeErr, err, tc.want)
 		}
+	}
+}
+
+func TestVersionLine(t *testing.T) {
+	line := VersionLine("cabench", "abc123")
+	if !strings.HasPrefix(line, "cabench ") || !strings.HasSuffix(line, "engine abc123") {
+		t.Errorf("VersionLine = %q", line)
+	}
+}
+
+// TestProfiler exercises the shared -cpuprofile/-memprofile/-exectrace
+// plumbing end to end: all three files exist and are non-empty after Stop.
+func TestProfiler(t *testing.T) {
+	dir := t.TempDir()
+	p := Profiler{
+		CPUPath:   filepath.Join(dir, "cpu.pprof"),
+		MemPath:   filepath.Join(dir, "mem.pprof"),
+		TracePath: filepath.Join(dir, "trace.out"),
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sink := 0
+	for i := 0; i < 1000; i++ {
+		sink += i
+	}
+	_ = sink
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{p.CPUPath, p.MemPath, p.TracePath} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+	}
+	if err := p.Stop(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+}
+
+// runBody runs body as tool "t" under Run with the given flags and manifest
+// fields, returning the exit code and stderr.
+func runBody(spec Spec, body func(rec *obs.Rec) error) (int, string) {
+	var stderr strings.Builder
+	spec.Body = body
+	return Run("t", nil, io.Discard, &stderr, nil, spec), stderr.String()
+}
+
+// TestSessionEventsFlushedOnError pins the -events teardown contract: the
+// buffered JSONL writer is flushed and the file closed on the failure path
+// too, so a run that errors out (stores failing, trials abandoned) still
+// leaves a complete event log ending in the run_done trailer that carries
+// the error.
+func TestSessionEventsFlushedOnError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "events.jsonl")
+	code, stderr := runBody(Spec{Flags: Flags{Events: path}}, func(rec *obs.Rec) error {
+		if rec == nil {
+			t.Fatal("Rec missing with -events set")
+		}
+		rec.AddPoints([]string{"a"}, 2)
+		w := rec.Worker(0)
+		rec.PointStart(0)
+		w.Start(obs.PhaseSimulate)
+		w.Commit(0)
+		w.Start(obs.PhaseSimulate)
+		w.Abandon() // the failing trial's spans are discarded, not committed
+		return errors.New("store write failed")
+	})
+	if code != 1 || stderr != "t: store write failed\n" {
+		t.Fatalf("exit %d, stderr %q; want 1 and only the run error", code, stderr)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("event log holds %d lines, want at least run_start/trials/run_done:\n%s", len(lines), data)
+	}
+	type ev struct {
+		Ev    string `json:"ev"`
+		Error string `json:"error"`
+	}
+	var last ev
+	for _, l := range lines {
+		var e ev
+		if err := json.Unmarshal([]byte(l), &e); err != nil {
+			t.Fatalf("unparsable (truncated?) event %q: %v", l, err)
+		}
+		last = e
+	}
+	if last.Ev != "run_done" || last.Error != "store write failed" {
+		t.Errorf("final event = %+v, want run_done carrying the run error", last)
+	}
+}
+
+// TestManifestRecordsTraceOutputs: the session's trace/timeline bookkeeping
+// lands in the manifest, and stays omitted when off.
+func TestManifestRecordsTraceOutputs(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.json")
+	ok := func(*obs.Rec) error { return nil }
+	if code, stderr := runBody(Spec{Flags: Flags{Manifest: path}, TraceOut: "/tmp/run.trace.json", Timeline: true}, ok); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	m, err := obs.ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.TraceOut != "/tmp/run.trace.json" || !m.Timeline {
+		t.Errorf("manifest trace fields = %q/%v", m.TraceOut, m.Timeline)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"traceOut"`) {
+		t.Error("traceOut key missing from manifest JSON")
+	}
+
+	// Off: the omitempty fields disappear from the document entirely.
+	path2 := filepath.Join(dir, "m2.json")
+	if code, stderr := runBody(Spec{Flags: Flags{Manifest: path2}}, ok); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	raw, err = os.ReadFile(path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "traceOut") || strings.Contains(string(raw), `"timeline"`) {
+		t.Error("trace fields serialized despite being off")
+	}
+}
+
+// TestRecOnlyWhenAsked pins the session contract: with no obs flag and no
+// store, the body's recorder is nil (recording fully off); with a manifest
+// path it is live.
+func TestRecOnlyWhenAsked(t *testing.T) {
+	wantRec := func(want bool) func(*obs.Rec) error {
+		return func(rec *obs.Rec) error {
+			if (rec != nil) != want {
+				return fmt.Errorf("recorder live = %v, want %v", rec != nil, want)
+			}
+			return nil
+		}
+	}
+	if code, stderr := runBody(Spec{}, wantRec(false)); code != 0 {
+		t.Errorf("no obs configuration: exit %d: %s", code, stderr)
+	}
+
+	manifest := filepath.Join(t.TempDir(), "m.json")
+	if code, stderr := runBody(Spec{Flags: Flags{Manifest: manifest}}, wantRec(true)); code != 0 {
+		t.Fatalf("-manifest: exit %d: %s", code, stderr)
+	}
+	if _, err := os.Stat(manifest); err != nil {
+		t.Errorf("manifest not written: %v", err)
+	}
+
+	// A store directory alone auto-archives into <store>/runs.
+	storeDir := t.TempDir()
+	if code, stderr := runBody(Spec{StoreDir: storeDir}, wantRec(true)); code != 0 {
+		t.Fatalf("store directory: exit %d: %s", code, stderr)
+	}
+	runs, err := obs.ListRuns(obs.RunsDir(storeDir))
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("auto-archived runs = %v, %v; want exactly one", runs, err)
 	}
 }

@@ -1,8 +1,9 @@
-// Shared profiling entry points. Every CLI registers the same three flags —
-// -cpuprofile, -memprofile, -exectrace — through one Profiler, so profiling
-// any command is uniform and the start/stop ordering (trace and CPU profile
-// stopped before the heap snapshot) lives in one place.
-package obs
+// Shared profiling entry points. Every command registers the same three
+// flags — -cpuprofile, -memprofile, -exectrace — through one Profiler, so
+// profiling any command is uniform and the start/stop ordering (trace and
+// CPU profile stopped before the heap snapshot) lives in one place. Its
+// errors carry an "obs: " prefix, which the commands' stderr lines keep.
+package cli
 
 import (
 	"flag"
@@ -71,38 +72,34 @@ func (p *Profiler) stopCPU() error {
 }
 
 // Stop finishes every active profile: CPU profile and execution trace are
-// flushed and closed, then the heap snapshot (post-GC, so it shows retained
-// memory, not garbage) is written. Safe to call when nothing was started.
+// flushed and closed, then the heap snapshot is written. Safe to call when
+// nothing was started. The first failure wins.
 func (p *Profiler) Stop() error {
-	var first error
-	if err := p.stopCPU(); err != nil && first == nil {
-		first = err
-	}
+	err := p.stopCPU()
 	if p.traceFile != nil {
 		trace.Stop()
-		if err := p.traceFile.Close(); err != nil && first == nil {
-			first = err
-		}
+		Close(p.traceFile, &err)
 		p.traceFile = nil
 	}
 	if p.MemPath != "" {
-		f, err := os.Create(p.MemPath)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-		} else {
-			runtime.GC()
-			if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil && first == nil {
-				first = err
-			}
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
+		if herr := writeHeap(p.MemPath); err == nil {
+			err = herr
 		}
 	}
-	if first != nil {
-		return fmt.Errorf("obs: stopping profiles: %w", first)
+	if err != nil {
+		return fmt.Errorf("obs: stopping profiles: %w", err)
 	}
 	return nil
+}
+
+// writeHeap writes the heap profile to path, after a GC so it shows
+// retained memory, not garbage.
+func writeHeap(path string) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer Close(f, &err)
+	runtime.GC()
+	return pprof.Lookup("heap").WriteTo(f, 0)
 }

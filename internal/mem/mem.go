@@ -120,9 +120,6 @@ func (s *Space) grow(minLines uint32) {
 	}
 }
 
-// LineOf returns the line-aligned base address containing a.
-func LineOf(a Addr) Addr { return a &^ (LineBytes - 1) }
-
 // lineIndex returns the line number containing a, panicking on addresses
 // outside the space.
 func (s *Space) lineIndex(a Addr) uint32 {
@@ -215,9 +212,6 @@ func (s *Space) SetCheckUAF(on bool) {
 	s.setLimit()
 }
 
-// CheckUAF reports whether use-after-free checking is enabled.
-func (s *Space) CheckUAF() bool { return s.checkUAF }
-
 // setLimit recomputes the fast-path bound after nextLine or checkUAF
 // changes: zero under checkUAF so every access is fully validated.
 func (s *Space) setLimit() {
@@ -305,13 +299,6 @@ func (s *Space) Live(a Addr) bool { return s.lines[s.lineIndex(a)].state == line
 
 // Stats returns a copy of the allocator statistics.
 func (s *Space) Stats() Stats { return s.stats }
-
-// Lines returns the number of lines ever carved from the heap (the high-water
-// mark of the simulated address space).
-func (s *Space) Lines() int { return int(s.nextLine) }
-
-// FreeListLen returns the number of lines currently in the free list.
-func (s *Space) FreeListLen() int { return len(s.freeList) }
 
 // Hash returns a cheap fingerprint of all live heap contents. The
 // determinism tests use it to prove that two runs with the same seed produce

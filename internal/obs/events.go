@@ -34,8 +34,11 @@ type event struct {
 }
 
 // eventLog serializes events onto one writer. Callers already hold r.mu, so
-// no extra locking; write errors are dropped — the event stream is advisory
-// and must never fail a run.
+// no extra locking. emit drops write errors, so a failing event stream never
+// stops a run midway; but the commands write through a buffer that keeps its
+// first error, and the session reports that error at teardown, so
+// "cabench -events /dev/full" prints its sweep and then exits 1 with
+// "cabench: write /dev/full: no space left on device".
 type eventLog struct {
 	w io.Writer
 

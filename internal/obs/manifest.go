@@ -298,13 +298,3 @@ func Version() string {
 	}
 	return "(unknown)"
 }
-
-// VersionLine renders the -version output every CLI prints: tool, module
-// path and version, and the engine tag that scopes store keys and goldens.
-func VersionLine(tool, engineTag string) string {
-	path := "condaccess"
-	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Path != "" {
-		path = bi.Main.Path
-	}
-	return fmt.Sprintf("%s %s %s engine %s", tool, path, Version(), engineTag)
-}

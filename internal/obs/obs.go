@@ -1,9 +1,9 @@
 // Package obs is the out-of-band observability layer: it records where a
 // run's wall-clock goes (per-trial phase spans, store flush/fsync timings),
 // aggregates the spans into a run manifest (manifest.go), optionally streams
-// machine-readable progress events as JSONL (events.go), renders live
-// progress on stderr (progress.go), and hosts the shared profiling and CLI
-// flag plumbing (profile.go, cli.go).
+// machine-readable progress events as JSONL (events.go), and renders live
+// progress on stderr (progress.go). The commands' flags, profiles and run
+// session around the recorder live in internal/cli.
 //
 // Everything here is strictly observational. Recording changes no simulated
 // result, no stdout byte, and no store content key: a run with observability

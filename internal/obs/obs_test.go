@@ -371,100 +371,6 @@ func TestRunIDFormat(t *testing.T) {
 	}
 }
 
-func TestVersionLine(t *testing.T) {
-	line := VersionLine("cabench", "abc123")
-	if !strings.HasPrefix(line, "cabench ") || !strings.HasSuffix(line, "engine abc123") {
-		t.Errorf("VersionLine = %q", line)
-	}
-}
-
-// TestProfiler exercises the shared -cpuprofile/-memprofile/-exectrace
-// plumbing end to end: all three files exist and are non-empty after Stop.
-func TestProfiler(t *testing.T) {
-	dir := t.TempDir()
-	p := Profiler{
-		CPUPath:   filepath.Join(dir, "cpu.pprof"),
-		MemPath:   filepath.Join(dir, "mem.pprof"),
-		TracePath: filepath.Join(dir, "trace.out"),
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sink := 0
-	for i := 0; i < 1000; i++ {
-		sink += i
-	}
-	_ = sink
-	if err := p.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{p.CPUPath, p.MemPath, p.TracePath} {
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Errorf("%s: %v", path, err)
-			continue
-		}
-		if st.Size() == 0 {
-			t.Errorf("%s is empty", path)
-		}
-	}
-	if err := p.Stop(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-}
-
-// TestSessionEventsFlushedOnError pins the -events teardown contract: the
-// buffered JSONL writer is flushed and the file closed on the failure path
-// too, so a run that errors out (stores failing, trials abandoned) still
-// leaves a complete event log ending in the run_done trailer that carries
-// the error.
-func TestSessionEventsFlushedOnError(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.jsonl")
-	c := CLIFlags{Events: path}
-	sess, err := c.Start(SessionConfig{Tool: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Rec == nil {
-		t.Fatal("Rec missing with -events set")
-	}
-	sess.Rec.AddPoints([]string{"a"}, 2)
-	w := sess.Rec.Worker(0)
-	sess.Rec.PointStart(0)
-	w.Start(PhaseSimulate)
-	w.Commit(0)
-	w.Start(PhaseSimulate)
-	w.Abandon() // the failing trial's spans are discarded, not committed
-	if err := sess.Close(errors.New("store write failed")); err != nil {
-		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("event log holds %d lines, want at least run_start/trials/run_done:\n%s", len(lines), data)
-	}
-	type ev struct {
-		Ev    string `json:"ev"`
-		Error string `json:"error"`
-	}
-	var last ev
-	for _, l := range lines {
-		var e ev
-		if err := json.Unmarshal([]byte(l), &e); err != nil {
-			t.Fatalf("unparsable (truncated?) event %q: %v", l, err)
-		}
-		last = e
-	}
-	if last.Ev != "run_done" || last.Error != "store write failed" {
-		t.Errorf("final event = %+v, want run_done carrying the run error", last)
-	}
-}
-
 // TestProgressBoundedUpdatesWarmSweep pins the rate limiter under the worst
 // realistic load: a fully-warm 540-trial sweep whose trials commit every
 // couple of fake milliseconds. The plain renderer must emit at least one
@@ -497,103 +403,5 @@ func TestProgressBoundedUpdatesWarmSweep(t *testing.T) {
 	final := buf.String()
 	if !strings.Contains(final, "progress: 540/540 trials") || !strings.Contains(final, "warm 100%") {
 		t.Errorf("final render missing totals: %q", final)
-	}
-}
-
-// TestManifestRecordsTraceOutputs: the session's trace/timeline bookkeeping
-// lands in the manifest, and stays omitted when off.
-func TestManifestRecordsTraceOutputs(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.json")
-	c := CLIFlags{Manifest: path}
-	sess, err := c.Start(SessionConfig{Tool: "t", TraceOut: "/tmp/run.trace.json", Timeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TraceOut != "/tmp/run.trace.json" || !m.Timeline {
-		t.Errorf("manifest trace fields = %q/%v", m.TraceOut, m.Timeline)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"traceOut"`) {
-		t.Error("traceOut key missing from manifest JSON")
-	}
-
-	// Off: the omitempty fields disappear from the document entirely.
-	path2 := filepath.Join(dir, "m2.json")
-	c = CLIFlags{Manifest: path2}
-	sess, err = c.Start(SessionConfig{Tool: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), "traceOut") || strings.Contains(string(raw), `"timeline"`) {
-		t.Error("trace fields serialized despite being off")
-	}
-}
-
-// TestCLIFlagsRecOnlyWhenAsked pins the Session contract: with no obs flag
-// and no store, the session's recorder is nil (recording fully off); with a
-// manifest path it is live.
-func TestCLIFlagsRecOnlyWhenAsked(t *testing.T) {
-	var c CLIFlags
-	sess, err := c.Start(SessionConfig{Tool: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Rec != nil {
-		t.Error("Rec created with no obs configuration")
-	}
-	if err := sess.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	c = CLIFlags{Manifest: filepath.Join(dir, "m.json")}
-	sess, err = c.Start(SessionConfig{Tool: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Rec == nil {
-		t.Fatal("Rec missing with -manifest set")
-	}
-	if err := sess.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(c.Manifest); err != nil {
-		t.Errorf("manifest not written: %v", err)
-	}
-
-	// A store directory alone auto-archives into <store>/runs.
-	storeDir := t.TempDir()
-	c = CLIFlags{}
-	sess, err = c.Start(SessionConfig{Tool: "t", StoreDir: storeDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Rec == nil {
-		t.Fatal("Rec missing with a store directory")
-	}
-	if err := sess.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := ListRuns(RunsDir(storeDir))
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("auto-archived runs = %v, %v; want exactly one", runs, err)
 	}
 }

@@ -325,7 +325,7 @@ func (c *Ctx) Preempt() {
 // AllocNode allocates a 64-byte node from the simulated heap.
 func (c *Ctx) AllocNode() mem.Addr {
 	a := c.m.Space.AllocNode()
-	c.charge(c.m.cfg.AllocCycles)
+	c.charge(DefaultAllocCycles)
 	return a
 }
 
@@ -334,5 +334,5 @@ func (c *Ctx) AllocNode() mem.Addr {
 // responsibility and is validated in Check mode.
 func (c *Ctx) Free(a mem.Addr) {
 	c.m.Space.FreeNode(a)
-	c.charge(c.m.cfg.FreeCycles)
+	c.charge(DefaultFreeCycles)
 }

@@ -47,12 +47,11 @@ type Config struct {
 	// detection on every access and the Conditional Access generation checks
 	// (the paper's Theorems 6 and 7).
 	Check bool
-	// AllocCycles and FreeCycles model allocator cost. Zero means defaults.
-	AllocCycles uint64
-	FreeCycles  uint64
 }
 
-// Default scheduling and allocator costs.
+// DefaultSlack is the scheduling quantum when Config.Slack is zero;
+// DefaultAllocCycles and DefaultFreeCycles are the allocator's cost per
+// node, charged by Ctx.AllocNode and Ctx.Free.
 const (
 	DefaultSlack       = 200
 	DefaultAllocCycles = 30
@@ -68,12 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Slack == 0 {
 		c.Slack = DefaultSlack
-	}
-	if c.AllocCycles == 0 {
-		c.AllocCycles = DefaultAllocCycles
-	}
-	if c.FreeCycles == 0 {
-		c.FreeCycles = DefaultFreeCycles
 	}
 	return c
 }
