@@ -59,11 +59,14 @@ type PreparedSpec struct {
 // with the goldens, which pin the simulator's output but not that shape
 // (goldenSum zeroes Tail and Timeline). Bump it whenever the shape changes:
 // a field added, removed, renamed or retyped, or a custom MarshalJSON
-// format changed, such as latency.Hist's. Entries written before the bump
-// then carry a foreign engine tag, so no lookup sees them and calab gc
-// collects them. TestStoreSchemaTracksResultShape fails when the shape
-// moves without a bump. Stores written before the constant existed count as
-// schema 1.
+// format changed, such as latency.Hist's. A shape change also means
+// updating the one-pass decoder that reads stored results (decode.go, and
+// the ReadJSON methods of latency.Hist, latency.Tail and trace.Timeline),
+// which reads members by name in declaration order. Entries written before
+// the bump then carry a foreign engine tag, so no lookup sees them and
+// calab gc collects them. TestStoreSchemaTracksResultShape fails when the
+// shape moves without a bump. Stores written before the constant existed
+// count as schema 1.
 const storeSchema = 2
 
 // goldenPins embeds the golden checksum files that pin the engine's

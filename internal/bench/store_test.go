@@ -40,7 +40,7 @@ func TestStoreSchemaTracksResultShape(t *testing.T) {
 			storeSchema, pinnedSchema, storeSchema, got)
 	}
 	if got != pinnedShape {
-		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema and re-pin",
+		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema, re-pin, and update the one-pass result decoder (decode.go and the ReadJSON methods it calls) to read the new shape",
 			got, pinnedShape, pinnedSchema)
 	}
 }

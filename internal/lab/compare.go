@@ -169,8 +169,8 @@ func cellKeyOf(e SpecEntry) CellKey {
 
 // Cells groups entries into experiment cells and summarizes each, returning
 // them in deterministic report order. It works on SpecEntry so cell grouping
-// only ever decodes the spec half of each envelope; the result payload
-// contributes exactly the throughput, extracted by a partial decode.
+// keeps only the spec half of each envelope; the result payload contributes
+// exactly the throughput, which SpecEntry.Throughput decodes.
 func Cells(entries []SpecEntry) []Cell {
 	type replica struct {
 		seed uint64

@@ -402,7 +402,7 @@ func TestRebuildIndexMatchesScan(t *testing.T) {
 }
 
 // TestLazySpecEntriesDoNotDecodeResults: SpecEntry must carry the raw result
-// until asked — Throughput() partial-decodes one field, Decode() the rest.
+// until asked — Throughput() and Decode() decode it on demand.
 func TestLazySpecEntriesDoNotDecodeResults(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

@@ -226,8 +226,8 @@ type envelope struct {
 // the `,"result":` member and the closing brace, past which only whitespace
 // may follow. Spec and Result alias payload, which
 // is never written: payloads in the pending overlay are shared across
-// goroutines. The result is not validated here; a lookup's decode and
-// verifyPayload's json.Valid do that.
+// goroutines. The result is not validated here; the strict decode that a
+// lookup and verifyPayload run does that.
 func parseEnvelope(payload []byte) (envelope, error) {
 	var env envelope
 	r := envelopeReader{p: payload, ok: true}
@@ -344,12 +344,15 @@ func (s *Store) loadKey(key string) []byte {
 	return payload
 }
 
-// lookupKey reads the entry at key into out. Any defect — missing record,
-// unparsable envelope, wrong kind, corrupt payload — is a miss: the caller
-// re-simulates and the write-through supersedes the bad record.
-func (s *Store) lookupKey(kind, key string, out any) bool {
+// lookupKey reads the entry at key into out with out's one-pass decoder.
+// Any defect — missing record, unparsable envelope, wrong kind, corrupt
+// payload, a result its kind's decoder rejects — is a miss: the caller
+// re-simulates and the write-through supersedes the bad record. The
+// payload's fingerprint proves the bytes are the writer's, so the decode
+// skips encoding/json's validating prescan.
+func (s *Store) lookupKey(kind, key string, out json.Unmarshaler) bool {
 	env, err := parseEnvelope(s.loadKey(key))
-	if err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum || json.Unmarshal(env.Result, out) != nil {
+	if err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum || out.UnmarshalJSON(env.Result) != nil {
 		s.misses.Add(1)
 		return false
 	}
@@ -444,28 +447,34 @@ func (e *SpecEntry) Seed() uint64 {
 	return e.Workload.Seed
 }
 
-// Throughput partially decodes just the throughput from the raw result.
+// Throughput decodes the raw result and returns its throughput. Every
+// entry SpecEntries returns decodes (verifyPayload checks it), so the zero
+// for a result that does not is never a replica's throughput.
 func (e *SpecEntry) Throughput() float64 {
-	var t struct{ Throughput float64 }
-	if json.Unmarshal(e.rawResult, &t) != nil {
+	full, err := e.Decode()
+	if err != nil {
 		return 0
 	}
-	return t.Throughput
+	if full.ScenarioResult != nil {
+		return full.ScenarioResult.Throughput
+	}
+	return full.Result.Throughput
 }
 
-// Decode materializes the full entry, result payload included.
+// Decode materializes the full entry, result payload included, with the
+// result decoder of its kind.
 func (e *SpecEntry) Decode() (Entry, error) {
 	full := Entry{Key: e.Key, Tag: e.Tag, Kind: e.Kind, Workload: e.Workload, Scenario: e.Scenario}
+	var err error
 	if e.Kind == KindScenario {
 		full.ScenarioResult = new(bench.ScenarioResult)
-		if err := json.Unmarshal(e.rawResult, full.ScenarioResult); err != nil {
-			return Entry{}, fmt.Errorf("decoding scenario result: %w", err)
-		}
-		return full, nil
+		err = full.ScenarioResult.UnmarshalJSON(e.rawResult)
+	} else {
+		full.Result = new(bench.Result)
+		err = full.Result.UnmarshalJSON(e.rawResult)
 	}
-	full.Result = new(bench.Result)
-	if err := json.Unmarshal(e.rawResult, full.Result); err != nil {
-		return Entry{}, fmt.Errorf("decoding trial result: %w", err)
+	if err != nil {
+		return Entry{}, fmt.Errorf("decoding %s result: %w", e.Kind, err)
 	}
 	return full, nil
 }
@@ -538,8 +547,9 @@ type Problem struct {
 
 // verifyPayload checks one entry payload end to end — the envelope parses,
 // the claimed key matches the content address of (tag, kind, spec), the
-// result payload matches its fingerprint and is valid JSON, and the spec
-// decodes under its kind — and returns the entry with its spec decoded.
+// result payload matches its fingerprint, and the spec and the result both
+// decode under its kind — and returns the entry with its spec decoded. So
+// a sound entry is exactly one a lookup can serve.
 func verifyPayload(name string, payload []byte) (SpecEntry, error) {
 	env, err := parseEnvelope(payload)
 	if err != nil {
@@ -549,8 +559,8 @@ func verifyPayload(name string, payload []byte) (SpecEntry, error) {
 	if err != nil {
 		return SpecEntry{}, err
 	}
-	if !json.Valid(env.Result) {
-		return SpecEntry{}, errors.New("result payload is not valid JSON")
+	if _, err := e.Decode(); err != nil {
+		return SpecEntry{}, fmt.Errorf("result payload is not valid JSON for its kind: %w", err)
 	}
 	return e, nil
 }

@@ -808,14 +808,101 @@ func TestVerifyRejectsInvalidResultJSON(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsResultOfWrongShape: a result that matches its
+// fingerprint and is valid JSON, but is not a trial result, is not a sound
+// entry. Verify reports it, SpecEntries leaves it out, and so calab diff's
+// cells get no replica from it. A lookup misses it, as it misses every
+// entry Verify rejects.
+func TestVerifyRejectsResultOfWrongShape(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	good, bad := trialW(1), trialW(2)
+	res, err := (&bench.Runner{Store: st}).Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wrong = `{"Throughput":"fast"}`
+	plantEntry(t, st, bad, wrong, payloadSum([]byte(wrong)))
+
+	sound, problems, err := st.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sound != 1 || len(problems) != 1 || !strings.Contains(problems[0].Reason, "trial result") {
+		t.Fatalf("verify: %d sound, problems %+v; want the misshapen result reported", sound, problems)
+	}
+	if _, ok := st.LookupTrialSpec(prepared(t, bad)); ok {
+		t.Fatal("misshapen result served as a hit")
+	}
+	entries, err := st.SpecEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Seed() != good.Seed {
+		t.Fatalf("SpecEntries returned %d entries, want only the sound one", len(entries))
+	}
+	cells := Cells(entries)
+	if len(cells) != 1 || !reflect.DeepEqual(cells[0].Throughputs, []float64{res.Throughput}) {
+		t.Fatalf("cells %+v; want one replica with throughput %v", cells, res.Throughput)
+	}
+}
+
+// TestSpecEntryThroughputOfEachKind: SpecEntry.Throughput decodes a result
+// with the decoder of its entry's kind, so a scenario entry reports its
+// scenario result's throughput, not zero.
+func TestSpecEntryThroughputOfEachKind(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	r := bench.Runner{Store: st}
+	res, err := r.Run(trialW(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, err := r.RunScenario(bench.ScenarioWorkload{
+		DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 32, Seed: 1,
+		Scenario: scenario.Scenario{Name: "s", Phases: []scenario.Phase{{Name: "p", Ops: 40, Weights: scenario.Weights{Insert: 1, Read: 1}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := st.SpecEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{KindTrial: res.Throughput, KindScenario: sres.Throughput}
+	if len(entries) != len(want) {
+		t.Fatalf("%d entries, want %d", len(entries), len(want))
+	}
+	for _, e := range entries {
+		if got := e.Throughput(); got != want[e.Kind] || got == 0 {
+			t.Errorf("%s entry: throughput %v, want %v", e.Kind, got, want[e.Kind])
+		}
+	}
+}
+
 // TestWarmHitAllocs is the allocation budget of one warm LookupTrialSpec on
 // a packed store: one record read, the envelope's head parse, the result's
-// fingerprint and its decode, tail histograms included. Decoding the whole
-// envelope with encoding/json and each histogram with a nested
-// json.Unmarshal cost 152 allocations for this trial; the head-only parse
-// and the one-pass histogram decoder cost 32.
+// fingerprint and its decode, tail histograms included. It counts heap
+// allocations and the bytes they take. Decoding the whole envelope with
+// encoding/json and each histogram with a nested json.Unmarshal cost 152
+// allocations for this trial; the head-only parse and the one-pass
+// histogram decoder cost 32 allocations and about 54 KB, most of it
+// full-length bucket arrays. The one-pass Result decoder and bucket arrays
+// that end at their last non-empty bucket cost 25 allocations and 9.8 KB:
+// the record (3 KB), the bucket arrays (4.8 KB), the Result, its Tail and
+// the key and envelope strings.
 func TestWarmHitAllocs(t *testing.T) {
-	const budget = 32
+	const (
+		budget      = 25
+		bytesBudget = 10 << 10
+		runs        = 100
+	)
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -839,13 +926,25 @@ func TestWarmHitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	lookup := func() {
 		if res, ok := st.LookupTrialSpec(&bench.PreparedSpec{Spec: spec}); !ok || res.Tail == nil {
 			t.Fatal("warm lookup missed or lost its tail")
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(runs, lookup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		lookup()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm hit: %v allocations, %d bytes", allocs, bytes)
 	if allocs > budget {
-		t.Fatalf("warm hit allocates %v times, budget %d", allocs, budget)
+		t.Errorf("warm hit allocates %v times, budget %d", allocs, budget)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("warm hit allocates %d bytes, budget %d", bytes, bytesBudget)
 	}
 }
 

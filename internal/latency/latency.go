@@ -20,12 +20,12 @@
 package latency
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
+
+	"condaccess/internal/jsondec"
 )
 
 // Bucket layout: values below subCount get one exact bucket each; every
@@ -66,24 +66,39 @@ func BucketBounds(i int) (lo, hi uint64) {
 }
 
 // Hist is a log-bucketed histogram of uint64 samples (simulated cycles).
-// The zero value is empty and ready to use; the bucket array is allocated
-// on the first Record and never grows, so recording is allocation-free after
-// that warm-up. Hist is not safe for concurrent use — the harness keeps one
+// The zero value is empty and ready to use. The bucket array ends at the
+// highest non-empty bucket: Record and Merge extend it, and the first
+// extension reserves room for every bucket, so recording allocates once and
+// never again. Buckets past the end of the array, up to its capacity, are
+// always zero. Hist is not safe for concurrent use — the harness keeps one
 // per simulated thread and merges.
 type Hist struct {
-	counts []uint64 // len NumBuckets once allocated
+	counts []uint64 // ends at the highest non-empty bucket
 	n      uint64
 	sum    uint64
 	min    uint64 // valid when n > 0
 	max    uint64
 }
 
+// extend makes counts at least n buckets long.
+func (h *Hist) extend(n int) {
+	if n > cap(h.counts) {
+		grown := make([]uint64, len(h.counts), NumBuckets)
+		copy(grown, h.counts)
+		h.counts = grown
+	}
+	if n > len(h.counts) {
+		h.counts = h.counts[:n]
+	}
+}
+
 // Record adds one sample.
 func (h *Hist) Record(v uint64) {
-	if h.counts == nil {
-		h.counts = make([]uint64, NumBuckets)
+	i := bucketIndex(v)
+	if i >= len(h.counts) {
+		h.extend(i + 1)
 	}
-	h.counts[bucketIndex(v)]++
+	h.counts[i]++
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -101,13 +116,9 @@ func (h *Hist) Merge(o *Hist) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make([]uint64, NumBuckets)
-	}
+	h.extend(len(o.counts))
 	for i, c := range o.counts {
-		if c != 0 {
-			h.counts[i] += c
-		}
+		h.counts[i] += c
 	}
 	if h.n == 0 || o.min < h.min {
 		h.min = o.min
@@ -121,9 +132,8 @@ func (h *Hist) Merge(o *Hist) {
 
 // Reset empties the histogram, keeping the bucket allocation.
 func (h *Hist) Reset() {
-	if h.counts != nil {
-		clear(h.counts)
-	}
+	clear(h.counts)
+	h.counts = h.counts[:0]
 	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
@@ -253,14 +263,20 @@ func (h Hist) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// histFields names the members of the serialized form in the order
-// MarshalJSON writes them (histJSON's field order).
-var histFields = [...]string{"count", "sum", "min", "max", "idx", "n"}
+// UnmarshalJSON decodes the sparse form in one pass (ReadJSON). On error h
+// is left unchanged.
+func (h *Hist) UnmarshalJSON(data []byte) error {
+	var out Hist
+	if err := jsondec.Decode(data, "latency: histogram", out.ReadJSON); err != nil {
+		return err
+	}
+	*h = out
+	return nil
+}
 
-// UnmarshalJSON decodes the sparse form in one pass, straight into the
-// bucket array, with no reflection and no intermediate idx/n slices. It
-// accepts what MarshalJSON writes, with JSON whitespace between tokens, or
-// a bare null (the zero Hist):
+// ReadJSON reads a histogram at c, straight into the bucket array, with no
+// intermediate idx/n slices. It accepts what MarshalJSON writes, with JSON
+// whitespace between tokens, or a bare null (the zero Hist):
 //
 //	hist   = "null" | "{" [ member { "," member } ] "}"
 //	member = "count" ":" uint | "sum" ":" uint | "min" ":" uint | "max" ":" uint
@@ -270,209 +286,78 @@ var histFields = [...]string{"count", "sum", "min", "max", "idx", "n"}
 //
 // Member names are quoted and matched exactly; members appear at most once,
 // in the order listed, and any may be omitted. idx must hold strictly
-// increasing bucket indexes, n one count per index, and the counts must sum
-// to count, so a decoded histogram keeps the invariants Quantile relies on.
-// An empty histogram decodes to the zero Hist (no bucket allocation),
-// matching what Marshal produced it from. On error h is left unchanged.
-func (h *Hist) UnmarshalJSON(data []byte) error {
-	d := histDecoder{data: data}
-	d.skipSpace()
-	var out Hist
-	if bytes.HasPrefix(data[d.off:], []byte("null")) {
-		d.off += 4
-	} else if err := d.object(&out); err != nil {
-		return err
+// increasing bucket indexes, n one non-zero count per index, and the counts
+// must sum to count, so a decoded histogram keeps the invariants Quantile
+// relies on. The bucket array is allocated once, at its exact length, so it
+// ends at the highest non-empty bucket as a recorded one does; an empty
+// histogram decodes to the zero Hist.
+func (h *Hist) ReadJSON(c *jsondec.Cursor) {
+	*h = Hist{}
+	if c.Null() {
+		return
 	}
-	if d.skipSpace(); d.off != len(data) {
-		return d.errorf("trailing bytes after the histogram")
+	c.Begin()
+	if c.Has("count") {
+		h.n = c.Uint()
 	}
-	*h = out
-	return nil
-}
-
-// histDecoder is UnmarshalJSON's cursor over its input.
-type histDecoder struct {
-	data []byte
-	off  int
-}
-
-func (d *histDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("latency: histogram JSON at byte %d: %s", d.off, fmt.Sprintf(format, args...))
-}
-
-// skipSpace advances past JSON whitespace.
-func (d *histDecoder) skipSpace() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
-		default:
-			return
-		}
+	if c.Has("sum") {
+		h.sum = c.Uint()
 	}
-}
-
-// eat consumes c if it is the next byte past any whitespace.
-func (d *histDecoder) eat(c byte) bool {
-	d.skipSpace()
-	if d.off < len(d.data) && d.data[d.off] == c {
-		d.off++
-		return true
+	if c.Has("min") {
+		h.min = c.Uint()
 	}
-	return false
-}
-
-// number parses an unsigned decimal integer: no sign, fraction, exponent or
-// leading zero, and no overflow past 2^64-1.
-func (d *histDecoder) number() (uint64, error) {
-	d.skipSpace()
-	start := d.off
-	var v uint64
-	for ; d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9'; d.off++ {
-		digit := uint64(d.data[d.off] - '0')
-		if v > (math.MaxUint64-digit)/10 {
-			return 0, d.errorf("number overflows uint64")
-		}
-		v = v*10 + digit
+	if c.Has("max") {
+		h.max = c.Uint()
 	}
-	switch {
-	case d.off == start:
-		return 0, d.errorf("want an unsigned integer")
-	case d.data[start] == '0' && d.off-start > 1:
-		return 0, d.errorf("number has a leading zero")
-	}
-	return v, nil
-}
-
-// member consumes a quoted member name and its colon, and returns the
-// name's position in histFields, which must be at or after from.
-func (d *histDecoder) member(from int) (int, error) {
-	if !d.eat('"') {
-		return 0, d.errorf("want a member name")
-	}
-	n := bytes.IndexByte(d.data[d.off:], '"')
-	if n < 0 {
-		return 0, d.errorf("unterminated member name")
-	}
-	name := d.data[d.off : d.off+n]
-	for i := from; i < len(histFields); i++ {
-		if string(name) == histFields[i] {
-			d.off += n + 1
-			if !d.eat(':') {
-				return 0, d.errorf("want ':'")
+	var idx [NumBuckets]uint16 // idx's bucket indexes, in order
+	k := 0
+	if c.Has("idx") {
+		c.Array()
+		for c.Next() {
+			i := c.Uint()
+			if c.Err() != nil {
+				break
 			}
-			return i, nil
+			if i >= NumBuckets || k > 0 && i <= uint64(idx[k-1]) {
+				c.Fail("bucket index %d out of range or not increasing", i)
+				break
+			}
+			idx[k] = uint16(i)
+			k++
 		}
 	}
-	return 0, d.errorf("unexpected member %q (members are %v, in that order, each at most once)", name, histFields)
-}
-
-// next consumes the separator before element k of a list or object whose
-// opening bracket is consumed, and reports false at the closing bracket.
-func (d *histDecoder) next(k int, closing byte) (bool, error) {
-	if d.eat(closing) {
-		return false, nil
+	if k > 0 && c.Err() == nil {
+		h.counts = make([]uint64, idx[k-1]+1)
 	}
-	if k > 0 && !d.eat(',') {
-		return false, d.errorf("want ',' or '%c'", closing)
-	}
-	return true, nil
-}
-
-// object decodes a histogram object into h. Each idx entry marks its
-// bucket with a placeholder count; because idx is strictly increasing, the
-// k-th count of n belongs to the k-th marked bucket in ascending order, so
-// n fills the marks with one forward sweep of the bucket array.
-func (d *histDecoder) object(h *Hist) error {
-	if !d.eat('{') {
-		return d.errorf("want '{' or null")
-	}
-	fill := 0 // n's cursor: buckets below it hold their final counts
+	j := 0
 	var total uint64
-	for k, from := 0, 0; ; k++ {
-		more, err := d.next(k, '}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-		field, err := d.member(from)
-		if err != nil {
-			return err
-		}
-		from = field + 1
-		switch histFields[field] {
-		case "count":
-			h.n, err = d.number()
-		case "sum":
-			h.sum, err = d.number()
-		case "min":
-			h.min, err = d.number()
-		case "max":
-			h.max, err = d.number()
-		case "idx":
-			prev := -1
-			err = d.list(func(i uint64) error {
-				if i >= NumBuckets || int(i) <= prev {
-					return d.errorf("bucket index %d out of range or not increasing", i)
-				}
-				if h.counts == nil {
-					h.counts = make([]uint64, NumBuckets)
-				}
-				h.counts[i] = 1 // placeholder, replaced by n
-				prev = int(i)
-				return nil
-			})
-		case "n":
-			err = d.list(func(c uint64) error {
-				for fill < len(h.counts) && h.counts[fill] == 0 {
-					fill++
-				}
-				if fill == len(h.counts) {
-					return d.errorf("more bucket counts than bucket indexes")
-				}
-				h.counts[fill] = c
-				fill++
+	if c.Has("n") {
+		c.Array()
+		for c.Next() {
+			v := c.Uint()
+			switch {
+			case c.Err() != nil:
+			case j == k:
+				c.Fail("more bucket counts than bucket indexes")
+			case v == 0:
+				c.Fail("zero bucket count")
+			default:
+				h.counts[idx[j]] = v
+				j++
 				var carry uint64
-				if total, carry = bits.Add64(total, c, 0); carry != 0 {
-					return d.errorf("bucket counts overflow uint64")
+				if total, carry = bits.Add64(total, v, 0); carry != 0 {
+					c.Fail("bucket counts overflow uint64")
 				}
-				return nil
-			})
-		}
-		if err != nil {
-			return err
+			}
 		}
 	}
-	for _, c := range h.counts[fill:] {
-		if c != 0 {
-			return d.errorf("more bucket indexes than bucket counts")
-		}
-	}
-	if total != h.n {
-		return d.errorf("bucket counts sum to %d, count is %d", total, h.n)
-	}
-	return nil
-}
-
-// list decodes a list of unsigned integers, passing each to fn.
-func (d *histDecoder) list(fn func(uint64) error) error {
-	if !d.eat('[') {
-		return d.errorf("want '['")
-	}
-	for k := 0; ; k++ {
-		more, err := d.next(k, ']')
-		if err != nil || !more {
-			return err
-		}
-		v, err := d.number()
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
+	c.End()
+	switch {
+	case c.Err() != nil:
+	case j < k:
+		c.Fail("more bucket indexes than bucket counts")
+	case total != h.n:
+		c.Fail("bucket counts sum to %d, count is %d", total, h.n)
 	}
 }
 
@@ -608,6 +493,22 @@ func (t *Tail) Reset() {
 	t.Reclaim.Reset()
 	t.Retry.Reset()
 	t.Pause.Reset()
+}
+
+// ReadJSON reads a Tail at c: the object encoding/json writes for it, its
+// histograms in declaration order.
+func (t *Tail) ReadJSON(c *jsondec.Cursor) {
+	c.Begin()
+	for _, m := range [...]struct {
+		name string
+		h    *Hist
+	}{
+		{"total", &t.Total}, {"insert", &t.Insert}, {"delete", &t.Delete}, {"read", &t.Read},
+		{"useful", &t.Useful}, {"reclaim", &t.Reclaim}, {"retry", &t.Retry}, {"pause", &t.Pause},
+	} {
+		m.h.ReadJSON(c.Member(m.name))
+	}
+	c.End()
 }
 
 // Rows returns the display rows of the tail table in canonical order: the

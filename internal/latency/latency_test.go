@@ -272,6 +272,7 @@ func TestHistJSONRoundTrip(t *testing.T) {
 		`{"count":2,"idx":[5,3],"n":[1,1]}`,                    // decreasing index
 		`{"count":3,"idx":[3,5],"n":[1,1]}`,                    // counts do not sum to count
 		`{"count":0,"idx":[3,5],"n":[18446744073709551615,1]}`, // counts overflow
+		`{"count":1,"idx":[3,5],"n":[1,0]}`,                    // zero count
 	} {
 		h := *fromSamples([]uint64{7})
 		want := *fromSamples([]uint64{7})
@@ -284,8 +285,9 @@ func TestHistJSONRoundTrip(t *testing.T) {
 }
 
 // referenceUnmarshal is the decoder UnmarshalJSON replaced: encoding/json
-// into histJSON, with its length and range checks. FuzzHistJSON holds the
-// one-pass decoder to it.
+// into histJSON, with its length and range checks. It builds the bucket
+// array trimmed to the highest listed index, as Record does. FuzzHistJSON
+// holds the one-pass decoder to it.
 func referenceUnmarshal(h *Hist, data []byte) error {
 	var j histJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -298,11 +300,13 @@ func referenceUnmarshal(h *Hist, data []byte) error {
 	if len(j.Idx) == 0 {
 		return nil
 	}
-	h.counts = make([]uint64, NumBuckets)
-	for k, i := range j.Idx {
+	for _, i := range j.Idx {
 		if i < 0 || i >= NumBuckets {
 			return fmt.Errorf("bucket index %d out of range", i)
 		}
+	}
+	h.counts = make([]uint64, slices.Max(j.Idx)+1)
+	for k, i := range j.Idx {
 		h.counts[i] = j.N[k]
 	}
 	return nil
@@ -331,6 +335,7 @@ func FuzzHistJSON(f *testing.F) {
 		`{"count":18446744073709551616}`,          // uint64 overflow
 		`{"count":1,"idx":[01],"n":[1]}`,          // leading zero
 		`{"n":[1],"idx":[1],"count":1}`,           // reordered members
+		`{"count":1,"idx":[3,5],"n":[1,0]}`,       // zero count
 	} {
 		f.Add([]byte(seed))
 	}
@@ -385,19 +390,28 @@ func TestTailPartitions(t *testing.T) {
 }
 
 // TestResetKeepsAllocation: Reset empties without dropping the bucket array
-// (per-thread Tails are reused across phases), and a reset histogram merges
-// as a no-op.
+// (per-thread Tails are reused across phases), a reset histogram that
+// records again counts nothing from before the reset, and a reset histogram
+// merges as a no-op.
 func TestResetKeepsAllocation(t *testing.T) {
 	var h Hist
 	h.Record(9)
+	h.Record(1 << 40)
 	buf := &h.counts[0]
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 || len(h.counts) != 0 {
 		t.Fatal("reset histogram not empty")
 	}
 	h.Record(9)
 	if &h.counts[0] != buf {
 		t.Fatal("reset dropped the bucket allocation")
+	}
+	if len(h.counts) != BucketOf(9)+1 {
+		t.Fatalf("bucket array holds %d buckets, want it to end at bucket %d", len(h.counts), BucketOf(9))
+	}
+	h.Record(1 << 40)
+	if !reflect.DeepEqual(h, *fromSamples([]uint64{9, 1 << 40})) {
+		t.Fatal("a reset histogram kept counts from before the reset")
 	}
 	var into Hist
 	into.Record(5)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 
+	"condaccess/internal/jsondec"
 	"condaccess/internal/latency"
 )
 
@@ -119,6 +120,29 @@ func (t *Timeline) Merge(o *Timeline) {
 		t.Retries[i] += o.Retries[i]
 		t.Pause[i] += o.Pause[i]
 	}
+}
+
+// ReadJSON reads a Timeline at c: the object encoding/json writes for it,
+// members in declaration order. Series of different lengths are an error,
+// since every method here indexes them in parallel.
+func (t *Timeline) ReadJSON(c *jsondec.Cursor) {
+	c.Begin()
+	t.Window = c.Member("window").Uint()
+	for _, m := range [...]struct {
+		name   string
+		series *[]uint64
+	}{
+		{"insert", &t.Insert}, {"delete", &t.Delete}, {"read", &t.Read},
+		{"retries", &t.Retries}, {"pause", &t.Pause},
+	} {
+		if c.Has(m.name) {
+			*m.series = c.Uints()
+		}
+		if len(*m.series) != len(t.Insert) {
+			c.Fail("timeline series %q holds %d windows, insert %d", m.name, len(*m.series), len(t.Insert))
+		}
+	}
+	c.End()
 }
 
 // Reset empties the series, keeping their allocations (the harness reuses
