@@ -239,7 +239,7 @@ func (g generator) fig3mem() (err error) {
 // assoc reproduces the Section III claim that L1 associativity (the tagSet
 // capacity bound) has no significant impact on CA, even at low
 // associativity. The revocations column counts every revocation: remote
-// invalidations, back-invalidations, SMT sibling writes and RevokeThread as
+// invalidations, back-invalidations, SMT sibling writes and preemptions as
 // well as self-evictions, so it bounds the spurious self-eviction
 // revocations from above.
 func (g generator) assoc() (err error) {

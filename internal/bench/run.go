@@ -289,10 +289,6 @@ func prefill(m *sim.Machine, w Workload, b built) int {
 	return n
 }
 
-// DefaultCache re-exports the default cache geometry for tools that sweep
-// cache parameters.
-func DefaultCache(cores int) cache.Params { return cache.DefaultParams(cores) }
-
 // computeLatency sorts the collected latencies and extracts percentiles.
 func computeLatency(all []uint64) LatencyStats {
 	if len(all) == 0 {

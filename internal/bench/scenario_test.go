@@ -319,7 +319,7 @@ func TestScenarioRejectsBadBindings(t *testing.T) {
 		"scheme":         func(sw *ScenarioWorkload) { sw.Scheme = "wat" },
 		"phase dist":     func(sw *ScenarioWorkload) { sw.Scenario.Phases[0].Dist = "pareto" },
 		"empty scenario": func(sw *ScenarioWorkload) { sw.Scenario.Phases = nil },
-		"cache cores":    func(sw *ScenarioWorkload) { sw.Cache = DefaultCache(4) },
+		"cache cores":    func(sw *ScenarioWorkload) { sw.Cache = cache.DefaultParams(4) },
 	}
 	for name, mutate := range mutations {
 		sw := scenarioBinding("list", "ca", sc)

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"condaccess/internal/cache"
 )
 
 // TestSweepErrorPaths covers the ways a sweep configuration can fail, on
@@ -24,7 +26,7 @@ func TestSweepErrorPaths(t *testing.T) {
 		{"zero threads", func(c *SweepConfig) { c.DS = "list"; c.Threads = []int{0} }, "threads"},
 		{"mismatched cache cores", func(c *SweepConfig) {
 			c.DS = "list"
-			c.Cache = DefaultCache(8) // threads is 2
+			c.Cache = cache.DefaultParams(8) // threads is 2
 		}, "cache params cores"},
 	}
 	for _, tc := range cases {
@@ -119,7 +121,7 @@ func TestSweepZeroTrialsDefaultsToOne(t *testing.T) {
 // TestSweepCacheOverride: a cache geometry whose core count matches the
 // swept thread count must be applied, not silently dropped.
 func TestSweepCacheOverride(t *testing.T) {
-	p := DefaultCache(2)
+	p := cache.DefaultParams(2)
 	p.L1Assoc = 2
 	points, err := Sweep(SweepConfig{
 		DS: "list", Schemes: []string{"ca"}, Threads: []int{2}, Updates: []int{100},

@@ -34,16 +34,6 @@ func (s State) String() string {
 	return "?"
 }
 
-// Listener receives coherence events. The Conditional Access extension
-// (package core) registers one to learn when a core loses its copy of a
-// tagged line. LineInvalidated fires whenever core's L1 copy of line is
-// removed for any reason: a remote write invalidating it, a local capacity or
-// conflict eviction, or an inclusive-L2 back-invalidation. It does not fire
-// on an M->S downgrade, matching the paper: only invalidations revoke access.
-type Listener interface {
-	LineInvalidated(core int, line uint64)
-}
-
 // Stats aggregates hierarchy activity for one simulation.
 type Stats struct {
 	L1Hits        uint64 // L1 accesses (the L1 clocks' sum) minus L1Misses
@@ -57,94 +47,200 @@ type Stats struct {
 	BackInvals    uint64 // L1 copies dropped by inclusive-L2 evictions
 }
 
-// l1cache stores each per-way field as one contiguous slab — set s occupies
-// indices [s*assoc, (s+1)*assoc) — indexed by shifting and masking the
-// address. A lookup is one load of the residency index wayOf; a hit then
-// touches only its own way's lru (and state, for a write) and the L1's own
-// clock. The fields a hit touches come first.
-type l1cache struct {
+// ways is the placement state both cache levels share. Each per-way field
+// is one contiguous slab — set s occupies indices [s*assoc, (s+1)*assoc) —
+// indexed by shifting and masking the address. A lookup is one load of the
+// residency index wayOf; a hit then touches only its own way's lru and the
+// cache's own clock. The fields a hit touches come first.
+type ways struct {
 	// wayOf is the residency index: wayOf[li] is 1 + the slab index of the
 	// way holding line li<<lineShift, or 0 when the line is not resident.
 	// Simulated line numbers are small and dense (the heap carves lines
 	// upward from zero), so a flat table makes the per-access lookup — the
 	// hottest operation in the whole simulator — one load instead of a scan
-	// of the set. install/drop keep it exactly in sync with the lines slab,
-	// so a lookup's result is identical to a scan's.
+	// of the set. place, dropL1 and reset keep it exactly in sync with the
+	// lines slab, so a lookup's result is identical to a scan's.
 	wayOf []int32
 	lru   []uint64
-	// clock is this L1's replacement clock: every access to the L1 advances
-	// it exactly once and stamps the way it hits or fills. LRU stamps are
-	// compared only within one set of one cache, so a per-cache clock picks
-	// exactly the victims a machine-wide one would. Because it counts the
-	// L1's accesses, Stats derives the hit count from the clocks, and a hit
-	// updates no shared counter.
+	// clock is this cache's replacement clock. Every access to an L1
+	// advances that L1's clock exactly once and stamps the way it hits or
+	// fills; the L2's advances once per access that reaches it (an L1 miss
+	// or an S->M upgrade). LRU stamps are compared only within one set of one
+	// cache, so a per-cache clock picks exactly the victims a machine-wide
+	// one would. Because an L1's clock counts its accesses, Stats derives the
+	// hit count from the clocks, and a hit updates no shared counter.
 	clock uint64
-	state []State
 	lines []uint64 // line base addresses; invalidLine iff the way is empty
-	// l2way caches each resident line's way index in the shared L2. The L2
-	// is inclusive and never relocates a resident line (a fill only claims an
-	// empty or evicted way, and an L2 eviction back-invalidates every L1
-	// copy), so the index recorded at install time stays valid for the
-	// line's whole L1 residency — evictions and upgrades reach the directory
-	// without a second L2 set scan.
-	l2way []int32
-	// full counts the valid ways per set; installs consult it to skip the
+	// full counts the valid ways per set; place consults it to skip the
 	// empty-way scan once a set is full (the steady state).
 	full    []uint16
 	setMask uint64
 	assoc   uint64
 }
 
-// l2cache is laid out exactly like l1cache, with the directory state
-// (sharers, owner, dirty) in further parallel slabs. A way is valid iff its
-// line tag is not invalidLine. Its clock advances once per access that
-// reaches the L2: an L1 miss or an S->M upgrade.
+// newWays builds the empty placement state of a bytes-sized, assoc-way
+// cache.
+func newWays(bytes, assoc int) ways {
+	n := (bytes / (assoc * lineBytes)) * assoc
+	c := ways{
+		lru:     make([]uint64, n),
+		lines:   make([]uint64, n),
+		full:    make([]uint16, n/assoc),
+		setMask: uint64(n/assoc - 1),
+		assoc:   uint64(assoc),
+	}
+	c.reset()
+	return c
+}
+
+func (c *ways) reset() {
+	for i := range c.lines {
+		c.lines[i] = invalidLine
+	}
+	clear(c.lru)
+	clear(c.full)
+	clear(c.wayOf)
+	c.clock = 0
+}
+
+// find returns the slab index of line's way, or -1 when not resident: one
+// load of the residency index, equivalent by construction to scanning the
+// set's tags.
+func (c *ways) find(line uint64) int {
+	if li := line >> lineShift; li < uint64(len(c.wayOf)) {
+		return int(c.wayOf[li]) - 1
+	}
+	return -1
+}
+
+// place puts line in its set — in the first empty way, or else in place of
+// the least recently used line — stamped with the cache's clock, and returns
+// the way and the line it evicted (invalidLine if the way was empty). The
+// level's own slabs still hold the evicted line's state for the caller's
+// eviction side effects. Range loops over subslices let the compiler elide
+// per-way bounds checks.
+func (c *ways) place(line uint64) (w int, evicted uint64) {
+	set := (line >> lineShift) & c.setMask
+	base := int(set) * int(c.assoc)
+	end := base + int(c.assoc)
+	w = -1
+	if int(c.full[set]) < int(c.assoc) {
+		for i, l := range c.lines[base:end] {
+			if l == invalidLine {
+				w = base + i
+				c.full[set]++
+				break
+			}
+		}
+	}
+	evicted = invalidLine
+	if w < 0 {
+		w = base + minLRU(c.lru[base:end])
+		evicted = c.lines[w]
+		c.wayOf[evicted>>lineShift] = 0
+	}
+	li := line >> lineShift
+	if li >= uint64(len(c.wayOf)) {
+		c.wayOf = growWays(c.wayOf, li)
+	}
+	c.wayOf[li] = int32(w) + 1
+	c.lines[w] = line
+	c.lru[w] = c.clock
+	return w, evicted
+}
+
+// check verifies the per-set fill counters and the residency index against
+// the line slab. A drifted counter silently corrupts victim choice (place
+// would evict a live line while an empty way exists, or scan a full set),
+// and every other invariant probes residency through find, so a drifted
+// index would corrupt both the simulation and its own validation.
+func (c *ways) check(level string) error {
+	assoc := int(c.assoc)
+	for set := range c.full {
+		n := 0
+		for _, l := range c.lines[set*assoc : (set+1)*assoc] {
+			if l != invalidLine {
+				n++
+			}
+		}
+		if int(c.full[set]) != n {
+			return fmt.Errorf("%s set %d occupancy counter %d != actual %d valid ways", level, set, c.full[set], n)
+		}
+	}
+	for w, line := range c.lines {
+		if line != invalidLine && c.find(line) != w {
+			return fmt.Errorf("%s line %#x in way %d but residency index says %d", level, line, w, c.find(line))
+		}
+	}
+	for li, w := range c.wayOf {
+		if w != 0 && (int(w) > len(c.lines) || c.lines[w-1] != uint64(li)<<lineShift) {
+			return fmt.Errorf("%s residency index maps line %#x to way %d, which holds another line", level, uint64(li)<<lineShift, w-1)
+		}
+	}
+	return nil
+}
+
+// l1cache is a private L1: the shared placement state plus each way's MSI
+// state and L2 way.
+type l1cache struct {
+	ways
+	state []State
+	// l2way caches each resident line's way index in the shared L2. The L2
+	// is inclusive and never relocates a resident line (a fill only claims an
+	// empty or evicted way, and an L2 eviction back-invalidates every L1
+	// copy), so the index recorded at install time stays valid for the
+	// line's whole L1 residency — evictions and upgrades reach the directory
+	// without a second L2 lookup.
+	l2way []int32
+}
+
+// l2cache is the shared inclusive L2: the shared placement state plus the
+// directory (sharers, owner, dirty) in further parallel slabs.
 type l2cache struct {
-	lines   []uint64
-	lru     []uint64
-	clock   uint64
+	ways
 	sharers []uint64 // bitmask of cores with an L1 copy
 	owner   []int8   // core holding Modified, or -1
 	dirty   []bool
-	full    []uint16 // valid ways per set, as in l1cache
-	setMask uint64
-	assoc   uint64
-	wayOf   []int32 // residency index, as in l1cache
 }
 
 // Hierarchy is the full simulated memory system: one private L1 per
 // physical core (shared by its hyperthreads when ThreadsPerCore > 1) over
-// one shared inclusive L2 with a directory. It is not safe for concurrent
-// use; the simulator serializes accesses.
+// one shared inclusive L2 with a directory, and each hardware thread's
+// Conditional Access tags and accessRevokedBit. It is not safe for
+// concurrent use; the simulator serializes accesses.
 //
 // All public entry points take a hardware-thread id; the hierarchy maps it
-// to its physical L1. Listener events are delivered per hardware thread:
-// losing an L1 line notifies every hyperthread of that core, and a write by
-// one hyperthread notifies its siblings (whose tags on the line must be
-// revoked even though the line stays resident — paper Section III).
+// to its physical L1. A tag bit lives on an L1 line, so wherever the
+// hierarchy removes an L1 copy it drops every hyperthread's tag on the line
+// and revokes access; a write by one hyperthread does the same to its
+// siblings, whose tags on the line must be revoked even though it stays
+// resident (paper Section III).
 type Hierarchy struct {
-	p        Params
-	smt      int // hardware threads per L1
-	l1       []l1cache
-	l2       l2cache
-	ports    []Port // one per hardware thread, indexed by its id
-	listener Listener
-	stats    Stats // every count but L1Hits, which Stats derives
+	p     Params
+	smt   int // hardware threads per L1
+	l1    []l1cache
+	l2    l2cache
+	ports []Port   // one per hardware thread, indexed by its id
+	tags  []tagSet // one per hardware thread, indexed by its id
+	stats Stats    // every count but L1Hits, which Stats derives
 }
 
-// Port is one hardware thread's own view of its L1, built once per
-// hierarchy. ReadHit and WriteHit serve an L1 hit from it alone: one
-// residency-index load, the way's LRU stamp and the L1's own clock. They are
-// small enough to inline into the simulator's access paths. Everything else
-// — misses, S->M upgrades, and write hits that must notify SMT siblings —
-// goes through Hierarchy.Read and Hierarchy.Write, which try the same port
-// first. A Port never changes after New, so callers keep a copy of it next
-// to their other per-thread state.
+// Port is one hardware thread's own view of its L1 and its Conditional
+// Access state, built once per hierarchy. ReadHit and WriteHit serve an L1
+// hit from it alone: one residency-index load, the way's LRU stamp and the
+// L1's own clock. They, and the tag methods, are small enough to inline into
+// the simulator's access paths. Everything else — misses, S->M upgrades,
+// and write hits that must revoke SMT siblings' tags — goes through
+// Hierarchy.Read and Hierarchy.Write, which try the same port first. A
+// Port's own fields never change after New, so callers keep a copy of it
+// next to their other per-thread state, and every copy reaches the same tag
+// set. core and smt share a word to keep that copy at 32 bytes.
 type Port struct {
 	l1     *l1cache
-	core   int // index of l1 in Hierarchy.l1: tid / ThreadsPerCore
+	tags   *tagSet
 	hitLat uint64
-	smt    bool // the L1 is shared with SMT siblings
+	core   int32 // index of l1 in Hierarchy.l1: tid / ThreadsPerCore
+	smt    bool  // the L1 is shared with SMT siblings
 }
 
 // Port returns hardware thread tid's port.
@@ -184,77 +280,47 @@ func (p *Port) WriteHit(addr uint64) bool {
 	return false
 }
 
-// New builds a hierarchy for p. listener may be nil. Geometry is validated
-// (including power-of-two set counts) before anything is allocated.
-func New(p Params, listener Listener) *Hierarchy {
+// New builds a hierarchy for p. Geometry is validated (including
+// power-of-two set counts) before anything is allocated.
+func New(p Params) *Hierarchy {
 	p.Validate()
-	h := &Hierarchy{p: p, smt: p.SMTWidth(), listener: listener}
-	l1Ways := (p.L1Bytes / (p.L1Assoc * lineBytes)) * p.L1Assoc
+	h := &Hierarchy{p: p, smt: p.SMTWidth()}
 	h.l1 = make([]l1cache, p.L1Count())
 	for c := range h.l1 {
-		h.l1[c] = l1cache{
-			lines:   make([]uint64, l1Ways),
-			lru:     make([]uint64, l1Ways),
-			state:   make([]State, l1Ways),
-			l2way:   make([]int32, l1Ways),
-			full:    make([]uint16, l1Ways/p.L1Assoc),
-			setMask: uint64(p.L1Bytes/(p.L1Assoc*lineBytes) - 1),
-			assoc:   uint64(p.L1Assoc),
-		}
-		h.l1[c].reset()
+		l1 := &h.l1[c]
+		l1.ways = newWays(p.L1Bytes, p.L1Assoc)
+		l1.state = make([]State, len(l1.lines))
+		l1.l2way = make([]int32, len(l1.lines))
 	}
 	h.ports = make([]Port, p.Cores)
+	h.tags = make([]tagSet, p.Cores)
 	for t := range h.ports {
 		c := t / h.smt
-		h.ports[t] = Port{l1: &h.l1[c], core: c, hitLat: p.LatL1Hit, smt: h.smt > 1}
+		h.tags[t].era = 1
+		h.ports[t] = Port{l1: &h.l1[c], tags: &h.tags[t], hitLat: p.LatL1Hit, core: int32(c), smt: h.smt > 1}
 	}
-	l2Ways := (p.L2Bytes / (p.L2Assoc * lineBytes)) * p.L2Assoc
-	h.l2 = l2cache{
-		lines:   make([]uint64, l2Ways),
-		lru:     make([]uint64, l2Ways),
-		sharers: make([]uint64, l2Ways),
-		owner:   make([]int8, l2Ways),
-		dirty:   make([]bool, l2Ways),
-		full:    make([]uint16, l2Ways/p.L2Assoc),
-		setMask: uint64(p.L2Bytes/(p.L2Assoc*lineBytes) - 1),
-		assoc:   uint64(p.L2Assoc),
-	}
-	h.l2.reset()
+	h.l2.ways = newWays(p.L2Bytes, p.L2Assoc)
+	h.l2.sharers = make([]uint64, len(h.l2.lines))
+	h.l2.owner = make([]int8, len(h.l2.lines))
+	h.l2.dirty = make([]bool, len(h.l2.lines))
 	return h
 }
 
-func (c *l1cache) reset() {
-	for i := range c.lines {
-		c.lines[i] = invalidLine
-	}
-	clear(c.lru)
-	clear(c.state)
-	clear(c.full)
-	clear(c.wayOf)
-	c.clock = 0
-}
-
-func (c *l2cache) reset() {
-	for i := range c.lines {
-		c.lines[i] = invalidLine
-	}
-	clear(c.lru)
-	clear(c.sharers)
-	clear(c.owner)
-	clear(c.dirty)
-	clear(c.full)
-	clear(c.wayOf)
-	c.clock = 0
-}
-
-// Reset empties every cache and zeroes the statistics and the replacement
-// clocks, returning the hierarchy to its post-New state without
-// reallocating the slabs.
+// Reset empties every cache and tag set, clears every accessRevokedBit, and
+// zeroes the statistics and the replacement clocks, returning the hierarchy
+// to its post-New state without reallocating the slabs.
 func (h *Hierarchy) Reset() {
 	for c := range h.l1 {
 		h.l1[c].reset()
+		clear(h.l1[c].state)
 	}
 	h.l2.reset()
+	clear(h.l2.sharers)
+	clear(h.l2.owner)
+	clear(h.l2.dirty)
+	for t := range h.tags {
+		h.tags[t].reset()
+	}
 	h.stats = Stats{}
 }
 
@@ -269,11 +335,6 @@ func (h *Hierarchy) Stats() Stats {
 	}
 	s.L1Hits -= s.L1Misses
 	return s
-}
-
-// base returns the slab index of the first way of line's set.
-func (c *l1cache) base(line uint64) uint64 {
-	return ((line >> lineShift) & c.setMask) * c.assoc
 }
 
 // min8 returns the index of the smallest of a's eight values, first index
@@ -333,27 +394,6 @@ func minLRU(lru []uint64) int {
 	return minI
 }
 
-// find returns the slab index of line's way, or -1 when not resident: one
-// load of the residency index, equivalent by construction to scanning the
-// set's tags.
-func (c *l1cache) find(line uint64) int {
-	if li := line >> lineShift; li < uint64(len(c.wayOf)) {
-		return int(c.wayOf[li]) - 1
-	}
-	return -1
-}
-
-func (c *l2cache) base(line uint64) uint64 {
-	return ((line >> lineShift) & c.setMask) * c.assoc
-}
-
-func (c *l2cache) find(line uint64) int {
-	if li := line >> lineShift; li < uint64(len(c.wayOf)) {
-		return int(c.wayOf[li]) - 1
-	}
-	return -1
-}
-
 // growWays extends a residency index to cover line index li. The simulated
 // heap only grows, so this amortizes to nothing after warm-up.
 func growWays(w []int32, li uint64) []int32 {
@@ -376,32 +416,6 @@ func (h *Hierarchy) HasLine(tid int, line uint64) State {
 	return Invalid
 }
 
-// notify delivers a LineInvalidated event to every hardware thread of
-// physical core l1i.
-func (h *Hierarchy) notify(l1i int, line uint64) {
-	if h.listener == nil {
-		return
-	}
-	for k := 0; k < h.smt; k++ {
-		h.listener.LineInvalidated(l1i*h.smt+k, line)
-	}
-}
-
-// notifySiblings delivers a LineInvalidated event to tid's hyperthread
-// siblings (not tid itself): a local write leaves the line resident, but any
-// sibling tag on it must be revoked.
-func (h *Hierarchy) notifySiblings(tid int, line uint64) {
-	if h.listener == nil || h.smt == 1 {
-		return
-	}
-	base := h.ports[tid].core * h.smt
-	for k := 0; k < h.smt; k++ {
-		if base+k != tid {
-			h.listener.LineInvalidated(base+k, line)
-		}
-	}
-}
-
 // Read performs a load by hardware thread tid from the line containing addr
 // and returns its latency in cycles.
 func (h *Hierarchy) Read(tid int, addr uint64) uint64 {
@@ -409,7 +423,7 @@ func (h *Hierarchy) Read(tid int, addr uint64) uint64 {
 	if p.ReadHit(addr) {
 		return p.hitLat
 	}
-	core := p.core
+	core := int(p.core)
 	line := addr &^ (lineBytes - 1)
 	p.l1.clock++
 	h.l2.clock++
@@ -429,7 +443,7 @@ func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
 	if p.WriteHit(addr) {
 		return p.hitLat
 	}
-	core := p.core
+	core := int(p.core)
 	line := addr &^ (lineBytes - 1)
 	l1 := p.l1
 	l1.clock++
@@ -437,7 +451,7 @@ func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
 		l1.lru[w] = l1.clock
 		if l1.state[w] == Modified {
 			// A hit WriteHit declined: the L1 has SMT siblings.
-			h.notifySiblings(tid, line)
+			h.revokeSiblings(tid, line)
 			return h.p.LatL1Hit
 		}
 		// S -> M upgrade.
@@ -458,10 +472,11 @@ func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
 		h.l2.owner[w2] = int8(core)
 		h.l2.lru[w2] = h.l2.clock
 		l1.state[w] = Modified
-		h.notifySiblings(tid, line)
+		h.revokeSiblings(tid, line)
 		return lat
 	}
-	// Miss: read-for-ownership.
+	// Miss: read-for-ownership. No sibling holds a tag on the line: tags
+	// live on L1 lines, and this L1 did not hold it.
 	h.l2.clock++
 	h.stats.L1Misses++
 	lat, w2 := h.missFill(core, line, true)
@@ -469,7 +484,6 @@ func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
 	h.l2.owner[w2] = int8(core)
 	h.l2.lru[w2] = h.l2.clock
 	h.installL1(core, line, Modified, w2)
-	h.notifySiblings(tid, line)
 	return lat
 }
 
@@ -511,8 +525,8 @@ func (h *Hierarchy) missFill(core int, line uint64, forWrite bool) (uint64, int)
 }
 
 // downgradeOwner moves the current owner's copy of the line in L2 way w2
-// from Modified to Shared, writing the line back to the L2. Downgrades do
-// not fire the listener.
+// from Modified to Shared, writing the line back to the L2. The line stays
+// resident, so a downgrade revokes nothing: only invalidations do.
 func (h *Hierarchy) downgradeOwner(w2 int) {
 	line := h.l2.lines[w2]
 	l1 := &h.l1[h.l2.owner[w2]]
@@ -525,8 +539,8 @@ func (h *Hierarchy) downgradeOwner(w2 int) {
 	h.l2.owner[w2] = -1
 }
 
-// invalidateSharers drops every L1 copy named in mask and fires the listener
-// for each (these are true invalidations: tagged copies are revoked).
+// invalidateSharers drops every L1 copy named in mask (these are true
+// invalidations: tagged copies are revoked).
 func (h *Hierarchy) invalidateSharers(line uint64, mask uint64) {
 	for c := 0; mask != 0; c++ {
 		if mask&(1<<uint(c)) == 0 {
@@ -538,8 +552,8 @@ func (h *Hierarchy) invalidateSharers(line uint64, mask uint64) {
 	}
 }
 
-// dropL1 removes physical core l1i's copy of line (if present) and notifies
-// every hyperthread of that core.
+// dropL1 removes physical core l1i's copy of line (if present), revoking
+// every hyperthread of that core that had it tagged.
 func (h *Hierarchy) dropL1(l1i int, line uint64) {
 	l1 := &h.l1[l1i]
 	if w := l1.find(line); w >= 0 {
@@ -547,7 +561,7 @@ func (h *Hierarchy) dropL1(l1i int, line uint64) {
 		l1.lines[w] = invalidLine
 		l1.wayOf[line>>lineShift] = 0
 		l1.full[(line>>lineShift)&l1.setMask]--
-		h.notify(l1i, line)
+		h.revokeLine(l1i, line)
 	}
 }
 
@@ -557,83 +571,36 @@ func (h *Hierarchy) dropL1(l1i int, line uint64) {
 // and updates the directory.
 func (h *Hierarchy) installL1(core int, line uint64, st State, w2new int) {
 	l1 := &h.l1[core]
-	set := (line >> lineShift) & l1.setMask
-	base := int(set) * int(l1.assoc)
-	end := base + int(l1.assoc)
-	victim := -1
-	// First empty way wins; a full set (the steady state, tracked in full)
-	// skips straight to the LRU pass. Range loops over subslices let the
-	// compiler elide per-way bounds checks.
-	if int(l1.full[set]) < int(l1.assoc) {
-		for i, l := range l1.lines[base:end] {
-			if l == invalidLine {
-				victim = base + i
-				break
-			}
-		}
-	}
-	if victim >= 0 {
-		l1.full[set]++
-		goto place
-	}
-	victim = base + minLRU(l1.lru[base:end])
-	// Evict the LRU way.
-	{
-		vline := l1.lines[victim]
+	w, vline := l1.place(line)
+	if vline != invalidLine {
 		h.stats.L1Evictions++
-		w2 := int(l1.l2way[victim])
+		w2 := int(l1.l2way[w])
 		if h.l2.lines[w2] != vline {
 			panic(fmt.Sprintf("cache: inclusivity violated evicting %#x", vline))
 		}
-		if l1.state[victim] == Modified {
+		if l1.state[w] == Modified {
 			h.l2.dirty[w2] = true
 		}
 		if int(h.l2.owner[w2]) == core {
 			h.l2.owner[w2] = -1
 		}
 		h.l2.sharers[w2] &^= 1 << uint(core)
-		l1.state[victim] = Invalid
-		l1.wayOf[vline>>lineShift] = 0
-		h.notify(core, vline)
+		h.revokeLine(core, vline)
 	}
-place:
-	if li := line >> lineShift; li < uint64(len(l1.wayOf)) {
-		l1.wayOf[li] = int32(victim) + 1
-	} else {
-		l1.wayOf = growWays(l1.wayOf, li)
-		l1.wayOf[li] = int32(victim) + 1
-	}
-	l1.lines[victim] = line
-	l1.state[victim] = st
-	l1.lru[victim] = l1.clock
-	l1.l2way[victim] = int32(w2new)
+	l1.state[w] = st
+	l1.l2way[w] = int32(w2new)
 }
 
 // installL2 places line into the L2, evicting (and back-invalidating) a
 // victim if needed, and returns the slab index of the new way.
 func (h *Hierarchy) installL2(line uint64) int {
 	l2 := &h.l2
-	set := (line >> lineShift) & l2.setMask
-	base := int(set) * int(l2.assoc)
-	end := base + int(l2.assoc)
-	victim := -1
-	if int(l2.full[set]) < int(l2.assoc) {
-		for i, l := range l2.lines[base:end] {
-			if l == invalidLine {
-				victim = base + i
-				break
-			}
-		}
-	}
-	if victim >= 0 {
-		l2.full[set]++
-		goto place
-	}
-	victim = base + minLRU(l2.lru[base:end])
-	// Evict LRU, back-invalidating all L1 copies (inclusive L2).
-	{
-		vline := l2.lines[victim]
-		for c, m := 0, l2.sharers[victim]; m != 0; c++ {
+	w, vline := l2.place(line)
+	if vline != invalidLine {
+		// Back-invalidate every L1 copy (inclusive L2). Dirty victims write
+		// back to memory; the cost is off the requester's critical path and
+		// is not charged.
+		for c, m := 0, l2.sharers[w]; m != 0; c++ {
 			if m&(1<<uint(c)) == 0 {
 				continue
 			}
@@ -641,32 +608,20 @@ func (h *Hierarchy) installL2(line uint64) int {
 			h.dropL1(c, vline)
 			h.stats.BackInvals++
 		}
-		l2.wayOf[vline>>lineShift] = 0
-		// Dirty victims write back to memory; the cost is off the requester's
-		// critical path and is not charged.
 	}
-place:
-	if li := line >> lineShift; li < uint64(len(l2.wayOf)) {
-		l2.wayOf[li] = int32(victim) + 1
-	} else {
-		l2.wayOf = growWays(l2.wayOf, li)
-		l2.wayOf[li] = int32(victim) + 1
-	}
-	l2.lines[victim] = line
-	l2.lru[victim] = l2.clock
-	l2.sharers[victim] = 0
-	l2.owner[victim] = -1
-	l2.dirty[victim] = false
-	return victim
+	l2.sharers[w] = 0
+	l2.owner[w] = -1
+	l2.dirty[w] = false
+	return w
 }
 
-// CheckInvariants validates directory/L1 consistency: at most one Modified
+// CheckInvariants validates directory/L1 consistency — at most one Modified
 // copy per line, directory sharer sets exactly matching L1 contents, and
-// inclusivity. Property tests call it after random access sequences, and
-// checked simulation runs lean on it, so it works directly off the indexed
-// cache slabs (set-indexed l1.find/l2.find probes) rather than building a
-// per-call map of holders: no allocation, and cost proportional to resident
-// lines plus actual sharing.
+// inclusivity — each cache's placement state, and each hardware thread's
+// tags. Property tests call it after random access sequences, so it works
+// directly off the indexed cache slabs (l1.find/l2.find probes) rather than
+// building a per-call map of holders: no allocation, and cost proportional
+// to the slabs plus actual sharing.
 func (h *Hierarchy) CheckInvariants() error {
 	// Every valid L1 line must be in the inclusive L2, its directory sharer
 	// bit must be set, and a Modified copy must be the directory owner.
@@ -729,67 +684,19 @@ func (h *Hierarchy) CheckInvariants() error {
 			return fmt.Errorf("line %#x Modified at %d but shared by %b", line, owner, h.l2.sharers[i])
 		}
 	}
-	// The redundant per-set occupancy counters must match the slabs exactly:
-	// a drifted counter silently corrupts victim selection (install would
-	// evict a live line while an empty way exists, or scan a full set).
 	for c := range h.l1 {
-		if err := checkFull("L1", h.l1[c].lines, h.l1[c].full, int(h.l1[c].assoc)); err != nil {
+		if err := h.l1[c].check("L1"); err != nil {
 			return fmt.Errorf("core %d: %w", c, err)
 		}
 	}
-	if err := checkFull("L2", h.l2.lines, h.l2.full, int(h.l2.assoc)); err != nil {
+	if err := h.l2.check("L2"); err != nil {
 		return err
 	}
-	// The residency indexes must mirror the line slabs exactly — every other
-	// check above probes residency through find, so a drifted index would
-	// otherwise corrupt both the simulation and its own validation.
-	for c := range h.l1 {
-		if err := checkWayOf("L1", h.l1[c].lines, h.l1[c].wayOf); err != nil {
-			return fmt.Errorf("core %d: %w", c, err)
-		}
-	}
-	return checkWayOf("L2", h.l2.lines, h.l2.wayOf)
-}
-
-// checkWayOf verifies a cache's residency index against its line slab in
-// both directions: every valid way is indexed at its line, and every index
-// entry points at a way holding that line.
-func checkWayOf(level string, lines []uint64, wayOf []int32) error {
-	for w, line := range lines {
-		if line == invalidLine {
-			continue
-		}
-		got := -1
-		if li := line >> lineShift; li < uint64(len(wayOf)) {
-			got = int(wayOf[li]) - 1
-		}
-		if got != w {
-			return fmt.Errorf("%s line %#x in way %d but residency index says %d", level, line, w, got)
-		}
-	}
-	for li, w := range wayOf {
-		if w == 0 {
-			continue
-		}
-		if int(w) > len(lines) || lines[w-1] != uint64(li)<<lineShift {
-			return fmt.Errorf("%s residency index maps line %#x to way %d holding %#x", level, uint64(li)<<lineShift, w-1, lines[w-1])
-		}
-	}
-	return nil
-}
-
-// checkFull verifies a cache's per-set valid-way counters against its line
-// slab.
-func checkFull(level string, lines []uint64, full []uint16, assoc int) error {
-	for set := range full {
-		n := 0
-		for _, l := range lines[set*assoc : (set+1)*assoc] {
-			if l != invalidLine {
-				n++
-			}
-		}
-		if int(full[set]) != n {
-			return fmt.Errorf("%s set %d occupancy counter %d != actual %d valid ways", level, set, full[set], n)
+	// Every tag sits on a line its thread's L1 holds (a tag leaves with its
+	// line), and each thread's count matches its table.
+	for tid := range h.tags {
+		if err := h.tags[tid].check(h.ports[tid].l1); err != nil {
+			return fmt.Errorf("thread %d: %w", tid, err)
 		}
 	}
 	return nil

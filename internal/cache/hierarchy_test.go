@@ -6,35 +6,36 @@ import (
 )
 
 // tiny returns a small hierarchy so eviction paths are easy to exercise.
-func tiny(cores int, l *recorder) *Hierarchy {
+func tiny(cores int) *Hierarchy {
 	p := DefaultParams(cores)
 	p.L1Bytes = 4 * 64 * 2 // 4 sets, 2-way
 	p.L1Assoc = 2
 	p.L2Bytes = 8 * 64 * 4 // 8 sets, 4-way
 	p.L2Assoc = 4
-	var lis Listener
-	if l != nil {
-		lis = l
-	}
-	return New(p, lis)
+	return New(p)
 }
 
-type recorder struct {
-	events []struct {
-		core int
-		line uint64
+// readTag loads addr on hardware thread tid and tags its line, as a
+// successful cread does.
+func readTag(h *Hierarchy, tid int, addr uint64) {
+	h.Read(tid, addr)
+	if p := h.Port(tid); !p.Probe(addr) {
+		p.Tag(addr, 0)
 	}
 }
 
-func (r *recorder) LineInvalidated(core int, line uint64) {
-	r.events = append(r.events, struct {
-		core int
-		line uint64
-	}{core, line})
+func tagged(h *Hierarchy, tid int, addr uint64) bool {
+	p := h.Port(tid)
+	return p.Probe(addr)
+}
+
+func revoked(h *Hierarchy, tid int) bool {
+	p := h.Port(tid)
+	return p.Revoked()
 }
 
 func TestReadMissThenHit(t *testing.T) {
-	h := tiny(2, nil)
+	h := tiny(2)
 	lat1 := h.Read(0, 0x1000)
 	lat2 := h.Read(0, 0x1000)
 	if lat1 <= lat2 {
@@ -49,12 +50,10 @@ func TestReadMissThenHit(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	rec := &recorder{}
-	h := tiny(3, rec)
-	h.Read(0, 0x2000)
-	h.Read(1, 0x2000)
-	h.Read(2, 0x2000)
-	rec.events = nil
+	h := tiny(3)
+	readTag(h, 0, 0x2000)
+	readTag(h, 1, 0x2000)
+	readTag(h, 2, 0x2000)
 	h.Write(0, 0x2000)
 	if h.HasLine(0, 0x2000) != Modified {
 		t.Fatal("writer not Modified")
@@ -62,8 +61,18 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	if h.HasLine(1, 0x2000) != Invalid || h.HasLine(2, 0x2000) != Invalid {
 		t.Fatal("sharers not invalidated")
 	}
-	if len(rec.events) != 2 {
-		t.Fatalf("listener events = %d, want 2", len(rec.events))
+	// The invalidated sharers lose their tags and are revoked; the writer
+	// keeps its own.
+	for tid := 1; tid <= 2; tid++ {
+		if tagged(h, tid, 0x2000) || !revoked(h, tid) {
+			t.Fatalf("sharer %d: tagged %v, revoked %v; want the tag gone and access revoked", tid, tagged(h, tid, 0x2000), revoked(h, tid))
+		}
+	}
+	if !tagged(h, 0, 0x2000) || revoked(h, 0) {
+		t.Fatal("the writer lost its own tag")
+	}
+	if n := h.Revocations(); n != 2 {
+		t.Fatalf("revocations = %d, want 2", n)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -71,10 +80,9 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestRemoteModifiedForwardDowngrades(t *testing.T) {
-	rec := &recorder{}
-	h := tiny(2, rec)
+	h := tiny(2)
 	h.Write(0, 0x3000)
-	rec.events = nil
+	readTag(h, 0, 0x3000)
 	lat := h.Read(1, 0x3000)
 	if h.HasLine(0, 0x3000) != Shared || h.HasLine(1, 0x3000) != Shared {
 		t.Fatal("downgrade to S/S failed")
@@ -82,32 +90,34 @@ func TestRemoteModifiedForwardDowngrades(t *testing.T) {
 	if lat < h.Params().LatRemoteFwd {
 		t.Fatalf("remote forward latency %d too small", lat)
 	}
-	// Downgrades are not invalidations: the listener must stay silent.
-	if len(rec.events) != 0 {
-		t.Fatalf("downgrade fired %d invalidation events", len(rec.events))
+	// Downgrades are not invalidations: the owner keeps its tag.
+	if !tagged(h, 0, 0x3000) || revoked(h, 0) || h.Revocations() != 0 {
+		t.Fatal("a downgrade revoked the owner's tag")
 	}
 }
 
-func TestL1EvictionFiresListener(t *testing.T) {
-	rec := &recorder{}
-	h := tiny(1, rec)
-	// 4 sets * 64B: addresses 0x0, 0x1000, 0x2000 map to set 0 (stride 256).
+func TestL1EvictionRevokes(t *testing.T) {
+	h := tiny(1)
+	// 4 sets * 64B: addresses base, base+stride, base+2*stride map to one set.
 	base := uint64(0x10000)
 	stride := uint64(4 * 64) // set count * line size
-	h.Read(0, base)
+	readTag(h, 0, base)
 	h.Read(0, base+stride)
-	rec.events = nil
 	h.Read(0, base+2*stride) // 2-way set overflows: evicts LRU (base)
-	if len(rec.events) != 1 || rec.events[0].line != base {
-		t.Fatalf("eviction events = %+v, want [{0 %#x}]", rec.events, base)
-	}
 	if h.HasLine(0, base) != Invalid {
 		t.Fatal("victim still present")
+	}
+	p := h.Port(0)
+	if tagged(h, 0, base) || p.TagCount() != 0 || !revoked(h, 0) {
+		t.Fatal("evicting a tagged line did not drop the tag and revoke")
+	}
+	if h.Stats().L1Evictions != 1 || h.Revocations() != 1 {
+		t.Fatalf("evictions %d, revocations %d; want 1, 1", h.Stats().L1Evictions, h.Revocations())
 	}
 }
 
 func TestUpgradeNoSharersIsCheap(t *testing.T) {
-	h := tiny(2, nil)
+	h := tiny(2)
 	h.Read(0, 0x4000)
 	latUp := h.Write(0, 0x4000)
 	h.Read(0, 0x5000)
@@ -119,54 +129,60 @@ func TestUpgradeNoSharersIsCheap(t *testing.T) {
 }
 
 func TestWriteMissStealsFromRemoteOwner(t *testing.T) {
-	rec := &recorder{}
-	h := tiny(2, rec)
+	h := tiny(2)
 	h.Write(0, 0x6000)
-	rec.events = nil
+	readTag(h, 0, 0x6000)
 	h.Write(1, 0x6000)
 	if h.HasLine(0, 0x6000) != Invalid || h.HasLine(1, 0x6000) != Modified {
 		t.Fatal("ownership transfer failed")
 	}
-	if len(rec.events) != 1 || rec.events[0].core != 0 {
-		t.Fatalf("owner invalidation events = %+v", rec.events)
+	if tagged(h, 0, 0x6000) || !revoked(h, 0) || revoked(h, 1) {
+		t.Fatal("the stolen owner copy's tag was not revoked, or the thief was")
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestInclusiveL2BackInvalidation: core 0 tags line A, then core 1 fills
+// A's L2 set. The L2 evicts A, its least recently used line, and must drop
+// core 0's L1 copy with the tag on it.
 func TestInclusiveL2BackInvalidation(t *testing.T) {
-	rec := &recorder{}
-	h := tiny(1, rec)
-	// Fill one L2 set (4 ways) and force an eviction. L2 has 8 sets:
-	// stride = 8*64 = 512.
-	base := uint64(0x20000)
+	h := tiny(2)
+	// tiny's L2 has 8 sets of 4 ways: stride = 8*64 = 512.
+	a := uint64(0x20000)
 	stride := uint64(8 * 64)
-	for i := uint64(0); i < 4; i++ {
-		h.Read(0, base+i*stride)
+	readTag(h, 0, a)
+	for i := uint64(1); i <= 4; i++ {
+		h.Read(1, a+i*stride)
 	}
-	rec.events = nil
-	h.Read(0, base+4*stride)
-	// The L2 victim's L1 copy (if still resident) must be back-invalidated;
-	// either way invariants must hold.
+	if n := h.Stats().BackInvals; n != 1 {
+		t.Fatalf("back-invalidations = %d, want 1", n)
+	}
+	if h.HasLine(0, a) != Invalid {
+		t.Fatal("the L2 victim is still in core 0's L1")
+	}
+	if tagged(h, 0, a) || !revoked(h, 0) {
+		t.Fatal("back-invalidating a tagged line did not revoke")
+	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if h.Stats().BackInvals == 0 && len(rec.events) == 0 {
-		t.Log("victim was already evicted from L1; acceptable")
-	}
 }
 
-// TestCoherenceProperty fires random reads/writes from random cores and
-// checks the MSI invariants after every step.
+// TestCoherenceProperty fires random reads and writes from random cores,
+// tagging some of the lines they leave resident, and checks the MSI and tag
+// invariants after every step: every drop path (eviction, invalidation,
+// owner steal, back-invalidation) runs against them.
 func TestCoherenceProperty(t *testing.T) {
 	type step struct {
 		Core  uint8
 		Line  uint8
 		Write bool
+		Tag   bool
 	}
 	f := func(steps []step) bool {
-		h := tiny(4, &recorder{})
+		h := tiny(4)
 		for _, s := range steps {
 			addr := uint64(s.Line) * 64
 			core := int(s.Core) % 4
@@ -174,6 +190,14 @@ func TestCoherenceProperty(t *testing.T) {
 				h.Write(core, addr)
 			} else {
 				h.Read(core, addr)
+			}
+			if p := h.Port(core); s.Tag {
+				if p.Revoked() {
+					p.UntagAll() // a revoked operation restarts untagged
+				}
+				if !p.Probe(addr) {
+					p.Tag(addr, 0)
+				}
 			}
 			if err := h.CheckInvariants(); err != nil {
 				t.Log(err)
@@ -188,7 +212,7 @@ func TestCoherenceProperty(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	h := tiny(2, nil)
+	h := tiny(2)
 	h.Read(0, 0x100)
 	h.Read(0, 0x100)
 	h.Read(1, 0x100)
@@ -203,8 +227,7 @@ func TestStatsAccumulate(t *testing.T) {
 // lines, changes nothing when it declines, stamps LRU like a hierarchy hit
 // (so it steers the next victim), and is counted in L1Hits.
 func TestPortHits(t *testing.T) {
-	rec := &recorder{}
-	h := tiny(1, rec)
+	h := tiny(1)
 	p := h.Port(0)
 	base, stride := uint64(0x10000), uint64(4*64) // one 2-way set of tiny's L1
 	if p.ReadHit(base) || p.WriteHit(base) {
@@ -221,10 +244,9 @@ func TestPortHits(t *testing.T) {
 	if p.WriteHit(base) {
 		t.Fatal("port served a write to a Shared line, which needs an upgrade")
 	}
-	rec.events = nil
 	h.Read(0, base+2*stride) // the port's hit made base+stride the LRU way
-	if len(rec.events) != 1 || rec.events[0].line != base+stride {
-		t.Fatalf("eviction events = %+v, want [{0 %#x}]", rec.events, base+stride)
+	if h.HasLine(0, base+stride) != Invalid || h.HasLine(0, base) != Shared {
+		t.Fatalf("victim: base+stride is %v and base is %v, want I and S", h.HasLine(0, base+stride), h.HasLine(0, base))
 	}
 	h.Write(0, base) // S->M upgrade: a hit, served by the hierarchy
 	if !p.WriteHit(base) || p.HitLatency() != h.Params().LatL1Hit {
@@ -233,9 +255,14 @@ func TestPortHits(t *testing.T) {
 	if st := h.Stats(); st.L1Hits != 3 || st.L1Misses != 3 {
 		t.Fatalf("L1 hits/misses = %d/%d, want 3/3", st.L1Hits, st.L1Misses)
 	}
+	p.Tag(base, 0)
+	p.Revoke()
 	h.Reset()
 	if st := h.Stats(); st != (Stats{}) {
 		t.Fatalf("Reset left stats %+v", st)
+	}
+	if p.TagCount() != 0 || p.Revoked() || h.Revocations() != 0 {
+		t.Fatal("Reset left tags, the revoked bit or the revocation count")
 	}
 }
 
@@ -247,5 +274,5 @@ func TestBadGeometryPanics(t *testing.T) {
 			t.Fatal("bad geometry accepted")
 		}
 	}()
-	New(p, nil)
+	New(p)
 }

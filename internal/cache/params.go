@@ -6,13 +6,19 @@
 // Access on (Section V: "directory based MSI cache coherency protocol with a
 // private 32K L1 and a shared inclusive 256K L2 cache", 64-byte lines).
 //
-// The hierarchy is a timing-and-event model: data lives in the simulated
-// heap (package mem); the caches track line state, replacement, and sharers,
-// and report (a) the latency of each access and (b) the coherence events —
-// invalidations and evictions — that the Conditional Access extension in
-// package core listens to. Keeping data out of the cache model is sound
+// The hierarchy is a timing model: data lives in the simulated heap (package
+// mem); the caches track line state, replacement, and sharers, and report
+// the latency of each access. Keeping data out of the cache model is sound
 // because the simulator executes exactly one memory access at a time, so
 // there is always a single authoritative copy of every word.
+//
+// The hierarchy also holds the Conditional Access state the paper puts in
+// the L1 (Section III): each hardware thread's tag bits on L1 lines and its
+// accessRevokedBit, reached through the thread's Port. A tag leaves with its
+// line: every invalidation, eviction and inclusive-L2 back-invalidation of
+// an L1 copy, and every write by an SMT sibling, drops the tag and sets the
+// bit. M->S downgrades revoke nothing. Package core builds the four
+// instructions on this state.
 package cache
 
 import "fmt"
@@ -24,7 +30,8 @@ type Params struct {
 	// consecutive hardware threads share one physical core and its L1 (the
 	// paper's SMT discussion in Section III): each hyperthread keeps its own
 	// tag state, a hyperthread's write revokes its siblings' tags on that
-	// line, and coherence events on the shared L1 notify every hyperthread.
+	// line, and losing a line from the shared L1 revokes every hyperthread
+	// that had it tagged.
 	Cores int
 	// ThreadsPerCore is the SMT width; 0 or 1 means no SMT.
 	ThreadsPerCore int

@@ -4,14 +4,10 @@ import "testing"
 
 // smtRig builds a 2-way SMT hierarchy: 4 hardware threads on 2 physical
 // cores/L1s.
-func smtRig(l *recorder) *Hierarchy {
+func smtRig() *Hierarchy {
 	p := DefaultParams(4)
 	p.ThreadsPerCore = 2
-	var lis Listener
-	if l != nil {
-		lis = l
-	}
-	return New(p, lis)
+	return New(p)
 }
 
 func TestSMTGeometry(t *testing.T) {
@@ -30,7 +26,7 @@ func TestSMTGeometry(t *testing.T) {
 }
 
 func TestSMTSiblingsShareL1(t *testing.T) {
-	h := smtRig(nil)
+	h := smtRig()
 	h.Read(0, 0x1000) // thread 0 fills the shared L1
 	if h.HasLine(1, 0x1000) != Shared {
 		t.Fatal("sibling thread 1 does not see the shared L1 line")
@@ -45,16 +41,17 @@ func TestSMTSiblingsShareL1(t *testing.T) {
 }
 
 func TestSMTSiblingWriteNotifiesSiblingOnly(t *testing.T) {
-	rec := &recorder{}
-	h := smtRig(rec)
-	h.Read(0, 0x2000)
-	h.Read(1, 0x2000)
-	rec.events = nil
-	// Thread 1 writes: its sibling (thread 0) must get the event even though
-	// the line stays resident in their shared L1; thread 1 itself must not.
+	h := smtRig()
+	readTag(h, 0, 0x2000)
+	readTag(h, 1, 0x2000)
+	// Thread 1 writes: its sibling (thread 0) loses its tag even though the
+	// line stays resident in their shared L1; thread 1 keeps its own.
 	h.Write(1, 0x2000)
-	if len(rec.events) != 1 || rec.events[0].core != 0 || rec.events[0].line != 0x2000 {
-		t.Fatalf("events = %+v, want exactly thread 0 on 0x2000", rec.events)
+	if tagged(h, 0, 0x2000) || !revoked(h, 0) {
+		t.Fatal("the writer's sibling kept its tag")
+	}
+	if !tagged(h, 1, 0x2000) || revoked(h, 1) {
+		t.Fatal("the writer lost its own tag")
 	}
 	if h.HasLine(0, 0x2000) != Modified {
 		t.Fatal("line should stay resident (Modified) in the shared L1")
@@ -63,64 +60,76 @@ func TestSMTSiblingWriteNotifiesSiblingOnly(t *testing.T) {
 
 // TestSMTPortDeclinesWriteHits: on a shared L1 even a write hit must revoke
 // the siblings' tags, so the port leaves it to Hierarchy.Write. Read hits
-// notify nobody and stay on the port.
+// revoke nobody and stay on the port.
 func TestSMTPortDeclinesWriteHits(t *testing.T) {
-	rec := &recorder{}
-	h := smtRig(rec)
+	h := smtRig()
 	h.Write(0, 0x2000)
+	readTag(h, 0, 0x2000)
+	readTag(h, 1, 0x2000)
 	p := h.Port(0)
 	if p.WriteHit(0x2000) {
-		t.Fatal("SMT port served a write hit without notifying the sibling")
+		t.Fatal("SMT port served a write hit without revoking the sibling")
 	}
-	if !p.ReadHit(0x2000) {
-		t.Fatal("SMT port declined a read hit")
+	if !p.ReadHit(0x2000) || revoked(h, 1) {
+		t.Fatal("SMT port declined a read hit, or the read revoked the sibling")
 	}
-	rec.events = nil
 	if lat := h.Write(0, 0x2000); lat != h.Params().LatL1Hit {
 		t.Fatalf("write hit latency = %d, want %d", lat, h.Params().LatL1Hit)
 	}
-	if len(rec.events) != 1 || rec.events[0].core != 1 {
-		t.Fatalf("events = %+v, want exactly thread 1", rec.events)
+	if tagged(h, 1, 0x2000) || !revoked(h, 1) || revoked(h, 0) {
+		t.Fatal("a write hit must revoke exactly the writer's sibling")
 	}
 }
 
+// TestSMTRemoteInvalidationNotifiesBothHyperthreads: a write from another
+// core drops the line from the shared L1, revoking both hyperthreads that
+// tagged it. The writing core's threads stay unrevoked: the line was not in
+// their L1, so neither can have held a tag on it.
 func TestSMTRemoteInvalidationNotifiesBothHyperthreads(t *testing.T) {
-	rec := &recorder{}
-	h := smtRig(rec)
-	h.Read(0, 0x3000) // core 0's L1 (threads 0 and 1)
-	rec.events = nil
-	h.Write(2, 0x3000) // core 1 steals ownership
-	// Both hyperthreads of core 0 must hear the invalidation.
-	seen := map[int]bool{}
-	for _, ev := range rec.events {
-		if ev.line == 0x3000 {
-			seen[ev.core] = true
+	h := smtRig()
+	readTag(h, 0, 0x3000) // core 0's L1 (threads 0 and 1)
+	readTag(h, 1, 0x3000)
+	readTag(h, 3, 0x4000) // core 1's L1 (threads 2 and 3)
+	h.Write(2, 0x3000)    // core 1 steals ownership
+	for tid := 0; tid <= 1; tid++ {
+		if tagged(h, tid, 0x3000) || !revoked(h, tid) {
+			t.Fatalf("hyperthread %d of the invalidated core was not revoked", tid)
 		}
 	}
-	if !seen[0] || !seen[1] {
-		t.Fatalf("events = %+v, want both threads 0 and 1", rec.events)
-	}
-	// Thread 3 (sibling of the writer) also gets a sibling notification.
-	if !seen[3] {
-		t.Fatalf("writer's sibling (thread 3) not notified: %+v", rec.events)
-	}
-	if seen[2] {
-		t.Fatalf("writer itself notified: %+v", rec.events)
-	}
-}
-
-func TestSMTInvariantsHold(t *testing.T) {
-	h := smtRig(nil)
-	for i := 0; i < 200; i++ {
-		tid := i % 4
-		addr := uint64((i*7)%32) * 64
-		if i%3 == 0 {
-			h.Write(tid, addr)
-		} else {
-			h.Read(tid, addr)
-		}
+	if revoked(h, 2) || revoked(h, 3) || !tagged(h, 3, 0x4000) {
+		t.Fatal("the writing core's threads were revoked")
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSMTInvariantsHold runs a fixed mix of reads, writes and tags over the
+// SMT rig, checking the MSI and tag invariants after every step: sibling
+// writes and remote invalidations must drop exactly the tags on their line.
+func TestSMTInvariantsHold(t *testing.T) {
+	h := smtRig()
+	for i := 0; i < 200; i++ {
+		// 31 lines, prime to the 4 threads: every line passes through every
+		// thread, so sibling writes and remote invalidations meet tags.
+		tid := i % 4
+		addr := uint64((i*7)%31) * 64
+		switch i % 3 {
+		case 0:
+			h.Write(tid, addr)
+		case 1:
+			h.Read(tid, addr)
+		default:
+			if p := h.Port(tid); p.Revoked() {
+				p.UntagAll() // a revoked operation restarts untagged
+			}
+			readTag(h, tid, addr)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if h.Revocations() == 0 {
+		t.Fatal("no step revoked a tag")
 	}
 }

@@ -9,11 +9,8 @@ import (
 
 // rig builds an extension over a small hierarchy and heap.
 func rig(cores int) (*Extension, *mem.Space) {
-	e := New(cores)
-	p := cache.DefaultParams(cores)
-	h := cache.New(p, e)
 	s := mem.NewSpace()
-	e.Attach(h, s)
+	e := New(cache.New(cache.DefaultParams(cores)), s)
 	e.Check = true
 	return e, s
 }
@@ -26,15 +23,15 @@ func TestCReadTagsAndLoads(t *testing.T) {
 	if !ok || v != 77 {
 		t.Fatalf("cread = %d,%v, want 77,true", v, ok)
 	}
-	if e.TagSetSize(0) != 1 {
-		t.Fatalf("tag set size = %d, want 1", e.TagSetSize(0))
+	if e.ports[0].TagCount() != 1 {
+		t.Fatalf("tag set size = %d, want 1", e.ports[0].TagCount())
 	}
 	// Re-cread of the same line must not grow the tag set.
 	if _, _, ok := e.CRead(0, a+8); !ok {
 		t.Fatal("second cread failed")
 	}
-	if e.TagSetSize(0) != 1 {
-		t.Fatalf("tag set grew to %d on same-line cread", e.TagSetSize(0))
+	if e.ports[0].TagCount() != 1 {
+		t.Fatalf("tag set grew to %d on same-line cread", e.ports[0].TagCount())
 	}
 }
 
@@ -47,7 +44,7 @@ func TestRemoteWriteRevokes(t *testing.T) {
 	// Core 1 writes the tagged line: core 0 must be revoked.
 	e.h.Write(1, a)
 	s.Write(a, 1)
-	if !e.Revoked(0) {
+	if !e.ports[0].Revoked() {
 		t.Fatal("remote write did not revoke")
 	}
 	if _, _, ok := e.CRead(0, a); ok {
@@ -58,7 +55,7 @@ func TestRemoteWriteRevokes(t *testing.T) {
 	}
 	// untagAll clears the bit.
 	e.UntagAll(0)
-	if e.Revoked(0) {
+	if e.ports[0].Revoked() {
 		t.Fatal("untagAll did not clear revocation")
 	}
 	if _, _, ok := e.CRead(0, a); !ok {
@@ -93,29 +90,27 @@ func TestUntagOneStopsTracking(t *testing.T) {
 	e.CRead(0, a)
 	e.CRead(0, b)
 	e.UntagOne(0, a)
-	if e.TagSetSize(0) != 1 {
-		t.Fatalf("tag set = %d, want 1", e.TagSetSize(0))
+	if e.ports[0].TagCount() != 1 {
+		t.Fatalf("tag set = %d, want 1", e.ports[0].TagCount())
 	}
 	// A write to the untagged line must NOT revoke.
 	e.h.Write(1, a)
-	if e.Revoked(0) {
+	if e.ports[0].Revoked() {
 		t.Fatal("untagged line still revokes")
 	}
 	// But the still-tagged line must.
 	e.h.Write(1, b)
-	if !e.Revoked(0) {
+	if !e.ports[0].Revoked() {
 		t.Fatal("tagged line did not revoke")
 	}
 }
 
 func TestSelfEvictionRevokes(t *testing.T) {
-	e := New(1)
 	p := cache.DefaultParams(1)
 	p.L1Bytes = 2 * 64 * 2 // 2 sets, 2-way: tiny, to force conflict evictions
 	p.L1Assoc = 2
-	h := cache.New(p, e)
 	s := mem.NewSpace()
-	e.Attach(h, s)
+	e := New(cache.New(p), s)
 	// Three lines mapping to the same set (stride = sets*64 = 128).
 	var lines []mem.Addr
 	for len(lines) < 3 {
@@ -134,7 +129,7 @@ func TestSelfEvictionRevokes(t *testing.T) {
 	if _, _, ok := e.CRead(0, lines[2]); !ok {
 		t.Fatal("cread 2 failed (revocation should postdate its flag check)")
 	}
-	if !e.Revoked(0) {
+	if !e.ports[0].Revoked() {
 		t.Fatal("associativity eviction did not revoke")
 	}
 	if e.Stats().Revocations == 0 {

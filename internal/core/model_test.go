@@ -19,10 +19,9 @@ func TestExtensionMatchesArchitecturalModel(t *testing.T) {
 		LineIx uint8 // %8: which of 8 fixed lines
 	}
 	f := func(actions []action) bool {
-		e := New(2)
-		h := cache.New(cache.DefaultParams(2), e) // 32K 8-way: no evictions here
+		h := cache.New(cache.DefaultParams(2)) // 32K 8-way: no evictions here
 		s := mem.NewSpace()
-		e.Attach(h, s)
+		e := New(h, s)
 		e.Check = true
 
 		lines := make([]mem.Addr, 8)
@@ -79,12 +78,12 @@ func TestExtensionMatchesArchitecturalModel(t *testing.T) {
 				}
 			}
 			// Cross-check observable state after every step.
-			if e.Revoked(0) != revoked {
-				t.Logf("step %d: revoked=%v, model %v", i, e.Revoked(0), revoked)
+			if e.ports[0].Revoked() != revoked {
+				t.Logf("step %d: revoked=%v, model %v", i, e.ports[0].Revoked(), revoked)
 				return false
 			}
-			if e.TagSetSize(0) != len(tags) {
-				t.Logf("step %d: tagset size %d, model %d", i, e.TagSetSize(0), len(tags))
+			if e.ports[0].TagCount() != len(tags) {
+				t.Logf("step %d: tagset size %d, model %d", i, e.ports[0].TagCount(), len(tags))
 				return false
 			}
 		}
@@ -104,7 +103,7 @@ func TestRevocationMonotoneUntilUntagAll(t *testing.T) {
 	b := s.AllocNode()
 	e.CRead(0, a)
 	e.h.Write(1, a) // revoke
-	if !e.Revoked(0) {
+	if !e.ports[0].Revoked() {
 		t.Fatal("not revoked")
 	}
 	// Nothing below may clear the bit.
@@ -112,11 +111,11 @@ func TestRevocationMonotoneUntilUntagAll(t *testing.T) {
 	e.CWrite(0, b, 1)
 	e.UntagOne(0, a)
 	e.UntagOne(0, b)
-	if !e.Revoked(0) {
+	if !e.ports[0].Revoked() {
 		t.Fatal("revocation cleared by something other than untagAll")
 	}
 	e.UntagAll(0)
-	if e.Revoked(0) {
+	if e.ports[0].Revoked() {
 		t.Fatal("untagAll did not clear revocation")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"condaccess/internal/bench"
+	"condaccess/internal/cache"
 	"condaccess/internal/scenario"
 )
 
@@ -95,7 +96,7 @@ func TestCellsSeparateVariantsAndNormalizeDist(t *testing.T) {
 	base := bench.Workload{DS: "list", Scheme: "ca", Threads: 2, KeyRange: 64, UpdatePct: 100, OpsPerThread: 60, Seed: 1}
 	for _, assoc := range []int{2, 4} {
 		w := base
-		w.Cache = bench.DefaultCache(2)
+		w.Cache = cache.DefaultParams(2)
 		w.Cache.L1Assoc = assoc
 		if _, err := r.Run(w); err != nil {
 			t.Fatal(err)

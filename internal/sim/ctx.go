@@ -21,7 +21,8 @@ type Ctx struct {
 	clock *uint64 // &m.clocks[th.c]: charge is the hottest path in the simulator
 	limit uint64  // run-until quantum limit; the event loop rewrites it before every resume
 	// port is this thread's L1 port: every access tries its inlined hit
-	// check before calling into the hierarchy.
+	// check before calling into the hierarchy, and it holds the thread's
+	// accessRevokedBit.
 	port cache.Port
 	// suspend transfers control back to the event loop at a quantum expiry
 	// (the iter.Pull yield function of this thread's coroutine). Nil on the
@@ -230,7 +231,7 @@ func (c *Ctx) UntagAll() {
 
 // Revoked reports this thread's accessRevokedBit (diagnostic; real code
 // learns of revocation through failing conditional accesses).
-func (c *Ctx) Revoked() bool { return c.m.Ext.Revoked(c.th.c) }
+func (c *Ctx) Revoked() bool { return c.port.Revoked() }
 
 // Fence models a full memory fence / store buffer drain. The reservation-
 // based reclamation schemes (hp, he, ibr) pay one per protected read; this
@@ -318,7 +319,7 @@ const PreemptCycles = 2000
 // tracking invalidations on its behalf, so the thread's next conditional
 // access fails and its operation restarts. Charges PreemptCycles.
 func (c *Ctx) Preempt() {
-	c.m.Ext.RevokeThread(c.th.c)
+	c.port.Revoke()
 	c.charge(PreemptCycles)
 }
 

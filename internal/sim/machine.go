@@ -174,10 +174,9 @@ func New(cfg Config) *Machine {
 	m := &Machine{cfg: cfg}
 	m.Space = mem.NewSpace()
 	m.Space.SetCheckUAF(cfg.Check)
-	m.Ext = core.New(cfg.Cores)
+	m.Hier = cache.New(cfg.Cache)
+	m.Ext = core.New(m.Hier, m.Space)
 	m.Ext.Check = cfg.Check
-	m.Hier = cache.New(cfg.Cache, m.Ext)
-	m.Ext.Attach(m.Hier, m.Space)
 	m.clocks = make([]uint64, cfg.Cores)
 	m.latFence = cfg.Cache.LatFence
 	m.live = make([]*thread, 0, cfg.Cores)
