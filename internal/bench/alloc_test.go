@@ -55,3 +55,39 @@ func TestColdTrialAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTailTrialBytes is the memory budget of one tail-recording trial on a
+// warm Runner, the trial TestWarmHitAllocs stores: list/rcu, 2 threads × 40
+// ops over 32 keys. It records a Tail per thread, merges them into the
+// phase's Tail and that into the trial's, eight histograms each. While a
+// histogram reserved all 976 buckets (7.8 KB) on first use, the trial took
+// 195 KB; with bucket arrays that grow by doubling, each histogram holds
+// only the buckets its samples reach, and the trial takes 36 KB. The count
+// is the fewest bytes of five trials, as in TestColdTrialAllocs.
+func TestTailTrialBytes(t *testing.T) {
+	const budget = 40 << 10
+	w := Workload{
+		DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 32, UpdatePct: 50,
+		OpsPerThread: 40, Seed: 1, RecordTail: true,
+	}
+	var r Runner
+	run := func() {
+		if res, err := r.Run(w); err != nil || res.Tail == nil {
+			t.Fatalf("trial failed or recorded no tail: %v", err)
+		}
+	}
+	run() // builds the Runner's machine
+	bytes := ^uint64(0)
+	var ms runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		run()
+		runtime.ReadMemStats(&ms)
+		bytes = min(bytes, ms.TotalAlloc-before)
+	}
+	t.Logf("tail trial: %d bytes", bytes)
+	if bytes > budget {
+		t.Errorf("tail trial allocates %d bytes, budget %d", bytes, budget)
+	}
+}

@@ -136,7 +136,9 @@ func checkAgainstReflection(t *testing.T, data []byte) {
 // with a deeply equal value. (They may reject more: unknown, repeated or
 // reordered members, null where json.Marshal never writes one, signs on
 // unsigned numbers.) The input also seeds a random Result and
-// ScenarioResult whose json.Marshal form must round-trip.
+// ScenarioResult. Their AppendJSON must write json.Marshal's bytes, which
+// must round-trip; one time in eight a float of theirs is a NaN or an
+// infinity, which both encoders must refuse.
 //
 // Fuzz it with a cap on minimization, as CI does:
 //
@@ -157,10 +159,30 @@ func FuzzResultJSON(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 		var sres ScenarioResult
 		randomize(reflect.ValueOf(&sres).Elem(), rng)
-		for _, v := range []any{&sres.Result, &sres} {
+		unsupported := rng.Intn(8) == 0
+		if unsupported {
+			floats := []*float64{&sres.Throughput, &sres.Latency.MeanCycles, &sres.Prefill.Throughput}
+			for i := range sres.Phases {
+				floats = append(floats, &sres.Phases[i].Throughput)
+			}
+			*floats[rng.Intn(len(floats))] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+		for _, v := range []interface {
+			AppendJSON([]byte) ([]byte, error)
+		}{&sres.Result, &sres} {
 			enc, err := json.Marshal(v)
+			got, aerr := v.AppendJSON(nil)
+			if (err == nil) != (aerr == nil) {
+				t.Fatalf("json.Marshal error %v, AppendJSON error %v", err, aerr)
+			}
 			if err != nil {
-				t.Fatal(err)
+				if !unsupported {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if string(got) != string(enc) {
+				t.Fatalf("AppendJSON writes\n%s\njson.Marshal\n%s", got, enc)
 			}
 			back := reflect.New(reflect.TypeOf(v).Elem())
 			if err := back.Interface().(json.Unmarshaler).UnmarshalJSON(enc); err != nil {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"condaccess/internal/ds/hashtable"
+	"condaccess/internal/jsonenc"
 )
 
 // TrialStore is a read-through/write-through cache of complete trial
@@ -60,13 +61,13 @@ type PreparedSpec struct {
 // (goldenSum zeroes Tail and Timeline). Bump it whenever the shape changes:
 // a field added, removed, renamed or retyped, or a custom MarshalJSON
 // format changed, such as latency.Hist's. A shape change also means
-// updating the one-pass decoder that reads stored results (decode.go, and
-// the ReadJSON methods of latency.Hist, latency.Tail and trace.Timeline),
-// which reads members by name in declaration order. Entries written before
-// the bump then carry a foreign engine tag, so no lookup sees them and
-// calab gc collects them. TestStoreSchemaTracksResultShape fails when the
-// shape moves without a bump. Stores written before the constant existed
-// count as schema 1.
+// updating the one-pass encoder and decoder of stored results (encode.go
+// and decode.go, and the AppendJSON and ReadJSON methods of latency.Hist,
+// latency.Tail and trace.Timeline), which write and read members by name in
+// declaration order. Entries written before the bump then carry a foreign
+// engine tag, so no lookup sees them and calab gc collects them.
+// TestStoreSchemaTracksResultShape fails when the shape moves without a
+// bump. Stores written before the constant existed count as schema 1.
 const storeSchema = 2
 
 // goldenPins embeds the golden checksum files that pin the engine's
@@ -112,9 +113,13 @@ func EffectiveBuckets(ds string, buckets int) int {
 // TrialSpecBytes returns the canonical serialized form of a stationary trial
 // spec: the JSON encoding of the full Workload (every field participates in
 // the content address — seed, check mode, cache geometry, SMR tuning, all of
-// it). Go's encoder emits struct fields in declaration order, so the bytes
-// are deterministic.
-func TrialSpecBytes(w Workload) ([]byte, error) { return json.Marshal(w) }
+// it), byte for byte what json.Marshal writes, fields in declaration order
+// (encode.go).
+func TrialSpecBytes(w Workload) ([]byte, error) {
+	e := jsonenc.Encoder{B: make([]byte, 0, 512)} // a spec is about 470 bytes
+	w.write(&e)
+	return e.B, e.Err()
+}
 
 // ScenarioSpec is the exported canonical form of a ScenarioWorkload: the
 // binding and scenario plus the internal legacy-queue-read flag, which
@@ -131,5 +136,7 @@ func (sw ScenarioWorkload) Spec() ScenarioSpec {
 }
 
 // ScenarioSpecBytes returns the canonical serialized form of a scenario
-// trial spec, analogous to TrialSpecBytes.
+// trial spec, analogous to TrialSpecBytes. It stays on json.Marshal: the
+// spec embeds the whole scenario, and a scenario trial simulates for
+// milliseconds, so its encoding is not worth a writer of its own.
 func ScenarioSpecBytes(sw ScenarioWorkload) ([]byte, error) { return json.Marshal(sw.Spec()) }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -40,7 +41,7 @@ func TestStoreSchemaTracksResultShape(t *testing.T) {
 			storeSchema, pinnedSchema, storeSchema, got)
 	}
 	if got != pinnedShape {
-		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema, re-pin, and update the one-pass result decoder (decode.go and the ReadJSON methods it calls) to read the new shape",
+		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema, re-pin, and update the one-pass result encoder and decoder (encode.go and decode.go, and the AppendJSON and ReadJSON methods they call) to write and read the new shape",
 			got, pinnedShape, pinnedSchema)
 	}
 }
@@ -117,6 +118,36 @@ func TestTrialSpecBytesCanonical(t *testing.T) {
 	if bytes.Equal(a, c) {
 		t.Fatal("seed change invisible in the canonical spec")
 	}
+}
+
+// FuzzTrialSpecBytes holds TrialSpecBytes to json.Marshal: the canonical
+// spec of a random Workload, whose strings the fuzzer picks, is
+// json.Marshal's bytes. The seeds' strings hold quotes, backslashes, HTML
+// characters, control bytes, U+2028 and U+2029, non-ASCII text and invalid
+// UTF-8. CI fuzzes it:
+//
+//	go test ./internal/bench -run '^$' -fuzz=FuzzTrialSpecBytes -fuzztime=10s
+func FuzzTrialSpecBytes(f *testing.F) {
+	for i, name := range awkwardNames {
+		f.Add(name, "inv\xffl\xc3id\x00", "para\u2029graph", uint64(i))
+	}
+	f.Add("list", "ca", "", uint64(0))
+	f.Fuzz(func(t *testing.T, ds, scheme, dist string, seed uint64) {
+		var w Workload
+		randomize(reflect.ValueOf(&w).Elem(), rand.New(rand.NewSource(int64(seed))))
+		w.DS, w.Scheme, w.Dist = ds, scheme, dist
+		got, err := TrialSpecBytes(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("TrialSpecBytes writes\n%s\njson.Marshal\n%s", got, want)
+		}
+	})
 }
 
 // TestScenarioSpecCarriesLegacyFlag: the Workload lowering's historical

@@ -113,17 +113,26 @@ func frameRecord(dst []byte, key string, payload []byte) ([]byte, error) {
 // parseRecord validates one framed record and returns its key and payload.
 // buf must hold exactly the frame (header included).
 func parseRecord(buf []byte) (key string, payload []byte, err error) {
+	if payload, err = checkRecord(buf); err != nil {
+		return "", nil, err
+	}
+	return hex.EncodeToString(buf[recHeaderLen : recHeaderLen+recKeyLen]), payload, nil
+}
+
+// checkRecord validates one framed record, as parseRecord does, and returns
+// its payload without building its key: a lookup already knows the key.
+func checkRecord(buf []byte) ([]byte, error) {
 	if len(buf) < recHeaderLen+recKeyLen {
-		return "", nil, errors.New("record shorter than its header")
+		return nil, errors.New("record shorter than its header")
 	}
 	n := int(binary.BigEndian.Uint32(buf[0:4]))
 	if n != len(buf)-recHeaderLen {
-		return "", nil, errors.New("record length does not match its frame")
+		return nil, errors.New("record length does not match its frame")
 	}
 	if crc32.Checksum(buf[recHeaderLen:], crcTable) != binary.BigEndian.Uint32(buf[4:8]) {
-		return "", nil, errors.New("record checksum mismatch")
+		return nil, errors.New("record checksum mismatch")
 	}
-	return hex.EncodeToString(buf[recHeaderLen : recHeaderLen+recKeyLen]), buf[recHeaderLen+recKeyLen:], nil
+	return buf[recHeaderLen+recKeyLen:], nil
 }
 
 // scanSegment reads framed records from r starting at byte offset from,
@@ -510,11 +519,7 @@ func (s *Store) readRecord(loc recLoc) ([]byte, error) {
 	if _, err := f.ReadAt(buf, loc.off); err != nil {
 		return nil, fmt.Errorf("lab: reading record: %w", err)
 	}
-	_, payload, err := parseRecord(buf)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return checkRecord(buf)
 }
 
 // Flush forces every buffered record onto disk (one fsync per non-empty

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"condaccess/internal/bench"
+	"condaccess/internal/jsonenc"
 	"condaccess/internal/obs"
 )
 
@@ -205,11 +205,13 @@ func formatBytes(n uint64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// envelope is the entry payload format: a packed record's payload. Spec and
-// Result are the canonical serialized forms verbatim; Sum fingerprints Result so a
-// lookup (and Verify) can detect payload corruption. The field order is
-// part of the format: parseEnvelope reads the head in this order and needs
-// Result last (TestEnvelopeResultIsLast).
+// envelope is the entry payload format: a packed record's payload is the
+// JSON json.Marshal writes for it. Spec and Result are the canonical
+// serialized forms verbatim; Sum fingerprints Result so a lookup (and
+// Verify) can detect payload corruption. The field order is part of the
+// format: putKey writes the members in this order, and splitEnvelope reads
+// the head in this order and needs Result last (TestEnvelopeResultIsLast,
+// TestPutWritesMarshaledEnvelope).
 type envelope struct {
 	Tag    string          `json:"tag"`
 	Kind   string          `json:"kind"`
@@ -218,38 +220,53 @@ type envelope struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// parseEnvelope splits an entry payload into its head (tag, kind, spec and
-// sum) and its result, without running the result through a JSON decoder.
-// It relies on the layout json.Marshal gives an envelope: compact, fields in
-// declaration order, Result last. So the head is read member by member, the
-// spec is skipped as one JSON object, and the result is every byte between
-// the `,"result":` member and the closing brace, past which only whitespace
-// may follow. Spec and Result alias payload, which
-// is never written: payloads in the pending overlay are shared across
-// goroutines. The result is not validated here; the strict decode that a
-// lookup and verifyPayload run does that.
-func parseEnvelope(payload []byte) (envelope, error) {
-	var env envelope
+// rawEnvelope is an entry payload split into its members, each aliasing
+// the payload: the head strings without their quotes, the spec and the
+// result as JSON.
+type rawEnvelope struct{ tag, kind, spec, sum, result []byte }
+
+// splitEnvelope splits an entry payload into its head (tag, kind, spec and
+// sum) and its result, without copying and without running the result
+// through a JSON decoder. It relies on the layout putKey writes: compact,
+// fields in declaration order, Result last. So the head is read member by
+// member, the spec is skipped as one JSON object, and the result is every
+// byte between the `,"result":` member and the closing brace, past which
+// only whitespace may follow. Every member aliases payload, which is never
+// written: payloads in the pending overlay are shared across goroutines.
+// The result is not validated here; the strict decode that a lookup and
+// verifyPayload run does that.
+func splitEnvelope(payload []byte) (rawEnvelope, error) {
+	var env rawEnvelope
 	r := envelopeReader{p: payload, ok: true}
 	r.cut(`{"tag":`)
-	env.Tag = r.str()
+	env.tag = r.str()
 	r.cut(`,"kind":`)
-	env.Kind = r.str()
+	env.kind = r.str()
 	r.cut(`,"spec":`)
-	env.Spec = r.object()
+	env.spec = r.object()
 	r.cut(`,"sum":`)
-	env.Sum = r.str()
+	env.sum = r.str()
 	r.cut(`,"result":`)
 	if r.ok {
-		env.Result, r.ok = bytes.CutSuffix(bytes.TrimRight(r.p, " \t\r\n"), []byte("}"))
+		env.result, r.ok = bytes.CutSuffix(bytes.TrimRight(r.p, " \t\r\n"), []byte("}"))
 	}
-	if !r.ok || len(env.Result) == 0 {
-		return envelope{}, errors.New("malformed entry envelope")
+	if !r.ok || len(env.result) == 0 {
+		return rawEnvelope{}, errors.New("malformed entry envelope")
 	}
 	return env, nil
 }
 
-// envelopeReader is parseEnvelope's cursor. The first mismatch clears ok,
+// parseEnvelope is splitEnvelope with the head strings copied out, for the
+// whole-store operations that keep them.
+func parseEnvelope(payload []byte) (envelope, error) {
+	env, err := splitEnvelope(payload)
+	if err != nil {
+		return envelope{}, err
+	}
+	return envelope{Tag: string(env.tag), Kind: string(env.kind), Spec: env.spec, Sum: string(env.sum), Result: env.result}, nil
+}
+
+// envelopeReader is splitEnvelope's cursor. The first mismatch clears ok,
 // and every later step is then a no-op.
 type envelopeReader struct {
 	p  []byte
@@ -264,18 +281,19 @@ func (r *envelopeReader) cut(prefix string) {
 	}
 }
 
-// str consumes a JSON string. The head's strings are hex digits and kind
-// names, so one with an escape is malformed.
-func (r *envelopeReader) str() string {
+// str consumes a JSON string and returns its bytes between the quotes. The
+// head's strings are hex digits and kind names, so one with an escape is
+// malformed.
+func (r *envelopeReader) str() []byte {
 	r.cut(`"`)
 	if !r.ok {
-		return ""
+		return nil
 	}
 	n := bytes.IndexByte(r.p, '"')
 	if r.ok = n >= 0 && bytes.IndexByte(r.p[:n], '\\') < 0; !r.ok {
-		return ""
+		return nil
 	}
-	s := string(r.p[:n])
+	s := r.p[:n]
 	r.p = r.p[n+1:]
 	return s
 }
@@ -307,21 +325,36 @@ func (r *envelopeReader) object() []byte {
 	return nil
 }
 
-// key derives the content address of a spec under tag.
+// key derives the content address of a spec under tag: the hex digits of
+// SHA-256(tag, '\n', kind, '\n', spec). Every trial derives one, warm hits
+// included, so it hashes one buffer, which stays on the stack for a trial
+// spec, and allocates only the key string.
 func key(tag, kind string, spec []byte) string {
-	h := sha256.New()
-	io.WriteString(h, tag)
-	h.Write([]byte{'\n'})
-	io.WriteString(h, kind)
-	h.Write([]byte{'\n'})
-	h.Write(spec)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [1024]byte
+	b := append(buf[:0], tag...)
+	b = append(b, '\n')
+	b = append(b, kind...)
+	b = append(b, '\n')
+	b = append(b, spec...)
+	sum := sha256.Sum256(b)
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // payloadSum fingerprints a serialized result.
 func payloadSum(payload []byte) string {
 	sum := sha256.Sum256(payload)
 	return hex.EncodeToString(sum[:])
+}
+
+// sumMatches reports whether sum is payload's fingerprint, allocating
+// nothing.
+func sumMatches(payload, sum []byte) bool {
+	d := sha256.Sum256(payload)
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], d[:])
+	return bytes.Equal(digits[:], sum)
 }
 
 // loadKey fetches the envelope payload for key, trying the in-process
@@ -351,8 +384,8 @@ func (s *Store) loadKey(key string) []byte {
 // payload's fingerprint proves the bytes are the writer's, so the decode
 // skips encoding/json's validating prescan.
 func (s *Store) lookupKey(kind, key string, out json.Unmarshaler) bool {
-	env, err := parseEnvelope(s.loadKey(key))
-	if err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum || out.UnmarshalJSON(env.Result) != nil {
+	env, err := splitEnvelope(s.loadKey(key))
+	if err != nil || string(env.kind) != kind || !sumMatches(env.result, env.sum) || out.UnmarshalJSON(env.result) != nil {
 		s.misses.Add(1)
 		return false
 	}
@@ -360,22 +393,50 @@ func (s *Store) lookupKey(kind, key string, out json.Unmarshaler) bool {
 	return true
 }
 
+// resultAppender is a result putKey can store: bench.Result and
+// bench.ScenarioResult, whose AppendJSON writes what json.Marshal would.
+type resultAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
 // putKey writes the entry for (kind, spec) under its precomputed key as a
-// buffered segment append.
-func (s *Store) putKey(kind string, spec []byte, key string, res any) error {
-	payload, err := json.Marshal(res)
-	if err != nil {
+// buffered segment append. It writes the envelope itself, byte for byte
+// what json.Marshal writes for envelope{…}, with no reflection: spec is
+// already the canonical compact JSON, the result is appended in place, and
+// its fingerprint, which comes first, is filled in after. The envelope is
+// encoded into a recycled buffer and copied out at its exact size, since
+// the pending overlay holds it until its stripe flushes.
+func (s *Store) putKey(kind string, spec []byte, key string, res resultAppender) error {
+	buf := putBufs.Get().(*[]byte)
+	e := jsonenc.Encoder{B: (*buf)[:0]}
+	defer func() {
+		*buf = e.B
+		putBufs.Put(buf)
+	}()
+	e.Begin()
+	e.Member("tag").Str(s.tag)
+	e.Member("kind").Str(kind)
+	e.Member("spec")
+	e.B = append(e.B, spec...)
+	e.Member("sum")
+	e.B = append(e.B, '"')
+	sumAt := len(e.B)
+	e.B = append(e.B, make([]byte, 2*sha256.Size)...)
+	e.B = append(e.B, '"')
+	e.Member("result")
+	start := len(e.B)
+	var err error
+	if e.B, err = res.AppendJSON(e.B); err != nil {
 		return fmt.Errorf("lab: encoding result: %w", err)
 	}
-	data, err := json.Marshal(envelope{
-		Tag: s.tag, Kind: kind, Spec: spec,
-		Sum: payloadSum(payload), Result: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("lab: encoding entry: %w", err)
-	}
-	return s.putPayload(key, data)
+	sum := sha256.Sum256(e.B[start:])
+	hex.Encode(e.B[sumAt:], sum[:])
+	e.End()
+	return s.putPayload(key, bytes.Clone(e.B))
 }
+
+// putBufs recycles putKey's encoding buffers.
+var putBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // specKeyOf resolves a prepared spec's memoized content key, deriving and
 // caching it on first use so the write-through after a miss never re-hashes.
@@ -395,7 +456,7 @@ func (s *Store) LookupTrialSpec(ps *bench.PreparedSpec) (bench.Result, bool) {
 
 // StoreTrialSpec implements bench.TrialStore.
 func (s *Store) StoreTrialSpec(ps *bench.PreparedSpec, res bench.Result) error {
-	return s.putKey(KindTrial, ps.Spec, s.specKeyOf(KindTrial, ps), res)
+	return s.putKey(KindTrial, ps.Spec, s.specKeyOf(KindTrial, ps), &res)
 }
 
 // LookupScenarioSpec implements bench.TrialStore.
@@ -406,7 +467,7 @@ func (s *Store) LookupScenarioSpec(ps *bench.PreparedSpec) (bench.ScenarioResult
 
 // StoreScenarioSpec implements bench.TrialStore.
 func (s *Store) StoreScenarioSpec(ps *bench.PreparedSpec, res bench.ScenarioResult) error {
-	return s.putKey(KindScenario, ps.Spec, s.specKeyOf(KindScenario, ps), res)
+	return s.putKey(KindScenario, ps.Spec, s.specKeyOf(KindScenario, ps), &res)
 }
 
 // Entry is one fully decoded store entry. Exactly one of the (Workload,

@@ -20,12 +20,12 @@
 package latency
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"strings"
 
 	"condaccess/internal/jsondec"
+	"condaccess/internal/jsonenc"
 )
 
 // Bucket layout: values below subCount get one exact bucket each; every
@@ -67,11 +67,12 @@ func BucketBounds(i int) (lo, hi uint64) {
 
 // Hist is a log-bucketed histogram of uint64 samples (simulated cycles).
 // The zero value is empty and ready to use. The bucket array ends at the
-// highest non-empty bucket: Record and Merge extend it, and the first
-// extension reserves room for every bucket, so recording allocates once and
-// never again. Buckets past the end of the array, up to its capacity, are
-// always zero. Hist is not safe for concurrent use — the harness keeps one
-// per simulated thread and merges.
+// highest non-empty bucket: Record and Merge extend it, growing its capacity
+// as append does, by doubling up to NumBuckets. So a histogram holds only
+// the buckets its samples reach, and reallocates at most ⌈log₂ NumBuckets⌉
+// = 10 times after its first allocation. Buckets past the end of the array,
+// up to its capacity, are always zero. Hist is not safe for concurrent use —
+// the harness keeps one per simulated thread and merges.
 type Hist struct {
 	counts []uint64 // ends at the highest non-empty bucket
 	n      uint64
@@ -80,10 +81,11 @@ type Hist struct {
 	max    uint64
 }
 
-// extend makes counts at least n buckets long.
+// extend makes counts at least n buckets long. When it reallocates, it at
+// least doubles the capacity, up to NumBuckets.
 func (h *Hist) extend(n int) {
 	if n > cap(h.counts) {
-		grown := make([]uint64, len(h.counts), NumBuckets)
+		grown := make([]uint64, len(h.counts), max(n, min(2*cap(h.counts), NumBuckets)))
 		copy(grown, h.counts)
 		h.counts = grown
 	}
@@ -238,29 +240,55 @@ func (h *Hist) Summary() Summary {
 	}
 }
 
-// histJSON is the serialized form: scalar stats plus the non-empty buckets
-// as parallel index/count arrays (sparse — a trial touches a few dozen of
-// the 976 buckets). Field order is fixed, so the bytes are deterministic
-// and store envelopes round-trip bit for bit.
-type histJSON struct {
-	Count uint64   `json:"count"`
-	Sum   uint64   `json:"sum,omitempty"`
-	Min   uint64   `json:"min,omitempty"`
-	Max   uint64   `json:"max,omitempty"`
-	Idx   []int    `json:"idx,omitempty"`
-	N     []uint64 `json:"n,omitempty"`
-}
+// MarshalJSON encodes the histogram sparsely (AppendJSON).
+func (h Hist) MarshalJSON() ([]byte, error) { return h.AppendJSON(nil), nil }
 
-// MarshalJSON encodes the histogram sparsely.
-func (h Hist) MarshalJSON() ([]byte, error) {
-	j := histJSON{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max}
+// AppendJSON appends the histogram's sparse JSON form to dst: the scalar
+// stats, then the non-empty buckets as parallel index and count arrays (a
+// trial touches a few dozen of the 976 buckets).
+//
+//	{"count":n,"sum":s,"min":lo,"max":hi,"idx":[i,...],"n":[c,...]}
+//
+// Every member but count is left out when it is zero or empty, and the
+// members come in this order, so the bytes are deterministic and store
+// envelopes round-trip bit for bit.
+func (h *Hist) AppendJSON(dst []byte) []byte {
+	e := jsonenc.Encoder{B: dst}
+	e.Begin()
+	e.Member("count").Uint(h.n)
+	if h.sum != 0 {
+		e.Member("sum").Uint(h.sum)
+	}
+	if h.min != 0 {
+		e.Member("min").Uint(h.min)
+	}
+	if h.max != 0 {
+		e.Member("max").Uint(h.max)
+	}
+	listed := false
 	for i, c := range h.counts {
 		if c != 0 {
-			j.Idx = append(j.Idx, i)
-			j.N = append(j.N, c)
+			if !listed {
+				e.Member("idx").Array()
+				listed = true
+			}
+			e.Elem()
+			e.Int(i)
 		}
 	}
-	return json.Marshal(j)
+	if listed {
+		e.EndArray()
+		e.Member("n").Array()
+		for _, c := range h.counts {
+			if c != 0 {
+				e.Elem()
+				e.Uint(c)
+			}
+		}
+		e.EndArray()
+	}
+	e.End()
+	return e.B
 }
 
 // UnmarshalJSON decodes the sparse form in one pass (ReadJSON). On error h
@@ -275,7 +303,7 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 }
 
 // ReadJSON reads a histogram at c, straight into the bucket array, with no
-// intermediate idx/n slices. It accepts what MarshalJSON writes, with JSON
+// intermediate idx/n slices. It accepts what AppendJSON writes, with JSON
 // whitespace between tokens, or a bare null (the zero Hist):
 //
 //	hist   = "null" | "{" [ member { "," member } ] "}"
@@ -457,7 +485,8 @@ func (t *Tail) Attr(a Attr) *Hist {
 }
 
 // Record adds one operation's latency under its kind and attribution tags.
-// Allocation-free once each touched histogram has recorded its first sample.
+// Allocation-free once each touched histogram's bucket array reaches the
+// bucket of the sample.
 func (t *Tail) Record(k Kind, a Attr, v uint64) {
 	t.Total.Record(v)
 	t.Kind(k).Record(v)
@@ -495,17 +524,38 @@ func (t *Tail) Reset() {
 	t.Pause.Reset()
 }
 
+// tailMember is one of a Tail's histograms with its JSON name.
+type tailMember struct {
+	name string
+	h    *Hist
+}
+
+// members lists t's histograms with their JSON names, in declaration order.
+func (t *Tail) members() [8]tailMember {
+	return [...]tailMember{
+		{"total", &t.Total}, {"insert", &t.Insert}, {"delete", &t.Delete}, {"read", &t.Read},
+		{"useful", &t.Useful}, {"reclaim", &t.Reclaim}, {"retry", &t.Retry}, {"pause", &t.Pause},
+	}
+}
+
+// AppendJSON appends the object json.Marshal writes for t to dst: its
+// histograms in declaration order.
+func (t *Tail) AppendJSON(dst []byte) []byte {
+	e := jsonenc.Encoder{B: dst}
+	e.Begin()
+	for _, m := range t.members() {
+		e.Member(m.name)
+		e.B = m.h.AppendJSON(e.B)
+	}
+	e.End()
+	return e.B
+}
+
 // ReadJSON reads a Tail at c: the object encoding/json writes for it, its
 // histograms in declaration order.
 func (t *Tail) ReadJSON(c *jsondec.Cursor) {
 	c.Begin()
-	for _, m := range [...]struct {
-		name string
-		h    *Hist
-	}{
-		{"total", &t.Total}, {"insert", &t.Insert}, {"delete", &t.Delete}, {"read", &t.Read},
-		{"useful", &t.Useful}, {"reclaim", &t.Reclaim}, {"retry", &t.Retry}, {"pause", &t.Pause},
-	} {
+	for _, m := range t.members() {
 		m.h.ReadJSON(c.Member(m.name))
 	}
 	c.End()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -175,31 +176,88 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRecordAllocationFree pins the O(buckets) memory contract: after the
-// one-time bucket-array warm-up, recording (and quantile queries) allocate
-// nothing, so RecordLatency runs cost O(buckets) — not O(ops) — memory.
+// mallocs returns the heap allocations of n calls of f, counted exactly:
+// testing.AllocsPerRun divides by n and rounds down, so it reads 0 for up to
+// n-1 allocations.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // as AllocsPerRun does, leave out one-time set-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRecordAllocationFree pins the O(buckets) memory contract: once every
+// bucket array reaches its last bucket, recording (and quantile queries)
+// allocate nothing at all, so RecordLatency runs cost O(buckets) — not
+// O(ops) — memory.
 func TestRecordAllocationFree(t *testing.T) {
 	var tl Tail
-	// Warm-up: touch every histogram once so bucket arrays exist.
+	// Warm-up: the largest sample takes every histogram's bucket array to
+	// its last bucket.
 	for k := KindInsert; k <= KindRead; k++ {
 		for a := AttrUseful; a <= AttrRetry; a++ {
-			tl.Record(k, a, 100)
+			tl.Record(k, a, math.MaxUint64)
 		}
 	}
-	tl.RecordPause(50)
+	tl.RecordPause(math.MaxUint64)
 
 	v := uint64(17)
-	if avg := testing.AllocsPerRun(2000, func() {
+	if n := mallocs(2000, func() {
 		tl.Record(KindInsert, AttrReclaim, v)
 		tl.RecordPause(v)
 		v = v*2862933555777941757 + 3037000493 // spread across buckets
-	}); avg != 0 {
-		t.Fatalf("Record allocates %v per op after warm-up, want 0", avg)
+	}); n != 0 {
+		t.Fatalf("2000 records after warm-up allocate %d times, want 0", n)
 	}
-	if avg := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		_ = tl.Total.Quantile(0.99)
-	}); avg != 0 {
-		t.Fatalf("Quantile allocates %v per call, want 0", avg)
+	}); n != 0 {
+		t.Fatalf("200 quantile queries allocate %d times, want 0", n)
+	}
+}
+
+// TestBucketArraysGrowByDoubling: a random stream into an empty Tail grows
+// each histogram's bucket array by doubling, so after its first allocation
+// a histogram reallocates at most ⌈log₂ NumBuckets⌉ = 10 times, and its
+// capacity never exceeds NumBuckets.
+func TestBucketArraysGrowByDoubling(t *testing.T) {
+	const maxGrowths = 10
+	if 1<<maxGrowths < NumBuckets || 1<<(maxGrowths-1) >= NumBuckets {
+		t.Fatalf("maxGrowths %d is not ⌈log₂ %d⌉", maxGrowths, NumBuckets)
+	}
+	rng := rand.New(rand.NewSource(41))
+	var tl Tail
+	hists := tl.members()
+	caps := make([]int, len(hists))
+	growths := make([]int, len(hists))
+	for i := 0; i < 20000; i++ {
+		// Ascending magnitudes make the arrays grow often.
+		v := rng.Uint64() >> (63 - min(i/300, 63))
+		tl.Record(Kind(rng.Intn(3)), Attr(rng.Intn(3)), v)
+		if rng.Intn(4) == 0 {
+			tl.RecordPause(v)
+		}
+		for j, m := range hists {
+			if c := cap(m.h.counts); c != caps[j] {
+				if caps[j] != 0 {
+					growths[j]++
+				}
+				caps[j] = c
+			}
+		}
+	}
+	for j, m := range hists {
+		if growths[j] > maxGrowths || caps[j] > NumBuckets {
+			t.Errorf("%s: %d reallocations, capacity %d; want at most %d and %d", m.name, growths[j], caps[j], maxGrowths, NumBuckets)
+		}
+		if caps[j] != NumBuckets {
+			t.Errorf("%s: the stream did not reach the last bucket (capacity %d)", m.name, caps[j])
+		}
 	}
 }
 
@@ -284,6 +342,30 @@ func TestHistJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// histJSON is the sparse form AppendJSON writes, as a struct encoding/json
+// marshals and unmarshals: the reference both directions are held to.
+type histJSON struct {
+	Count uint64   `json:"count"`
+	Sum   uint64   `json:"sum,omitempty"`
+	Min   uint64   `json:"min,omitempty"`
+	Max   uint64   `json:"max,omitempty"`
+	Idx   []int    `json:"idx,omitempty"`
+	N     []uint64 `json:"n,omitempty"`
+}
+
+// referenceMarshal is the encoder AppendJSON replaced: encoding/json of
+// the histogram's histJSON form.
+func referenceMarshal(h *Hist) ([]byte, error) {
+	j := histJSON{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max}
+	for i, c := range h.counts {
+		if c != 0 {
+			j.Idx = append(j.Idx, i)
+			j.N = append(j.N, c)
+		}
+	}
+	return json.Marshal(j)
+}
+
 // referenceUnmarshal is the decoder UnmarshalJSON replaced: encoding/json
 // into histJSON, with its length and range checks. It builds the bucket
 // array trimmed to the highest listed index, as Record does. FuzzHistJSON
@@ -315,8 +397,8 @@ func referenceUnmarshal(h *Hist, data []byte) error {
 // FuzzHistJSON tests the one-pass decoder against the reference: anything
 // it accepts, the reference accepts too, with a deeply equal Hist. (It may
 // reject more: inconsistent counts, unknown or reordered members.) The
-// input also seeds a random histogram whose MarshalJSON form must
-// round-trip.
+// input also seeds a random histogram whose MarshalJSON form must be the
+// reference encoder's bytes and round-trip.
 func FuzzHistJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{"count":3,"sum":40,"min":5,"max":20,"idx":[5,17,18],"n":[1,1,1]}`,
@@ -356,6 +438,9 @@ func FuzzHistJSON(f *testing.F) {
 		enc, err := json.Marshal(h)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ref, err := referenceMarshal(h); err != nil || string(ref) != string(enc) {
+			t.Fatalf("MarshalJSON writes %s, the reference %s (%v)", enc, ref, err)
 		}
 		var back Hist
 		if err := back.UnmarshalJSON(enc); err != nil {

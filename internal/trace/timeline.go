@@ -13,6 +13,7 @@ import (
 	"io"
 
 	"condaccess/internal/jsondec"
+	"condaccess/internal/jsonenc"
 	"condaccess/internal/latency"
 )
 
@@ -122,19 +123,42 @@ func (t *Timeline) Merge(o *Timeline) {
 	}
 }
 
+// seriesMember is one of a Timeline's series with its JSON name.
+type seriesMember struct {
+	name   string
+	series *[]uint64
+}
+
+// members lists t's series with their JSON names, in declaration order.
+func (t *Timeline) members() [5]seriesMember {
+	return [...]seriesMember{
+		{"insert", &t.Insert}, {"delete", &t.Delete}, {"read", &t.Read},
+		{"retries", &t.Retries}, {"pause", &t.Pause},
+	}
+}
+
+// AppendJSON appends the object json.Marshal writes for t to dst: members
+// in declaration order, an empty series left out.
+func (t *Timeline) AppendJSON(dst []byte) []byte {
+	e := jsonenc.Encoder{B: dst}
+	e.Begin()
+	e.Member("window").Uint(t.Window)
+	for _, m := range t.members() {
+		if len(*m.series) > 0 {
+			e.Member(m.name).Uints(*m.series)
+		}
+	}
+	e.End()
+	return e.B
+}
+
 // ReadJSON reads a Timeline at c: the object encoding/json writes for it,
 // members in declaration order. Series of different lengths are an error,
 // since every method here indexes them in parallel.
 func (t *Timeline) ReadJSON(c *jsondec.Cursor) {
 	c.Begin()
 	t.Window = c.Member("window").Uint()
-	for _, m := range [...]struct {
-		name   string
-		series *[]uint64
-	}{
-		{"insert", &t.Insert}, {"delete", &t.Delete}, {"read", &t.Read},
-		{"retries", &t.Retries}, {"pause", &t.Pause},
-	} {
+	for _, m := range t.members() {
 		if c.Has(m.name) {
 			*m.series = c.Uints()
 		}

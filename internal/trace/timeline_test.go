@@ -170,7 +170,8 @@ func TestTimelineWriteTable(t *testing.T) {
 
 // TestTimelineJSONRoundTrip pins the store envelope property: a timeline
 // marshals and unmarshals without loss, so a warm store hit replays the
-// recorded series exactly.
+// recorded series exactly. AppendJSON, which the store writes with, writes
+// json.Marshal's bytes, an empty or reset timeline's included.
 func TestTimelineJSONRoundTrip(t *testing.T) {
 	tl := &Timeline{Window: 4096}
 	tl.RecordOp(100, latency.KindInsert, 1, 2)
@@ -178,6 +179,16 @@ func TestTimelineJSONRoundTrip(t *testing.T) {
 	b1, err := json.Marshal(tl)
 	if err != nil {
 		t.Fatal(err)
+	}
+	reset := &Timeline{Window: 4096, Insert: []uint64{}, Delete: []uint64{}, Read: []uint64{}, Retries: []uint64{}, Pause: []uint64{}}
+	for _, v := range []*Timeline{tl, {}, reset} {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.AppendJSON(nil); string(got) != string(want) {
+			t.Errorf("AppendJSON writes %s, json.Marshal %s", got, want)
+		}
 	}
 	var back Timeline
 	if err := json.Unmarshal(b1, &back); err != nil {
