@@ -8,7 +8,6 @@
 //	calab export -store DIR [-csv F]    # long-form CSV of every trial entry
 //	calab verify -store DIR             # integrity: content addresses and payload fingerprints
 //	calab pack -store DIR               # compact the segments: one record per entry, no crash residue
-//	calab index -store DIR              # rebuild the segment sidecar index by scanning segments
 //	calab merge SRC... DST              # fold shard stores into DST (per-key dedup, one engine tag)
 //	calab runs -store DIR               # list the run manifests under DIR/runs
 //	calab runs -run ID -store DIR       # inspect one run's manifest (or -run PATH)
@@ -48,7 +47,7 @@ type options struct {
 	prof    cli.Profiler
 }
 
-const usageText = "usage: calab <inspect|diff|gc|export|verify|pack|index|merge|runs> [flags]\n"
+const usageText = "usage: calab <inspect|diff|gc|export|verify|pack|merge|runs> [flags]\n"
 
 // parseArgs parses the subcommand and its flag set. Split out of main for
 // testability.
@@ -63,7 +62,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	var store, a, b, csvPath, runID *string
 	var all *bool
 	switch opt.cmd {
-	case "inspect", "verify", "pack", "index":
+	case "inspect", "verify", "pack":
 		store = storeFlag()
 	case "gc":
 		store = storeFlag()
@@ -163,8 +162,6 @@ func dispatch(opt options, out io.Writer) error {
 		return diff(opt.a, opt.b, out)
 	case "pack":
 		return pack(opt.store, out)
-	case "index":
-		return index(opt.store, out)
 	case "merge":
 		return merge(opt.srcs, opt.store, out)
 	}
@@ -258,22 +255,6 @@ func pack(dir string, out io.Writer) (err error) {
 		return err
 	}
 	fmt.Fprintf(out, "store now holds %d packed entries\n", packed)
-	return nil
-}
-
-// index rebuilds the sidecar index from the segment bytes themselves —
-// recovery for a missing or stale segments/index.json.
-func index(dir string, out io.Writer) (err error) {
-	st, err := lab.OpenExisting(dir)
-	if err != nil {
-		return err
-	}
-	defer cli.Close(st, &err)
-	entries, segments, err := st.RebuildIndex()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "indexed %d entries across %d segments\n", entries, segments)
 	return nil
 }
 

@@ -28,7 +28,6 @@ func TestParseArgsSubcommands(t *testing.T) {
 		{[]string{"export", "-store", "d", "-csv", "out.csv"}, options{cmd: "export", store: "d", csvPath: "out.csv"}},
 		{[]string{"diff", "-a", "x", "-b", "y"}, options{cmd: "diff", a: "x", b: "y"}},
 		{[]string{"pack", "-store", "d"}, options{cmd: "pack", store: "d"}},
-		{[]string{"index", "-store", "d"}, options{cmd: "index", store: "d"}},
 		{[]string{"merge", "s1", "dst"}, options{cmd: "merge", srcs: []string{"s1"}, store: "dst"}},
 		{[]string{"merge", "s1", "s2", "dst"}, options{cmd: "merge", srcs: []string{"s1", "s2"}, store: "dst"}},
 	}
@@ -53,7 +52,6 @@ func TestParseArgsErrors(t *testing.T) {
 		{"diff", "-a", "x"},        // missing -b
 		{"diff", "-b", "y"},        // missing -a
 		{"pack"},                   // missing -store
-		{"index"},                  // missing -store
 		{"merge"},                  // no stores at all
 		{"merge", "onlydst"},       // no sources
 		{"inspect", "-nosuchflag"}, // flag error
@@ -87,7 +85,6 @@ func TestReadCommandsRejectMissingStore(t *testing.T) {
 		{cmd: "export", store: missing},
 		{cmd: "diff", a: missing, b: missing},
 		{cmd: "pack", store: missing},
-		{cmd: "index", store: missing},
 	} {
 		if err := dispatch(opt, io.Discard); err == nil {
 			t.Errorf("%s: missing store accepted", opt.cmd)
@@ -147,20 +144,24 @@ func fillStore(t *testing.T, dir string) lab.StoreStats {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Close flushes the batched segment writes and persists the sidecar, the
-	// same way the CLI fillers (cabench -store etc.) do on exit.
+	// Close flushes the batched segment writes, the same way the CLI
+	// fillers (cabench -store etc.) do on exit.
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return st.Stats()
 }
 
-// TestPackAndIndexEndToEnd: pack compacts the store into one segment in
-// place, the sidecar rebuilds from segment bytes alone, and the packed
-// store keeps serving the same entries.
-func TestPackAndIndexEndToEnd(t *testing.T) {
+// TestPackEndToEnd: a cold run leaves one segment and a warm re-run adds
+// none; pack rewrites the store into one segment in place, writes nothing
+// beside it, and the packed store keeps serving the same entries.
+func TestPackEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	fillStore(t, dir)
+	fillStore(t, dir)
+	if segs := segmentFiles(t, dir); len(segs) != 1 {
+		t.Fatalf("a cold and a warm run left %d segments, want the cold run's 1", len(segs))
+	}
 
 	var out strings.Builder
 	if err := dispatch(options{cmd: "pack", store: dir}, &out); err != nil {
@@ -169,20 +170,8 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 	if !strings.Contains(out.String(), "store now holds 2 packed entries") {
 		t.Errorf("pack output: %s", out.String())
 	}
-	if segs := segmentFiles(t, dir); len(segs) != 1 {
-		t.Errorf("pack left %d segments, want 1", len(segs))
-	}
-
-	// The sidecar index must be reconstructible from segment bytes alone.
-	if err := os.Remove(filepath.Join(dir, "segments", "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := dispatch(options{cmd: "index", store: dir}, &out); err != nil {
-		t.Fatalf("index: %v", err)
-	}
-	if !strings.Contains(out.String(), "indexed 2 entries across") {
-		t.Errorf("index output: %s", out.String())
+	if ents, err := os.ReadDir(filepath.Join(dir, "segments")); err != nil || len(ents) != 1 {
+		t.Errorf("pack left %d files in segments/ (err %v), want its one segment", len(ents), err)
 	}
 
 	out.Reset()

@@ -88,7 +88,9 @@ type PhaseSegment struct {
 // (Retries and Cache accumulate from the prefill on), so the prefill's share
 // is reported as its own segment: Result = Prefill + sum(Phases) for every
 // delta field, while Ops and Cycles (which legacy accounting already scoped
-// to the measured run) sum over Phases alone.
+// to the measured run) sum over Phases alone. In a one-phase trial the
+// trial's Tail and Timeline may be that phase's, one object each, so a
+// caller that changes one changes both.
 type ScenarioResult struct {
 	Result
 	ScenarioName string
@@ -378,22 +380,19 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	// trial, while the exact-sort slices (RecordLatency only — a
 	// RecordTail-only run never allocates them) are O(ops).
 	var tails []latency.Tail
-	var trialTail *latency.Tail
 	if sw.RecordLatency || sw.RecordTail {
 		tails = make([]latency.Tail, sw.Threads)
-		trialTail = &latency.Tail{}
 	}
 	// Per-thread timeline recorders, reused across phases exactly like the
 	// tail recorders: O(windows) memory however long the trial runs.
 	var tlines []trace.Timeline
-	var trialTline *trace.Timeline
+	var win uint64
 	if sw.RecordTimeline {
-		win := trace.ResolveWindow(sw.TimelineWindow)
+		win = trace.ResolveWindow(sw.TimelineWindow)
 		tlines = make([]trace.Timeline, sw.Threads)
 		for i := range tlines {
 			tlines[i].Window = win
 		}
-		trialTline = &trace.Timeline{Window: win}
 	}
 	baseOps := 0
 	baseClock := uint64(0)
@@ -454,24 +453,22 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		}
 		if tails != nil {
 			// Merge the per-thread recorders (in thread order, so merges are
-			// deterministic) into this phase's tail, fold that into the
-			// trial tail, and reset the recorders for the next phase.
+			// deterministic) into this phase's tail, and reset the
+			// recorders for the next phase.
 			seg.Tail = &latency.Tail{}
 			for i := range tails {
 				seg.Tail.Merge(&tails[i])
 				tails[i].Reset()
 			}
-			trialTail.Merge(seg.Tail)
 		}
 		if tlines != nil {
 			// Same shape for the timelines: thread-order merge into the
-			// phase series, fold into the trial series, reset for reuse.
-			seg.Timeline = &trace.Timeline{Window: trialTline.Window}
+			// phase series, reset for reuse.
+			seg.Timeline = &trace.Timeline{Window: win}
 			for i := range tlines {
 				seg.Timeline.Merge(&tlines[i])
 				tlines[i].Reset()
 			}
-			trialTline.Merge(seg.Timeline)
 		}
 		if r.Trace != nil {
 			r.Trace.Phase(plan.progs[pi][0].name, baseClock, endClock)
@@ -483,8 +480,27 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	if sw.RecordLatency {
 		sres.Latency = computeLatency(allLats)
 	}
-	sres.Tail = trialTail      // nil unless tail recording was on
-	sres.Timeline = trialTline // nil unless timeline recording was on
+	// The trial's tail and timeline (nil unless recorded) are its one
+	// phase's, the same objects; only several phases merge, in phase order,
+	// into records of the trial's own.
+	if tails != nil {
+		sres.Tail = sres.Phases[0].Tail
+		if len(sres.Phases) > 1 {
+			sres.Tail = &latency.Tail{}
+			for _, seg := range sres.Phases {
+				sres.Tail.Merge(seg.Tail)
+			}
+		}
+	}
+	if tlines != nil {
+		sres.Timeline = sres.Phases[0].Timeline
+		if len(sres.Phases) > 1 {
+			sres.Timeline = &trace.Timeline{Window: win}
+			for _, seg := range sres.Phases {
+				sres.Timeline.Merge(seg.Timeline)
+			}
+		}
+	}
 	sres.Ops = uint64(totalOps)
 	sres.Cycles = m.MaxClock()
 	if sres.Cycles > 0 {

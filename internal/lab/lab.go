@@ -22,5 +22,5 @@
 // intervals over the replicas — and Diff aligns the cells of two store
 // snapshots into a speedup/regression report whose significance flag is
 // overlap of the two confidence intervals. cmd/calab exposes all of it
-// (inspect, diff, gc, export, verify, pack, index, merge).
+// (inspect, diff, gc, export, verify, pack, merge).
 package lab

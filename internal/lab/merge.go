@@ -17,8 +17,8 @@ type MergeStats struct {
 }
 
 // Merge copies every sound entry of the src stores into dst, skipping keys
-// dst already holds. Copied entries land on dst's segment write path (the
-// caller's Close makes them durable and persists the index sidecar).
+// dst already holds. Copied entries land in dst's append buffer (the
+// caller's Close makes them durable in dst's segment).
 //
 // Engine-tag discipline mirrors SnapshotCells: a source that mixes engine
 // versions is refused, and a source whose tag differs from the destination's
@@ -104,7 +104,7 @@ func (s *Store) forEachPayload(fn func(e SpecEntry, payload []byte) error) error
 		if !ok {
 			continue
 		}
-		payload, err := s.readRecord(loc)
+		payload, err := s.readRecord(key, loc)
 		if err != nil {
 			continue
 		}
@@ -130,14 +130,14 @@ func (s *Store) has(key string) bool {
 }
 
 // putPayload writes one envelope payload under its content key through the
-// handle's segment append buffers. Both putKey and Merge land here. A
+// handle's append buffer. Both putKey and Merge land here. A
 // failed append drops the record from the pending overlay, so this handle
 // cannot serve an entry that will never be durable.
 func (s *Store) putPayload(key string, payload []byte) error {
 	s.mu.Lock()
 	s.pending[key] = payload
 	s.mu.Unlock()
-	if err := s.writer(key).append(key, payload); err != nil {
+	if err := s.append(key, payload); err != nil {
 		s.mu.Lock()
 		delete(s.pending, key)
 		s.mu.Unlock()

@@ -8,8 +8,8 @@ import (
 )
 
 // storeTrials runs each workload through a store-backed Runner so the store
-// ends up holding one entry per workload, then closes the handle (packed
-// segments become durable, the index sidecar is persisted).
+// ends up holding one entry per workload, then closes the handle (its
+// buffered records become durable in its segment).
 func storeTrials(t *testing.T, dir string, ws ...bench.Workload) {
 	t.Helper()
 	st, err := Open(dir)

@@ -1,32 +1,29 @@
-// The packed store format. Entries append to a handful of segment files
+// The packed store format. Entries append to segment files
 // (segments/NNNN.pack) as length-prefixed, checksummed records, so a cold
-// sweep's puts cost a few batched writes rather than one file per trial. An
-// in-memory index maps content key to (segment, offset, length) so a warm
-// lookup is a map probe plus one ReadAt, and a sidecar index file persists
-// the map so reopening a store never rescans segment bytes it already
-// indexed.
+// sweep's puts cost a few batched writes rather than one file per trial. The
+// segments are the store's only on-disk state: Open scans every segment's
+// frames into an in-memory index that maps content key to (segment, offset,
+// length), so a warm lookup is a map probe plus one ReadAt.
 //
 // Durability is layered so nothing is ever trusted ahead of its bytes:
 //
 //   - Records become visible to other handles only after their segment
 //     bytes are written and fsynced (one fsync per batched flush).
-//   - The sidecar is advisory: written on Close (and by maintenance
-//     operations), rebuilt by scanning segments when missing or stale.
-//     Open scans only the tail bytes the sidecar does not cover.
 //   - A crash mid-flush leaves a truncated or checksum-corrupt tail
 //     record; scans stop at the first bad frame, so the record is ignored,
 //     later lookups miss, and the write-through heals by re-appending.
+//   - A lookup checks its record's frame, CRC and key, so a location that
+//     went stale under the handle reads as a miss, never as another entry.
 //
 // Segment files are never appended to by a later Open (each handle creates
-// fresh segments), so a dead segment's garbage tail can never hide records
-// written after it.
+// one fresh segment), so a dead segment's garbage tail can never hide
+// records written after it.
 package lab
 
 import (
 	"bufio"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -42,7 +39,7 @@ import (
 
 // Record frame: [4-byte big-endian n][4-byte CRC32-C of key+payload]
 // [32-byte binary content key][payload], where n = 32 + len(payload). The
-// key rides in the frame so index rebuilds never parse JSON, and the CRC
+// key rides in the frame so index scans never parse JSON, and the CRC
 // covers it so a torn write cannot alias one key's payload to another.
 const (
 	recHeaderLen = 8
@@ -53,9 +50,9 @@ const (
 // scan side caps a corrupt length field before it can provoke a giant
 // allocation, and the write side (frameRecord) refuses to produce a frame the
 // scan side would reject — an oversized record silently written would poison
-// every later record in its segment, because index rebuilds stop at the
-// first bad frame. A variable (not a const) so tests can shrink the bound
-// without allocating gigabytes.
+// every later record in its segment, because scans stop at the first bad
+// frame. A variable (not a const) so tests can shrink the bound without
+// allocating gigabytes.
 var maxRecordLen = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -86,7 +83,6 @@ func parseSegmentName(name string) (int, bool) {
 
 func (s *Store) segmentsDir() string        { return filepath.Join(s.dir, "segments") }
 func (s *Store) segmentPath(seg int) string { return filepath.Join(s.segmentsDir(), segmentName(seg)) }
-func (s *Store) sidecarPath() string        { return filepath.Join(s.segmentsDir(), "index.json") }
 
 // frameRecord appends one framed record for (key, payload) to dst. The key
 // must be the 64-hex-digit content address.
@@ -110,17 +106,8 @@ func frameRecord(dst []byte, key string, payload []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// parseRecord validates one framed record and returns its key and payload.
-// buf must hold exactly the frame (header included).
-func parseRecord(buf []byte) (key string, payload []byte, err error) {
-	if payload, err = checkRecord(buf); err != nil {
-		return "", nil, err
-	}
-	return hex.EncodeToString(buf[recHeaderLen : recHeaderLen+recKeyLen]), payload, nil
-}
-
-// checkRecord validates one framed record, as parseRecord does, and returns
-// its payload without building its key: a lookup already knows the key.
+// checkRecord validates one framed record and returns its payload. buf
+// must hold exactly the frame (header included).
 func checkRecord(buf []byte) ([]byte, error) {
 	if len(buf) < recHeaderLen+recKeyLen {
 		return nil, errors.New("record shorter than its header")
@@ -135,15 +122,30 @@ func checkRecord(buf []byte) ([]byte, error) {
 	return buf[recHeaderLen+recKeyLen:], nil
 }
 
-// scanSegment reads framed records from r starting at byte offset from,
-// calling visit for each clean record. It returns the offset one past the
-// last clean record — the covered prefix — and stops silently at EOF, a
-// truncated frame, or a checksum mismatch: anything past the first bad
-// frame is unreachable garbage (a crashed flush's tail) until a repack.
-func scanSegment(r io.Reader, from int64, visit func(key string, loc recLoc, payload []byte) error, seg int) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+// keyDigits returns the hex digits of the content key a checked frame
+// carries, on the stack: a scan converts them to the index's key string,
+// and a lookup compares them with its key without allocating.
+func keyDigits(frame []byte) (digits [2 * recKeyLen]byte) {
+	hex.Encode(digits[:], frame[recHeaderLen:recHeaderLen+recKeyLen])
+	return digits
+}
+
+// scanBufSize is the read buffer of one segment scan. A scan never holds a
+// segment whole, only this buffer and one frame.
+const scanBufSize = 64 << 10
+
+// scanSegment reads framed records from r, which starts at byte offset from
+// of segment seg, calling visit for each clean record. The payload visit
+// gets is valid only during the call: one frame buffer serves the whole
+// scan. It returns the offset one past the last clean record — the covered
+// prefix — and stops silently at EOF, a truncated frame, or a checksum
+// mismatch: anything past the first bad frame is unreachable garbage (a
+// crashed flush's tail) until a repack.
+func scanSegment(r io.Reader, from int64, seg int, visit func(key string, loc recLoc, payload []byte) error) (int64, error) {
+	br := bufio.NewReaderSize(r, scanBufSize)
 	off := from
 	var hdr [recHeaderLen]byte
+	var frame []byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return off, nil // EOF or torn header: clean prefix ends here
@@ -152,24 +154,28 @@ func scanSegment(r io.Reader, from int64, visit func(key string, loc recLoc, pay
 		if n < recKeyLen || n > maxRecordLen {
 			return off, nil
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
+		if cap(frame) < recHeaderLen+n {
+			frame = make([]byte, recHeaderLen+n)
+		}
+		frame = frame[:recHeaderLen+n]
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(br, frame[recHeaderLen:]); err != nil {
 			return off, nil // truncated record
 		}
-		frame := append(hdr[:], body...)
-		key, payload, err := parseRecord(frame)
+		payload, err := checkRecord(frame)
 		if err != nil {
 			return off, nil // checksum-corrupt record
 		}
-		loc := recLoc{seg: seg, off: off, n: recHeaderLen + n}
-		if err := visit(key, loc, payload); err != nil {
+		loc := recLoc{seg: seg, off: off, n: len(frame)}
+		digits := keyDigits(frame)
+		if err := visit(string(digits[:]), loc, payload); err != nil {
 			return off, err
 		}
 		off += int64(loc.n)
 	}
 }
 
-// flush thresholds: a writer's buffer is flushed (one write + one fsync)
+// flush thresholds: the append buffer is flushed (one write + one fsync)
 // when it holds this many records or bytes, whichever comes first, and on
 // Flush/Close.
 const (
@@ -177,13 +183,10 @@ const (
 	flushBytes   = 1 << 20
 )
 
-// segmentWriter is one append stripe: a buffer of framed records bound for
-// one segment file. Puts are striped across a few writers by key hash so
-// concurrent pool workers append without contending on one buffer; each
-// flush is a single write + fsync on that writer's segment.
-type segmentWriter struct {
-	st *Store
-
+// appender is a handle's one append buffer: framed records bound for the
+// handle's own segment file, which it creates on its first put. Each flush
+// is a single write + fsync on that segment.
+type appender struct {
 	mu   sync.Mutex
 	seg  int
 	f    *os.File
@@ -198,13 +201,14 @@ type pendingRec struct {
 	loc recLoc
 }
 
-// append frames (key, payload) into the writer's buffer, creating the
-// segment file on first use, and flushes when the batch thresholds hit.
-func (w *segmentWriter) append(key string, payload []byte) error {
+// append frames (key, payload) into the handle's append buffer, creating
+// its segment file on first use, and flushes when the batch thresholds hit.
+func (s *Store) append(key string, payload []byte) error {
+	w := &s.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		f, seg, err := w.st.createSegment()
+		f, seg, err := s.createSegment()
 		if err != nil {
 			return err
 		}
@@ -218,21 +222,26 @@ func (w *segmentWriter) append(key string, payload []byte) error {
 	w.recs = append(w.recs, pendingRec{key: key, loc: recLoc{seg: w.seg, off: off, n: len(buf) - len(w.buf)}})
 	w.buf = buf
 	if len(w.recs) >= flushRecords || len(w.buf) >= flushBytes {
-		return w.flushLocked()
+		return s.flushLocked()
 	}
 	return nil
 }
 
-// flush empties the writer's buffer: one write, one fsync, then the
-// records are published to the store's in-memory index (and dropped from
-// the pending overlay) — never before their bytes are durable.
-func (w *segmentWriter) flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushLocked()
+// Flush forces every buffered record onto disk (one write and one fsync)
+// and publishes it to the index. Lookups through this handle see buffered
+// records even before a flush; other handles see them only after.
+func (s *Store) Flush() error {
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	return s.flushLocked()
 }
 
-func (w *segmentWriter) flushLocked() error {
+// flushLocked empties the append buffer: one write, one fsync, then the
+// records are published to the in-memory index (and dropped from the
+// pending overlay) — never before their bytes are durable. The caller
+// holds s.w.mu.
+func (s *Store) flushLocked() error {
+	w := &s.w
 	if len(w.buf) == 0 {
 		return nil
 	}
@@ -247,91 +256,19 @@ func (w *segmentWriter) flushLocked() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("lab: syncing segment %s: %w", segmentName(w.seg), err)
 	}
-	st := w.st
-	st.fsyncNanos.Add(int64(time.Since(tSync)))
-	st.flushNanos.Add(int64(time.Since(t0)))
-	st.flushes.Add(1)
-	st.bytesWritten.Add(uint64(len(w.buf)))
+	s.fsyncNanos.Add(int64(time.Since(tSync)))
+	s.flushNanos.Add(int64(time.Since(t0)))
+	s.flushes.Add(1)
+	s.bytesWritten.Add(uint64(len(w.buf)))
 	records, bytes := len(w.recs), len(w.buf)
 	w.size += int64(len(w.buf))
 	w.buf = w.buf[:0]
-	st.publish(w.recs, w.seg, w.size)
+	s.publish(w.recs, w.seg, w.size)
 	w.recs = w.recs[:0]
-	if st.OnFlush != nil {
-		st.OnFlush(records, bytes)
+	if s.OnFlush != nil {
+		s.OnFlush(records, bytes)
 	}
 	return nil
-}
-
-// sidecar is the on-disk form of the in-memory index. Entries map content
-// key to [segment, offset, length]; Covered records how many bytes of each
-// segment the entries describe, so Open scans only bytes past that prefix.
-type sidecar struct {
-	Version int                 `json:"version"`
-	Covered map[string]int64    `json:"covered"`
-	Entries map[string][3]int64 `json:"entries"`
-}
-
-// writeSidecar persists the current in-memory index atomically. Callers
-// must hold no store locks.
-func (s *Store) writeSidecar() error {
-	s.mu.Lock()
-	sc := sidecar{Version: 1, Covered: map[string]int64{}, Entries: make(map[string][3]int64, len(s.index))}
-	for seg, cov := range s.covered {
-		sc.Covered[strconv.Itoa(seg)] = cov
-	}
-	for key, loc := range s.index {
-		sc.Entries[key] = [3]int64{int64(loc.seg), loc.off, int64(loc.n)}
-	}
-	s.dirty = false
-	s.mu.Unlock()
-	data, err := json.Marshal(sc)
-	if err != nil {
-		return fmt.Errorf("lab: encoding index sidecar: %w", err)
-	}
-	if err := os.MkdirAll(s.segmentsDir(), 0o755); err != nil {
-		return fmt.Errorf("lab: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.segmentsDir(), ".index-*")
-	if err != nil {
-		return fmt.Errorf("lab: %w", err)
-	}
-	s.opens.Add(1)
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			return os.Rename(tmp.Name(), s.sidecarPath())
-		}
-	} else {
-		tmp.Close()
-	}
-	os.Remove(tmp.Name())
-	return fmt.Errorf("lab: writing index sidecar: %w", err)
-}
-
-// loadSidecar reads the sidecar into the in-memory index. A missing
-// sidecar is fine (empty index, full scan follows); an unparsable one is
-// discarded the same way — it is advisory.
-func (s *Store) loadSidecar() {
-	data, err := os.ReadFile(s.sidecarPath())
-	if err != nil {
-		return
-	}
-	s.opens.Add(1)
-	var sc sidecar
-	if json.Unmarshal(data, &sc) != nil || sc.Version != 1 {
-		return
-	}
-	for segStr, cov := range sc.Covered {
-		seg, err := strconv.Atoi(segStr)
-		if err != nil || cov < 0 {
-			continue
-		}
-		s.covered[seg] = cov
-	}
-	for key, e := range sc.Entries {
-		s.index[key] = recLoc{seg: int(e[0]), off: e[1], n: int(e[2])}
-	}
 }
 
 // publish moves flushed records into the index and advances the covered
@@ -346,7 +283,6 @@ func (s *Store) publish(recs []pendingRec, seg int, covered int64) {
 	if covered > s.covered[seg] {
 		s.covered[seg] = covered
 	}
-	s.dirty = true
 }
 
 // createSegment creates a fresh segment file with the next free number.
@@ -376,16 +312,6 @@ func (s *Store) createSegment() (*os.File, int, error) {
 	}
 }
 
-// writer picks the append stripe for key.
-func (s *Store) writer(key string) *segmentWriter {
-	// The key is hex of a SHA-256, so its first byte is already uniform.
-	i := 0
-	if len(key) > 0 {
-		i = int(key[0]) % len(s.writers)
-	}
-	return s.writers[i]
-}
-
 // listSegments returns the numbers of every segment file on disk, sorted.
 func (s *Store) listSegments() ([]int, error) {
 	ents, err := os.ReadDir(s.segmentsDir())
@@ -405,8 +331,8 @@ func (s *Store) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-// dropSegmentEntries removes every index entry located in seg. Caller
-// holds s.mu.
+// dropSegmentEntriesLocked removes every index entry located in seg. The
+// caller holds s.mu.
 func (s *Store) dropSegmentEntriesLocked(seg int) {
 	for key, loc := range s.index {
 		if loc.seg == seg {
@@ -417,22 +343,43 @@ func (s *Store) dropSegmentEntriesLocked(seg int) {
 
 // refresh reconciles the in-memory index with the segments on disk:
 // newly-appeared segment files are opened and scanned, and segments that
-// grew past their covered prefix are scanned from there. Lookups never
-// refresh (the point of the index is to avoid per-trial filesystem work);
-// whole-store operations — Entries, Verify, GC, Pack — do, so they see
-// every durable record, including ones another handle flushed.
+// grew past their covered prefix are scanned from there. Open builds the
+// index with it; lookups never refresh (the point of the index is to avoid
+// per-trial filesystem work); whole-store operations — Entries, Verify, GC,
+// Pack — do, so they see every durable record, including ones another
+// handle flushed.
 func (s *Store) refresh() error {
 	segs, err := s.listSegments()
 	if err != nil {
 		return err
 	}
 	for _, seg := range segs {
+		path := s.segmentPath(seg)
 		s.mu.Lock()
 		f := s.readers[seg]
 		cov := s.covered[seg]
 		s.mu.Unlock()
+		if f != nil {
+			cur, err := os.Stat(path)
+			if err != nil {
+				return fmt.Errorf("lab: %w", err)
+			}
+			if old, err := f.Stat(); err != nil || !os.SameFile(old, cur) || cur.Size() < cov {
+				// The file under this number is not the one indexed, or it
+				// shrank below its indexed prefix: after a gc -all removes
+				// every segment, the next handle numbers its segment 0000
+				// again. Forget the old file and scan the new one.
+				f.Close()
+				s.mu.Lock()
+				s.dropSegmentEntriesLocked(seg)
+				delete(s.covered, seg)
+				delete(s.readers, seg)
+				s.mu.Unlock()
+				f, cov = nil, 0
+			}
+		}
 		if f == nil {
-			f, err = os.Open(s.segmentPath(seg))
+			f, err = os.Open(path)
 			if err != nil {
 				return fmt.Errorf("lab: opening segment: %w", err)
 			}
@@ -448,39 +395,24 @@ func (s *Store) refresh() error {
 		if err != nil {
 			return fmt.Errorf("lab: %w", err)
 		}
-		if st.Size() < cov {
-			// The file shrank below its indexed prefix: the sidecar is from
-			// another lineage of this directory. Distrust it for this segment
-			// and rescan from the start.
-			s.mu.Lock()
-			s.dropSegmentEntriesLocked(seg)
-			delete(s.covered, seg)
-			s.dirty = true
-			s.mu.Unlock()
-			cov = 0
-		}
 		if st.Size() == cov {
 			continue
 		}
-		end, err := scanSegment(io.NewSectionReader(f, cov, st.Size()-cov), cov, func(key string, loc recLoc, _ []byte) error {
+		end, err := scanSegment(io.NewSectionReader(f, cov, st.Size()-cov), cov, seg, func(key string, loc recLoc, _ []byte) error {
 			s.mu.Lock()
 			s.index[key] = loc
 			delete(s.pending, key)
-			s.dirty = true
 			s.mu.Unlock()
 			return nil
-		}, seg)
+		})
 		if err != nil {
 			return err
 		}
-		if end > cov {
-			s.mu.Lock()
-			if end > s.covered[seg] {
-				s.covered[seg] = end
-				s.dirty = true
-			}
-			s.mu.Unlock()
+		s.mu.Lock()
+		if end > s.covered[seg] {
+			s.covered[seg] = end
 		}
+		s.mu.Unlock()
 	}
 	// Entries whose segment vanished (another handle's gc/pack) can no
 	// longer serve reads; drop them so lookups fall through cleanly.
@@ -492,7 +424,6 @@ func (s *Store) refresh() error {
 	for key, loc := range s.index {
 		if !live[loc.seg] {
 			delete(s.index, key)
-			s.dirty = true
 		}
 	}
 	for seg, f := range s.readers {
@@ -506,9 +437,16 @@ func (s *Store) refresh() error {
 	return nil
 }
 
-// readRecord fetches and validates one packed record: a single ReadAt plus
-// an in-memory checksum check. The returned payload is the envelope JSON.
-func (s *Store) readRecord(loc recLoc) ([]byte, error) {
+// errStaleRecord is readRecord's answer for a sound frame that holds
+// another key than the one looked up.
+var errStaleRecord = errors.New("lab: record at the indexed location holds another key")
+
+// readRecord fetches and validates the record of key at loc: a single
+// ReadAt, the frame's length and checksum checks, and a comparison of the
+// frame's key with key. So a location that went stale (another process
+// rewrote the segments under this handle) is an error, never another
+// entry's record. The returned payload is the envelope JSON.
+func (s *Store) readRecord(key string, loc recLoc) ([]byte, error) {
 	s.mu.RLock()
 	f := s.readers[loc.seg]
 	s.mu.RUnlock()
@@ -519,34 +457,21 @@ func (s *Store) readRecord(loc recLoc) ([]byte, error) {
 	if _, err := f.ReadAt(buf, loc.off); err != nil {
 		return nil, fmt.Errorf("lab: reading record: %w", err)
 	}
-	return checkRecord(buf)
-}
-
-// Flush forces every buffered record onto disk (one fsync per non-empty
-// stripe) and publishes it to the index. Lookups through this handle see
-// buffered records even before a flush; other handles see them only after.
-func (s *Store) Flush() error {
-	for _, w := range s.writers {
-		if err := w.flush(); err != nil {
-			return err
-		}
+	payload, err := checkRecord(buf)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if digits := keyDigits(buf); string(digits[:]) != key {
+		return nil, errStaleRecord
+	}
+	return payload, nil
 }
 
-// Close flushes buffered records, persists the index sidecar, and releases
-// every segment file handle. The store must not be used afterwards.
-// Closing is what makes a batched run's entries cheap to reopen — a store
-// abandoned without Close loses only its unflushed tail and its sidecar
-// currency, both of which the next Open repairs.
+// Close flushes buffered records and releases every segment file handle.
+// The store must not be used afterwards. A store abandoned without Close
+// loses only its unflushed tail, which the next run re-simulates.
 func (s *Store) Close() error {
 	err := s.Flush()
-	s.mu.Lock()
-	dirty := s.dirty
-	s.mu.Unlock()
-	if err == nil && (dirty || s.sidecarMissing()) {
-		err = s.writeSidecar()
-	}
 	s.mu.Lock()
 	for seg, f := range s.readers {
 		f.Close()
@@ -554,43 +479,6 @@ func (s *Store) Close() error {
 	}
 	s.mu.Unlock()
 	return err
-}
-
-// sidecarMissing reports whether segments exist without a sidecar.
-func (s *Store) sidecarMissing() bool {
-	s.mu.Lock()
-	n := len(s.index)
-	s.mu.Unlock()
-	if n == 0 {
-		return false
-	}
-	_, err := os.Stat(s.sidecarPath())
-	return err != nil
-}
-
-// RebuildIndex discards the in-memory index and the sidecar and rebuilds
-// both by scanning every segment from its first byte (refresh, with
-// nothing covered) — the recovery path for a missing, stale, or corrupt
-// sidecar (calab index). It returns the number of indexed entries and
-// scanned segments.
-func (s *Store) RebuildIndex() (entries, segments int, err error) {
-	if err := s.Flush(); err != nil {
-		return 0, 0, err
-	}
-	s.mu.Lock()
-	s.index = map[string]recLoc{}
-	s.covered = map[int]int64{}
-	s.dirty = true
-	s.mu.Unlock()
-	if err := s.refresh(); err != nil {
-		return 0, 0, err
-	}
-	if err := s.writeSidecar(); err != nil {
-		return 0, 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index), len(s.readers), nil
 }
 
 // packRec is one (key, envelope payload) pair bound for a compacted
@@ -601,11 +489,11 @@ type packRec struct {
 }
 
 // compactSegments rewrites the store's segments: every current index
-// winner is written to one fresh segment, every old segment file is
-// removed, and the sidecar is rewritten. Superseded records (heals,
-// overwrites) and crash-truncated tails vanish in the rewrite. Callers must
-// have flushed and refreshed. Compaction assumes the usual maintenance
-// contract: no other handle is writing the store concurrently.
+// winner is written to one fresh segment and every old segment file is
+// removed. Superseded records (heals, overwrites) and crash-truncated tails
+// vanish in the rewrite. Callers must have flushed and refreshed.
+// Compaction assumes the usual maintenance contract: no other handle is
+// writing the store concurrently.
 func (s *Store) compactSegments() error {
 	var recs []packRec
 	for _, key := range s.indexKeys() {
@@ -615,7 +503,7 @@ func (s *Store) compactSegments() error {
 		if !ok {
 			continue
 		}
-		payload, err := s.readRecord(loc)
+		payload, err := s.readRecord(key, loc)
 		if err != nil {
 			continue // unreadable record: dropped by the rewrite
 		}
@@ -656,8 +544,8 @@ func (s *Store) compactSegments() error {
 	}
 
 	// Swap the index to the compacted layout, then remove the replaced
-	// files. Writers pointed at removed segments are reset so their next
-	// append opens a fresh segment.
+	// files. The append buffer, empty after the caller's flush, forgets its
+	// removed segment, so the next put opens a fresh one.
 	s.mu.Lock()
 	s.index = index
 	s.covered = covered
@@ -668,15 +556,12 @@ func (s *Store) compactSegments() error {
 		f.Close()
 		delete(s.readers, seg)
 	}
-	s.dirty = true
 	s.mu.Unlock()
-	for _, w := range s.writers {
-		w.mu.Lock()
-		if w.f != nil && w.seg != newSeg {
-			w.f, w.size, w.seg = nil, 0, 0
-		}
-		w.mu.Unlock()
+	s.w.mu.Lock()
+	if s.w.f != nil && s.w.seg != newSeg {
+		s.w.f, s.w.size, s.w.seg = nil, 0, 0
 	}
+	s.w.mu.Unlock()
 	for _, seg := range oldSegs {
 		if seg == newSeg {
 			continue
@@ -685,14 +570,14 @@ func (s *Store) compactSegments() error {
 			return fmt.Errorf("lab: removing old segment: %w", err)
 		}
 	}
-	return s.writeSidecar()
+	return nil
 }
 
 // Pack compacts the store in place: the whole keyspace lands in one fresh
-// segment behind a freshly written sidecar, and superseded records, corrupt
-// records a re-run has healed, and crash residue are dropped. A warm sweep
-// over a packed store opens O(1) files however many trials it serves. It
-// returns the number of packed entries.
+// segment, and superseded records, corrupt records a re-run has healed, and
+// crash residue are dropped. A warm sweep over a packed store opens one
+// file however many trials it serves. It returns the number of packed
+// entries.
 func (s *Store) Pack() (packed int, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, err

@@ -142,9 +142,8 @@ func TestTruncatedTailRecovers(t *testing.T) {
 }
 
 // TestCorruptTailChecksumIgnored: a bit flipped in a segment's final record
-// must fail the CRC — the scan stops there, the record's lookups miss, and
-// re-running heals. The sidecar is removed first so the reopen takes the
-// full-scan path the checksum protects.
+// must fail the CRC — the scan at Open stops there, the record's lookups
+// miss, and re-running heals.
 func TestCorruptTailChecksumIgnored(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -173,9 +172,6 @@ func TestCorruptTailChecksumIgnored(t *testing.T) {
 	}
 	data[len(data)-1] ^= 0xFF // inside the last record's payload
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "segments", "index.json")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,8 +205,8 @@ func TestCorruptTailChecksumIgnored(t *testing.T) {
 	}
 }
 
-// TestConcurrentKeyedAppendsAndReads drives the striped write-back and the
-// keyed lookup path from many goroutines at once — the parallel-sweep shape,
+// TestConcurrentKeyedAppendsAndReads drives the handle's one append buffer
+// and the keyed lookup path from many goroutines at once — the parallel-sweep shape,
 // checked under -race: writers must see their own unflushed puts, and a
 // concurrent reader probing the same keyspace must never tear.
 func TestConcurrentKeyedAppendsAndReads(t *testing.T) {
@@ -282,9 +278,10 @@ func TestConcurrentKeyedAppendsAndReads(t *testing.T) {
 }
 
 // TestWarmPackedSweepOpensNoFiles is the perf acceptance shape: a 540-trial
-// sweep re-run against a packed store must serve every trial from the index
-// without opening a single file past the handful Open itself touched — and
-// reproduce the cold run's table byte for byte.
+// sweep re-run against the store must serve every trial from the index
+// without opening a single file past the one segment Open itself scanned —
+// and reproduce the cold run's table byte for byte. The cold run, by one
+// handle, leaves exactly that one segment.
 func TestWarmPackedSweepOpensNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -310,7 +307,7 @@ func TestWarmPackedSweepOpensNoFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Store = st2
-	base := st2.Stats().Opens // sidecar + segments, paid once at Open
+	base := st2.Stats().Opens // one per segment, paid once at Open
 	warm, err := bench.Sweep(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +327,8 @@ func TestWarmPackedSweepOpensNoFiles(t *testing.T) {
 			t.Fatalf("u=%d: warm table not byte-identical", u)
 		}
 	}
-	if n := len(segmentsOn(t, dir)); n > writeStripes {
-		t.Fatalf("cold 540-trial run left %d segments, want at most %d stripes", n, writeStripes)
+	if n := len(segmentsOn(t, dir)); n != 1 || base != 1 {
+		t.Fatalf("cold 540-trial run left %d segments and Open opened %d files, want 1 and 1", n, base)
 	}
 }
 
@@ -345,17 +342,82 @@ func segmentsOn(t *testing.T, dir string) []string {
 	return m
 }
 
-// TestRebuildIndexMatchesScan: RebuildIndex from segment bytes alone must
-// reconstruct exactly the entries a fresh full scan sees.
-func TestRebuildIndexMatchesScan(t *testing.T) {
+// TestTwoHandlesShareADirectory: two handles on one directory put disjoint
+// trials concurrently, each into a segment of its own. A third Open scans
+// both segments, one file open each, and serves every trial warm.
+func TestTwoHandlesShareADirectory(t *testing.T) {
+	dir := t.TempDir()
+	const perHandle = 6
+	var wg sync.WaitGroup
+	for h := range 2 {
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := bench.Runner{Store: st}
+			for i := range perHandle {
+				if _, err := r.Run(trialW(uint64(1 + h*perHandle + i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	segs := segmentsOn(t, dir)
+	if len(segs) != 2 {
+		t.Fatalf("two handles left %d segments, want one each", len(segs))
+	}
+	if opens := st.Stats().Opens; opens != uint64(len(segs)) {
+		t.Fatalf("Open opened %d files for %d segments", opens, len(segs))
+	}
+	r := bench.Runner{Store: st}
+	for seed := uint64(1); seed <= 2*perHandle; seed++ {
+		want, err := bench.Run(trialW(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Run(trialW(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: stored result diverges from a storeless run", seed)
+		}
+	}
+	if s := st.Stats(); s.Hits != 2*perHandle || s.Misses != 0 || s.Puts != 0 {
+		t.Fatalf("third handle's traffic %+v, want %d pure hits", s, 2*perHandle)
+	}
+}
+
+// TestStaleLocationIsAMiss: an index entry that points at another key's
+// sound record, the state a handle is left in when another process rewrites
+// the segments under it, must read as a miss. The trial re-simulates, its
+// write-through heals the entry, and the next lookup hits with the right
+// seed, never with the other key's result.
+func TestStaleLocationIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials = 10
 	r := bench.Runner{Store: st}
-	for seed := uint64(1); seed <= trials; seed++ {
+	for seed := uint64(1); seed <= 2; seed++ {
 		if _, err := r.Run(trialW(seed)); err != nil {
 			t.Fatal(err)
 		}
@@ -363,41 +425,95 @@ func TestRebuildIndexMatchesScan(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Poison the sidecar; RebuildIndex must not need it.
-	side := filepath.Join(dir, "segments", "index.json")
-	if err := os.WriteFile(side, []byte("{not json"), 0o644); err != nil {
+	if st, err = Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	defer st.Close()
+	k1 := key(st.Tag(), KindTrial, prepared(t, trialW(1)).Spec)
+	k2 := key(st.Tag(), KindTrial, prepared(t, trialW(2)).Spec)
+	st.mu.Lock()
+	st.index[k1] = st.index[k2]
+	st.mu.Unlock()
+
+	if res, ok := st.LookupTrialSpec(prepared(t, trialW(1))); ok {
+		t.Fatalf("stale location served as a hit holding seed %d's result", res.W.Seed)
+	}
+	want, err := bench.Run(trialW(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, segments, err := st2.RebuildIndex()
+	r = bench.Runner{Store: st}
+	got, err := r.Run(trialW(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries != trials || segments == 0 {
-		t.Fatalf("rebuild: %d entries / %d segments, want %d entries", entries, segments, trials)
+	if s := st.Stats(); s.Misses != 2 || s.Puts != 1 {
+		t.Fatalf("traffic %+v, want the stale entry missed and re-simulated", s)
 	}
-	for seed := uint64(1); seed <= trials; seed++ {
-		if _, ok := st2.LookupTrialSpec(prepared(t, trialW(seed))); !ok {
-			t.Fatalf("seed %d unreachable after rebuild", seed)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("re-simulated result diverges from a storeless run")
 	}
-	// The rewritten sidecar must make the next Open cheap and complete.
-	if err := st2.Close(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st3, err := Open(dir)
+	res, ok := st.LookupTrialSpec(prepared(t, trialW(1)))
+	if !ok || res.W.Seed != 1 || !reflect.DeepEqual(res, want) {
+		t.Fatalf("healed lookup: hit %v, seed %d; want a hit holding seed 1's result", ok, res.W.Seed)
+	}
+}
+
+// TestRefreshFollowsAReusedSegmentNumber: after a gc -all removes every
+// segment, the next handle numbers its segment 0000 again. A long-lived
+// handle that had indexed the old 0000 must see, at its next whole-store
+// walk, the entries of the new file and not those of the removed one.
+func TestRefreshFollowsAReusedSegmentNumber(t *testing.T) {
+	dir := t.TempDir()
+	long, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := st3.SpecEntries()
+	defer long.Close()
+	if _, err := (&bench.Runner{Store: long}).Run(trialW(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := long.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := long.Keys(); err != nil || len(keys) != 1 {
+		t.Fatalf("keys = %v (err %v), want seed 1's", keys, err)
+	}
+
+	gc, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(es) != trials {
-		t.Fatalf("after rebuild+reopen: %d entries, want %d", len(es), trials)
+	if _, _, err := gc.GC(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := gc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&bench.Runner{Store: next}).Run(trialW(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segmentsOn(t, dir); len(segs) != 1 || filepath.Base(segs[0]) != segmentName(0) {
+		t.Fatalf("segments after gc -all and one put: %v, want %s alone", segs, segmentName(0))
+	}
+
+	keys, err := long.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := key(long.Tag(), KindTrial, prepared(t, trialW(2)).Spec)
+	if len(keys) != 1 || keys[0] != want {
+		t.Fatalf("long-lived handle sees keys %v, want only seed 2's %s", keys, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,10 +31,11 @@ const (
 // stores can be diffed by coordinates without sharing any state.
 //
 // Entries live in append-only segment files under segments/ holding
-// length-prefixed, checksummed records, plus an in-memory index loaded
-// once per Open from a sidecar (segment.go). A warm lookup is a map probe
-// and one ReadAt; puts buffer per stripe and flush in batches with one
-// fsync per flush.
+// length-prefixed, checksummed records; the segments are the store's only
+// on-disk state. Open builds an in-memory index by scanning their frames
+// (segment.go). A warm lookup is a map probe and one ReadAt; puts buffer in
+// the handle's one append buffer and flush in batches with one fsync per
+// flush, into the one segment the handle creates.
 type Store struct {
 	dir string
 	tag string
@@ -45,9 +45,9 @@ type Store struct {
 	pending map[string][]byte // content key -> buffered envelope payload, not yet flushed
 	readers map[int]*os.File  // open segment read handles
 	covered map[int]int64     // indexed clean-prefix length per segment
-	writers []*segmentWriter
 	nextSeg int
-	dirty   bool // in-memory index has entries the sidecar lacks
+
+	w appender // the handle's append buffer and segment
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -56,7 +56,7 @@ type Store struct {
 
 	// Write-back durability counters (segment.go): batched flushes, bytes
 	// made durable by them, and the time spent inside flushes (fsync
-	// included) and loading the index at Open.
+	// included) and scanning the segments into the index at Open.
 	flushes        atomic.Uint64
 	bytesWritten   atomic.Uint64
 	flushNanos     atomic.Int64
@@ -67,23 +67,17 @@ type Store struct {
 	// with the number of records published and bytes written. It is
 	// observational (obs event stream); set it before the store sees
 	// traffic and never from a callback. Called with no store locks held
-	// beyond the flushing stripe's.
+	// beyond the append buffer's.
 	OnFlush func(records, bytes int)
 }
 
 // Store implements the harness's read-through/write-through contract.
 var _ bench.TrialStore = (*Store)(nil)
 
-// writeStripes is the number of append buffers puts are striped across:
-// enough that pool workers rarely contend on one buffer's lock, few enough
-// that a cold run leaves a handful of segments, not one per trial.
-const writeStripes = 4
-
 // Open opens (creating if necessary) the store rooted at dir. Entries are
 // keyed under the current bench.EngineTag(); entries written by other engine
 // versions remain on disk — invisible to lookups — until GC. The packed
-// index is loaded here, once: the sidecar if it is current, plus a scan of
-// whatever segment bytes it does not cover.
+// index is built here, once, by scanning every segment's frames.
 func Open(dir string) (*Store, error) {
 	return openTagged(dir, bench.EngineTag())
 }
@@ -99,12 +93,9 @@ func openTagged(dir, tag string) (*Store, error) {
 		readers: map[int]*os.File{},
 		covered: map[int]int64{},
 	}
-	for i := 0; i < writeStripes; i++ {
-		s.writers = append(s.writers, &segmentWriter{st: s})
-	}
 	t0 := time.Now()
-	s.loadSidecar()
 	if err := s.refresh(); err != nil {
+		s.Close()
 		return nil, err
 	}
 	s.indexLoadNanos.Add(int64(time.Since(t0)))
@@ -113,14 +104,10 @@ func openTagged(dir, tag string) (*Store, error) {
 
 // OpenExisting opens a store that must already exist. Read-only consumers
 // (calab) use this so a mistyped path fails loudly instead of silently
-// materializing an empty store and reporting zero entries. A directory
-// holding only the objects/ tree of an older binary's loose layout is a
-// store too, so calab gc can reclaim it.
+// materializing an empty store and reporting zero entries.
 func OpenExisting(dir string) (*Store, error) {
 	if _, err := os.Stat(filepath.Join(dir, "segments")); err != nil {
-		if _, lerr := os.Stat(filepath.Join(dir, looseDir)); lerr != nil {
-			return nil, fmt.Errorf("lab: %s is not a result store (no segments/ or objects/ directory): %w", dir, err)
-		}
+		return nil, fmt.Errorf("lab: %s is not a result store (no segments/ directory): %w", dir, err)
 	}
 	return Open(dir)
 }
@@ -134,10 +121,10 @@ func (s *Store) Tag() string { return s.tag }
 // StoreStats counts this handle's store traffic. After a fully warm sweep,
 // Misses, Puts, Flushes, and BytesWritten are zero: every trial came from
 // the store and none was simulated or written back. Opens counts file opens
-// — a warm packed sweep holds it at O(segments) however many trials it
-// serves. The nanosecond fields time the durability work itself: flushes
-// (FsyncNanos is the fsync share of FlushNanos) and the one-time index load
-// at Open.
+// — one per segment at Open, and a warm sweep adds none however many trials
+// it serves. The nanosecond fields time the durability work itself: flushes
+// (FsyncNanos is the fsync share of FlushNanos) and the one-time segment
+// scan that builds the index at Open.
 type StoreStats struct {
 	Hits   uint64
 	Misses uint64
@@ -359,7 +346,8 @@ func sumMatches(payload, sum []byte) bool {
 
 // loadKey fetches the envelope payload for key, trying the in-process
 // overlay of unflushed puts, then the packed index (one ReadAt). It returns
-// nil when the key is absent or its record fails its checksum.
+// nil when the key is absent or its record fails its checks: its frame, its
+// checksum, or its key.
 func (s *Store) loadKey(key string) []byte {
 	s.mu.RLock()
 	data, buffered := s.pending[key]
@@ -368,9 +356,9 @@ func (s *Store) loadKey(key string) []byte {
 	if buffered || !indexed {
 		return data
 	}
-	payload, err := s.readRecord(loc)
+	payload, err := s.readRecord(key, loc)
 	if err != nil {
-		// A bad record (bitrot, lineage mismatch) is a miss; the trial
+		// A bad record (bitrot, a stale location) is a miss; the trial
 		// re-simulates and its write-through appends a sound record.
 		return nil
 	}
@@ -405,7 +393,7 @@ type resultAppender interface {
 // already the canonical compact JSON, the result is appended in place, and
 // its fingerprint, which comes first, is filled in after. The envelope is
 // encoded into a recycled buffer and copied out at its exact size, since
-// the pending overlay holds it until its stripe flushes.
+// the pending overlay holds it until the append buffer flushes.
 func (s *Store) putKey(kind string, spec []byte, key string, res resultAppender) error {
 	buf := putBufs.Get().(*[]byte)
 	e := jsonenc.Encoder{B: (*buf)[:0]}
@@ -656,7 +644,7 @@ func (s *Store) Verify() (sound int, problems []Problem, err error) {
 			f.Close()
 			return 0, nil, fmt.Errorf("lab: %w", serr)
 		}
-		end, serr := scanSegment(f, 0, func(key string, loc recLoc, payload []byte) error {
+		end, serr := scanSegment(f, 0, seg, func(key string, loc recLoc, payload []byte) error {
 			if _, verr := verifyPayload(key, payload); verr != nil {
 				problems = append(problems, Problem{
 					Path:   fmt.Sprintf("%s@%d", path, loc.off),
@@ -666,7 +654,7 @@ func (s *Store) Verify() (sound int, problems []Problem, err error) {
 			}
 			sound++
 			return nil
-		}, seg)
+		})
 		f.Close()
 		if serr != nil {
 			return 0, nil, serr
@@ -684,9 +672,8 @@ func (s *Store) Verify() (sound int, problems []Problem, err error) {
 // GC removes store entries that can no longer serve lookups: entries
 // written under a different engine tag than the current one, and corrupt
 // entries. With all set, every entry goes. Survivors are compacted into a
-// fresh segment, which also drops superseded records and crash residue. A
-// leftover objects/ tree of an older binary's loose layout goes whole. It
-// returns the number of entries (and loose files) removed and kept.
+// fresh segment, which also drops superseded records and crash residue. It
+// returns the number of entries removed and kept.
 func (s *Store) GC(all bool) (removed, kept int, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, 0, err
@@ -703,7 +690,7 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 		}
 		keep := false
 		if !all {
-			if payload, rerr := s.readRecord(loc); rerr == nil {
+			if payload, rerr := s.readRecord(key, loc); rerr == nil {
 				e, verr := verifyPayload(key, payload)
 				keep = verr == nil && e.Tag == s.tag
 			}
@@ -714,43 +701,10 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 		}
 		s.mu.Lock()
 		delete(s.index, key)
-		s.dirty = true
 		s.mu.Unlock()
 		removed++
 	}
-	if err := s.compactSegments(); err != nil {
-		return removed, kept, err
-	}
-	loose, err := s.removeLoose()
-	return removed + loose, kept, err
-}
-
-// looseDir holds the one-file-per-entry layout older binaries wrote. Every
-// entry there predates the store schema in bench.EngineTag, so none can
-// serve a lookup.
-const looseDir = "objects"
-
-// removeLoose deletes a leftover loose objects/ tree and returns the number
-// of files it held.
-func (s *Store) removeLoose() (int, error) {
-	root := filepath.Join(s.dir, looseDir)
-	n := 0
-	err := filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			n++
-		}
-		return err
-	})
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err == nil {
-		err = os.RemoveAll(root)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("lab: gc: removing %s: %w", looseDir, err)
-	}
-	return n, nil
+	return removed, kept, s.compactSegments()
 }
 
 // indexKeys snapshots the index's keys in sorted order.

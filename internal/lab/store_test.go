@@ -381,10 +381,9 @@ func TestGCRemovesForeignTags(t *testing.T) {
 // TestOldTagStoreInvisibleAndCollected: every store written before the
 // store schema joined the engine tag carries the tag below, whatever its
 // results hold — here tail-recording trials stored without a Tail, which
-// the Runner once re-simulated as stale, and a file of the old loose
-// layout. A current handle must miss all of them, re-simulate them exactly,
-// count them as foreign-engine (as calab inspect does), and GC must remove
-// them and objects/ while keeping the current entries.
+// the Runner once re-simulated as stale. A current handle must miss all of
+// them, re-simulate them exactly, count them as foreign-engine (as calab
+// inspect does), and GC must remove them while keeping the current entries.
 func TestOldTagStoreInvisibleAndCollected(t *testing.T) {
 	const oldTag = "7b0c1eef028dbd71"
 	dir := t.TempDir()
@@ -409,16 +408,6 @@ func TestOldTagStoreInvisibleAndCollected(t *testing.T) {
 		if err := old.StoreTrialSpec(prepared(t, w), res); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// One entry also as a loose file, the way pre-segment binaries wrote it.
-	ps := prepared(t, ws[0])
-	k := key(oldTag, KindTrial, ps.Spec)
-	loose := filepath.Join(dir, looseDir, k[:2], k+".json")
-	if err := os.MkdirAll(filepath.Dir(loose), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(loose, append(old.loadKey(k), '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
@@ -472,11 +461,8 @@ func TestOldTagStoreInvisibleAndCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != len(ws)+1 || kept != len(ws) {
-		t.Fatalf("gc removed %d kept %d, want %d (old entries and the loose file) / %d", removed, kept, len(ws)+1, len(ws))
-	}
-	if _, err := os.Stat(filepath.Join(dir, looseDir)); !os.IsNotExist(err) {
-		t.Fatalf("gc left %s behind (stat err %v)", looseDir, err)
+	if removed != len(ws) || kept != len(ws) {
+		t.Fatalf("gc removed %d kept %d, want %d / %d", removed, kept, len(ws), len(ws))
 	}
 	warm, err := bench.Sweep(cfg, nil)
 	if err != nil {
@@ -503,15 +489,6 @@ func TestOpenExisting(t *testing.T) {
 	}
 	if _, err := OpenExisting(missing); err != nil {
 		t.Fatalf("existing store refused: %v", err)
-	}
-	// A store an older binary left with only its loose objects/ tree is
-	// still a store: calab gc must be able to reclaim it.
-	legacy := filepath.Join(dir, "legacy")
-	if err := os.MkdirAll(filepath.Join(legacy, looseDir, "ab"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenExisting(legacy); err != nil {
-		t.Fatalf("legacy loose-only store refused: %v", err)
 	}
 }
 
@@ -797,94 +774,53 @@ func plantEntry(t *testing.T, st *Store, w bench.Workload, result, sum string) {
 // TestVerifyRejectsInvalidResultJSON: the head-only envelope parse leaves
 // the result unscanned, so Verify must still reject a result that is not
 // valid JSON even when its fingerprint matches. A lookup misses it, a
-// re-run heals it, and Pack drops the superseded record. The loose case
-// runs in a directory that also holds a sound copy of the entry in the
-// objects/ layout older binaries wrote: no lookup falls back to it, Verify
-// does not count it, and GC removes it.
+// re-run heals it, and Pack drops the superseded record.
 func TestVerifyRejectsInvalidResultJSON(t *testing.T) {
-	for _, layout := range []string{"loose", "packed"} {
-		t.Run(layout, func(t *testing.T) {
-			dir := t.TempDir()
-			w := trialW(5)
-			st, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if layout == "loose" {
-				src, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := bench.Run(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := src.StoreTrialSpec(prepared(t, w), res); err != nil {
-					t.Fatal(err)
-				}
-				k := key(src.Tag(), KindTrial, prepared(t, w).Spec)
-				loose := filepath.Join(dir, looseDir, k[:2], k+".json")
-				if err := os.MkdirAll(filepath.Dir(loose), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(loose, append(src.loadKey(k), '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if err := src.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
-					t.Fatal("loose file served as a hit")
-				}
-			}
-			const bad = `{"Ops":1,}`
-			plantEntry(t, st, w, bad, payloadSum([]byte(bad)))
+	t.Run("packed", func(t *testing.T) {
+		dir := t.TempDir()
+		w := trialW(5)
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const bad = `{"Ops":1,}`
+		plantEntry(t, st, w, bad, payloadSum([]byte(bad)))
 
-			sound, problems, err := st.Verify()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sound != 0 || len(problems) != 1 || !strings.Contains(problems[0].Reason, "not valid JSON") {
-				t.Fatalf("verify: %d sound, problems %+v; want the invalid result reported", sound, problems)
-			}
-			if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
-				t.Fatal("entry with an invalid result served as a hit")
-			}
+		sound, problems, err := st.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sound != 0 || len(problems) != 1 || !strings.Contains(problems[0].Reason, "not valid JSON") {
+			t.Fatalf("verify: %d sound, problems %+v; want the invalid result reported", sound, problems)
+		}
+		if _, ok := st.LookupTrialSpec(prepared(t, w)); ok {
+			t.Fatal("entry with an invalid result served as a hit")
+		}
 
-			r := bench.Runner{Store: st}
-			res, err := r.Run(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if st, err = Open(dir); err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			if got, ok := st.LookupTrialSpec(prepared(t, w)); !ok || !reflect.DeepEqual(got, res) {
-				t.Fatalf("re-run did not heal the entry (hit %v)", ok)
-			}
-			// The superseded record stays in its segment until Pack
-			// compacts the winners.
-			if _, err := st.Pack(); err != nil {
-				t.Fatal(err)
-			}
-			if sound, problems, err := st.Verify(); err != nil || sound != 1 || len(problems) != 0 {
-				t.Fatalf("after healing: %d sound, problems %+v, err %v; want 1 sound", sound, problems, err)
-			}
-			if layout == "loose" {
-				removed, kept, err := st.GC(false)
-				if err != nil || removed != 1 || kept != 1 {
-					t.Fatalf("gc removed %d kept %d, err %v; want the loose file removed and 1 kept", removed, kept, err)
-				}
-				if _, err := os.Stat(filepath.Join(dir, looseDir)); !os.IsNotExist(err) {
-					t.Fatalf("gc left %s behind (stat err %v)", looseDir, err)
-				}
-			}
-		})
-	}
+		r := bench.Runner{Store: st}
+		res, err := r.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if got, ok := st.LookupTrialSpec(prepared(t, w)); !ok || !reflect.DeepEqual(got, res) {
+			t.Fatalf("re-run did not heal the entry (hit %v)", ok)
+		}
+		// The superseded record stays in its segment until Pack compacts
+		// the winners.
+		if _, err := st.Pack(); err != nil {
+			t.Fatal(err)
+		}
+		if sound, problems, err := st.Verify(); err != nil || sound != 1 || len(problems) != 0 {
+			t.Fatalf("after healing: %d sound, problems %+v, err %v; want 1 sound", sound, problems, err)
+		}
+	})
 }
 
 // TestVerifyRejectsResultOfWrongShape: a result that matches its

@@ -3,9 +3,8 @@
 // version, engine tag, argument vector, host), its full configuration, and
 // the timing rollups — total, per-point, and per-worker phase spans plus
 // warm-hit counts and store flush traffic. Manifests are written atomically
-// (temp file + rename, like the store's index sidecar), so a crashed or
-// failed run leaves either a complete manifest or none — never a truncated
-// one.
+// (temp file + rename), so a crashed or failed run leaves either a complete
+// manifest or none — never a truncated one.
 package obs
 
 import (
