@@ -13,20 +13,20 @@ import (
 )
 
 // The golden-checksum suite pins the simulator's observable output. Each
-// canonical workload's full Result — throughput, cycle count, cache/CA/SMR
-// stats, memory accounting, footprint series, latency percentiles — is
-// fingerprinted and compared against testdata/golden.json, which was
-// generated with the pre-handoff execution engine (PR 2). Any change to
-// scheduling order, cache bookkeeping, or allocator behaviour shows up here
-// as a checksum mismatch, so refactors of the execution core can prove they
-// are bit-for-bit output-preserving. Regenerate deliberately with:
+// canonical workload's Result is fingerprinted (goldenSum says how much of
+// it) and compared against testdata/golden.json, whose first cells were
+// generated with the pre-handoff execution engine. A change to scheduling
+// order, cache bookkeeping, or allocator behaviour that moves the
+// fingerprinted fields shows up here as a checksum mismatch. Regenerate
+// deliberately with:
 //
 //	go test ./internal/bench -run TestGoldenResults -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json and golden_geometry.json from the current engine")
 
-// goldenSchemes spans the three reclamation families: conditional access,
-// pointer-reservation (hp), and epoch/quiescence batching (rcu).
-var goldenSchemes = []string{"ca", "hp", "rcu"}
+// goldenSchemes is every scheme, so a change to any baseline the paper
+// compares CA against moves the goldens, and with them the engine tag that
+// scopes store entries.
+var goldenSchemes = Schemes()
 
 // goldenWorkload is the canonical small trial for one structure/scheme cell:
 // big enough to exercise prefill, contention, reclamation, and eviction, and
@@ -42,12 +42,14 @@ func goldenWorkload(ds, scheme string) Workload {
 	}
 }
 
-// goldenSum fingerprints every field of a Result (including the embedded
-// workload, so a drifting default would also be caught) except the tail
+// goldenSum fingerprints a Result as %+v formats it, without the tail
 // histogram, which postdates the pinned files: it is a pointer (its %+v
 // rendering is a nondeterministic address) and its agreement with the
-// pinned exact-sort percentiles is pinned by TestTailMatchesExactOnGoldens
-// instead.
+// exact-sort percentiles is pinned by TestTailMatchesExactOnGoldens
+// instead. Result has a String method, so %+v formats only its one-line
+// summary (the cell, throughput to two decimals, ops, retries and live
+// nodes), not every field: a change that moves only cycles or cache, CA,
+// SMR or latency counts can leave the sum as it was.
 func goldenSum(res Result) uint64 {
 	res.Tail = nil
 	res.Timeline = nil

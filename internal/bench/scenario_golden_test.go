@@ -50,10 +50,11 @@ func scenarioCellKey(sw ScenarioWorkload) string {
 	return fmt.Sprintf("%s/%s/%s", sw.Scenario.Name, sw.DS, sw.Scheme)
 }
 
-// scenarioGoldenSum fingerprints every field of a ScenarioResult, segments
-// included — except the tail histograms, which postdate the pinned files
-// (see goldenSum; TestTailMatchesExactOnGoldens pins them against the
-// exact-sort percentiles that are fingerprinted here).
+// scenarioGoldenSum fingerprints a ScenarioResult as %+v formats it,
+// without the tail histograms, which postdate the pinned files (see
+// goldenSum; TestTailMatchesExactOnGoldens pins them against the exact-sort
+// percentiles). ScenarioResult promotes Result's String method, so %+v
+// formats only the embedded Result's one-line summary, not the segments.
 func scenarioGoldenSum(res ScenarioResult) uint64 {
 	res.Tail = nil
 	res.Timeline = nil

@@ -16,7 +16,7 @@ import (
 	"fmt"
 
 	"condaccess/internal/ds/hashtable"
-	"condaccess/internal/jsonenc"
+	"condaccess/internal/jsonio"
 )
 
 // TrialStore is a read-through/write-through cache of complete trial
@@ -61,11 +61,11 @@ type PreparedSpec struct {
 // (goldenSum zeroes Tail and Timeline). Bump it whenever the shape changes:
 // a field added, removed, renamed or retyped, or a custom MarshalJSON
 // format changed, such as latency.Hist's. A shape change also means
-// updating the one-pass encoder and decoder of stored results (encode.go
-// and decode.go, and the AppendJSON and ReadJSON methods of latency.Hist,
-// latency.Tail and trace.Timeline), which write and read members by name in
-// declaration order. Entries written before the bump then carry a foreign
-// engine tag, so no lookup sees them and calab gc collects them.
+// updating the walks of stored results (walk.go, and the Walk methods of
+// latency.Hist, latency.Tail and trace.Timeline), which write and read
+// members by name in declaration order. Entries written before the bump
+// then carry a foreign engine tag, so no lookup sees them and calab gc
+// collects them.
 // TestStoreSchemaTracksResultShape fails when the shape moves without a
 // bump. Stores written before the constant existed count as schema 1.
 const storeSchema = 2
@@ -114,11 +114,13 @@ func EffectiveBuckets(ds string, buckets int) int {
 // spec: the JSON encoding of the full Workload (every field participates in
 // the content address — seed, check mode, cache geometry, SMR tuning, all of
 // it), byte for byte what json.Marshal writes, fields in declaration order
-// (encode.go).
+// (Workload's walk in walk.go).
 func TrialSpecBytes(w Workload) ([]byte, error) {
-	e := jsonenc.Encoder{B: make([]byte, 0, 512)} // a spec is about 470 bytes
-	w.write(&e)
-	return e.B, e.Err()
+	// A static call keeps the Codec on the stack; jsonio.Append's indirect
+	// one would move it to the heap, one allocation more per trial.
+	c := jsonio.Codec{B: make([]byte, 0, 512)} // a spec is about 470 bytes
+	w.walk(&c)
+	return c.B, c.Err()
 }
 
 // ScenarioSpec is the exported canonical form of a ScenarioWorkload: the

@@ -41,7 +41,7 @@ func TestStoreSchemaTracksResultShape(t *testing.T) {
 			storeSchema, pinnedSchema, storeSchema, got)
 	}
 	if got != pinnedShape {
-		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema, re-pin, and update the one-pass result encoder and decoder (encode.go and decode.go, and the AppendJSON and ReadJSON methods they call) to write and read the new shape",
+		t.Fatalf("the JSON shape of stored results changed (digest %s, pinned %s under storeSchema %d): bump storeSchema, re-pin, and update the walks of stored results (walk.go, and the Walk methods it calls) to write and read the new shape",
 			got, pinnedShape, pinnedSchema)
 	}
 }

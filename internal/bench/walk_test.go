@@ -271,3 +271,39 @@ func randomize(v reflect.Value, rng *rand.Rand) {
 		panic("randomize: unhandled kind " + v.Kind().String() + ": teach FuzzResultJSON about it")
 	}
 }
+
+// BenchmarkResultJSON times the two directions of one stored tail record
+// (list/rcu, 2 threads x 40 ops, 2.2 KB of result JSON, the result the lab's
+// allocation budgets use): AppendJSON, as a put writes it, and
+// UnmarshalJSON, as a warm hit reads it.
+func BenchmarkResultJSON(b *testing.B) {
+	res, err := Run(Workload{
+		DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 32, UpdatePct: 50,
+		OpsPerThread: 40, Seed: 1, RecordTail: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := res.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, 2*len(data))
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, err := res.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			var r Result
+			if err := r.UnmarshalJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

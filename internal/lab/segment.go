@@ -85,24 +85,23 @@ func (s *Store) segmentsDir() string        { return filepath.Join(s.dir, "segme
 func (s *Store) segmentPath(seg int) string { return filepath.Join(s.segmentsDir(), segmentName(seg)) }
 
 // frameRecord appends one framed record for (key, payload) to dst. The key
-// must be the 64-hex-digit content address.
+// must be the 64-hex-digit content address. The frame is built in place:
+// the key is decoded straight into dst, and the checksum is taken over the
+// appended key and payload.
 func frameRecord(dst []byte, key string, payload []byte) ([]byte, error) {
-	kb, err := hex.DecodeString(key)
-	if err != nil || len(kb) != recKeyLen {
-		return dst, fmt.Errorf("lab: malformed content key %q", key)
+	start := len(dst)
+	dst = append(dst, make([]byte, recHeaderLen)...)
+	dst, err := hex.AppendDecode(dst, []byte(key))
+	if err != nil || len(dst) != start+recHeaderLen+recKeyLen {
+		return dst[:start], fmt.Errorf("lab: malformed content key %q", key)
 	}
 	n := recKeyLen + len(payload)
 	if n > maxRecordLen {
-		return dst, fmt.Errorf("lab: record payload is %d bytes, over the %d-byte frame limit", len(payload), maxRecordLen-recKeyLen)
+		return dst[:start], fmt.Errorf("lab: record payload is %d bytes, over the %d-byte frame limit", len(payload), maxRecordLen-recKeyLen)
 	}
-	var hdr [recHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-	crc := crc32.Update(0, crcTable, kb)
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, kb...)
 	dst = append(dst, payload...)
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+recHeaderLen:], crcTable))
 	return dst, nil
 }
 

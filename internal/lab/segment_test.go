@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -138,6 +139,69 @@ func TestTruncatedTailRecovers(t *testing.T) {
 	}
 	if sound != trials || len(problems) != 0 {
 		t.Fatalf("after pack: %d sound, %d problems, want %d/0", sound, len(problems), trials)
+	}
+}
+
+// TestTruncationAtEveryByte extends TestTruncatedTailRecovers from the last
+// byte to every byte of a segment's last two frames, as a crash anywhere in
+// a flush could leave it: each prefix opens without error, and exactly the
+// trials whose frames it holds whole are warm.
+func TestTruncationAtEveryByte(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 6
+	r := bench.Runner{Store: st}
+	specs := make([]*bench.PreparedSpec, trials)
+	for i := range specs {
+		if _, err := r.Run(trialW(uint64(i + 1))); err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = prepared(t, trialW(uint64(i+1)))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := st.listSegments()
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (err %v), want one", segs, err)
+	}
+	data, err := os.ReadFile(st.segmentPath(segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // the offset one past each frame, in put order
+	for off := 0; off < len(data); {
+		off += recHeaderLen + int(binary.BigEndian.Uint32(data[off:]))
+		ends = append(ends, off)
+	}
+	if len(ends) != trials || ends[trials-1] != len(data) {
+		t.Fatalf("frame ends %v in a %d-byte segment, want %d frames", ends, len(data), trials)
+	}
+
+	t.Logf("%d cuts, from byte %d of %d", len(data)-ends[trials-3]+1, ends[trials-3], len(data))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "segments", segmentName(segs[0]))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for cut := ends[trials-3]; cut <= len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		for i, ps := range specs {
+			if _, ok := cs.LookupTrialSpec(ps); ok != (ends[i] <= cut) {
+				t.Fatalf("cut at %d: seed %d (frame ends at %d) hit %v", cut, i+1, ends[i], ok)
+			}
+		}
+		if err := cs.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

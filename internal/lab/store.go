@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"condaccess/internal/bench"
-	"condaccess/internal/jsonenc"
+	"condaccess/internal/jsonio"
 	"condaccess/internal/obs"
 )
 
@@ -396,31 +396,31 @@ type resultAppender interface {
 // the pending overlay holds it until the append buffer flushes.
 func (s *Store) putKey(kind string, spec []byte, key string, res resultAppender) error {
 	buf := putBufs.Get().(*[]byte)
-	e := jsonenc.Encoder{B: (*buf)[:0]}
+	c := jsonio.Codec{B: (*buf)[:0]}
 	defer func() {
-		*buf = e.B
+		*buf = c.B
 		putBufs.Put(buf)
 	}()
-	e.Begin()
-	e.Member("tag").Str(s.tag)
-	e.Member("kind").Str(kind)
-	e.Member("spec")
-	e.B = append(e.B, spec...)
-	e.Member("sum")
-	e.B = append(e.B, '"')
-	sumAt := len(e.B)
-	e.B = append(e.B, make([]byte, 2*sha256.Size)...)
-	e.B = append(e.B, '"')
-	e.Member("result")
-	start := len(e.B)
+	c.Begin()
+	c.Key("tag").Str(&s.tag)
+	c.Key("kind").Str(&kind)
+	c.Key("spec")
+	c.B = append(c.B, spec...)
+	c.Key("sum")
+	c.B = append(c.B, '"')
+	sumAt := len(c.B)
+	c.B = append(c.B, make([]byte, 2*sha256.Size)...)
+	c.B = append(c.B, '"')
+	c.Key("result")
+	start := len(c.B)
 	var err error
-	if e.B, err = res.AppendJSON(e.B); err != nil {
+	if c.B, err = res.AppendJSON(c.B); err != nil {
 		return fmt.Errorf("lab: encoding result: %w", err)
 	}
-	sum := sha256.Sum256(e.B[start:])
-	hex.Encode(e.B[sumAt:], sum[:])
-	e.End()
-	return s.putPayload(key, bytes.Clone(e.B))
+	sum := sha256.Sum256(c.B[start:])
+	hex.Encode(c.B[sumAt:], sum[:])
+	c.End()
+	return s.putPayload(key, bytes.Clone(c.B))
 }
 
 // putBufs recycles putKey's encoding buffers.

@@ -22,10 +22,11 @@ package latency
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"strconv"
 	"strings"
 
-	"condaccess/internal/jsondec"
-	"condaccess/internal/jsonenc"
+	"condaccess/internal/jsonio"
 )
 
 // Bucket layout: values below subCount get one exact bucket each; every
@@ -240,70 +241,34 @@ func (h *Hist) Summary() Summary {
 	}
 }
 
-// MarshalJSON encodes the histogram sparsely (AppendJSON).
-func (h Hist) MarshalJSON() ([]byte, error) { return h.AppendJSON(nil), nil }
-
-// AppendJSON appends the histogram's sparse JSON form to dst: the scalar
-// stats, then the non-empty buckets as parallel index and count arrays (a
-// trial touches a few dozen of the 976 buckets).
-//
-//	{"count":n,"sum":s,"min":lo,"max":hi,"idx":[i,...],"n":[c,...]}
-//
-// Every member but count is left out when it is zero or empty, and the
-// members come in this order, so the bytes are deterministic and store
-// envelopes round-trip bit for bit.
-func (h *Hist) AppendJSON(dst []byte) []byte {
-	e := jsonenc.Encoder{B: dst}
-	e.Begin()
-	e.Member("count").Uint(h.n)
-	if h.sum != 0 {
-		e.Member("sum").Uint(h.sum)
-	}
-	if h.min != 0 {
-		e.Member("min").Uint(h.min)
-	}
-	if h.max != 0 {
-		e.Member("max").Uint(h.max)
-	}
-	listed := false
-	for i, c := range h.counts {
-		if c != 0 {
-			if !listed {
-				e.Member("idx").Array()
-				listed = true
-			}
-			e.Elem()
-			e.Int(i)
-		}
-	}
-	if listed {
-		e.EndArray()
-		e.Member("n").Array()
-		for _, c := range h.counts {
-			if c != 0 {
-				e.Elem()
-				e.Uint(c)
-			}
-		}
-		e.EndArray()
-	}
-	e.End()
-	return e.B
+// MarshalJSON encodes the histogram sparsely (Walk). It calls Walk itself,
+// not through jsonio.Append, so the Codec stays on the stack.
+func (h Hist) MarshalJSON() ([]byte, error) {
+	var c jsonio.Codec
+	h.Walk(&c)
+	return c.B, c.Err()
 }
 
-// UnmarshalJSON decodes the sparse form in one pass (ReadJSON). On error h
-// is left unchanged.
+// UnmarshalJSON decodes the sparse form in one pass (Walk). On error h is
+// left unchanged.
 func (h *Hist) UnmarshalJSON(data []byte) error {
 	var out Hist
-	if err := jsondec.Decode(data, "latency: histogram", out.ReadJSON); err != nil {
+	if err := jsonio.Read(data, "latency: histogram", out.Walk); err != nil {
 		return err
 	}
 	*h = out
 	return nil
 }
 
-// ReadJSON reads a histogram at c, straight into the bucket array, with no
-// intermediate idx/n slices. It accepts what AppendJSON writes, with JSON
+// Walk walks the histogram's sparse JSON form: the scalar stats, then the
+// non-empty buckets as parallel index and count arrays (a trial touches a
+// few dozen of the 976 buckets).
+//
+//	{"count":n,"sum":s,"min":lo,"max":hi,"idx":[i,...],"n":[c,...]}
+//
+// A writer leaves out every member but count when it is zero or empty, and
+// writes the members in this order, so the bytes are deterministic and
+// store envelopes round-trip bit for bit. A reader accepts that, with JSON
 // whitespace between tokens, or a bare null (the zero Hist):
 //
 //	hist   = "null" | "{" [ member { "," member } ] "}"
@@ -313,37 +278,67 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 //	uint   = "0" | [1-9][0-9]*   (at most 2^64-1)
 //
 // Member names are quoted and matched exactly; members appear at most once,
-// in the order listed, and any may be omitted. idx must hold strictly
+// in the order listed, and any may be omitted.
+func (h *Hist) Walk(c *jsonio.Codec) {
+	if c.Null(false) { // a reader's null is the zero Hist; a writer writes none
+		return
+	}
+	c.Begin()
+	if c.Opt("count", true) {
+		c.Uint(&h.n)
+	}
+	if c.Opt("sum", h.sum != 0) {
+		c.Uint(&h.sum)
+	}
+	if c.Opt("min", h.min != 0) {
+		c.Uint(&h.min)
+	}
+	if c.Opt("max", h.max != 0) {
+		c.Uint(&h.max)
+	}
+	if c.Decoding() {
+		h.readBuckets(c)
+		return
+	}
+	// The writer derives idx and n from the bucket array. It appends the
+	// numbers itself, as Codec.Int and Uint would: a trial's histograms hold
+	// hundreds of them, and those calls do not inline.
+	if slices.ContainsFunc(h.counts, func(n uint64) bool { return n != 0 }) {
+		c.Key("idx").Array()
+		for i, n := range h.counts {
+			if n != 0 {
+				c.Elem()
+				c.B = strconv.AppendInt(c.B, int64(i), 10)
+			}
+		}
+		c.EndArray()
+		c.Key("n").Array()
+		for _, n := range h.counts {
+			if n != 0 {
+				c.Elem()
+				c.B = strconv.AppendUint(c.B, n, 10)
+			}
+		}
+		c.EndArray()
+	}
+	c.End()
+}
+
+// readBuckets reads the idx and n arrays straight into the bucket array,
+// with no intermediate slices, and closes the object. idx must hold strictly
 // increasing bucket indexes, n one non-zero count per index, and the counts
 // must sum to count, so a decoded histogram keeps the invariants Quantile
 // relies on. The bucket array is allocated once, at its exact length, so it
 // ends at the highest non-empty bucket as a recorded one does; an empty
 // histogram decodes to the zero Hist.
-func (h *Hist) ReadJSON(c *jsondec.Cursor) {
-	*h = Hist{}
-	if c.Null() {
-		return
-	}
-	c.Begin()
-	if c.Has("count") {
-		h.n = c.Uint()
-	}
-	if c.Has("sum") {
-		h.sum = c.Uint()
-	}
-	if c.Has("min") {
-		h.min = c.Uint()
-	}
-	if c.Has("max") {
-		h.max = c.Uint()
-	}
+func (h *Hist) readBuckets(c *jsonio.Codec) {
 	var idx [NumBuckets]uint16 // idx's bucket indexes, in order
 	k := 0
-	if c.Has("idx") {
+	if c.Opt("idx", true) {
 		c.Array()
 		for c.Next() {
-			i := c.Uint()
-			if c.Err() != nil {
+			var i uint64
+			if c.Uint(&i); c.Err() != nil {
 				break
 			}
 			if i >= NumBuckets || k > 0 && i <= uint64(idx[k-1]) {
@@ -359,11 +354,11 @@ func (h *Hist) ReadJSON(c *jsondec.Cursor) {
 	}
 	j := 0
 	var total uint64
-	if c.Has("n") {
+	if c.Opt("n", true) {
 		c.Array()
 		for c.Next() {
-			v := c.Uint()
-			switch {
+			var v uint64
+			switch c.Uint(&v); {
 			case c.Err() != nil:
 			case j == k:
 				c.Fail("more bucket counts than bucket indexes")
@@ -538,25 +533,12 @@ func (t *Tail) members() [8]tailMember {
 	}
 }
 
-// AppendJSON appends the object json.Marshal writes for t to dst: its
-// histograms in declaration order.
-func (t *Tail) AppendJSON(dst []byte) []byte {
-	e := jsonenc.Encoder{B: dst}
-	e.Begin()
-	for _, m := range t.members() {
-		e.Member(m.name)
-		e.B = m.h.AppendJSON(e.B)
-	}
-	e.End()
-	return e.B
-}
-
-// ReadJSON reads a Tail at c: the object encoding/json writes for it, its
-// histograms in declaration order.
-func (t *Tail) ReadJSON(c *jsondec.Cursor) {
+// Walk walks t as the object encoding/json writes for it: its histograms
+// in declaration order.
+func (t *Tail) Walk(c *jsonio.Codec) {
 	c.Begin()
 	for _, m := range t.members() {
-		m.h.ReadJSON(c.Member(m.name))
+		m.h.Walk(c.Key(m.name))
 	}
 	c.End()
 }

@@ -342,7 +342,7 @@ func TestHistJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// histJSON is the sparse form AppendJSON writes, as a struct encoding/json
+// histJSON is the sparse form Walk writes, as a struct encoding/json
 // marshals and unmarshals: the reference both directions are held to.
 type histJSON struct {
 	Count uint64   `json:"count"`
@@ -353,7 +353,7 @@ type histJSON struct {
 	N     []uint64 `json:"n,omitempty"`
 }
 
-// referenceMarshal is the encoder AppendJSON replaced: encoding/json of
+// referenceMarshal is the encoder Walk replaced: encoding/json of
 // the histogram's histJSON form.
 func referenceMarshal(h *Hist) ([]byte, error) {
 	j := histJSON{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max}

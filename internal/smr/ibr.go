@@ -54,15 +54,19 @@ func (r *ibr) EndOp(c *sim.Ctx) {
 
 // Protect extends the reservation's upper bound to the current era before
 // the caller dereferences node. The fence is paid only when the era moved.
+// Then src is read again, as 2GEIBR's read loop does: node was loaded under
+// the old bound, so if it was born after that bound it is covered only from
+// the publication on, and it may have been unlinked and freed before.
 func (r *ibr) Protect(c *sim.Ctx, slot int, node, src mem.Addr) bool {
 	pt := r.own(c)
 	e := c.Read(r.clock)
-	if e != pt.cachedHi {
-		c.Write(r.res[c.ThreadID()]+mem.WordBytes, e)
-		c.Fence()
-		pt.cachedHi = e
+	if e == pt.cachedHi {
+		return true
 	}
-	return true
+	c.Write(r.res[c.ThreadID()]+mem.WordBytes, e)
+	c.Fence()
+	pt.cachedHi = e
+	return src == 0 || c.Read(src) == node
 }
 
 func (s *ibrThread) snapshot(c *sim.Ctx, res []mem.Addr) {

@@ -125,6 +125,68 @@ func TestReaderBlocksReclamation(t *testing.T) {
 	}
 }
 
+// TestDelayedProtectRejectsFreedNode: a reader that loads a pointer and is
+// delayed before it protects the node must not be told the node is safe
+// once a writer has unlinked, retired and freed it. The node is born after
+// the reader's reservation was published, so only Protect's re-read of the
+// link can catch it: ibr once skipped that re-read whenever the era had
+// moved, and the reader then read a freed line.
+func TestDelayedProtectRejectsFreedNode(t *testing.T) {
+	for _, name := range []string{"ibr", "hp", "he"} {
+		t.Run(name, func(t *testing.T) {
+			m := sim.New(sim.Config{Cores: 2, Seed: 8, Check: true})
+			r, err := New(name, m.Space, 2, Options{ReclaimEvery: 1, EpochEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flag := m.Space.AllocInfra()
+			cell := m.Space.AllocInfra() // the link the node hangs from
+			var node mem.Addr
+			m.Spawn(func(c *sim.Ctx) {
+				r.BeginOp(c)
+				c.Write(flag, 1)
+				await(c, flag, 2)
+				n := c.Read(cell)
+				c.Write(flag, 3)
+				await(c, flag, 4) // delayed between the load and Protect
+				if r.Protect(c, 0, n, cell) {
+					if !m.Space.Live(n) {
+						t.Errorf("Protect accepted node %#x after it was freed", n)
+					} else {
+						c.Read(n)
+					}
+				}
+				r.EndOp(c)
+			})
+			m.Spawn(func(c *sim.Ctx) {
+				await(c, flag, 1)
+				r.Alloc(c) // advance the era past the reader's reservation
+				node = r.Alloc(c)
+				c.Write(node, 1)
+				c.Write(cell, node)
+				c.Write(flag, 2)
+				await(c, flag, 3)
+				r.BeginOp(c)
+				c.Write(cell, 0)
+				r.Retire(c, node)
+				r.EndOp(c)
+				for i := 0; i < 10 && m.Space.Live(node); i++ {
+					r.BeginOp(c)
+					n := r.Alloc(c)
+					c.Write(n, 1)
+					r.Retire(c, n)
+					r.EndOp(c)
+				}
+				if m.Space.Live(node) {
+					t.Error("the unlinked node was never freed")
+				}
+				c.Write(flag, 4)
+			})
+			m.Run()
+		})
+	}
+}
+
 // TestQSBRStalledThreadBlocksAll reproduces the paper's qsbr/rcu weakness:
 // one thread that never again passes a quiescent state keeps every retired
 // node unreclaimed, growing the footprint without bound.

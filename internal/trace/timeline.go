@@ -12,8 +12,7 @@ import (
 	"fmt"
 	"io"
 
-	"condaccess/internal/jsondec"
-	"condaccess/internal/jsonenc"
+	"condaccess/internal/jsonio"
 	"condaccess/internal/latency"
 )
 
@@ -137,32 +136,17 @@ func (t *Timeline) members() [5]seriesMember {
 	}
 }
 
-// AppendJSON appends the object json.Marshal writes for t to dst: members
-// in declaration order, an empty series left out.
-func (t *Timeline) AppendJSON(dst []byte) []byte {
-	e := jsonenc.Encoder{B: dst}
-	e.Begin()
-	e.Member("window").Uint(t.Window)
-	for _, m := range t.members() {
-		if len(*m.series) > 0 {
-			e.Member(m.name).Uints(*m.series)
-		}
-	}
-	e.End()
-	return e.B
-}
-
-// ReadJSON reads a Timeline at c: the object encoding/json writes for it,
-// members in declaration order. Series of different lengths are an error,
-// since every method here indexes them in parallel.
-func (t *Timeline) ReadJSON(c *jsondec.Cursor) {
+// Walk walks t as the object encoding/json writes for it: members in
+// declaration order, an empty series left out. A reader fails on series of
+// different lengths, since every method here indexes them in parallel.
+func (t *Timeline) Walk(c *jsonio.Codec) {
 	c.Begin()
-	t.Window = c.Member("window").Uint()
+	c.Key("window").Uint(&t.Window)
 	for _, m := range t.members() {
-		if c.Has(m.name) {
-			*m.series = c.Uints()
+		if c.Opt(m.name, len(*m.series) > 0) {
+			c.Uints(m.series)
 		}
-		if len(*m.series) != len(t.Insert) {
+		if c.Decoding() && len(*m.series) != len(t.Insert) {
 			c.Fail("timeline series %q holds %d windows, insert %d", m.name, len(*m.series), len(t.Insert))
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"condaccess/internal/jsonio"
 	"condaccess/internal/latency"
 )
 
@@ -170,8 +171,9 @@ func TestTimelineWriteTable(t *testing.T) {
 
 // TestTimelineJSONRoundTrip pins the store envelope property: a timeline
 // marshals and unmarshals without loss, so a warm store hit replays the
-// recorded series exactly. AppendJSON, which the store writes with, writes
-// json.Marshal's bytes, an empty or reset timeline's included.
+// recorded series exactly. Walk, which the store writes and reads with,
+// writes json.Marshal's bytes, an empty or reset timeline's included, and
+// reads them back.
 func TestTimelineJSONRoundTrip(t *testing.T) {
 	tl := &Timeline{Window: 4096}
 	tl.RecordOp(100, latency.KindInsert, 1, 2)
@@ -186,16 +188,19 @@ func TestTimelineJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := v.AppendJSON(nil); string(got) != string(want) {
-			t.Errorf("AppendJSON writes %s, json.Marshal %s", got, want)
+		if got, err := jsonio.Append(nil, v.Walk); err != nil || string(got) != string(want) {
+			t.Errorf("Walk writes %s (%v), json.Marshal %s", got, err, want)
 		}
 	}
-	var back Timeline
+	var back, walked Timeline
 	if err := json.Unmarshal(b1, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tl, &back) {
-		t.Errorf("round trip changed the timeline:\n got %+v\nwant %+v", &back, tl)
+	if err := jsonio.Read(b1, "timeline", walked.Walk); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tl, &back) || !reflect.DeepEqual(tl, &walked) {
+		t.Errorf("round trip changed the timeline:\n got %+v and %+v\nwant %+v", &back, &walked, tl)
 	}
 	b2, err := json.Marshal(&back)
 	if err != nil {
