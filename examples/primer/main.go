@@ -89,7 +89,7 @@ func main() {
 	})
 	m.Run()
 
-	st := m.Ext.Stats()
+	st := m.CAStats()
 	fmt.Printf("\nsummary: %d creads (%d failed), %d cwrites (%d failed), %d revocations\n",
 		st.CReads, st.CReadFails, st.CWrites, st.CWriteFails, st.Revocations)
 }

@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("set size: %d, stack depth: %d\n",
 		lazylist.Len(m.Space, set.Head), heap.NodeLive()-uint64(lazylist.Len(m.Space, set.Head)))
 
-	ca := m.Ext.Stats()
+	ca := m.CAStats()
 	fmt.Printf("creads: %d (%d failed), cwrites: %d (%d failed), revocations: %d\n",
 		ca.CReads, ca.CReadFails, ca.CWrites, ca.CWriteFails, ca.Revocations)
 	fmt.Println("every deleted node was freed the instant it was unlinked —")

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"condaccess/internal/cache"
@@ -117,6 +118,45 @@ func TestGoldenResultsGeometry(t *testing.T) {
 		}
 	}
 	checkGolden(t, filepath.Join("testdata", "golden_geometry.json"), sums, *updateGolden)
+}
+
+// TestCheckSimulatesTheSameTrial runs the golden matrix, on the default
+// machine and on every golden geometry, with Check off and on: the checks
+// only observe, so the two Results must be equal in every field but W.Check.
+// Without Check the Conditional Access instructions record and read no
+// allocation generation; with it they record one on every new tag and
+// compare it on every re-cread and cwrite, so the pair is the differential
+// between the two paths. One Runner runs both, so each checked trial reuses,
+// through Machine.Reset, the machine the unchecked one ran on.
+func TestCheckSimulatesTheSameTrial(t *testing.T) {
+	geoms := append([]struct {
+		name  string
+		cache func(threads int) cache.Params
+	}{{"default", nil}}, goldenGeometries...)
+	var r Runner
+	for _, g := range geoms {
+		for _, ds := range Structures() {
+			for _, scheme := range goldenSchemes {
+				w := goldenWorkload(ds, scheme)
+				if g.cache != nil {
+					w.Cache = g.cache(w.Threads)
+				}
+				off, err := r.Run(w)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", g.name, ds, scheme, err)
+				}
+				w.Check = true
+				on, err := r.Run(w)
+				if err != nil {
+					t.Fatalf("%s/%s/%s with Check: %v", g.name, ds, scheme, err)
+				}
+				on.W.Check = false
+				if !reflect.DeepEqual(on, off) {
+					t.Errorf("%s/%s/%s: Check moved the result:\n on: %+v\noff: %+v", g.name, ds, scheme, on, off)
+				}
+			}
+		}
+	}
 }
 
 // checkGolden compares a golden matrix's checksums against the file at

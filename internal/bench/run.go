@@ -13,7 +13,7 @@ import (
 )
 
 // Runner executes trials on reusable simulated machines. Building a machine
-// allocates the simulated heap, both cache levels, and the extension state;
+// allocates the simulated heap, both cache levels, and the CA tag tables;
 // a Runner keeps one machine per distinct geometry (thread count × cache
 // params) and rewinds it with sim.Machine.Reset between trials instead of
 // rebuilding, so a sweep's dominant allocation cost is paid once per

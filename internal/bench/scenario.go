@@ -508,7 +508,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	}
 	sres.Retries = m.Retries()
 	sres.Cache = m.Hier.Stats()
-	sres.CA = m.Ext.Stats()
+	sres.CA = m.CAStats()
 	if b.rec != nil {
 		sres.SMR = b.rec.Stats()
 	}

@@ -20,7 +20,7 @@ func tiny(cores int) *Hierarchy {
 func readTag(h *Hierarchy, tid int, addr uint64) {
 	h.Read(tid, addr)
 	if p := h.Port(tid); !p.Probe(addr) {
-		p.Tag(addr, 0)
+		p.Tag(addr)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestCoherenceProperty(t *testing.T) {
 					p.UntagAll() // a revoked operation restarts untagged
 				}
 				if !p.Probe(addr) {
-					p.Tag(addr, 0)
+					p.Tag(addr)
 				}
 			}
 			if err := h.CheckInvariants(); err != nil {
@@ -255,7 +255,7 @@ func TestPortHits(t *testing.T) {
 	if st := h.Stats(); st.L1Hits != 3 || st.L1Misses != 3 {
 		t.Fatalf("L1 hits/misses = %d/%d, want 3/3", st.L1Hits, st.L1Misses)
 	}
-	p.Tag(base, 0)
+	p.Tag(base)
 	p.Revoke()
 	h.Reset()
 	if st := h.Stats(); st != (Stats{}) {

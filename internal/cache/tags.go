@@ -12,14 +12,23 @@ import "fmt"
 // needs no initialization.
 type tagSet struct {
 	stamp []uint64
-	// gen[li] is the allocation generation recorded when li was tagged,
-	// meaningful only while stamp[li] == era. Package core's Check mode
-	// compares it against the line's current generation (Theorems 6 and 7).
+	// gen[li] is the allocation generation Check mode recorded when li was
+	// tagged, meaningful only while stamp[li] == era on a checked machine.
+	// Package core compares it to the line's current one (Theorem 7).
 	gen         []uint32
 	era         uint64
 	count       int // live tags
 	revoked     bool
 	revocations uint64 // clear-to-set transitions of revoked
+	counts      Counts
+}
+
+// Counts is one hardware thread's Conditional Access instruction counts
+// since New or Reset, which the simulator's instructions keep.
+type Counts struct {
+	CReads, CReadFails, CWrites, CWriteFails uint64
+	Untagged                                 uint64 // cwrite failures on an untagged line
+	MaxTagSet                                int    // the most lines the tag set has held
 }
 
 // Probe reports whether addr's line is in the thread's tag set.
@@ -29,20 +38,23 @@ func (p *Port) Probe(addr uint64) bool {
 	return li < uint64(len(t.stamp)) && t.stamp[li] == t.era
 }
 
-// TagGen returns the allocation generation addr's line was tagged with. The
-// line must be tagged (Probe).
+// TagGen returns the allocation generation SetTagGen recorded on addr's
+// line. The line must be tagged (Probe).
 func (p *Port) TagGen(addr uint64) uint32 { return p.tags.gen[addr>>lineShift] }
 
+// SetTagGen records allocation generation gen on addr's line, which must be
+// tagged.
+func (p *Port) SetTagGen(addr uint64, gen uint32) { p.tags.gen[addr>>lineShift] = gen }
+
 // Tag adds addr's line, which must be resident in the thread's L1 and not
-// yet tagged, to the tag set with allocation generation gen.
-func (p *Port) Tag(addr uint64, gen uint32) {
+// yet tagged, to the tag set.
+func (p *Port) Tag(addr uint64) {
 	t := p.tags
 	li := addr >> lineShift
 	if li >= uint64(len(t.stamp)) {
 		t.growTo(li)
 	}
 	t.stamp[li] = t.era
-	t.gen[li] = gen
 	t.count++
 }
 
@@ -79,6 +91,9 @@ func (p *Port) Revoked() bool { return p.tags.revoked }
 
 // TagCount returns the number of lines in the thread's tag set.
 func (p *Port) TagCount() int { return p.tags.count }
+
+// Counts returns the thread's instruction counts, for the instructions.
+func (p *Port) Counts() *Counts { return &p.tags.counts }
 
 // Revocations returns how many times any thread's accessRevokedBit went from
 // clear to set since New or Reset.
@@ -123,12 +138,13 @@ func (t *tagSet) growTo(li uint64) {
 }
 
 // reset empties the tag set, clears the accessRevokedBit and zeroes the
-// revocation count, keeping the tables' capacity.
+// revocation and instruction counts, keeping the tables' capacity.
 func (t *tagSet) reset() {
 	t.era++
 	t.count = 0
 	t.revoked = false
 	t.revocations = 0
+	t.counts = Counts{}
 }
 
 // revokeLine drops line from the tag sets of every hardware thread of

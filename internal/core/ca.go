@@ -1,11 +1,11 @@
-// Package core implements Conditional Access, the paper's primary
+// Package core defines Conditional Access, the paper's primary
 // contribution: a small ISA extension that lets optimistic data structures
 // reclaim memory immediately.
 //
 // Four instructions are provided (paper Section II-B):
 //
 //   - cread  addr  — load addr, tagging its cache line; fails (without
-//     loading) if the core's accessRevokedBit is set.
+//     loading) if the thread's accessRevokedBit is set.
 //   - cwrite addr,v — store v to addr; fails if the accessRevokedBit is set
 //     or addr's line is not currently tagged.
 //   - untagOne addr — remove addr's line from the tag set.
@@ -22,10 +22,14 @@
 // revoke, producing the spurious failures the paper discusses — and
 // measures to be rare (reproduced by the associativity ablation benchmark).
 //
-// In "check" mode the extension additionally asserts the paper's safety
-// results as executable invariants: a successful cread or cwrite must target
-// a line that is live and whose allocation generation is unchanged since it
-// was tagged (Theorem 6, use-after-free freedom; Theorem 7, ABA freedom).
+// The simulator's thread context (sim.Ctx) executes the instructions on its
+// thread's port, as it does loads and stores, and counts them there. This
+// package holds what surrounds them: their statistics (Stats), the lock
+// helpers written against them (TryLock, Unlock), and, for Check mode, the
+// paper's safety results as executable invariants: a successful cread or
+// cwrite must target a line that is live and whose allocation generation is
+// unchanged since it was tagged (Theorem 6, use-after-free freedom; Theorem
+// 7, ABA freedom).
 package core
 
 import (
@@ -47,122 +51,29 @@ type Stats struct {
 	MaxTagSet   int    // high-water mark of any core's tag set
 }
 
-// Extension is the Conditional Access hardware extension for a simulated
-// machine: the four instructions over the tag state the cache hierarchy
-// keeps, their statistics, and the Check-mode theorems.
-type Extension struct {
-	h       *cache.Hierarchy
-	space   *mem.Space
-	ports   []cache.Port // one per hardware thread: its L1 and its tags
-	stats   Stats        // every count but Revocations, which the hierarchy keeps
-	latFlag uint64       // cached Params().LatFlagCheck: every instruction pays it
-
-	// Check enables the executable safety invariants (Theorems 6 and 7).
-	Check bool
-}
-
-// New creates the extension for every hardware thread of h, reading and
-// writing the heap space.
-func New(h *cache.Hierarchy, space *mem.Space) *Extension {
-	e := &Extension{h: h, space: space, latFlag: h.Params().LatFlagCheck}
-	e.ports = make([]cache.Port, h.Params().Cores)
-	for i := range e.ports {
-		e.ports[i] = h.Port(i)
+// CheckCRead asserts Theorems 7 and 6 for a cread of addr that succeeded
+// on the thread whose port is p. A cread that tagged the line (fresh)
+// records the line's allocation generation on the tag; a cread of a line
+// already tagged must find the generation it recorded.
+func CheckCRead(p *cache.Port, space *mem.Space, addr mem.Addr, fresh bool) {
+	gen := space.Gen(addr)
+	if fresh {
+		p.SetTagGen(addr, gen)
+	} else if p.TagGen(addr) != gen {
+		panic(fmt.Sprintf("core: cread at %#x succeeded across reallocation (gen %d -> %d): Theorem 7 violated", addr, p.TagGen(addr), gen))
 	}
-	return e
-}
-
-// Reset zeroes the statistics. The tags and accessRevokedBits belong to the
-// hierarchy, whose own Reset clears them.
-func (e *Extension) Reset() { e.stats = Stats{} }
-
-// Stats returns a copy of the accumulated statistics.
-func (e *Extension) Stats() Stats {
-	s := e.stats
-	s.Revocations = e.h.Revocations()
-	return s
-}
-
-// CRead executes a cread by core at addr. On success it returns the loaded
-// value, the access latency, and ok=true; on failure (accessRevokedBit set)
-// it returns only the flag-check latency and ok=false, having performed no
-// memory access.
-func (e *Extension) CRead(core int, addr mem.Addr) (val uint64, lat uint64, ok bool) {
-	p := &e.ports[core]
-	if p.Revoked() {
-		e.stats.CReadFails++
-		return 0, e.latFlag, false
-	}
-	// The load may evict another tagged line of this core, setting the
-	// revoked bit; per the paper's atomicity, this cread still succeeds (its
-	// flag check happened first) and the next conditional access fails.
-	lat = p.HitLatency()
-	if !p.ReadHit(addr) {
-		lat = e.h.Read(core, addr)
-	}
-	lat += e.latFlag
-	v, gen := e.space.ReadGen(addr)
-	if p.Probe(addr) {
-		if e.Check && p.TagGen(addr) != gen {
-			panic(fmt.Sprintf("core: cread at %#x succeeded across reallocation (gen %d -> %d): Theorem 7 violated", addr, p.TagGen(addr), gen))
-		}
-	} else {
-		p.Tag(addr, gen)
-		if n := p.TagCount(); n > e.stats.MaxTagSet {
-			e.stats.MaxTagSet = n
-		}
-	}
-	if e.Check && !e.space.Live(addr) {
+	if !space.Live(addr) {
 		panic(fmt.Sprintf("core: cread at %#x succeeded on a freed line: Theorem 6 violated", addr))
 	}
-	e.stats.CReads++
-	return v, lat, true
 }
 
-// CWrite executes a cwrite by core of v to addr. It fails — performing no
-// memory access — if the accessRevokedBit is set or addr's line is not in
-// the tag set (the paper requires a prior cread precisely to keep the
-// high-latency fill out of the store path; see Section II-B).
-func (e *Extension) CWrite(core int, addr mem.Addr, v uint64) (lat uint64, ok bool) {
-	p := &e.ports[core]
-	if p.Revoked() {
-		e.stats.CWriteFails++
-		return e.latFlag, false
+// CheckCWrite asserts Theorems 7 and 6 for a cwrite of addr that found its
+// line tagged on the thread whose port is p, before it stores.
+func CheckCWrite(p *cache.Port, space *mem.Space, addr mem.Addr) {
+	if gen := space.Gen(addr); p.TagGen(addr) != gen {
+		panic(fmt.Sprintf("core: cwrite at %#x succeeded across reallocation (gen %d -> %d): Theorem 7 violated", addr, p.TagGen(addr), gen))
 	}
-	if !p.Probe(addr) {
-		e.stats.CWriteFails++
-		e.stats.Untagged++
-		return e.latFlag, false
+	if !space.Live(addr) {
+		panic(fmt.Sprintf("core: cwrite at %#x succeeded on a freed line: Theorem 6 violated", addr))
 	}
-	if e.Check {
-		if gen := e.space.Gen(addr); p.TagGen(addr) != gen {
-			panic(fmt.Sprintf("core: cwrite at %#x succeeded across reallocation (gen %d -> %d): Theorem 7 violated", addr, p.TagGen(addr), gen))
-		}
-		if !e.space.Live(addr) {
-			panic(fmt.Sprintf("core: cwrite at %#x succeeded on a freed line: Theorem 6 violated", addr))
-		}
-	}
-	// The line is tagged, hence still resident in this L1 (tags live on
-	// lines): the write is at worst an S->M upgrade, never a fill.
-	lat = p.HitLatency()
-	if !p.WriteHit(addr) {
-		lat = e.h.Write(core, addr)
-	}
-	lat += e.latFlag
-	e.space.Write(addr, v)
-	e.stats.CWrites++
-	return lat, true
-}
-
-// UntagOne removes addr's line from core's tag set. It performs no memory
-// access and cannot fail; untagging an untagged line is a no-op.
-func (e *Extension) UntagOne(core int, addr mem.Addr) (lat uint64) {
-	e.ports[core].Untag(addr)
-	return e.latFlag
-}
-
-// UntagAll clears core's tag set and accessRevokedBit.
-func (e *Extension) UntagAll(core int) (lat uint64) {
-	e.ports[core].UntagAll()
-	return e.latFlag
 }

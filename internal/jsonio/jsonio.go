@@ -387,22 +387,41 @@ func (c *Codec) Next() bool {
 	return true
 }
 
+// NextUint reads the next element of a reader's open array of unsigned
+// integers into *p and reports whether there was one, as Next and Uint
+// would in two calls, or consumes the closing bracket and returns false. It
+// returns false on an error too.
+func (c *Codec) NextUint(p *uint64) bool {
+	if !c.Next() {
+		return false
+	}
+	c.skipSpace()
+	*p = c.magnitude()
+	return c.err == nil
+}
+
 // magnitude reads the digits of a number's integer part into a uint64:
-// "0", or a run of digits that does not start with 0.
+// "0", or a run of digits that does not start with 0. The scan runs on
+// locals, which stay in registers, and writes the offset back once.
 func (c *Codec) magnitude() uint64 {
-	start := c.off
+	b, start := c.B, c.off
+	i := start
 	var v uint64
-	for ; c.off < len(c.B); c.off++ {
-		d := uint64(c.B[c.off] - '0')
+	for ; i < len(b); i++ {
+		d := uint64(b[i] - '0')
 		if d > 9 {
 			break
 		}
-		if v > (math.MaxUint64-d)/10 {
+		// v*10 + d overflows iff v > (MaxUint64-d)/10: one compare against
+		// a constant first, as strconv does.
+		if v >= math.MaxUint64/10 && (v > math.MaxUint64/10 || d > math.MaxUint64%10) {
+			c.off = i
 			c.Fail("number overflows uint64")
 			return 0
 		}
 		v = v*10 + d
 	}
+	c.off = i
 	c.checkRun(start)
 	return v
 }

@@ -336,11 +336,8 @@ func (h *Hist) readBuckets(c *jsonio.Codec) {
 	k := 0
 	if c.Opt("idx", true) {
 		c.Array()
-		for c.Next() {
-			var i uint64
-			if c.Uint(&i); c.Err() != nil {
-				break
-			}
+		var i uint64
+		for c.NextUint(&i) {
 			if i >= NumBuckets || k > 0 && i <= uint64(idx[k-1]) {
 				c.Fail("bucket index %d out of range or not increasing", i)
 				break
@@ -356,10 +353,9 @@ func (h *Hist) readBuckets(c *jsonio.Codec) {
 	var total uint64
 	if c.Opt("n", true) {
 		c.Array()
-		for c.Next() {
-			var v uint64
-			switch c.Uint(&v); {
-			case c.Err() != nil:
+		var v uint64
+		for c.NextUint(&v) {
+			switch {
 			case j == k:
 				c.Fail("more bucket counts than bucket indexes")
 			case v == 0:

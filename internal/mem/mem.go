@@ -56,8 +56,8 @@ type Space struct {
 	freeList []uint32
 	nextLine uint32
 	// limit is nextLine*LineBytes, kept in sync by carve and Reset: the
-	// one-compare range check on the Read/Write/ReadGen fast paths, which
-	// must stay within the inlining budget.
+	// one-compare range check on the Read/Write fast paths, which must stay
+	// within the inlining budget.
 	limit Addr
 
 	// checkUAF makes Read/Write panic when touching a freed line (see
@@ -203,10 +203,10 @@ func (s *Space) FreeNode(a Addr) {
 	s.freeList = append(s.freeList, li)
 }
 
-// SetCheckUAF enables or disables use-after-free checking. With it on,
-// Read/Write/ReadGen panic when touching a freed line. The flag is folded
-// into limit (a checked space takes the out-of-line validation arm on every
-// access), which keeps the hot-path predicate to two tests.
+// SetCheckUAF enables or disables use-after-free checking. With it on, Read
+// and Write panic when touching a freed line. The flag is folded into limit
+// (a checked space takes the out-of-line validation arm on every access),
+// which keeps the hot-path predicate to two tests.
 func (s *Space) SetCheckUAF(on bool) {
 	s.checkUAF = on
 	s.setLimit()
@@ -225,10 +225,10 @@ func (s *Space) setLimit() {
 // Read loads the word at a. With use-after-free checking on, reading a freed
 // line panics.
 //
-// Read, Write, and ReadGen sit on every simulated memory access; their
-// validity checks are shaped so the functions stay within the inlining
-// budget, with everything but the in-bounds aligned fast path pushed out of
-// line into checkSlow.
+// Read and Write sit on every simulated memory access; their validity
+// checks are shaped so the functions stay within the inlining budget, with
+// everything but the in-bounds aligned fast path pushed out of line into
+// checkSlow.
 func (s *Space) Read(a Addr) uint64 {
 	if a >= s.limit || a%WordBytes != 0 {
 		s.checkSlowRead(a)
@@ -265,17 +265,6 @@ func (s *Space) checkSlow(a Addr, op string) {
 	if s.checkUAF && s.lines[a/LineBytes].state != lineLive {
 		panic(fmt.Sprintf("mem: use-after-free %s at %#x (gen %d)", op, a, s.lines[a/LineBytes].gen))
 	}
-}
-
-// ReadGen loads the word at a and returns it together with the containing
-// line's allocation generation — the pair the Conditional Access cread path
-// needs on every tagged load. It is exactly Read followed by Gen, fused so
-// the address is resolved once.
-func (s *Space) ReadGen(a Addr) (uint64, uint32) {
-	if a >= s.limit || a%WordBytes != 0 {
-		s.checkSlowRead(a)
-	}
-	return s.words[a/WordBytes], s.lines[a/LineBytes].gen
 }
 
 // ReadAny loads a word regardless of allocation state. It models what real

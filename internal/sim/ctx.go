@@ -2,6 +2,7 @@ package sim
 
 import (
 	"condaccess/internal/cache"
+	"condaccess/internal/core"
 	"condaccess/internal/mem"
 	"condaccess/internal/trace"
 )
@@ -13,17 +14,21 @@ import (
 // Machine.Spawn, for the duration of that body's Run phase: the record lives
 // in the machine's thread slab and is reused by later phases.
 //
-// Ctx implements core.Accessor, so the Conditional Access try-lock helpers
-// (core.TryLock, core.Unlock) work directly on it.
+// Ctx executes the Conditional Access instructions on its own port and
+// implements core.Accessor, so core.TryLock and core.Unlock work on it.
 type Ctx struct {
-	th    *thread
+	tid   int // the thread's core, which is its hardware thread id
 	m     *Machine
-	clock *uint64 // &m.clocks[th.c]: charge is the hottest path in the simulator
+	clock *uint64 // &m.clocks[tid]: charge is the hottest path in the simulator
 	limit uint64  // run-until quantum limit; the event loop rewrites it before every resume
 	// port is this thread's L1 port: every access tries its inlined hit
 	// check before calling into the hierarchy, and it holds the thread's
-	// accessRevokedBit.
+	// Conditional Access tags, accessRevokedBit and instruction counts.
 	port cache.Port
+	// The machine's LatFlagCheck, which every Conditional Access instruction
+	// pays, and Check: the instructions read neither machine nor config.
+	latFlag uint64
+	check   bool
 	// suspend transfers control back to the event loop at a quantum expiry
 	// (the iter.Pull yield function of this thread's coroutine). Nil on the
 	// single-thread fast path, where the limit is unbounded and yield is
@@ -52,11 +57,13 @@ type Ctx struct {
 // record. The workload RNG is reseeded in place to the stream ThreadRNG
 // derives for the thread's machine-wide spawn index.
 func (c *Ctx) reset(t *thread, limit uint64) {
-	c.th = t
+	c.tid = t.c
 	c.m = t.m
 	c.clock = &t.m.clocks[t.c]
 	c.limit = limit
 	c.port = t.m.Hier.Port(t.c)
+	c.latFlag = t.m.cfg.Cache.LatFlagCheck
+	c.check = t.m.cfg.Check
 	c.suspend = nil
 	c.rng.seed(threadSeed(t.m.cfg.Seed, t.id))
 	c.zeroRun = 0
@@ -117,7 +124,7 @@ func (c *Ctx) yield() {
 
 // ThreadID returns this thread's spawn index within its Run phase's core
 // assignment (equal to its core number).
-func (c *Ctx) ThreadID() int { return c.th.c }
+func (c *Ctx) ThreadID() int { return c.tid }
 
 // Rand returns this thread's deterministic workload RNG.
 func (c *Ctx) Rand() *RNG { return &c.rng }
@@ -133,7 +140,7 @@ func (c *Ctx) Machine() *Machine { return c.m }
 func (c *Ctx) Read(a mem.Addr) uint64 {
 	lat := c.port.HitLatency()
 	if !c.port.ReadHit(a) {
-		lat = c.m.Hier.Read(c.th.c, a)
+		lat = c.m.Hier.Read(c.tid, a)
 	}
 	v := c.m.Space.Read(a)
 	c.charge(lat)
@@ -144,7 +151,7 @@ func (c *Ctx) Read(a mem.Addr) uint64 {
 func (c *Ctx) Write(a mem.Addr, v uint64) {
 	lat := c.port.HitLatency()
 	if !c.port.WriteHit(a) {
-		lat = c.m.Hier.Write(c.th.c, a)
+		lat = c.m.Hier.Write(c.tid, a)
 	}
 	c.m.Space.Write(a, v)
 	c.charge(lat)
@@ -156,7 +163,7 @@ func (c *Ctx) Write(a mem.Addr, v uint64) {
 func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
 	lat := c.port.HitLatency()
 	if !c.port.WriteHit(a) {
-		lat = c.m.Hier.Write(c.th.c, a)
+		lat = c.m.Hier.Write(c.tid, a)
 	}
 	cur := c.m.Space.Read(a)
 	ok := cur == old
@@ -171,7 +178,7 @@ func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
 func (c *Ctx) FetchAdd(a mem.Addr, d uint64) uint64 {
 	lat := c.port.HitLatency()
 	if !c.port.WriteHit(a) {
-		lat = c.m.Hier.Write(c.th.c, a)
+		lat = c.m.Hier.Write(c.tid, a)
 	}
 	v := c.m.Space.Read(a)
 	c.m.Space.Write(a, v+d)
@@ -184,17 +191,64 @@ func (c *Ctx) FetchAdd(a mem.Addr, d uint64) uint64 {
 // accessRevokedBit was set and no load occurred — the operation must
 // UntagAll and restart.
 func (c *Ctx) CRead(a mem.Addr) (v uint64, ok bool) {
-	v, lat, ok := c.m.Ext.CRead(c.th.c, a)
-	c.charge(lat)
-	return v, ok
+	n := c.port.Counts()
+	if c.port.Revoked() {
+		n.CReadFails++
+		c.charge(c.latFlag)
+		return 0, false
+	}
+	// The load may evict another tagged line of this thread, setting the
+	// revoked bit; per the paper's atomicity, this cread still succeeds (its
+	// flag check happened first) and the next conditional access fails.
+	lat := c.port.HitLatency()
+	if !c.port.ReadHit(a) {
+		lat = c.m.Hier.Read(c.tid, a)
+	}
+	v = c.m.Space.Read(a)
+	fresh := !c.port.Probe(a)
+	if fresh {
+		c.port.Tag(a)
+		n.MaxTagSet = max(n.MaxTagSet, c.port.TagCount())
+	}
+	if c.check {
+		core.CheckCRead(&c.port, c.m.Space, a, fresh)
+	}
+	n.CReads++
+	c.charge(lat + c.latFlag)
+	return v, true
 }
 
 // CWrite executes the cwrite instruction: the store happens only if the
 // accessRevokedBit is clear and a's line is tagged (i.e. previously cread).
+// A failed cwrite performs no memory access: the paper requires the prior
+// cread precisely to keep the high-latency fill out of the store path (see
+// Section II-B).
 func (c *Ctx) CWrite(a mem.Addr, v uint64) bool {
-	lat, ok := c.m.Ext.CWrite(c.th.c, a, v)
-	c.charge(lat)
-	return ok
+	n := c.port.Counts()
+	if c.port.Revoked() {
+		n.CWriteFails++
+		c.charge(c.latFlag)
+		return false
+	}
+	if !c.port.Probe(a) {
+		n.CWriteFails++
+		n.Untagged++
+		c.charge(c.latFlag)
+		return false
+	}
+	if c.check {
+		core.CheckCWrite(&c.port, c.m.Space, a)
+	}
+	// The line is tagged, hence still resident in this L1 (tags live on
+	// lines): the write is at worst an S->M upgrade, never a fill.
+	lat := c.port.HitLatency()
+	if !c.port.WriteHit(a) {
+		lat = c.m.Hier.Write(c.tid, a)
+	}
+	c.m.Space.Write(a, v)
+	n.CWrites++
+	c.charge(lat + c.latFlag)
+	return true
 }
 
 // chargeZero is the zero-latency charge: the clock does not move, so the
@@ -206,14 +260,16 @@ func (c *Ctx) chargeZero() {
 	}
 }
 
-// UntagOne removes a's line from this thread's tag set.
+// UntagOne removes a's line from this thread's tag set. It performs no
+// memory access and cannot fail; untagging an untagged line is a no-op.
 //
 // Untag latency is LatFlagCheck, which is zero in the default latency model;
 // a zero charge can never exhaust a quantum, so the frequent zero case feeds
 // the watchdog inline instead of paying the full charge path.
 func (c *Ctx) UntagOne(a mem.Addr) {
-	if lat := c.m.Ext.UntagOne(c.th.c, a); lat != 0 {
-		c.charge(lat)
+	c.port.Untag(a)
+	if c.latFlag != 0 {
+		c.charge(c.latFlag)
 	} else {
 		c.chargeZero()
 	}
@@ -222,8 +278,9 @@ func (c *Ctx) UntagOne(a mem.Addr) {
 // UntagAll clears the tag set and the accessRevokedBit. Zero charges are
 // handled as in UntagOne.
 func (c *Ctx) UntagAll() {
-	if lat := c.m.Ext.UntagAll(c.th.c); lat != 0 {
-		c.charge(lat)
+	c.port.UntagAll()
+	if c.latFlag != 0 {
+		c.charge(c.latFlag)
 	} else {
 		c.chargeZero()
 	}
@@ -252,7 +309,7 @@ func (c *Ctx) BeginPause() {
 	if c.pauseDepth == 0 {
 		c.pauseMark = *c.clock
 		if s := c.m.trace; s != nil {
-			s.PauseBegin(c.th.c, *c.clock)
+			s.PauseBegin(c.tid, *c.clock)
 		}
 	}
 	c.pauseDepth++
@@ -266,7 +323,7 @@ func (c *Ctx) EndPause() {
 	if c.pauseDepth--; c.pauseDepth == 0 {
 		c.pauseTotal += *c.clock - c.pauseMark
 		if s := c.m.trace; s != nil {
-			s.PauseEnd(c.th.c, *c.clock)
+			s.PauseEnd(c.tid, *c.clock)
 		}
 	}
 }
@@ -286,7 +343,7 @@ func (c *Ctx) CountRetry() {
 	c.retryCount++
 	c.m.retries++
 	if s := c.m.trace; s != nil {
-		s.Retry(c.th.c, *c.clock)
+		s.Retry(c.tid, *c.clock)
 	}
 }
 
@@ -297,7 +354,7 @@ func (c *Ctx) CountRetry() {
 // tracing is off.
 func (c *Ctx) TraceScan(scheme string, freed, kept int) {
 	if s := c.m.trace; s != nil {
-		s.Scan(c.th.c, *c.clock, scheme, freed, kept)
+		s.Scan(c.tid, *c.clock, scheme, freed, kept)
 	}
 }
 

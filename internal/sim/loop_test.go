@@ -150,7 +150,7 @@ func TestSingleThreadFastPath(t *testing.T) {
 	m := New(Config{Cores: 1, Seed: 1})
 	checked := false
 	m.Spawn(func(c *Ctx) {
-		if c.suspend != nil || c.th.resume != nil || c.th.stop != nil {
+		if c.suspend != nil || m.threads[0].resume != nil || m.threads[0].stop != nil {
 			t.Error("single-thread fast path materialized a coroutine")
 		}
 		// Far past any quantum: a lone thread's limit is unbounded.

@@ -16,8 +16,8 @@
 // bit-for-bit reproducible.
 //
 // Simulated time comes from the cache model: every access returns a latency
-// (package cache) charged to the issuing core. Conditional Access
-// instructions are provided by the extension in package core.
+// (package cache) charged to the issuing core, whose own cache port serves
+// its loads, stores and Conditional Access instructions (package core).
 package sim
 
 import (
@@ -80,7 +80,6 @@ type Machine struct {
 	cfg      Config
 	Space    *mem.Space
 	Hier     *cache.Hierarchy
-	Ext      *core.Extension
 	clocks   []uint64
 	latFence uint64 // cached Hier latency: Ctx.Fence is on the hot path
 
@@ -175,8 +174,6 @@ func New(cfg Config) *Machine {
 	m.Space = mem.NewSpace()
 	m.Space.SetCheckUAF(cfg.Check)
 	m.Hier = cache.New(cfg.Cache)
-	m.Ext = core.New(m.Hier, m.Space)
-	m.Ext.Check = cfg.Check
 	m.clocks = make([]uint64, cfg.Cores)
 	m.latFence = cfg.Cache.LatFence
 	m.live = make([]*thread, 0, cfg.Cores)
@@ -191,7 +188,7 @@ func New(cfg Config) *Machine {
 func (m *Machine) Config() Config { return m.cfg }
 
 // Reset rewinds the machine to its post-New state for cfg — clocks zeroed,
-// heap empty, caches cold, extension cleared, all statistics zero — reusing
+// heap empty, caches and tag sets cold, all statistics zero — reusing
 // every allocation (including the thread-record slab). It reports false
 // (leaving the machine untouched) when cfg needs a different geometry, in
 // which case the caller must build a new machine. A reset machine is
@@ -208,9 +205,9 @@ func (m *Machine) Reset(cfg Config) bool {
 	m.cfg = cfg
 	m.Space.Reset()
 	m.Space.SetCheckUAF(cfg.Check)
+	// Check changes only here, and Hierarchy.Reset empties every tag set: no
+	// tag made without Check, so with no generation, reaches a checked trial.
 	m.Hier.Reset()
-	m.Ext.Reset()
-	m.Ext.Check = cfg.Check
 	for i := range m.clocks {
 		m.clocks[i] = 0
 	}
@@ -385,6 +382,24 @@ func (m *Machine) MaxClock() uint64 {
 		}
 	}
 	return max
+}
+
+// CAStats returns the Conditional Access statistics since New or Reset:
+// every hardware thread's instruction counts summed, the largest tag set any
+// thread held, and the hierarchy's revocations.
+func (m *Machine) CAStats() core.Stats {
+	s := core.Stats{Revocations: m.Hier.Revocations()}
+	for t := range m.cfg.Cores {
+		p := m.Hier.Port(t)
+		n := p.Counts()
+		s.CReads += n.CReads
+		s.CReadFails += n.CReadFails
+		s.CWrites += n.CWrites
+		s.CWriteFails += n.CWriteFails
+		s.Untagged += n.Untagged
+		s.MaxTagSet = max(s.MaxTagSet, n.MaxTagSet)
+	}
+	return s
 }
 
 // Retries returns how many operation restarts (Ctx.CountRetry) every
