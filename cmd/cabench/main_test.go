@@ -126,7 +126,7 @@ func TestParseArgsTailFlag(t *testing.T) {
 		t.Error("-tail must enable the tail table and tail recording")
 	}
 	if opt.cfg.RecordLatency {
-		t.Error("-tail alone must not enable the O(ops) exact-sort recording")
+		t.Error("-tail alone must not enable the -lat summary")
 	}
 	opt, err = parseArgs([]string{"-ds", "list"}, io.Discard)
 	if err != nil {

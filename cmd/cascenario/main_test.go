@@ -157,7 +157,7 @@ func TestParseArgsTailFlag(t *testing.T) {
 		t.Error("-tail must enable tail reporting and tail recording")
 	}
 	if opt.lat || opt.sw.RecordLatency {
-		t.Error("-tail alone must not enable the O(ops) exact-sort recording")
+		t.Error("-tail alone must not enable the -lat summary")
 	}
 }
 

@@ -68,29 +68,36 @@ func TestColdTrialAllocs(t *testing.T) {
 }
 
 // TestTailTrialBytes is the memory budget of one tail-recording trial on a
-// warm Runner, the trial TestWarmHitAllocs stores: list/rcu, 2 threads × 40
-// ops over 32 keys. It records a Tail per thread and merges them into the
-// phase's Tail, eight histograms each, which is also the trial's Tail. While
-// a histogram reserved all 976 buckets (7.8 KB) on first use, the trial took
-// 195 KB; with bucket arrays that grow by doubling, each histogram holds only
-// the buckets its samples reach, and the trial took 36 KB. Merging the phase
-// records into trial records of their own as well took 5.3 KB more; a
-// one-phase trial now uses its phase's, and takes 30 KB. trialCost measures
-// it.
+// warm Runner: list/rcu, 40 ops per thread over 32 keys, on the 2 threads of
+// the trial TestWarmHitAllocs stores and on 32 threads with a timeline too.
+// Each phase records into one Tail, eight histograms whose bucket arrays
+// grow by doubling to the buckets their samples reach, and one Timeline; a
+// one-phase trial's records are its phase's. With a recorder of each kind
+// per thread, merged into the phase's at its end, the two trials took
+// 30,488 and 475,920 bytes; with one per phase they take 14,072 and 42,480.
+// trialCost measures it.
 func TestTailTrialBytes(t *testing.T) {
-	const budget = 32 << 10
-	w := Workload{
-		DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 32, UpdatePct: 50,
-		OpsPerThread: 40, Seed: 1, RecordTail: true,
-	}
-	var r Runner
-	_, bytes := trialCost(func() {
-		if res, err := r.Run(w); err != nil || res.Tail == nil {
-			t.Fatalf("trial failed or recorded no tail: %v", err)
+	for _, c := range []struct {
+		threads  int
+		timeline bool
+		budget   uint64
+	}{
+		{2, false, 16 << 10},
+		{32, true, 64 << 10},
+	} {
+		w := Workload{
+			DS: "list", Scheme: "rcu", Threads: c.threads, KeyRange: 32, UpdatePct: 50,
+			OpsPerThread: 40, Seed: 1, RecordTail: true, RecordTimeline: c.timeline,
 		}
-	})
-	t.Logf("tail trial: %d bytes", bytes)
-	if bytes > budget {
-		t.Errorf("tail trial allocates %d bytes, budget %d", bytes, budget)
+		var r Runner
+		_, bytes := trialCost(func() {
+			if res, err := r.Run(w); err != nil || res.Tail == nil || c.timeline && res.Timeline == nil {
+				t.Fatalf("trial failed or recorded no tail or timeline: %v", err)
+			}
+		})
+		t.Logf("%d-thread tail trial: %d bytes", c.threads, bytes)
+		if bytes > c.budget {
+			t.Errorf("%d-thread tail trial allocates %d bytes, budget %d", c.threads, bytes, c.budget)
+		}
 	}
 }

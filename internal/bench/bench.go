@@ -75,15 +75,15 @@ type Workload struct {
 	// choice) or DistZipf (skewed, theta 0.99).
 	Dist string
 
-	// RecordLatency collects every operation's simulated latency and fills
-	// Result.Latency with its exact-sort percentiles (O(ops) memory) —
-	// and, since the two pipelines share the recording pass, Result.Tail.
+	// RecordLatency records every operation's simulated latency into
+	// Result.Tail, as RecordTail does, and fills Result.Latency with the
+	// summary of Tail.Total.
 	RecordLatency bool
 
 	// RecordTail fills Result.Tail alone: the log-bucketed histograms in
-	// O(buckets) memory, skipping the exact-sort sample slices entirely.
-	// The field participates in the store content address only when set
-	// (omitempty), so pre-existing store keys are untouched.
+	// O(buckets) memory. The field participates in the store content
+	// address only when set (omitempty), so pre-existing store keys are
+	// untouched.
 	RecordTail bool `json:",omitempty"`
 
 	// RecordTimeline fills Result.Timeline: the windowed sim-time metrics
@@ -128,7 +128,8 @@ type Result struct {
 
 	Footprint []FootprintSample
 
-	// Latency is filled when W.RecordLatency is set.
+	// Latency is the summary of Tail.Total, filled when W.RecordLatency is
+	// set.
 	Latency LatencyStats
 
 	// Tail is the streaming tail-latency record of the measured run, filled
@@ -136,23 +137,25 @@ type Result struct {
 	// latency distribution plus its exact partitions by op kind
 	// (insert/delete/read) and by attribution (useful work vs. absorbed SMR
 	// reclamation pause vs. conditional-access/validation retry), and the
-	// distribution of the reclamation pauses themselves. Unlike Latency it
-	// costs O(buckets) memory however long the trial is, and merges exactly
-	// across threads, phases, and trials.
+	// distribution of the reclamation pauses themselves. It costs
+	// O(buckets) memory however long the trial is, and merges exactly
+	// across phases and trials.
 	Tail *latency.Tail `json:",omitempty"`
 
 	// Timeline is the windowed sim-time metrics series of the measured run,
 	// filled when W.RecordTimeline is set: per-window op counts by kind,
 	// retry restarts, and absorbed reclamation-pause cycles, merged exactly
-	// across threads and phases like Tail. Cycle zero is the measured run's
-	// start (the clocks reset after prefill).
+	// across phases like Tail. Cycle zero is the measured run's start (the
+	// clocks reset after prefill).
 	Timeline *trace.Timeline `json:",omitempty"`
 }
 
 // LatencyStats summarizes the per-operation simulated-latency distribution.
 // Batch-based reclamation shows up here (an unlucky operation absorbs a
 // whole scan+free pass), which is the paper's tail-latency critique of
-// batching; Conditional Access has no such events.
+// batching; Conditional Access has no such events. It is a latency.Summary
+// of a window's Tail.Total: Samples, Max and MeanCycles are exact, and the
+// percentiles are bucket upper bounds, at most 1/16 above the exact value.
 type LatencyStats struct {
 	Samples    int
 	P50, P90   uint64

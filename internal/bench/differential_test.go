@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"condaccess/internal/scenario"
+	"condaccess/internal/trace"
 )
 
 // The engine-level cross-scheme differential suite: random scenarios
@@ -34,9 +36,10 @@ func runDifferentialScenario(t *testing.T, ds string, seed uint64) {
 		t.Fatalf("seed %d: random scenario not ops-bounded", seed)
 	}
 	const threads = 3
-	var runner Runner
+	runner := Runner{Trace: &trace.Sink{}}
 	var ref ScenarioResult
 	for i, scheme := range diffSchemes() {
+		runner.Trace.Reset()
 		sw := ScenarioWorkload{
 			DS: ds, Scheme: scheme,
 			Threads: threads, KeyRange: 96,
@@ -69,7 +72,8 @@ func runDifferentialScenario(t *testing.T, ds string, seed uint64) {
 			t.Errorf("seed %d %s/%s: phase retries sum %d != measured total %d",
 				seed, ds, scheme, sumRetries, res.Retries-res.Prefill.Retries)
 		}
-		requireTailConsistent(t, "seed "+res.ScenarioName+" "+ds+"/"+scheme, res.Tail, res.Latency, res.Ops)
+		lats := slices.Concat(phaseLatencies(t, runner.Trace)...)
+		requireTailConsistent(t, "seed "+res.ScenarioName+" "+ds+"/"+scheme, res.Tail, res.Latency, lats, res.Ops)
 
 		if i == 0 {
 			ref = res

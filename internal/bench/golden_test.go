@@ -5,20 +5,23 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"condaccess/internal/cache"
+	"condaccess/internal/jsonio"
+	"condaccess/internal/latency"
+	"condaccess/internal/trace"
 )
 
-// The golden-checksum suite pins the simulator's observable output. Each
-// canonical workload's Result is fingerprinted (goldenSum says how much of
-// it) and compared against testdata/golden.json, whose first cells were
-// generated with the pre-handoff execution engine. A change to scheduling
-// order, cache bookkeeping, or allocator behaviour that moves the
-// fingerprinted fields shows up here as a checksum mismatch. Regenerate
+// The golden-checksum suite pins the simulator's observable output. Every
+// simulated field of each canonical workload's Result is fingerprinted
+// (hashResult) and compared against testdata/golden.json. A change to
+// scheduling order, cache bookkeeping, or allocator behaviour that moves
+// any of them shows up here as a checksum mismatch. Regenerate
 // deliberately with:
 //
 //	go test ./internal/bench -run TestGoldenResults -update-golden
@@ -43,20 +46,38 @@ func goldenWorkload(ds, scheme string) Workload {
 	}
 }
 
-// goldenSum fingerprints a Result as %+v formats it, without the tail
-// histogram, which postdates the pinned files: it is a pointer (its %+v
-// rendering is a nondeterministic address) and its agreement with the
-// exact-sort percentiles is pinned by TestTailMatchesExactOnGoldens
-// instead. Result has a String method, so %+v formats only its one-line
-// summary (the cell, throughput to two decimals, ops, retries and live
-// nodes), not every field: a change that moves only cycles or cache, CA,
-// SMR or latency counts can leave the sum as it was.
+// goldenSum fingerprints every simulated field of a Result (hashResult).
 func goldenSum(res Result) uint64 {
-	res.Tail = nil
-	res.Timeline = nil
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", res)
+	hashResult(h, &res)
 	return h.Sum64()
+}
+
+// hashResult writes every simulated field of res to w: the prefill size, op
+// and cycle counts, throughput, retries, the cache, CA, SMR and memory
+// statistics, the footprint series, and the stored JSON of the tail and the
+// timeline when they were recorded. It leaves out W, the workload that asked
+// for the trial, and Latency, the summary of Tail.Total under RecordLatency.
+// None of those statistics has a String method, so %+v prints every member.
+func hashResult(w io.Writer, res *Result) {
+	fmt.Fprintf(w, "%d %d %d %v %d %+v %+v %+v %+v %+v\n",
+		res.PrefillSize, res.Ops, res.Cycles, res.Throughput, res.Retries,
+		res.Cache, res.CA, res.SMR, res.Mem, res.Footprint)
+	hashRecords(w, res.Tail, res.Timeline)
+}
+
+// hashRecords writes the stored JSON of a window's tail and timeline, each
+// under its own name, or nothing for one that was not recorded. Their walks
+// write no float, so they cannot fail.
+func hashRecords(w io.Writer, tail *latency.Tail, tl *trace.Timeline) {
+	if tail != nil {
+		b, _ := jsonio.Append([]byte("tail "), tail.Walk)
+		w.Write(append(b, '\n'))
+	}
+	if tl != nil {
+		b, _ := jsonio.Append([]byte("timeline "), tl.Walk)
+		w.Write(append(b, '\n'))
+	}
 }
 
 func TestGoldenResults(t *testing.T) {

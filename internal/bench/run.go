@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"condaccess/internal/cache"
+	"condaccess/internal/latency"
 	"condaccess/internal/obs"
 	"condaccess/internal/scenario"
 	"condaccess/internal/sim"
@@ -292,22 +293,15 @@ func prefill(m *sim.Machine, w Workload, b built) int {
 	return n
 }
 
-// computeLatency sorts the collected latencies and extracts percentiles.
-func computeLatency(all []uint64) LatencyStats {
-	if len(all) == 0 {
-		return LatencyStats{}
-	}
-	slices.Sort(all)
-	q := func(p float64) uint64 { return all[int(p*float64(len(all)-1))] }
-	var sum float64
-	for _, v := range all {
-		sum += float64(v)
-	}
+// latencyStats is the LatencyStats view of a window's latency histogram:
+// Samples, Max and MeanCycles exact, the percentiles bucket upper bounds.
+func latencyStats(h *latency.Hist) LatencyStats {
+	s := h.Summary()
 	return LatencyStats{
-		Samples: len(all),
-		P50:     q(0.50), P90: q(0.90),
-		P99: q(0.99), P999: q(0.999),
-		Max:        all[len(all)-1],
-		MeanCycles: sum / float64(len(all)),
+		Samples: int(s.Samples),
+		P50:     s.P50, P90: s.P90,
+		P99: s.P99, P999: s.P999,
+		Max:        s.Max,
+		MeanCycles: s.Mean,
 	}
 }

@@ -35,10 +35,10 @@ type ScenarioWorkload struct {
 	Dist string
 
 	FootprintEvery int
-	RecordLatency  bool
-	// RecordTail fills the Tail histograms without the exact-sort slices;
-	// see Workload.RecordTail.
-	RecordTail bool `json:",omitempty"`
+	// RecordLatency fills the trial's and each phase's Tail and Latency,
+	// and RecordTail the Tail alone; see Workload.RecordLatency.
+	RecordLatency bool
+	RecordTail    bool `json:",omitempty"`
 
 	// RecordTimeline and TimelineWindow fill the per-phase and trial
 	// timelines; see Workload.RecordTimeline. Both omitempty so
@@ -69,11 +69,11 @@ type PhaseSegment struct {
 	Retries    uint64      // operation restarts within the window
 	Cache      cache.Stats // cache-event deltas within the window
 	LiveNodes  uint64      // allocated-not-freed nodes at phase end
-	// Latency holds this phase's own percentiles when RecordLatency is set.
+	// Latency is the summary of Tail.Total when RecordLatency is set.
 	Latency LatencyStats
 	// Tail holds this phase's own tail-latency record (per-kind and
-	// per-attribution histograms) when RecordLatency is set. Phase tails
-	// merge exactly into the trial's Result.Tail.
+	// per-attribution histograms) when RecordLatency or RecordTail is set.
+	// Phase tails merge exactly into the trial's Result.Tail.
 	Tail *latency.Tail `json:",omitempty"`
 	// Timeline holds this phase's windowed sim-time metrics when
 	// RecordTimeline is set. Phases share the trial's cycle axis (clocks
@@ -374,57 +374,29 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		}
 	}
 
-	var allLats []uint64
-	// Per-thread tail recorders, reused across phases (Reset keeps the
-	// bucket allocations): recording is O(buckets) memory for the whole
-	// trial, while the exact-sort slices (RecordLatency only — a
-	// RecordTail-only run never allocates them) are O(ops).
-	var tails []latency.Tail
-	if sw.RecordLatency || sw.RecordTail {
-		tails = make([]latency.Tail, sw.Threads)
-	}
-	// Per-thread timeline recorders, reused across phases exactly like the
-	// tail recorders: O(windows) memory however long the trial runs.
-	var tlines []trace.Timeline
-	var win uint64
-	if sw.RecordTimeline {
-		win = trace.ResolveWindow(sw.TimelineWindow)
-		tlines = make([]trace.Timeline, sw.Threads)
-		for i := range tlines {
-			tlines[i].Window = win
-		}
-	}
+	win := trace.ResolveWindow(sw.TimelineWindow)
 	baseOps := 0
 	baseClock := uint64(0)
 	baseRetries := sres.Prefill.Retries
 	baseCache := sres.Prefill.Cache
 	for pi := range plan.progs {
-		var lats [][]uint64
-		if sw.RecordLatency {
-			lats = make([][]uint64, sw.Threads)
-			for i := range lats {
-				// Ops-bounded phases know their sample count up front; the
-				// hot loop must not grow the slice.
-				lats[i] = make([]uint64, 0, plan.progs[pi][plan.roleOf[i]].ops)
-			}
+		// One recorder of each kind per phase: one simulated thread runs at
+		// a time, so every thread records straight into the phase's. The
+		// threads capture the two pointers, not the segment, which would
+		// move to the heap.
+		seg := PhaseSegment{Name: plan.progs[pi][0].name}
+		if sw.RecordLatency || sw.RecordTail {
+			seg.Tail = &latency.Tail{}
 		}
+		if sw.RecordTimeline {
+			seg.Timeline = &trace.Timeline{Window: win}
+		}
+		tail, tline := seg.Tail, seg.Timeline
 		for i := 0; i < sw.Threads; i++ {
 			prog := &plan.progs[pi][plan.roleOf[i]]
 			rng := rngs[i]
-			var lat *[]uint64
-			var tail *latency.Tail
-			var tline *trace.Timeline
-			if lats != nil {
-				lat = &lats[i]
-			}
-			if tails != nil {
-				tail = &tails[i]
-			}
-			if tlines != nil {
-				tline = &tlines[i]
-			}
 			m.Spawn(func(c *sim.Ctx) {
-				runSegment(c, b, prog, rng, lat, tail, tline, &totalOps, sample)
+				runSegment(c, b, prog, rng, tail, tline, &totalOps, sample)
 			})
 		}
 		m.Run()
@@ -432,74 +404,42 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		endClock := m.MaxClock()
 		endRetries := m.Retries()
 		endCache := m.Hier.Stats()
-		seg := PhaseSegment{
-			Name:      plan.progs[pi][0].name,
-			Ops:       uint64(totalOps - baseOps),
-			Cycles:    endClock - baseClock,
-			Retries:   endRetries - baseRetries,
-			Cache:     subCacheStats(endCache, baseCache),
-			LiveNodes: m.Space.Stats().NodeLive(),
-		}
+		seg.Ops = uint64(totalOps - baseOps)
+		seg.Cycles = endClock - baseClock
+		seg.Retries = endRetries - baseRetries
+		seg.Cache = subCacheStats(endCache, baseCache)
+		seg.LiveNodes = m.Space.Stats().NodeLive()
 		if seg.Cycles > 0 {
 			seg.Throughput = float64(seg.Ops) / (float64(seg.Cycles) / 1e6)
 		}
-		if lats != nil {
-			var phaseAll []uint64
-			for _, l := range lats {
-				phaseAll = append(phaseAll, l...)
-			}
-			seg.Latency = computeLatency(phaseAll)
-			allLats = append(allLats, phaseAll...)
-		}
-		if tails != nil {
-			// Merge the per-thread recorders (in thread order, so merges are
-			// deterministic) into this phase's tail, and reset the
-			// recorders for the next phase.
-			seg.Tail = &latency.Tail{}
-			for i := range tails {
-				seg.Tail.Merge(&tails[i])
-				tails[i].Reset()
-			}
-		}
-		if tlines != nil {
-			// Same shape for the timelines: thread-order merge into the
-			// phase series, reset for reuse.
-			seg.Timeline = &trace.Timeline{Window: win}
-			for i := range tlines {
-				seg.Timeline.Merge(&tlines[i])
-				tlines[i].Reset()
-			}
+		if sw.RecordLatency {
+			seg.Latency = latencyStats(&tail.Total)
 		}
 		if r.Trace != nil {
-			r.Trace.Phase(plan.progs[pi][0].name, baseClock, endClock)
+			r.Trace.Phase(seg.Name, baseClock, endClock)
 		}
 		sres.Phases = append(sres.Phases, seg)
 		baseOps, baseClock, baseRetries, baseCache = totalOps, endClock, endRetries, endCache
 	}
 
-	if sw.RecordLatency {
-		sres.Latency = computeLatency(allLats)
-	}
 	// The trial's tail and timeline (nil unless recorded) are its one
 	// phase's, the same objects; only several phases merge, in phase order,
 	// into records of the trial's own.
-	if tails != nil {
-		sres.Tail = sres.Phases[0].Tail
-		if len(sres.Phases) > 1 {
-			sres.Tail = &latency.Tail{}
-			for _, seg := range sres.Phases {
-				sres.Tail.Merge(seg.Tail)
-			}
+	sres.Tail, sres.Timeline = sres.Phases[0].Tail, sres.Phases[0].Timeline
+	if len(sres.Phases) > 1 && sres.Tail != nil {
+		sres.Tail = &latency.Tail{}
+		for _, seg := range sres.Phases {
+			sres.Tail.Merge(seg.Tail)
 		}
 	}
-	if tlines != nil {
-		sres.Timeline = sres.Phases[0].Timeline
-		if len(sres.Phases) > 1 {
-			sres.Timeline = &trace.Timeline{Window: win}
-			for _, seg := range sres.Phases {
-				sres.Timeline.Merge(seg.Timeline)
-			}
+	if len(sres.Phases) > 1 && sres.Timeline != nil {
+		sres.Timeline = &trace.Timeline{Window: win}
+		for _, seg := range sres.Phases {
+			sres.Timeline.Merge(seg.Timeline)
 		}
+	}
+	if sw.RecordLatency {
+		sres.Latency = latencyStats(&sres.Tail.Total)
 	}
 	sres.Ops = uint64(totalOps)
 	sres.Cycles = m.MaxClock()
@@ -525,15 +465,15 @@ func RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 // runSegment is one thread's execution of one phase: think, op, account —
 // the same charge-and-draw sequence per op the stationary engine made, with
 // the phase program supplying thresholds, keys, and think time. Recording
-// (the exact-sort slice and the tail histograms) is host-side bookkeeping
-// between simulated operations: it charges no cycles, so recorded and
-// unrecorded runs are bit-for-bit identical in simulated behavior.
-func runSegment(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, lat *[]uint64, tail *latency.Tail, tline *trace.Timeline, totalOps *int, sample func()) {
+// (the tail histograms and the timeline) is host-side bookkeeping between
+// simulated operations: it charges no cycles, so recorded and unrecorded
+// runs are bit-for-bit identical in simulated behavior.
+func runSegment(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, tail *latency.Tail, tline *trace.Timeline, totalOps *int, sample func()) {
 	if prog.ops > 0 {
 		span := float64(prog.ops)
 		for j := 0; j < prog.ops; j++ {
 			c.Work(prog.work(j, float64(j)/span))
-			measuredOp(c, b, prog, rng, lat, tail, tline)
+			measuredOp(c, b, prog, rng, tail, tline)
 			*totalOps++
 			sample()
 		}
@@ -547,23 +487,23 @@ func runSegment(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, lat *[]uint64,
 			return
 		}
 		c.Work(prog.work(j, float64(elapsed)/span))
-		measuredOp(c, b, prog, rng, lat, tail, tline)
+		measuredOp(c, b, prog, rng, tail, tline)
 		*totalOps++
 		sample()
 	}
 }
 
-// measuredOp executes one operation, recording its latency sample (exact
-// slice) and its tail classification (kind × attribution histograms) when
-// recording is on. Attribution deltas the executing thread's own
-// pause-cycle and retry counters (sim.Ctx.PauseCycles/RetryCount — the
-// machine-wide Retries total would blame this op for any concurrent
+// measuredOp executes one operation, recording its latency and its tail
+// classification (kind × attribution histograms), its timeline window and
+// its trace event when each is on. Attribution deltas the executing
+// thread's own pause-cycle and retry counters (sim.Ctx.PauseCycles/RetryCount
+// — the machine-wide Retries total would blame this op for any concurrent
 // thread's restart) around the op: an op that absorbed a reclamation scan
 // is tagged reclaim (and the pause span itself is recorded), else an op
 // that restarted at least once is tagged retry, else useful — so the
 // attribution counts partition the op count exactly, like the kind counts
 // do.
-func measuredOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, lat *[]uint64, tail *latency.Tail, tline *trace.Timeline) {
+func measuredOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, tail *latency.Tail, tline *trace.Timeline) {
 	sink := c.Trace()
 	record := tail != nil || tline != nil || sink != nil
 	var pause0, retries0 uint64
@@ -572,9 +512,6 @@ func measuredOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, lat *[]uint64,
 	}
 	start := c.Clock()
 	kind := progOp(c, b, prog, rng)
-	if lat != nil {
-		*lat = append(*lat, c.Clock()-start)
-	}
 	if record {
 		end := c.Clock()
 		dp := c.PauseCycles() - pause0

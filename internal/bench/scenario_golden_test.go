@@ -50,21 +50,19 @@ func scenarioCellKey(sw ScenarioWorkload) string {
 	return fmt.Sprintf("%s/%s/%s", sw.Scenario.Name, sw.DS, sw.Scheme)
 }
 
-// scenarioGoldenSum fingerprints a ScenarioResult as %+v formats it,
-// without the tail histograms, which postdate the pinned files (see
-// goldenSum; TestTailMatchesExactOnGoldens pins them against the exact-sort
-// percentiles). ScenarioResult promotes Result's String method, so %+v
-// formats only the embedded Result's one-line summary, not the segments.
+// scenarioGoldenSum fingerprints every simulated field of a ScenarioResult:
+// the trial's (hashResult), the scenario name, and every member of the
+// prefill and phase segments but Latency, with each segment's tail and
+// timeline as stored JSON.
 func scenarioGoldenSum(res ScenarioResult) uint64 {
-	res.Tail = nil
-	res.Timeline = nil
-	res.Phases = append([]PhaseSegment(nil), res.Phases...)
-	for i := range res.Phases {
-		res.Phases[i].Tail = nil
-		res.Phases[i].Timeline = nil
-	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", res)
+	hashResult(h, &res.Result)
+	fmt.Fprintf(h, "%s\n", res.ScenarioName)
+	for _, seg := range append([]PhaseSegment{res.Prefill}, res.Phases...) {
+		fmt.Fprintf(h, "%s %d %d %v %d %+v %d\n",
+			seg.Name, seg.Ops, seg.Cycles, seg.Throughput, seg.Retries, seg.Cache, seg.LiveNodes)
+		hashRecords(h, seg.Tail, seg.Timeline)
+	}
 	return h.Sum64()
 }
 

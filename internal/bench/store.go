@@ -58,14 +58,14 @@ type PreparedSpec struct {
 // storeSchema versions the JSON shape of stored results: Result,
 // ScenarioResult and every type they carry. EngineTag digests it together
 // with the goldens, which pin the simulator's output but not that shape
-// (goldenSum zeroes Tail and Timeline). Bump it whenever the shape changes:
-// a field added, removed, renamed or retyped, or a custom MarshalJSON
-// format changed, such as latency.Hist's. A shape change also means
-// updating the walks of stored results (walk.go, and the Walk methods of
-// latency.Hist, latency.Tail and trace.Timeline), which write and read
-// members by name in declaration order. Entries written before the bump
-// then carry a foreign engine tag, so no lookup sees them and calab gc
-// collects them.
+// (goldenSum hashes the values of Result's members, not their names). Bump
+// it whenever the shape changes: a field added, removed, renamed or
+// retyped, or a custom MarshalJSON format changed, such as latency.Hist's.
+// A shape change also means updating the walks of stored results
+// (walk.go, and the Walk methods of latency.Hist, latency.Tail and
+// trace.Timeline), which write and read members by name in declaration
+// order. Entries written before the bump then carry a foreign engine tag,
+// so no lookup sees them and calab gc collects them.
 // TestStoreSchemaTracksResultShape fails when the shape moves without a
 // bump. Stores written before the constant existed count as schema 1.
 const storeSchema = 2

@@ -39,10 +39,11 @@ type SweepConfig struct {
 
 	// Dist selects the key distribution (default uniform).
 	Dist string
-	// RecordLatency fills each point's Result.Latency (and Tail).
+	// RecordLatency fills each point's Result.Tail and its summary,
+	// Result.Latency; see Workload.RecordLatency.
 	RecordLatency bool
-	// RecordTail fills each point's Result.Tail alone (O(buckets), no
-	// exact-sort slices); see Workload.RecordTail.
+	// RecordTail fills each point's Result.Tail alone; see
+	// Workload.RecordTail.
 	RecordTail bool
 	// RecordTimeline fills each trial's Result.Timeline and each point's
 	// merged SweepPoint.Timeline; see Workload.RecordTimeline.

@@ -235,13 +235,12 @@ func TestCWriteFreedLineDetection(t *testing.T) {
 	}
 }
 
-// A cread of a tagged line that was freed loads it before core's checks
-// run, so the heap's use-after-free check fires first: core's Theorem 6
-// assertion for a cread cannot be reached through the Ctx of a checked
-// machine.
+// A cread of a tagged line that was freed hits Theorem 6 too: core's checks
+// run before the load, so the heap's own use-after-free check does not
+// report it first.
 func TestCReadFreedLineDetection(t *testing.T) {
-	if msg := panicOf(t, free, cread); !strings.Contains(msg, "mem: use-after-free read") {
-		t.Fatalf("cread of a freed line panicked with %q, want the heap's use-after-free check", msg)
+	if msg := panicOf(t, free, cread); !strings.Contains(msg, "core: cread") || !strings.Contains(msg, "Theorem 6") {
+		t.Fatalf("cread of a freed line panicked with %q, want the Theorem 6 check", msg)
 	}
 }
 

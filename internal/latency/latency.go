@@ -1,14 +1,14 @@
 // Package latency is the streaming tail-latency subsystem: a fixed-layout,
 // log-bucketed (HDR-style) cycle histogram with O(buckets) memory regardless
 // of sample count, exact sample counts per bucket, and lossless merging
-// across threads, phases, and trials.
+// across phases and trials.
 //
 // The paper's core critique of batch-based reclamation is tail latency —
 // "occasional freeing of large batches causes long program interruptions" —
 // which an append-every-sample-and-sort pipeline can only report as five
 // percentiles over O(ops) memory. A Hist keeps the whole distribution in a
 // fixed bucket layout instead, so the harness can record every operation of
-// arbitrarily long trials without per-op allocation, merge per-thread
+// arbitrarily long trials without per-op allocation, merge per-phase
 // recordings exactly (bucket counts add), and still answer any quantile to
 // within one bucket's relative error (1/16, ~6.25%). A Tail bundles the
 // histograms one measured run needs: the total distribution, a per-op-kind
@@ -72,8 +72,9 @@ func BucketBounds(i int) (lo, hi uint64) {
 // as append does, by doubling up to NumBuckets. So a histogram holds only
 // the buckets its samples reach, and reallocates at most ⌈log₂ NumBuckets⌉
 // = 10 times after its first allocation. Buckets past the end of the array,
-// up to its capacity, are always zero. Hist is not safe for concurrent use —
-// the harness keeps one per simulated thread and merges.
+// up to its capacity, are always zero. Hist is not safe for concurrent use;
+// the harness keeps one per measured window, which the simulated threads
+// record into one at a time.
 type Hist struct {
 	counts []uint64 // ends at the highest non-empty bucket
 	n      uint64
@@ -112,9 +113,9 @@ func (h *Hist) Record(v uint64) {
 	h.sum += v
 }
 
-// Merge folds o into h. Bucket counts add exactly, so merging per-thread,
-// per-phase, or per-trial histograms loses nothing: the merged histogram is
-// identical to one that recorded every sample directly.
+// Merge folds o into h. Bucket counts add exactly, so merging per-phase or
+// per-trial histograms loses nothing: the merged histogram is identical to
+// one that recorded every sample directly.
 func (h *Hist) Merge(o *Hist) {
 	if o == nil || o.n == 0 {
 		return
@@ -131,13 +132,6 @@ func (h *Hist) Merge(o *Hist) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-}
-
-// Reset empties the histogram, keeping the bucket allocation.
-func (h *Hist) Reset() {
-	clear(h.counts)
-	h.counts = h.counts[:0]
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
 // Count returns the number of recorded samples.
@@ -161,10 +155,10 @@ func (h *Hist) Min() uint64 { return h.min }
 func (h *Hist) Max() uint64 { return h.max }
 
 // Quantile returns an upper bound for the p-quantile sample: the upper edge
-// of the bucket holding the sample of rank floor(p*(n-1)) — the same rank
-// convention the exact-sort pipeline uses — clamped to the exact maximum.
-// The true sample lies in the returned bucket, so the estimate is within one
-// bucket's relative error (at most 1/16 of its magnitude) above the truth.
+// of the bucket holding the sample of rank floor(p*(n-1)) of the sorted
+// samples, clamped to the exact maximum. The true sample lies in the
+// returned bucket, so the estimate is within one bucket's relative error (at
+// most 1/16 of its magnitude) above the truth.
 func (h *Hist) Quantile(p float64) uint64 {
 	if h.n == 0 {
 		return 0
@@ -500,19 +494,6 @@ func (t *Tail) Merge(o *Tail) {
 	t.Reclaim.Merge(&o.Reclaim)
 	t.Retry.Merge(&o.Retry)
 	t.Pause.Merge(&o.Pause)
-}
-
-// Reset empties every histogram, keeping allocations (the harness reuses
-// per-thread Tails across phases).
-func (t *Tail) Reset() {
-	t.Total.Reset()
-	t.Insert.Reset()
-	t.Delete.Reset()
-	t.Read.Reset()
-	t.Useful.Reset()
-	t.Reclaim.Reset()
-	t.Retry.Reset()
-	t.Pause.Reset()
 }
 
 // tailMember is one of a Tail's histograms with its JSON name.

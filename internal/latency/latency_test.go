@@ -75,7 +75,7 @@ func TestBucketLayout(t *testing.T) {
 
 // TestMergeAssociativeCommutative: merging is associative and commutative
 // with exact count preservation — any merge tree over any ordering of the
-// per-thread histograms yields the identical histogram.
+// per-phase histograms yields the identical histogram.
 func TestMergeAssociativeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := make([][]uint64, 5)
@@ -111,6 +111,15 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 		if !reflect.DeepEqual(h.counts, direct.counts) {
 			t.Errorf("%s: bucket counts diverge from direct recording", name)
 		}
+	}
+
+	// An empty histogram merges as a no-op, even with its buckets allocated.
+	var into Hist
+	into.Record(5)
+	empty := Hist{counts: make([]uint64, NumBuckets)}
+	into.Merge(&empty)
+	if into.Count() != 1 || into.Min() != 5 {
+		t.Fatal("merging an empty histogram changed the target")
 	}
 }
 
@@ -471,38 +480,5 @@ func TestTailPartitions(t *testing.T) {
 		if !reflect.DeepEqual(sum, tl.Total) {
 			t.Errorf("%s partition does not sum to the total histogram", name)
 		}
-	}
-}
-
-// TestResetKeepsAllocation: Reset empties without dropping the bucket array
-// (per-thread Tails are reused across phases), a reset histogram that
-// records again counts nothing from before the reset, and a reset histogram
-// merges as a no-op.
-func TestResetKeepsAllocation(t *testing.T) {
-	var h Hist
-	h.Record(9)
-	h.Record(1 << 40)
-	buf := &h.counts[0]
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 || len(h.counts) != 0 {
-		t.Fatal("reset histogram not empty")
-	}
-	h.Record(9)
-	if &h.counts[0] != buf {
-		t.Fatal("reset dropped the bucket allocation")
-	}
-	if len(h.counts) != BucketOf(9)+1 {
-		t.Fatalf("bucket array holds %d buckets, want it to end at bucket %d", len(h.counts), BucketOf(9))
-	}
-	h.Record(1 << 40)
-	if !reflect.DeepEqual(h, *fromSamples([]uint64{9, 1 << 40})) {
-		t.Fatal("a reset histogram kept counts from before the reset")
-	}
-	var into Hist
-	into.Record(5)
-	empty := Hist{counts: make([]uint64, NumBuckets)}
-	into.Merge(&empty)
-	if into.Count() != 1 || into.Min() != 5 {
-		t.Fatal("merging an empty histogram changed the target")
 	}
 }

@@ -204,15 +204,17 @@ func (c *Ctx) CRead(a mem.Addr) (v uint64, ok bool) {
 	if !c.port.ReadHit(a) {
 		lat = c.m.Hier.Read(c.tid, a)
 	}
-	v = c.m.Space.Read(a)
 	fresh := !c.port.Probe(a)
 	if fresh {
 		c.port.Tag(a)
 		n.MaxTagSet = max(n.MaxTagSet, c.port.TagCount())
 	}
+	// The Check-mode assertions run before the heap read, whose own
+	// use-after-free check would otherwise report a freed line first.
 	if c.check {
 		core.CheckCRead(&c.port, c.m.Space, a, fresh)
 	}
+	v = c.m.Space.Read(a)
 	n.CReads++
 	c.charge(lat + c.latFlag)
 	return v, true

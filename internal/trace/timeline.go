@@ -3,9 +3,9 @@
 // fixed windows and every completed operation lands its counters in the
 // window its end cycle falls in — per-window op counts by kind, retry
 // restarts, and absorbed reclamation-pause cycles. A Timeline is recorded
-// per thread with zero per-op allocation once its windows exist, and merges
-// exactly thread→phase→trial like latency.Tail, so a trial's timeline is
-// identical whether it was simulated or replayed from the lab store.
+// per phase with zero per-op allocation once its windows exist, and merges
+// exactly phase→trial like latency.Tail, so a trial's timeline is identical
+// whether it was simulated or replayed from the lab store.
 package trace
 
 import (
@@ -54,8 +54,7 @@ func ResolveWindow(w uint64) uint64 {
 	return w
 }
 
-// grow extends s to n elements, zeroing the extension (the backing array may
-// hold stale values after a Reset). Amortized allocation-free.
+// grow extends s to n elements with zeros. Amortized allocation-free.
 func grow(s []uint64, n int) []uint64 {
 	for len(s) < n {
 		s = append(s, 0)
@@ -151,16 +150,6 @@ func (t *Timeline) Walk(c *jsonio.Codec) {
 		}
 	}
 	c.End()
-}
-
-// Reset empties the series, keeping their allocations (the harness reuses
-// per-thread timelines across phases) and the window size.
-func (t *Timeline) Reset() {
-	t.Insert = t.Insert[:0]
-	t.Delete = t.Delete[:0]
-	t.Read = t.Read[:0]
-	t.Retries = t.Retries[:0]
-	t.Pause = t.Pause[:0]
 }
 
 // TotalOps returns the op count summed over all windows and kinds.

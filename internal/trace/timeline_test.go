@@ -106,25 +106,6 @@ func TestTimelineMergeWindowMismatchPanics(t *testing.T) {
 	a.Merge(b)
 }
 
-func TestTimelineResetKeepsNoStaleCounts(t *testing.T) {
-	tl := &Timeline{Window: 1024}
-	tl.RecordOp(3000, latency.KindInsert, 9, 9)
-	tl.Reset()
-	if tl.Windows() != 0 {
-		t.Fatalf("Windows() after Reset = %d, want 0", tl.Windows())
-	}
-	// Regrowing over the old backing array must see zeros, not the pre-Reset
-	// counts.
-	tl.RecordOp(3000, latency.KindDelete, 0, 0)
-	if tl.Insert[2] != 0 || tl.Retries[2] != 0 || tl.Pause[2] != 0 {
-		t.Errorf("stale counts survived Reset: insert %d retries %d pause %d",
-			tl.Insert[2], tl.Retries[2], tl.Pause[2])
-	}
-	if tl.Delete[2] != 1 {
-		t.Errorf("post-Reset op lost: delete %d, want 1", tl.Delete[2])
-	}
-}
-
 func TestTimelineRecordOpAllocFree(t *testing.T) {
 	tl := &Timeline{Window: 1024}
 	tl.RecordOp(100*1024, latency.KindRead, 0, 0) // pre-size the windows
