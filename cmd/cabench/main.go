@@ -206,7 +206,7 @@ func sweep(opt options, rec *obs.Rec, store bench.TrialStore, stdout, stderr io.
 			fmt.Fprintf(stderr, "  [%3d/%3d] %-5s t=%-2d u=%3d%%: %10.1f ops/Mcyc",
 				n, total, p.Scheme, p.Threads, p.UpdatePct, p.Throughput)
 			if lat {
-				l := p.Result.Latency
+				l := p.Tail
 				fmt.Fprintf(stderr, "  p50=%d p99=%d p99.9=%d max=%d", l.P50, l.P99, l.P999, l.Max)
 			}
 			fmt.Fprintln(stderr)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -194,5 +195,25 @@ func TestRunFailureModes(t *testing.T) {
 				t.Errorf("stderr is not a bare one-line diagnosis:\n%s", got)
 			}
 		})
+	}
+}
+
+// TestLatLineMergesTrials: the -lat progress line summarizes every trial of
+// the point merged, the histogram whose row -tail prints, not the point's
+// last trial alone.
+func TestLatLineMergesTrials(t *testing.T) {
+	var stdout, stderr strings.Builder
+	args := []string{"-ds", "list", "-schemes", "rcu", "-threads", "4", "-updates", "100",
+		"-ops", "300", "-range", "128", "-trials", "3", "-lat", "-tail"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d: %s", args, code, stderr.String())
+	}
+	lat := regexp.MustCompile(`p50=(\d+) p99=(\d+) p99\.9=(\d+) max=(\d+)`).FindStringSubmatch(stderr.String())
+	tail := regexp.MustCompile(`(?m)^rcu +4 +100 +\d+ +(\d+) +(\d+) +(\d+) +(\d+) `).FindStringSubmatch(stdout.String())
+	if lat == nil || tail == nil {
+		t.Fatalf("no -lat line or no tail row:\n%s\n%s", stderr.String(), stdout.String())
+	}
+	if !reflect.DeepEqual(lat[1:], tail[1:]) {
+		t.Errorf("-lat p50/p99/p99.9/max %v, the merged tail row %v", lat[1:], tail[1:])
 	}
 }

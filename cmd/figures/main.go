@@ -181,10 +181,13 @@ func (g generator) exec() bench.Exec {
 	return bench.Exec{Workers: g.workers, Store: g.store, Obs: g.rec}
 }
 
-func (g generator) sweepFig(name, ds string, keyRange uint64) (err error) {
+// sweepFig runs one throughput sweep over every scheme and the -threads
+// counts at the given update rates, prints a table per rate and writes
+// name.csv.
+func (g generator) sweepFig(name, ds string, keyRange uint64, updates []int) (err error) {
 	cfg := bench.SweepConfig{
 		DS: ds, Schemes: allSchemes, Threads: g.threads,
-		Updates: []int{0, 10, 100}, KeyRange: keyRange,
+		Updates: updates, KeyRange: keyRange,
 		Ops: g.ops, Buckets: 128, Seed: g.seed, Check: g.check, Trials: g.trials,
 		Workers: g.workers, Store: g.store, Obs: g.rec,
 	}
@@ -203,10 +206,13 @@ func (g generator) sweepFig(name, ds string, keyRange uint64) (err error) {
 	return bench.WriteCSV(f, ds, points)
 }
 
-func (g generator) fig1list() error  { return g.sweepFig("fig1_list", "list", 1000) }
-func (g generator) fig1bst() error   { return g.sweepFig("fig1_bst", "bst", 10000) }
-func (g generator) fig2hash() error  { return g.sweepFig("fig2_hash", "hash", 1000) }
-func (g generator) fig2stack() error { return g.sweepFig("fig2_stack", "stack", 1000) }
+// paperUpdates are the update rates of the paper's Figures 1 and 2.
+var paperUpdates = []int{0, 10, 100}
+
+func (g generator) fig1list() error  { return g.sweepFig("fig1_list", "list", 1000, paperUpdates) }
+func (g generator) fig1bst() error   { return g.sweepFig("fig1_bst", "bst", 10000, paperUpdates) }
+func (g generator) fig2hash() error  { return g.sweepFig("fig2_hash", "hash", 1000, paperUpdates) }
+func (g generator) fig2stack() error { return g.sweepFig("fig2_stack", "stack", 1000, paperUpdates) }
 
 func (g generator) fig3mem() (err error) {
 	f, err := cli.Create(filepath.Join(g.out, "fig3_mem.csv"))
@@ -306,26 +312,8 @@ func (g generator) smt() (err error) {
 
 // hmlist measures the future-work extension: the Harris-Michael lock-free
 // list under Conditional Access versus the reclamation baselines.
-func (g generator) hmlist() (err error) {
-	cfg := bench.SweepConfig{
-		DS: "hmlist", Schemes: allSchemes, Threads: g.threads,
-		Updates: []int{0, 100}, KeyRange: 1000,
-		Ops: g.ops, Seed: g.seed, Check: g.check, Trials: g.trials,
-		Workers: g.workers, Store: g.store, Obs: g.rec,
-	}
-	points, err := bench.Sweep(cfg, nil)
-	if err != nil {
-		return err
-	}
-	for _, u := range cfg.Updates {
-		fmt.Fprintf(g.stdout, "-- hmlist %d%% updates [ops/Mcyc] --\n%s", u, bench.FormatTable(points, u))
-	}
-	f, err := cli.Create(filepath.Join(g.out, "ext_hmlist.csv"))
-	if err != nil {
-		return err
-	}
-	defer cli.Close(f, &err)
-	return bench.WriteCSV(f, "hmlist", points)
+func (g generator) hmlist() error {
+	return g.sweepFig("ext_hmlist", "hmlist", 1000, []int{0, 100})
 }
 
 // tail reproduces the paper's Section I tail-latency critique with the

@@ -170,40 +170,70 @@ func (r Result) String() string {
 		r.W.DS, r.W.Scheme, r.W.Threads, r.W.UpdatePct, r.Throughput, r.Ops, r.Retries, r.Mem.NodeLive())
 }
 
-// setOps is the uniform set interface both variants satisfy.
-type setOps interface {
+// ops is the one operation interface every structure runs under: the eight
+// set types satisfy it as they are, and stackOps and queueOps adapt the
+// stack and the queue. The op mix (insert, delete, read) and its draws are
+// the same for every structure; only what an op does differs.
+type ops interface {
 	Insert(c *sim.Ctx, key uint64) bool
 	Delete(c *sim.Ctx, key uint64) bool
 	Contains(c *sim.Ctx, key uint64) bool
 }
 
-// stackOps is the uniform stack interface.
-type stackOps interface {
-	Push(c *sim.Ctx, key uint64)
-	Pop(c *sim.Ctx) (uint64, bool)
-	Peek(c *sim.Ctx) (uint64, bool)
+// stackOps runs a stack as ops: insert pushes the key, which always
+// succeeds, delete pops and contains peeks at the top.
+type stackOps struct {
+	s interface {
+		Push(c *sim.Ctx, key uint64)
+		Pop(c *sim.Ctx) (uint64, bool)
+		Peek(c *sim.Ctx) (uint64, bool)
+	}
 }
 
-// queueOps is the uniform queue interface. Peek is the read-share op for
-// scenario workloads; the stationary lowering keeps the historical
-// dequeue+enqueue pair instead (see progOp).
-type queueOps interface {
-	Enqueue(c *sim.Ctx, key uint64)
-	Dequeue(c *sim.Ctx) (uint64, bool)
-	Peek(c *sim.Ctx) (uint64, bool)
+func (a stackOps) Insert(c *sim.Ctx, key uint64) bool { a.s.Push(c, key); return true }
+func (a stackOps) Delete(c *sim.Ctx, _ uint64) bool   { _, ok := a.s.Pop(c); return ok }
+func (a stackOps) Contains(c *sim.Ctx, _ uint64) bool { _, ok := a.s.Peek(c); return ok }
+
+// queueOps runs a queue as ops: insert enqueues the key, which always
+// succeeds, delete dequeues and contains peeks at the front. With pair set,
+// contains is instead the historical read: a dequeue+enqueue pair that
+// keeps the size stable. Run sets it, so the stationary goldens, recorded
+// before the queue had Peek, stay reachable bit for bit; a declarative
+// scenario gets the genuine front read.
+type queueOps struct {
+	q interface {
+		Enqueue(c *sim.Ctx, key uint64)
+		Dequeue(c *sim.Ctx) (uint64, bool)
+		Peek(c *sim.Ctx) (uint64, bool)
+	}
+	pair bool
 }
 
-// built bundles a constructed structure (exactly one of set, stk and que)
-// with its reclaimer. The machine, not the structure, counts restarts.
+func (a queueOps) Insert(c *sim.Ctx, key uint64) bool { a.q.Enqueue(c, key); return true }
+func (a queueOps) Delete(c *sim.Ctx, _ uint64) bool   { _, ok := a.q.Dequeue(c); return ok }
+
+func (a queueOps) Contains(c *sim.Ctx, _ uint64) bool {
+	if !a.pair {
+		_, ok := a.q.Peek(c)
+		return ok
+	}
+	v, ok := a.q.Dequeue(c)
+	if ok {
+		a.q.Enqueue(c, v)
+	}
+	return ok
+}
+
+// built bundles a constructed structure with its reclaimer. The machine,
+// not the structure, counts restarts.
 type built struct {
-	set setOps
-	stk stackOps
-	que queueOps
+	ops ops
 	rec smr.Reclaimer // nil for ca
 }
 
-// build constructs the requested structure+scheme pair on m.
-func build(m *sim.Machine, w Workload) (built, error) {
+// build constructs the requested structure+scheme pair on m; pair selects
+// the queue's historical read (queueOps).
+func build(m *sim.Machine, w Workload, pair bool) (built, error) {
 	space := m.Space
 	nb := w.Buckets
 	if nb == 0 {
@@ -212,17 +242,17 @@ func build(m *sim.Machine, w Workload) (built, error) {
 	if w.Scheme == "ca" {
 		switch w.DS {
 		case "list":
-			return built{set: lazylist.NewCA(space)}, nil
+			return built{ops: lazylist.NewCA(space)}, nil
 		case "bst":
-			return built{set: extbst.NewCA(space)}, nil
+			return built{ops: extbst.NewCA(space)}, nil
 		case "hash":
-			return built{set: hashtable.NewCA(space, nb)}, nil
+			return built{ops: hashtable.NewCA(space, nb)}, nil
 		case "stack":
-			return built{stk: stack.NewCA(space)}, nil
+			return built{ops: stackOps{stack.NewCA(space)}}, nil
 		case "queue":
-			return built{que: queue.NewCA(space)}, nil
+			return built{ops: queueOps{queue.NewCA(space), pair}}, nil
 		case "hmlist":
-			return built{set: hmlist.NewCA(space)}, nil
+			return built{ops: hmlist.NewCA(space)}, nil
 		}
 		return built{}, fmt.Errorf("bench: unknown structure %q", w.DS)
 	}
@@ -232,17 +262,17 @@ func build(m *sim.Machine, w Workload) (built, error) {
 	}
 	switch w.DS {
 	case "list":
-		return built{set: lazylist.NewGuarded(space, r), rec: r}, nil
+		return built{ops: lazylist.NewGuarded(space, r), rec: r}, nil
 	case "bst":
-		return built{set: extbst.NewGuarded(space, r), rec: r}, nil
+		return built{ops: extbst.NewGuarded(space, r), rec: r}, nil
 	case "hash":
-		return built{set: hashtable.NewGuarded(space, r, nb), rec: r}, nil
+		return built{ops: hashtable.NewGuarded(space, r, nb), rec: r}, nil
 	case "stack":
-		return built{stk: stack.NewGuarded(space, r), rec: r}, nil
+		return built{ops: stackOps{stack.NewGuarded(space, r)}, rec: r}, nil
 	case "queue":
-		return built{que: queue.NewGuarded(space, r), rec: r}, nil
+		return built{ops: queueOps{queue.NewGuarded(space, r), pair}, rec: r}, nil
 	case "hmlist":
-		return built{set: hmlist.NewGuarded(space, r), rec: r}, nil
+		return built{ops: hmlist.NewGuarded(space, r), rec: r}, nil
 	}
 	return built{}, fmt.Errorf("bench: unknown structure %q", w.DS)
 }

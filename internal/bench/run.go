@@ -55,10 +55,11 @@ type Runner struct {
 // from an earlier trial with the same geometry.
 //
 // The stationary Workload is executed by lowering it onto the scenario
-// engine (RunScenario) as the canonical single-phase, uniform-role,
-// constant-intensity scenario. The lowering is bit-for-bit: the compiled
-// program reproduces the historical engine's exact draw and charge sequence,
-// which testdata/golden.json pins.
+// engine (runScenario) as the canonical single-phase, uniform-role,
+// constant-intensity scenario (stationary), with the queue's historical
+// read pair. The lowering is bit-for-bit: the compiled program reproduces
+// the historical engine's exact draw and charge sequence, which
+// testdata/golden.json pins.
 func (r *Runner) Run(w Workload) (Result, error) {
 	if err := validate(&w); err != nil {
 		return Result{}, err
@@ -66,8 +67,7 @@ func (r *Runner) Run(w Workload) (Result, error) {
 	return readThrough(r, func() ([]byte, error) { return TrialSpecBytes(w) },
 		TrialStore.LookupTrialSpec, TrialStore.StoreTrialSpec,
 		func() (Result, error) {
-			sres, err := r.runScenario(lowerWorkload(w))
-			sres.W = w
+			sres, err := r.runScenario(w, stationary(w), true)
 			return sres.Result, err
 		})
 }
@@ -120,31 +120,20 @@ func readThrough[R any](r *Runner, spec func() ([]byte, error),
 	return res, nil
 }
 
-// lowerWorkload expresses a stationary Workload as a scenario: one phase of
-// OpsPerThread ops, the UpdatePct/2 split as an explicit weight table over
-// 100 (insert U/2, delete U-U/2, read 100-U — integer division included),
-// a constant think-time profile, no roles, and the queue's historical
-// dequeue+enqueue read pair.
-func lowerWorkload(w Workload) ScenarioWorkload {
+// stationary expresses a stationary Workload's op mix as a scenario: one
+// phase of OpsPerThread ops, the UpdatePct/2 split as an explicit weight
+// table over 100 (insert U/2, delete U-U/2, read 100-U — integer division
+// included), a constant think-time profile and no roles.
+func stationary(w Workload) scenario.Scenario {
 	u := w.UpdatePct
-	return ScenarioWorkload{
-		DS: w.DS, Scheme: w.Scheme,
-		Threads: w.Threads, KeyRange: w.KeyRange, Buckets: w.Buckets,
-		Seed: w.Seed, Check: w.Check,
-		SMR: w.SMR, Cache: w.Cache, Slack: w.Slack,
-		Dist: w.Dist, FootprintEvery: w.FootprintEvery,
-		RecordLatency: w.RecordLatency, RecordTail: w.RecordTail,
-		RecordTimeline: w.RecordTimeline, TimelineWindow: w.TimelineWindow,
-		Scenario: scenario.Scenario{
-			Name: "stationary",
-			Phases: []scenario.Phase{{
-				Name:    "measured",
-				Ops:     w.OpsPerThread,
-				Weights: scenario.Weights{Insert: u / 2, Delete: u - u/2, Read: 100 - u},
-				Profile: scenario.Profile{Work: w.OpWorkCycles},
-			}},
-		},
-		legacyQueueRead: true,
+	return scenario.Scenario{
+		Name: "stationary",
+		Phases: []scenario.Phase{{
+			Name:    "measured",
+			Ops:     w.OpsPerThread,
+			Weights: scenario.Weights{Insert: u / 2, Delete: u - u/2, Read: 100 - u},
+			Profile: scenario.Profile{Work: w.OpWorkCycles},
+		}},
 	}
 }
 
@@ -262,8 +251,9 @@ func validDist(dist string) error {
 }
 
 // prefill brings the structure to 50% occupancy using thread 0, returning
-// the number of elements inserted. Sets insert random keys until half the
-// key range is present; stacks and queues get KeyRange/2 elements.
+// the number of elements inserted. It inserts random keys until KeyRange/2
+// inserts have succeeded: a set then holds half the key range, and a stack
+// or a queue, whose every insert succeeds, KeyRange/2 elements.
 func prefill(m *sim.Machine, w Workload, b built) int {
 	target := int(w.KeyRange / 2)
 	if target == 0 {
@@ -272,20 +262,9 @@ func prefill(m *sim.Machine, w Workload, b built) int {
 	n := 0
 	m.Spawn(func(c *sim.Ctx) {
 		rng := sim.NewRNG(w.Seed ^ 0xA5A5A5A5)
-		switch {
-		case b.set != nil:
-			for n < target {
-				if b.set.Insert(c, rng.Uint64n(w.KeyRange)+1) {
-					n++
-				}
-			}
-		case b.stk != nil:
-			for ; n < target; n++ {
-				b.stk.Push(c, rng.Uint64n(w.KeyRange)+1)
-			}
-		default:
-			for ; n < target; n++ {
-				b.que.Enqueue(c, rng.Uint64n(w.KeyRange)+1)
+		for n < target {
+			if b.ops.Insert(c, rng.Uint64n(w.KeyRange)+1) {
+				n++
 			}
 		}
 	})

@@ -47,12 +47,6 @@ type ScenarioWorkload struct {
 	TimelineWindow uint64 `json:",omitempty"`
 
 	Scenario scenario.Scenario
-
-	// legacyQueueRead keeps the queue's read share as the historical
-	// dequeue+enqueue pair instead of the real Peek. Only the Workload
-	// lowering sets it, so the pre-scenario goldens stay reachable
-	// bit-for-bit; declarative scenarios get the genuine front read.
-	legacyQueueRead bool
 }
 
 // PhaseSegment is one phase's slice of a scenario trial: operation count,
@@ -120,7 +114,6 @@ type segProg struct {
 	keyOffset uint64
 	keyRange  uint64
 	work      workFn
-	queuePair bool
 }
 
 // scenarioPlan is a compiled scenario: one program per (phase, role), plus
@@ -130,10 +123,9 @@ type scenarioPlan struct {
 	roleOf []int       // [thread] -> role index
 }
 
-// binding rephrases the binding as a Workload, for the shared checks
-// (validBinding), the build and prefill paths, and Result.W, so
-// Result.String and downstream reporting keep working. The per-phase fields
-// stay zero.
+// binding rephrases the binding as a Workload, the engine's input
+// (runScenario) and Result.W, so Result.String and downstream reporting keep
+// working. The per-phase fields stay zero.
 func (sw *ScenarioWorkload) binding() Workload {
 	return Workload{
 		DS: sw.DS, Scheme: sw.Scheme,
@@ -147,9 +139,8 @@ func (sw *ScenarioWorkload) binding() Workload {
 }
 
 // compileScenario resolves defaults, checks the scenario against the
-// binding, and compiles every (phase, role) program.
-func compileScenario(sw ScenarioWorkload) (scenarioPlan, error) {
-	sc := &sw.Scenario
+// binding w, and compiles every (phase, role) program.
+func compileScenario(w Workload, sc *scenario.Scenario) (scenarioPlan, error) {
 	if err := sc.Validate(); err != nil {
 		return scenarioPlan{}, err
 	}
@@ -168,21 +159,21 @@ func compileScenario(sw ScenarioWorkload) (scenarioPlan, error) {
 		}
 		fixed += r.Count
 	}
-	if min := sc.MinThreads(); len(sc.Roles) > 0 && sw.Threads < min {
+	if min := sc.MinThreads(); len(sc.Roles) > 0 && w.Threads < min {
 		// A catch-all role must get at least one thread: silently running
 		// e.g. mixed-role with zero readers would mislabel the results.
 		return scenarioPlan{}, fmt.Errorf("bench: scenario %q needs at least %d threads (role table), binding has %d",
-			sc.Name, min, sw.Threads)
+			sc.Name, min, w.Threads)
 	}
-	if catchAll < 0 && fixed != sw.Threads {
+	if catchAll < 0 && fixed != w.Threads {
 		return scenarioPlan{}, fmt.Errorf("bench: scenario %q role counts total %d, binding has %d threads",
-			sc.Name, fixed, sw.Threads)
+			sc.Name, fixed, w.Threads)
 	}
-	roleOf := make([]int, 0, sw.Threads)
+	roleOf := make([]int, 0, w.Threads)
 	for i, r := range roles {
 		n := r.Count
 		if i == catchAll {
-			n = sw.Threads - fixed
+			n = w.Threads - fixed
 		}
 		for t := 0; t < n; t++ {
 			roleOf = append(roleOf, i)
@@ -193,11 +184,11 @@ func compileScenario(sw ScenarioWorkload) (scenarioPlan, error) {
 	for pi, ph := range sc.Phases {
 		dist := ph.Dist
 		if dist == "" {
-			dist = sw.Dist
+			dist = w.Dist
 		}
 		kr := ph.KeyRange
 		if kr == 0 {
-			kr = sw.KeyRange
+			kr = w.KeyRange
 		}
 		gen, err := newKeygen(dist, kr)
 		if err != nil {
@@ -209,22 +200,21 @@ func compileScenario(sw ScenarioWorkload) (scenarioPlan, error) {
 		}
 		progs[pi] = make([]segProg, len(roles))
 		for ri, role := range roles {
-			w := ph.Weights
+			wt := ph.Weights
 			if role.Weights != nil {
-				w = *role.Weights
+				wt = *role.Weights
 			}
 			progs[pi][ri] = segProg{
 				name:      ph.Name,
 				ops:       ph.Ops,
 				cycles:    ph.Cycles,
-				insLim:    uint64(w.Insert),
-				delLim:    uint64(w.Insert + w.Delete),
-				total:     uint64(w.Total()),
+				insLim:    uint64(wt.Insert),
+				delLim:    uint64(wt.Insert + wt.Delete),
+				total:     uint64(wt.Total()),
 				gen:       gen,
 				keyOffset: uint64(ph.KeyShift * float64(kr)),
 				keyRange:  kr,
 				work:      work,
-				queuePair: sw.legacyQueueRead,
 			}
 		}
 	}
@@ -293,48 +283,49 @@ func compileProfile(p scenario.Profile) (workFn, error) {
 // validates and keys on the Workload itself in Run and calls runScenario
 // directly, so one trial is never checked twice or cached under two keys.)
 func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
-	wv := sw.binding()
-	if err := validBinding(&wv); err != nil {
+	w := sw.binding()
+	if err := validBinding(&w); err != nil {
 		return ScenarioResult{}, err
 	}
 	return readThrough(r, func() ([]byte, error) { return ScenarioSpecBytes(sw) },
 		TrialStore.LookupScenarioSpec, TrialStore.StoreScenarioSpec,
-		func() (ScenarioResult, error) { return r.runScenario(sw) })
+		func() (ScenarioResult, error) { return r.runScenario(w, sw.Scenario, false) })
 }
 
-// runScenario is the uncached scenario engine behind RunScenario and Run,
-// which have validated the binding.
-func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
-	plan, err := compileScenario(sw)
+// runScenario is the uncached engine behind RunScenario and Run, which have
+// validated the binding w: it runs scenario sc on w's structure, scheme and
+// machine, and reports w as Result.W. queuePair selects the queue's
+// historical read pair (queueOps), which only Run sets.
+func (r *Runner) runScenario(w Workload, sc scenario.Scenario, queuePair bool) (ScenarioResult, error) {
+	plan, err := compileScenario(w, &sc)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	cfg := sim.Config{
-		Cores: sw.Threads,
-		Seed:  sw.Seed,
-		Check: sw.Check,
-		Slack: sw.Slack,
+		Cores: w.Threads,
+		Seed:  w.Seed,
+		Check: w.Check,
+		Slack: w.Slack,
 	}
-	if sw.Cache.Cores != 0 {
-		if sw.Cache.Cores != sw.Threads {
-			return ScenarioResult{}, fmt.Errorf("bench: cache params cores %d != threads %d", sw.Cache.Cores, sw.Threads)
+	if w.Cache.Cores != 0 {
+		if w.Cache.Cores != w.Threads {
+			return ScenarioResult{}, fmt.Errorf("bench: cache params cores %d != threads %d", w.Cache.Cores, w.Threads)
 		}
-		if err := sw.Cache.Check(); err != nil {
+		if err := w.Cache.Check(); err != nil {
 			return ScenarioResult{}, err
 		}
-		cfg.Cache = sw.Cache
+		cfg.Cache = w.Cache
 	}
 	m := r.acquire(cfg)
 
-	wv := sw.binding()
-	b, err := build(m, wv)
+	b, err := build(m, w, queuePair)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 
-	sres := ScenarioResult{ScenarioName: sw.Scenario.Name}
-	sres.W = wv
-	sres.PrefillSize = prefill(m, wv, b)
+	sres := ScenarioResult{ScenarioName: sc.Name}
+	sres.W = w
+	sres.PrefillSize = prefill(m, w, b)
 	sres.Prefill = PhaseSegment{
 		Name:      "prefill",
 		Ops:       uint64(sres.PrefillSize),
@@ -351,7 +342,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	// it before the machine returns to the Runner's cache, error or not.
 	if r.Trace != nil {
 		r.Trace.BeginTrial(fmt.Sprintf("%s %s/%s t=%d seed=%d",
-			sw.Scenario.Name, sw.DS, sw.Scheme, sw.Threads, sw.Seed))
+			sc.Name, w.DS, w.Scheme, w.Threads, w.Seed))
 		m.SetTrace(r.Trace)
 		defer m.SetTrace(nil)
 	}
@@ -359,14 +350,14 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	// Per-thread RNG streams. The prefill consumed machine spawn index 0,
 	// so the measured threads run under spawn indices 1..Threads — the
 	// seeding the stationary engine has always had (pinned by the goldens).
-	rngs := make([]*sim.RNG, sw.Threads)
+	rngs := make([]*sim.RNG, w.Threads)
 	for i := range rngs {
-		rngs[i] = sim.ThreadRNG(sw.Seed, 1+i)
+		rngs[i] = sim.ThreadRNG(w.Seed, 1+i)
 	}
 
 	totalOps := 0 // serialized by the simulator: safe plain counter
 	sample := func() {
-		if sw.FootprintEvery > 0 && totalOps%sw.FootprintEvery == 0 {
+		if w.FootprintEvery > 0 && totalOps%w.FootprintEvery == 0 {
 			sres.Footprint = append(sres.Footprint, FootprintSample{
 				AfterOps: totalOps,
 				Live:     m.Space.Stats().NodeLive(),
@@ -374,7 +365,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		}
 	}
 
-	win := trace.ResolveWindow(sw.TimelineWindow)
+	win := trace.ResolveWindow(w.TimelineWindow)
 	baseOps := 0
 	baseClock := uint64(0)
 	baseRetries := sres.Prefill.Retries
@@ -385,14 +376,14 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		// threads capture the two pointers, not the segment, which would
 		// move to the heap.
 		seg := PhaseSegment{Name: plan.progs[pi][0].name}
-		if sw.RecordLatency || sw.RecordTail {
+		if w.RecordLatency || w.RecordTail {
 			seg.Tail = &latency.Tail{}
 		}
-		if sw.RecordTimeline {
+		if w.RecordTimeline {
 			seg.Timeline = &trace.Timeline{Window: win}
 		}
 		tail, tline := seg.Tail, seg.Timeline
-		for i := 0; i < sw.Threads; i++ {
+		for i := 0; i < w.Threads; i++ {
 			prog := &plan.progs[pi][plan.roleOf[i]]
 			rng := rngs[i]
 			m.Spawn(func(c *sim.Ctx) {
@@ -412,7 +403,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		if seg.Cycles > 0 {
 			seg.Throughput = float64(seg.Ops) / (float64(seg.Cycles) / 1e6)
 		}
-		if sw.RecordLatency {
+		if w.RecordLatency {
 			seg.Latency = latencyStats(&tail.Total)
 		}
 		if r.Trace != nil {
@@ -438,7 +429,7 @@ func (r *Runner) runScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 			sres.Timeline.Merge(seg.Timeline)
 		}
 	}
-	if sw.RecordLatency {
+	if w.RecordLatency {
 		sres.Latency = latencyStats(&sres.Tail.Total)
 	}
 	sres.Ops = uint64(totalOps)
@@ -538,10 +529,9 @@ func measuredOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG, tail *latency.
 // progOp draws and executes one operation under a phase program, returning
 // the op's kind tag for the tail recorder. The weight thresholds generalize
 // the historical UpdatePct/2 split: lowering a Workload yields insLim=U/2,
-// delLim=U, total=100 — the identical draw and dispatch. For sets the ops
-// are insert/delete/contains; for the stack push/pop/peek; for the queue
-// enqueue/dequeue/peek (or the historical dequeue+enqueue pair when the
-// program says so).
+// delLim=U, total=100 — the identical draw and dispatch. Every structure
+// draws a key for every op; the stack and the queue ignore it but on insert
+// (stackOps, queueOps).
 func progOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG) latency.Kind {
 	p := rng.Uint64n(prog.total)
 	key := prog.gen.Next(rng)
@@ -551,51 +541,15 @@ func progOp(c *sim.Ctx, b built, prog *segProg, rng *sim.RNG) latency.Kind {
 		key = (key-1+prog.keyOffset)%prog.keyRange + 1
 	}
 	switch {
-	case b.set != nil:
-		switch {
-		case p < prog.insLim:
-			b.set.Insert(c, key)
-			return latency.KindInsert
-		case p < prog.delLim:
-			b.set.Delete(c, key)
-			return latency.KindDelete
-		default:
-			b.set.Contains(c, key)
-			return latency.KindRead
-		}
-	case b.stk != nil:
-		switch {
-		case p < prog.insLim:
-			b.stk.Push(c, key)
-			return latency.KindInsert
-		case p < prog.delLim:
-			b.stk.Pop(c)
-			return latency.KindDelete
-		default:
-			b.stk.Peek(c)
-			return latency.KindRead
-		}
+	case p < prog.insLim:
+		b.ops.Insert(c, key)
+		return latency.KindInsert
+	case p < prog.delLim:
+		b.ops.Delete(c, key)
+		return latency.KindDelete
 	default:
-		switch {
-		case p < prog.insLim:
-			b.que.Enqueue(c, key)
-			return latency.KindInsert
-		case p < prog.delLim:
-			b.que.Dequeue(c)
-			return latency.KindDelete
-		default:
-			if prog.queuePair {
-				// The historical "read": a dequeue+enqueue pair keeping the
-				// size stable. Reachable only through the Workload lowering,
-				// where the goldens pin it.
-				if v, ok := b.que.Dequeue(c); ok {
-					b.que.Enqueue(c, v)
-				}
-			} else {
-				b.que.Peek(c)
-			}
-			return latency.KindRead
-		}
+		b.ops.Contains(c, key)
+		return latency.KindRead
 	}
 }
 

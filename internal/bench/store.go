@@ -68,7 +68,10 @@ type PreparedSpec struct {
 // so no lookup sees them and calab gc collects them.
 // TestStoreSchemaTracksResultShape fails when the shape moves without a
 // bump. Stores written before the constant existed count as schema 1.
-const storeSchema = 2
+// Schema 3 moved no result: it dropped the legacyQueueRead member from the
+// scenario spec, so the scenario entries keyed with it read as foreign
+// rather than as replicas of the same trials keyed without it.
+const storeSchema = 3
 
 // goldenPins embeds the golden checksum files that pin the engine's
 // observable output, so the engine tag below tracks them automatically.
@@ -123,22 +126,10 @@ func TrialSpecBytes(w Workload) ([]byte, error) {
 	return c.B, c.Err()
 }
 
-// ScenarioSpec is the exported canonical form of a ScenarioWorkload: the
-// binding and scenario plus the internal legacy-queue-read flag, which
-// changes the executed op stream (the Workload lowering's dequeue+enqueue
-// read pair) and therefore must participate in the content address.
-type ScenarioSpec struct {
-	ScenarioWorkload
-	LegacyQueueRead bool `json:"legacyQueueRead"`
-}
-
-// Spec returns sw's canonical exported form.
-func (sw ScenarioWorkload) Spec() ScenarioSpec {
-	return ScenarioSpec{ScenarioWorkload: sw, LegacyQueueRead: sw.legacyQueueRead}
-}
-
 // ScenarioSpecBytes returns the canonical serialized form of a scenario
-// trial spec, analogous to TrialSpecBytes. It stays on json.Marshal: the
-// spec embeds the whole scenario, and a scenario trial simulates for
-// milliseconds, so its encoding is not worth a writer of its own.
-func ScenarioSpecBytes(sw ScenarioWorkload) ([]byte, error) { return json.Marshal(sw.Spec()) }
+// trial spec, analogous to TrialSpecBytes: the JSON of the binding and the
+// scenario. It stays on json.Marshal: the spec embeds the whole scenario,
+// and a scenario trial simulates for milliseconds, so its encoding is not
+// worth a writer of its own. A stationary trial, whose queue reads differ
+// (queueOps), is keyed on its Workload under a kind of its own.
+func ScenarioSpecBytes(sw ScenarioWorkload) ([]byte, error) { return json.Marshal(sw) }

@@ -27,13 +27,15 @@ func TestEngineTagIsStable(t *testing.T) {
 // The JSON shape of stored results, pinned under the storeSchema it was
 // taken at. Re-pin both together when storeSchema is bumped.
 const (
-	pinnedSchema = 2
+	pinnedSchema = 3
 	pinnedShape  = "2fdff9695842c8f0"
 )
 
-// TestStoreSchemaTracksResultShape guards storeSchema. The goldens zero Tail
-// and Timeline before hashing, so they cannot see a change to what a store
-// entry holds; this digest of Result's and ScenarioResult's JSON shape can.
+// TestStoreSchemaTracksResultShape guards storeSchema. The goldens hash the
+// values of every simulated field, the stored JSON of Tail and Timeline
+// included, but not the names, tags and types of Result's members, so they
+// cannot see a change to the shape of what a store entry holds; this digest
+// of Result's and ScenarioResult's JSON shape can.
 func TestStoreSchemaTracksResultShape(t *testing.T) {
 	got := resultShape()
 	if storeSchema != pinnedSchema {
@@ -150,30 +152,6 @@ func FuzzTrialSpecBytes(f *testing.F) {
 	})
 }
 
-// TestScenarioSpecCarriesLegacyFlag: the Workload lowering's historical
-// queue-read pair changes the executed op stream, so the canonical scenario
-// spec must distinguish a lowered workload from the identical declarative
-// scenario.
-func TestScenarioSpecCarriesLegacyFlag(t *testing.T) {
-	lowered := lowerWorkload(goldenWorkload("queue", "ca"))
-	if !lowered.Spec().LegacyQueueRead {
-		t.Fatal("lowered workload spec lost the legacy queue-read flag")
-	}
-	declarative := lowered
-	declarative.legacyQueueRead = false
-	a, err := ScenarioSpecBytes(lowered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ScenarioSpecBytes(declarative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(a, b) {
-		t.Fatal("legacy flag invisible in the canonical spec: lowered and declarative trials would collide")
-	}
-}
-
 func TestEffectiveBuckets(t *testing.T) {
 	for _, tc := range []struct {
 		ds      string
@@ -283,7 +261,7 @@ func TestKeyedFastPathMemoizesAcrossLookupAndStore(t *testing.T) {
 
 	// Scenario path mirrors the stationary one.
 	st.storeSawKey = ""
-	if _, err := r.RunScenario(lowerWorkload(goldenWorkload("queue", "ca"))); err != nil {
+	if _, err := r.RunScenario(scenarioBinding("queue", "ca", stationary(goldenWorkload("queue", "ca")))); err != nil {
 		t.Fatal(err)
 	}
 	if st.storeSawKey == "" {
@@ -296,7 +274,7 @@ func TestKeyedFastPathMemoizesAcrossLookupAndStore(t *testing.T) {
 // be keyed, so a store-backed run must fail before it looks anything up or
 // simulates, rather than at the write-through.
 func TestUnmarshalableSpecFailsBeforeSimulating(t *testing.T) {
-	sw := lowerWorkload(goldenWorkload("list", "ca"))
+	sw := scenarioBinding("list", "ca", stationary(goldenWorkload("list", "ca")))
 	sw.Scenario.Phases[0].KeyShift = math.NaN()
 	st := newMemStore()
 	r := Runner{Store: st}

@@ -468,7 +468,7 @@ type Entry struct {
 	Workload *bench.Workload
 	Result   *bench.Result
 
-	Scenario       *bench.ScenarioSpec
+	Scenario       *bench.ScenarioWorkload
 	ScenarioResult *bench.ScenarioResult
 }
 
@@ -482,8 +482,8 @@ type SpecEntry struct {
 	Tag  string
 	Kind string
 
-	Workload *bench.Workload     // KindTrial
-	Scenario *bench.ScenarioSpec // KindScenario
+	Workload *bench.Workload         // KindTrial
+	Scenario *bench.ScenarioWorkload // KindScenario
 
 	rawResult json.RawMessage
 }
@@ -545,7 +545,7 @@ func specEntryOf(name string, env envelope) (SpecEntry, error) {
 			return SpecEntry{}, fmt.Errorf("decoding trial spec: %w", err)
 		}
 	case KindScenario:
-		e.Scenario = new(bench.ScenarioSpec)
+		e.Scenario = new(bench.ScenarioWorkload)
 		if err := json.Unmarshal(env.Spec, e.Scenario); err != nil {
 			return SpecEntry{}, fmt.Errorf("decoding scenario spec: %w", err)
 		}

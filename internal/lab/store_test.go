@@ -676,7 +676,7 @@ func TestPutWritesMarshaledEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(KindScenario, sw.Spec(), sres)
+	check(KindScenario, sw, sres)
 	puts := uint64(3*len(bench.Structures()) + 1)
 	if got := st.Stats(); got.Puts != puts {
 		t.Fatalf("store traffic %+v: every trial should have been put once", got)
