@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	m := sim.New(sim.Config{Cores: 2, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 2, Check: true})
 	x := m.Space.AllocInfra()     // a shared location
 	yCell := m.Space.AllocInfra() // passes y's address to thread 1
 	flag := m.Space.AllocInfra()

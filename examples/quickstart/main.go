@@ -15,7 +15,7 @@ func main() {
 	// A machine with 4 simulated cores. Check mode turns the paper's safety
 	// theorems into runtime assertions: any use-after-free or ABA violation
 	// panics.
-	m := sim.New(sim.Config{Cores: 4, Seed: 42, Check: true})
+	m := sim.New(sim.Config{Cores: 4, Check: true})
 
 	// Data structures live in the simulated heap, not the Go heap.
 	st := stack.NewCA(m.Space)

@@ -195,34 +195,18 @@ func (a stackOps) Delete(c *sim.Ctx, _ uint64) bool   { _, ok := a.s.Pop(c); ret
 func (a stackOps) Contains(c *sim.Ctx, _ uint64) bool { _, ok := a.s.Peek(c); return ok }
 
 // queueOps runs a queue as ops: insert enqueues the key, which always
-// succeeds, delete dequeues and contains peeks at the front. With pair set,
-// contains is instead the historical read: a dequeue+enqueue pair that
-// keeps the size stable. Run sets it, so the stationary goldens, recorded
-// before the queue had Peek, stay reachable bit for bit; a declarative
-// scenario gets the genuine front read.
+// succeeds, delete dequeues and contains peeks at the front.
 type queueOps struct {
 	q interface {
 		Enqueue(c *sim.Ctx, key uint64)
 		Dequeue(c *sim.Ctx) (uint64, bool)
 		Peek(c *sim.Ctx) (uint64, bool)
 	}
-	pair bool
 }
 
 func (a queueOps) Insert(c *sim.Ctx, key uint64) bool { a.q.Enqueue(c, key); return true }
 func (a queueOps) Delete(c *sim.Ctx, _ uint64) bool   { _, ok := a.q.Dequeue(c); return ok }
-
-func (a queueOps) Contains(c *sim.Ctx, _ uint64) bool {
-	if !a.pair {
-		_, ok := a.q.Peek(c)
-		return ok
-	}
-	v, ok := a.q.Dequeue(c)
-	if ok {
-		a.q.Enqueue(c, v)
-	}
-	return ok
-}
+func (a queueOps) Contains(c *sim.Ctx, _ uint64) bool { _, ok := a.q.Peek(c); return ok }
 
 // built bundles a constructed structure with its reclaimer. The machine,
 // not the structure, counts restarts.
@@ -231,9 +215,8 @@ type built struct {
 	rec smr.Reclaimer // nil for ca
 }
 
-// build constructs the requested structure+scheme pair on m; pair selects
-// the queue's historical read (queueOps).
-func build(m *sim.Machine, w Workload, pair bool) (built, error) {
+// build constructs the requested structure+scheme pair on m.
+func build(m *sim.Machine, w Workload) (built, error) {
 	space := m.Space
 	nb := w.Buckets
 	if nb == 0 {
@@ -250,7 +233,7 @@ func build(m *sim.Machine, w Workload, pair bool) (built, error) {
 		case "stack":
 			return built{ops: stackOps{stack.NewCA(space)}}, nil
 		case "queue":
-			return built{ops: queueOps{queue.NewCA(space), pair}}, nil
+			return built{ops: queueOps{queue.NewCA(space)}}, nil
 		case "hmlist":
 			return built{ops: hmlist.NewCA(space)}, nil
 		}
@@ -270,7 +253,7 @@ func build(m *sim.Machine, w Workload, pair bool) (built, error) {
 	case "stack":
 		return built{ops: stackOps{stack.NewGuarded(space, r)}, rec: r}, nil
 	case "queue":
-		return built{ops: queueOps{queue.NewGuarded(space, r), pair}, rec: r}, nil
+		return built{ops: queueOps{queue.NewGuarded(space, r)}, rec: r}, nil
 	case "hmlist":
 		return built{ops: hmlist.NewGuarded(space, r), rec: r}, nil
 	}

@@ -79,3 +79,28 @@ func TestDeterministicResults(t *testing.T) {
 		t.Fatalf("nondeterministic: %+v vs %+v", r1, r2)
 	}
 }
+
+// TestReadOnlyPhaseAllocatesNothing: at 0% updates every measured op is a
+// read, which allocates, frees and retires no node, so a trial of 250 ops
+// per thread ends with the allocator and reclaimer counts of a 1-op trial
+// on the same prefill (the prefill's own counts, such as hmlist freeing the
+// unpublished node of a duplicate insert, are in both).
+func TestReadOnlyPhaseAllocatesNothing(t *testing.T) {
+	for _, ds := range Structures() {
+		for _, scheme := range Schemes() {
+			var got [2][3]uint64
+			for i, ops := range []int{1, 250} {
+				w := goldenWorkload(ds, scheme)
+				w.UpdatePct, w.OpsPerThread = 0, ops
+				res, err := Run(w)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", ds, scheme, err)
+				}
+				got[i] = [3]uint64{res.Mem.NodeAllocs, res.Mem.NodeFrees, res.SMR.Retired}
+			}
+			if got[0] != got[1] {
+				t.Errorf("%s/%s: allocs/frees/retired %v after 1 read per thread, %v after 250", ds, scheme, got[0], got[1])
+			}
+		}
+	}
+}

@@ -56,10 +56,8 @@ type Runner struct {
 //
 // The stationary Workload is executed by lowering it onto the scenario
 // engine (runScenario) as the canonical single-phase, uniform-role,
-// constant-intensity scenario (stationary), with the queue's historical
-// read pair. The lowering is bit-for-bit: the compiled program reproduces
-// the historical engine's exact draw and charge sequence, which
-// testdata/golden.json pins.
+// constant-intensity scenario (stationary), so Run(w) simulates exactly
+// RunScenario of stationary(w); testdata/golden.json pins the result.
 func (r *Runner) Run(w Workload) (Result, error) {
 	if err := validate(&w); err != nil {
 		return Result{}, err
@@ -67,7 +65,7 @@ func (r *Runner) Run(w Workload) (Result, error) {
 	return readThrough(r, func() ([]byte, error) { return TrialSpecBytes(w) },
 		TrialStore.LookupTrialSpec, TrialStore.StoreTrialSpec,
 		func() (Result, error) {
-			sres, err := r.runScenario(w, stationary(w), true)
+			sres, err := r.runScenario(w, stationary(w))
 			return sres.Result, err
 		})
 }

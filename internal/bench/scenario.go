@@ -289,21 +289,19 @@ func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 	}
 	return readThrough(r, func() ([]byte, error) { return ScenarioSpecBytes(sw) },
 		TrialStore.LookupScenarioSpec, TrialStore.StoreScenarioSpec,
-		func() (ScenarioResult, error) { return r.runScenario(w, sw.Scenario, false) })
+		func() (ScenarioResult, error) { return r.runScenario(w, sw.Scenario) })
 }
 
 // runScenario is the uncached engine behind RunScenario and Run, which have
 // validated the binding w: it runs scenario sc on w's structure, scheme and
-// machine, and reports w as Result.W. queuePair selects the queue's
-// historical read pair (queueOps), which only Run sets.
-func (r *Runner) runScenario(w Workload, sc scenario.Scenario, queuePair bool) (ScenarioResult, error) {
+// machine, and reports w as Result.W.
+func (r *Runner) runScenario(w Workload, sc scenario.Scenario) (ScenarioResult, error) {
 	plan, err := compileScenario(w, &sc)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	cfg := sim.Config{
 		Cores: w.Threads,
-		Seed:  w.Seed,
 		Check: w.Check,
 		Slack: w.Slack,
 	}
@@ -318,7 +316,7 @@ func (r *Runner) runScenario(w Workload, sc scenario.Scenario, queuePair bool) (
 	}
 	m := r.acquire(cfg)
 
-	b, err := build(m, w, queuePair)
+	b, err := build(m, w)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -347,9 +345,8 @@ func (r *Runner) runScenario(w Workload, sc scenario.Scenario, queuePair bool) (
 		defer m.SetTrace(nil)
 	}
 
-	// Per-thread RNG streams. The prefill consumed machine spawn index 0,
-	// so the measured threads run under spawn indices 1..Threads — the
-	// seeding the stationary engine has always had (pinned by the goldens).
+	// Thread i draws from stream 1+i of the seed (the goldens pin this
+	// numbering), built once here and carried across phases.
 	rngs := make([]*sim.RNG, w.Threads)
 	for i := range rngs {
 		rngs[i] = sim.ThreadRNG(w.Seed, 1+i)

@@ -278,10 +278,8 @@ func TestScenarioKeyShift(t *testing.T) {
 	}
 }
 
-// TestScenarioQueuePeek: declarative scenarios use the queue's real Peek
-// for the read share (no writes), so a read-only phase cannot change the
-// queue's length — unlike the historical dequeue+enqueue pair, which kept
-// length stable but wrote on every "read".
+// TestScenarioQueuePeek: a queue's read is its real Peek (no writes), so a
+// read-only phase allocates nothing and cannot change the queue's length.
 func TestScenarioQueuePeek(t *testing.T) {
 	sw := scenarioBinding("queue", "ca", scenario.Scenario{
 		Name: "peeker",
@@ -331,12 +329,9 @@ func TestScenarioRejectsBadBindings(t *testing.T) {
 }
 
 // TestLoweredScenarioMatchesDirectScenario: the stationary lowering run as
-// a declarative scenario reproduces Run for every structure but the queue,
-// on ca and rcu (the golden suite separately pins Run against the
-// pre-scenario engine). The queue's read is the one fork left between the
-// two paths: Run reads with the historical dequeue+enqueue pair, the
-// declarative scenario with Peek, so only the engine with the pair bit set
-// matches Run, and the declarative run differs.
+// a declarative scenario reproduces Run for every structure, on ca and rcu
+// (the golden suite separately pins Run itself). Run is that lowering, so
+// the two paths are one trial.
 func TestLoweredScenarioMatchesDirectScenario(t *testing.T) {
 	for _, ds := range Structures() {
 		for _, scheme := range []string{"ca", "rcu"} {
@@ -355,20 +350,12 @@ func TestLoweredScenarioMatchesDirectScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var r Runner
-			paired, err := r.runScenario(sw.binding(), sw.Scenario, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if goldenSum(paired.Result) != goldenSum(direct) {
-				t.Errorf("%s/%s: the lowering with the queue's read pair diverged from Run", ds, scheme)
-			}
 			declarative, err := RunScenario(sw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if same := goldenSum(declarative.Result) == goldenSum(direct); same != (ds != "queue") {
-				t.Errorf("%s/%s: declarative run matches Run: %v, want %v", ds, scheme, same, ds != "queue")
+			if goldenSum(declarative.Result) != goldenSum(direct) {
+				t.Errorf("%s/%s: the lowering run as a scenario diverged from Run", ds, scheme)
 			}
 		}
 	}

@@ -130,6 +130,6 @@ func TrialSpecBytes(w Workload) ([]byte, error) {
 // trial spec, analogous to TrialSpecBytes: the JSON of the binding and the
 // scenario. It stays on json.Marshal: the spec embeds the whole scenario,
 // and a scenario trial simulates for milliseconds, so its encoding is not
-// worth a writer of its own. A stationary trial, whose queue reads differ
-// (queueOps), is keyed on its Workload under a kind of its own.
+// worth a writer of its own. A stationary trial is keyed on its Workload
+// under a kind of its own.
 func ScenarioSpecBytes(sw ScenarioWorkload) ([]byte, error) { return json.Marshal(sw) }

@@ -186,7 +186,7 @@ func WithStore(dir string, rec *obs.Rec, stderr io.Writer, body func(bench.Trial
 	st.OnFlush = rec.StoreFlushed
 	defer func() {
 		Close(st, &err)
-		rec.SetStore(st.Stats().Rollup())
+		rec.SetStore(obs.StoreRollup(st.Stats()))
 		if err == nil {
 			fmt.Fprintln(stderr, st.Stats())
 		}

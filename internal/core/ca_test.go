@@ -14,7 +14,7 @@ import (
 // rig builds a checked machine of cores cores. The instructions run where
 // the simulator runs them, on a thread's sim.Ctx.
 func rig(cores int) *sim.Machine {
-	return sim.New(sim.Config{Cores: cores, Seed: 1, Check: true})
+	return sim.New(sim.Config{Cores: cores, Check: true})
 }
 
 // on runs body as the thread on core tid of m, in a phase of its own; the
@@ -142,7 +142,7 @@ func TestSelfEvictionRevokes(t *testing.T) {
 	p := cache.DefaultParams(1)
 	p.L1Bytes = 2 * 64 * 2 // 2 sets, 2-way: tiny, to force conflict evictions
 	p.L1Assoc = 2
-	m := sim.New(sim.Config{Cores: 1, Cache: p, Seed: 1})
+	m := sim.New(sim.Config{Cores: 1, Cache: p})
 	// Three lines mapping to the same set (stride = sets*64 = 128).
 	var lines []mem.Addr
 	for len(lines) < 3 {

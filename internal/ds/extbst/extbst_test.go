@@ -62,7 +62,7 @@ func sequentialSuite(t *testing.T, m *sim.Machine, s setIface, root uint64) {
 }
 
 func TestCASequential(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	tr := NewCA(m.Space)
 	sequentialSuite(t, m, tr, tr.Root)
 	// Immediate reclamation: 4 deletes freed 4 leaves + 4 internals.
@@ -74,7 +74,7 @@ func TestCASequential(t *testing.T) {
 func TestGuardedSequentialAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 2, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, err := smr.New(name, m.Space, 1, smr.Options{ReclaimEvery: 4, EpochEvery: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -85,11 +85,11 @@ func TestGuardedSequentialAllSchemes(t *testing.T) {
 	}
 }
 
-func runConcurrent(t *testing.T, m *sim.Machine, s setIface, threads, ops int, keyRange uint64) {
+func runConcurrent(t *testing.T, m *sim.Machine, s setIface, seed uint64, threads, ops int, keyRange uint64) {
 	t.Helper()
 	for i := 0; i < threads; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(seed, i)
 			for j := 0; j < ops; j++ {
 				key := rng.Uint64n(keyRange) + 1
 				switch rng.Intn(3) {
@@ -107,9 +107,9 @@ func runConcurrent(t *testing.T, m *sim.Machine, s setIface, threads, ops int, k
 }
 
 func TestCAConcurrent(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 8, Seed: 3, Check: true})
+	m := sim.New(sim.Config{Cores: 8, Check: true})
 	tr := NewCA(m.Space)
-	runConcurrent(t, m, tr, 8, 400, 128)
+	runConcurrent(t, m, tr, 3, 8, 400, 128)
 	if msg := CheckShape(m.Space, tr.Root); msg != "" {
 		t.Fatalf("shape violated: %s", msg)
 	}
@@ -124,13 +124,13 @@ func TestCAConcurrent(t *testing.T) {
 func TestGuardedConcurrentAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 8, Seed: 4, Check: true})
+			m := sim.New(sim.Config{Cores: 8, Check: true})
 			r, err := smr.New(name, m.Space, 8, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr := NewGuarded(m.Space, r)
-			runConcurrent(t, m, tr, 8, 400, 128)
+			runConcurrent(t, m, tr, 4, 8, 400, 128)
 			if msg := CheckShape(m.Space, tr.Root); msg != "" {
 				t.Fatalf("shape violated: %s", msg)
 			}
@@ -140,9 +140,9 @@ func TestGuardedConcurrentAllSchemes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
-		m := sim.New(sim.Config{Cores: 4, Seed: 9, Check: true})
+		m := sim.New(sim.Config{Cores: 4, Check: true})
 		tr := NewCA(m.Space)
-		runConcurrent(t, m, tr, 4, 200, 64)
+		runConcurrent(t, m, tr, 9, 4, 200, 64)
 		return m.MaxClock(), m.Space.Hash()
 	}
 	c1, h1 := run()

@@ -37,7 +37,7 @@ func sequentialSuite(t *testing.T, m *sim.Machine, s setIface) {
 }
 
 func TestCASequential(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	tbl := NewCA(m.Space, 16)
 	sequentialSuite(t, m, tbl)
 	if got := tbl.Len(m.Space); got != 200 {
@@ -52,7 +52,7 @@ func TestCASequential(t *testing.T) {
 func TestGuardedSequentialAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 2, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, err := smr.New(name, m.Space, 1, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -67,11 +67,11 @@ func TestGuardedSequentialAllSchemes(t *testing.T) {
 }
 
 func TestCAConcurrent(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 8, Seed: 3, Check: true})
+	m := sim.New(sim.Config{Cores: 8, Check: true})
 	tbl := NewCA(m.Space, 16)
 	for i := 0; i < 8; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(3, i)
 			for j := 0; j < 400; j++ {
 				key := rng.Uint64n(256) + 1
 				switch rng.Intn(3) {
@@ -93,7 +93,7 @@ func TestCAConcurrent(t *testing.T) {
 
 func TestBucketsIndependent(t *testing.T) {
 	// Keys that collide mod 4 land in the same bucket and stay sorted there.
-	m := sim.New(sim.Config{Cores: 1, Seed: 5, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	tbl := NewCA(m.Space, 4)
 	m.Spawn(func(c *sim.Ctx) {
 		for _, k := range []uint64{4, 8, 12, 16, 1, 5, 9} {
@@ -112,7 +112,7 @@ func TestBucketsIndependent(t *testing.T) {
 }
 
 func TestGuardedConcurrentAndCounters(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 8, Seed: 9, Check: true})
+	m := sim.New(sim.Config{Cores: 8, Check: true})
 	r, err := smr.New("rcu", m.Space, 8, smr.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestGuardedConcurrentAndCounters(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(9, i)
 			for j := 0; j < 300; j++ {
 				key := rng.Uint64n(128) + 1
 				switch rng.Intn(3) {
@@ -153,7 +153,7 @@ func TestGuardedConcurrentAndCounters(t *testing.T) {
 }
 
 func TestBadBucketCountPanics(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1})
+	m := sim.New(sim.Config{Cores: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero buckets accepted")

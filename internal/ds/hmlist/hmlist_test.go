@@ -52,7 +52,7 @@ func sequentialSuite(t *testing.T, m *sim.Machine, l setIface, head uint64) {
 }
 
 func TestCASequential(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	l := NewCA(m.Space)
 	sequentialSuite(t, m, l, l.Head)
 	// Sequential deletes always win their own unlink: everything freed.
@@ -65,7 +65,7 @@ func TestCASequential(t *testing.T) {
 func TestGuardedSequentialAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 2, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, err := smr.New(name, m.Space, 1, smr.Options{ReclaimEvery: 4, EpochEvery: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -76,11 +76,11 @@ func TestGuardedSequentialAllSchemes(t *testing.T) {
 	}
 }
 
-func runConcurrent(t *testing.T, m *sim.Machine, l setIface, threads, ops int, keyRange uint64) {
+func runConcurrent(t *testing.T, m *sim.Machine, l setIface, seed uint64, threads, ops int, keyRange uint64) {
 	t.Helper()
 	for i := 0; i < threads; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(seed, i)
 			for j := 0; j < ops; j++ {
 				key := rng.Uint64n(keyRange) + 1
 				switch rng.Intn(3) {
@@ -98,9 +98,9 @@ func runConcurrent(t *testing.T, m *sim.Machine, l setIface, threads, ops int, k
 }
 
 func TestCAConcurrent(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 8, Seed: 3, Check: true})
+	m := sim.New(sim.Config{Cores: 8, Check: true})
 	l := NewCA(m.Space)
-	runConcurrent(t, m, l, 8, 400, 64)
+	runConcurrent(t, m, l, 3, 8, 400, 64)
 	ks := Keys(m.Space, l.Head)
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1] >= ks[i] {
@@ -122,13 +122,13 @@ func TestCAConcurrent(t *testing.T) {
 func TestGuardedConcurrentAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 8, Seed: 4, Check: true})
+			m := sim.New(sim.Config{Cores: 8, Check: true})
 			r, err := smr.New(name, m.Space, 8, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			l := NewGuarded(m.Space, r)
-			runConcurrent(t, m, l, 8, 400, 64)
+			runConcurrent(t, m, l, 4, 8, 400, 64)
 			ks := Keys(m.Space, l.Head)
 			for i := 1; i < len(ks); i++ {
 				if ks[i-1] >= ks[i] {
@@ -142,11 +142,11 @@ func TestGuardedConcurrentAllSchemes(t *testing.T) {
 // TestHelpingReclaims forces the helper path: one thread marks a node but
 // loses its unlink; a later traversal must snip and (for CA) free it.
 func TestHelpingHappens(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 4, Seed: 5, Check: true})
+	m := sim.New(sim.Config{Cores: 4, Check: true})
 	l := NewCA(m.Space)
 	for i := 0; i < 4; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(5, i)
 			for j := 0; j < 500; j++ {
 				key := rng.Uint64n(16) + 1 // tiny range: heavy contention
 				if rng.Intn(2) == 0 {
@@ -180,9 +180,9 @@ func TestHelpingHappens(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
-		m := sim.New(sim.Config{Cores: 4, Seed: 7, Check: true})
+		m := sim.New(sim.Config{Cores: 4, Check: true})
 		l := NewCA(m.Space)
-		runConcurrent(t, m, l, 4, 300, 32)
+		runConcurrent(t, m, l, 7, 4, 300, 32)
 		return m.MaxClock(), m.Space.Hash()
 	}
 	c1, h1 := run()

@@ -9,8 +9,8 @@ import (
 )
 
 // newMachine builds a small checked machine for list tests.
-func newMachine(threads int, seed uint64) *sim.Machine {
-	return sim.New(sim.Config{Cores: threads, Seed: seed, Check: true})
+func newMachine(threads int) *sim.Machine {
+	return sim.New(sim.Config{Cores: threads, Check: true})
 }
 
 // setIface lets the tests treat both variants uniformly.
@@ -21,7 +21,7 @@ type setIface interface {
 }
 
 func TestCASequential(t *testing.T) {
-	m := newMachine(1, 1)
+	m := newMachine(1)
 	l := NewCA(m.Space)
 	m.Spawn(func(c *sim.Ctx) {
 		if l.Contains(c, 5) {
@@ -59,7 +59,7 @@ func TestCASequential(t *testing.T) {
 func TestGuardedSequentialAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := newMachine(1, 2)
+			m := newMachine(1)
 			r, err := smr.New(name, m.Space, 1, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -95,11 +95,11 @@ func TestGuardedSequentialAllSchemes(t *testing.T) {
 // checks the final list against a replay oracle is impossible under
 // concurrency, so instead it validates structural invariants: sortedness,
 // sentinel integrity, and (for CA) exact footprint accounting.
-func runConcurrent(t *testing.T, m *sim.Machine, l setIface, threads, ops int, keyRange uint64) {
+func runConcurrent(t *testing.T, m *sim.Machine, l setIface, seed uint64, threads, ops int, keyRange uint64) {
 	t.Helper()
 	for i := 0; i < threads; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(seed, i)
 			for j := 0; j < ops; j++ {
 				key := rng.Uint64n(keyRange) + 1
 				switch rng.Intn(3) {
@@ -127,9 +127,9 @@ func checkSorted(t *testing.T, m *sim.Machine, head uint64) {
 }
 
 func TestCAConcurrent(t *testing.T) {
-	m := newMachine(8, 3)
+	m := newMachine(8)
 	l := NewCA(m.Space)
-	runConcurrent(t, m, l, 8, 300, 64)
+	runConcurrent(t, m, l, 3, 8, 300, 64)
 	checkSorted(t, m, l.Head)
 	// Immediate reclamation: every delete freed its node, so live nodes ==
 	// list length.
@@ -142,13 +142,13 @@ func TestCAConcurrent(t *testing.T) {
 func TestGuardedConcurrentAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := newMachine(8, 4)
+			m := newMachine(8)
 			r, err := smr.New(name, m.Space, 8, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			l := NewGuarded(m.Space, r)
-			runConcurrent(t, m, l, 8, 300, 64)
+			runConcurrent(t, m, l, 4, 8, 300, 64)
 			checkSorted(t, m, l.Head)
 			// Deferred reclamation keeps live >= list length; the checked
 			// machine has already panicked if anything was freed unsafely.
@@ -162,9 +162,9 @@ func TestGuardedConcurrentAllSchemes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
-		m := newMachine(4, 7)
+		m := newMachine(4)
 		l := NewCA(m.Space)
-		runConcurrent(t, m, l, 4, 200, 32)
+		runConcurrent(t, m, l, 7, 4, 200, 32)
 		return m.MaxClock(), m.Space.Hash()
 	}
 	c1, h1 := run()
@@ -181,7 +181,7 @@ func TestDeterminism(t *testing.T) {
 // livelock into a diagnostic panic (the paper's Section IV "facilitating
 // progress" fallback discussion).
 func TestDirectMappedLivelockDetected(t *testing.T) {
-	cfg := sim.Config{Cores: 1, Seed: 1}
+	cfg := sim.Config{Cores: 1}
 	cfg.Cache = bench0CacheParams()
 	m := sim.New(cfg)
 	l := NewCA(m.Space)

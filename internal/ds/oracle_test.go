@@ -86,10 +86,8 @@ func TestSequentialOracle(t *testing.T) {
 	for _, v := range variants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			seed := uint64(1)
 			f := func(ops []op) bool {
-				seed++
-				m := sim.New(sim.Config{Cores: 1, Seed: seed, Check: true})
+				m := sim.New(sim.Config{Cores: 1, Check: true})
 				s, err := v.build(m, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -146,7 +144,7 @@ type setOp struct {
 // correct variants must agree on both, whatever their reclamation scheme.
 func runProgram(t *testing.T, v variant, prog []setOp, keyRange uint64) (rets []bool, final []bool) {
 	t.Helper()
-	m := sim.New(sim.Config{Cores: 1, Seed: 5, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	s, err := v.build(m, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -237,14 +235,14 @@ func TestConcurrentFinalStateAgreesWithReplay(t *testing.T) {
 	for _, v := range variants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: threads, Seed: 77, Check: true})
+			m := sim.New(sim.Config{Cores: threads, Check: true})
 			s, err := v.build(m, threads)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < threads; i++ {
 				m.Spawn(func(c *sim.Ctx) {
-					rng := c.Rand()
+					rng := sim.ThreadRNG(77, i)
 					for j := 0; j < ops; j++ {
 						key := rng.Uint64n(keyRange) + 1
 						switch rng.Intn(3) {

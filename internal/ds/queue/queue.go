@@ -134,10 +134,9 @@ func (q *CA) Dequeue(c *sim.Ctx) (key uint64, ok bool) {
 }
 
 // Peek returns the oldest key without removing it — a genuine front read:
-// two creads down the head chain and no writes, so (unlike the historical
-// dequeue+enqueue pair the stationary harness used for the queue's read
-// share) it cannot contend with other threads' linearization points.
-// ok=false means the queue was empty.
+// two creads down the head chain and no writes, so it cannot contend with
+// other threads' linearization points. The harness runs it as the queue's
+// read. ok=false means the queue was empty.
 func (q *CA) Peek(c *sim.Ctx) (key uint64, ok bool) {
 	for spins := 0; ; spins++ {
 		if spins > core.MaxSpuriousRetries {

@@ -15,7 +15,7 @@ type queueIface interface {
 }
 
 func TestCASequentialFIFO(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	q := NewCA(m.Space)
 	m.Spawn(func(c *sim.Ctx) {
 		if _, ok := q.Dequeue(c); ok {
@@ -43,7 +43,7 @@ func TestCASequentialFIFO(t *testing.T) {
 func TestGuardedSequentialFIFOAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 2, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, err := smr.New(name, m.Space, 1, smr.Options{ReclaimEvery: 4, EpochEvery: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -96,7 +96,7 @@ func testPeekSequential(t *testing.T, m *sim.Machine, q queueIface) {
 }
 
 func TestCAPeek(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 5, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	q := NewCA(m.Space)
 	testPeekSequential(t, m, q)
 	if st := m.Space.Stats(); st.NodeLive() != 1 {
@@ -107,7 +107,7 @@ func TestCAPeek(t *testing.T) {
 func TestGuardedPeekAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 6, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, err := smr.New(name, m.Space, 1, smr.Options{ReclaimEvery: 4, EpochEvery: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -146,12 +146,12 @@ func TestPeekConcurrent(t *testing.T) {
 		m.Run()
 	}
 	t.Run("ca", func(t *testing.T) {
-		m := sim.New(sim.Config{Cores: 4, Seed: 7, Check: true})
+		m := sim.New(sim.Config{Cores: 4, Check: true})
 		run(t, m, NewCA(m.Space))
 	})
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 4, Seed: 8, Check: true})
+			m := sim.New(sim.Config{Cores: 4, Check: true})
 			r, err := smr.New(name, m.Space, 4, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +164,7 @@ func TestPeekConcurrent(t *testing.T) {
 // runMixed checks conservation and per-producer FIFO order: each thread
 // enqueues an ascending sequence stamped with its id; dequeued values from
 // any single producer must come out in order.
-func runMixed(t *testing.T, m *sim.Machine, q queueIface, threads, ops int) {
+func runMixed(t *testing.T, m *sim.Machine, q queueIface, seed uint64, threads, ops int) {
 	t.Helper()
 	const stamp = 1 << 32
 	var dequeued [][]uint64 = make([][]uint64, threads)
@@ -172,7 +172,7 @@ func runMixed(t *testing.T, m *sim.Machine, q queueIface, threads, ops int) {
 	for i := 0; i < threads; i++ {
 		m.Spawn(func(c *sim.Ctx) {
 			id := c.ThreadID()
-			rng := c.Rand()
+			rng := sim.ThreadRNG(seed, i)
 			var seq uint64
 			for j := 0; j < ops; j++ {
 				if rng.Intn(2) == 0 {
@@ -228,9 +228,9 @@ func runMixed(t *testing.T, m *sim.Machine, q queueIface, threads, ops int) {
 }
 
 func TestCAConcurrent(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 8, Seed: 3, Check: true})
+	m := sim.New(sim.Config{Cores: 8, Check: true})
 	q := NewCA(m.Space)
-	runMixed(t, m, q, 8, 400)
+	runMixed(t, m, q, 3, 8, 400)
 	if st := m.Space.Stats(); st.NodeLive() != 1 {
 		t.Fatalf("after drain, live nodes = %d, want 1 (dummy)", st.NodeLive())
 	}
@@ -239,13 +239,13 @@ func TestCAConcurrent(t *testing.T) {
 func TestGuardedConcurrentAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 8, Seed: 4, Check: true})
+			m := sim.New(sim.Config{Cores: 8, Check: true})
 			r, err := smr.New(name, m.Space, 8, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			q := NewGuarded(m.Space, r)
-			runMixed(t, m, q, 8, 400)
+			runMixed(t, m, q, 4, 8, 400)
 		})
 	}
 }

@@ -19,11 +19,11 @@ import (
 func TestCAListUnderSMT(t *testing.T) {
 	p := cache.DefaultParams(8)
 	p.ThreadsPerCore = 2
-	m := sim.New(sim.Config{Cores: 8, Seed: 21, Check: true, Cache: p})
+	m := sim.New(sim.Config{Cores: 8, Check: true, Cache: p})
 	l := lazylist.NewCA(m.Space)
 	for i := 0; i < 8; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(21, i)
 			for j := 0; j < 250; j++ {
 				key := rng.Uint64n(64) + 1
 				switch rng.Intn(3) {
@@ -55,7 +55,7 @@ func TestCAListUnderSMT(t *testing.T) {
 func TestSiblingWriteForcesRetry(t *testing.T) {
 	p := cache.DefaultParams(2)
 	p.ThreadsPerCore = 2 // threads 0 and 1 share one L1
-	m := sim.New(sim.Config{Cores: 2, Seed: 22, Check: true, Cache: p})
+	m := sim.New(sim.Config{Cores: 2, Check: true, Cache: p})
 	x := m.Space.AllocInfra()
 	flag := m.Space.AllocInfra()
 	m.Spawn(func(c *sim.Ctx) {
@@ -83,7 +83,7 @@ func TestSiblingWriteForcesRetry(t *testing.T) {
 // TestPreemptionRevokes checks the context-switch rule: after Preempt, the
 // thread's conditional accesses fail until untagAll.
 func TestPreemptionRevokes(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 23, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	x := m.Space.AllocInfra()
 	m.Spawn(func(c *sim.Ctx) {
 		if _, ok := c.CRead(x); !ok {
@@ -108,12 +108,12 @@ func TestPreemptionRevokes(t *testing.T) {
 // Conditional Access workload: operations retry through them and the
 // structures stay consistent (nothing panics under Check).
 func TestPreemptionChaos(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 6, Seed: 24, Check: true})
+	m := sim.New(sim.Config{Cores: 6, Check: true})
 	l := lazylist.NewCA(m.Space)
 	s := stack.NewCA(m.Space)
 	for i := 0; i < 6; i++ {
 		m.Spawn(func(c *sim.Ctx) {
-			rng := c.Rand()
+			rng := sim.ThreadRNG(24, i)
 			for j := 0; j < 200; j++ {
 				if rng.Intn(13) == 0 {
 					c.Preempt() // the OS interferes mid-operation-stream

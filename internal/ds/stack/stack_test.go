@@ -14,7 +14,7 @@ type stackIface interface {
 }
 
 func TestCASequentialLIFO(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	s := NewCA(m.Space)
 	m.Spawn(func(c *sim.Ctx) {
 		if _, ok := s.Pop(c); ok {
@@ -46,7 +46,7 @@ func TestCASequentialLIFO(t *testing.T) {
 func TestGuardedSequentialLIFOAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 2, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, err := smr.New(name, m.Space, 1, smr.Options{ReclaimEvery: 4, EpochEvery: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -71,14 +71,14 @@ func TestGuardedSequentialLIFOAllSchemes(t *testing.T) {
 
 // runMixed drives a push/pop/peek mix and checks conservation: every pushed
 // key is either popped or still on the stack at the end.
-func runMixed(t *testing.T, m *sim.Machine, s stackIface, threads, ops int) {
+func runMixed(t *testing.T, m *sim.Machine, s stackIface, seed uint64, threads, ops int) {
 	t.Helper()
 	pushed := make([]uint64, threads)
 	popped := make([]uint64, threads)
 	for i := 0; i < threads; i++ {
 		m.Spawn(func(c *sim.Ctx) {
 			id := c.ThreadID()
-			rng := c.Rand()
+			rng := sim.ThreadRNG(seed, i)
 			for j := 0; j < ops; j++ {
 				switch rng.Intn(3) {
 				case 0:
@@ -117,9 +117,9 @@ func runMixed(t *testing.T, m *sim.Machine, s stackIface, threads, ops int) {
 }
 
 func TestCAConcurrent(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 8, Seed: 3, Check: true})
+	m := sim.New(sim.Config{Cores: 8, Check: true})
 	s := NewCA(m.Space)
-	runMixed(t, m, s, 8, 400)
+	runMixed(t, m, s, 3, 8, 400)
 	if st := m.Space.Stats(); st.NodeLive() != 0 {
 		t.Fatalf("after drain, live nodes = %d, want 0 (immediate reclamation)", st.NodeLive())
 	}
@@ -128,13 +128,13 @@ func TestCAConcurrent(t *testing.T) {
 func TestGuardedConcurrentAllSchemes(t *testing.T) {
 	for _, name := range smr.Names() {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 8, Seed: 4, Check: true})
+			m := sim.New(sim.Config{Cores: 8, Check: true})
 			r, err := smr.New(name, m.Space, 8, smr.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := NewGuarded(m.Space, r)
-			runMixed(t, m, s, 8, 400)
+			runMixed(t, m, s, 4, 8, 400)
 		})
 	}
 }

@@ -21,32 +21,38 @@ type MergeStats struct {
 // caller's Close makes them durable in dst's segment).
 //
 // Engine-tag discipline mirrors SnapshotCells: a source that mixes engine
-// versions is refused, and a source whose tag differs from the destination's
-// entries (or from an earlier source, when the destination starts empty) is
-// refused — merging across engine versions would build a store that every
-// single-tag consumer (diff, inspect statistics) then rejects. Corrupt
-// source entries are skipped, like every whole-store read; Verify on the
-// source reports them.
+// versions is refused, and so is a source whose tag differs from the
+// destination's entries (or, when the destination starts empty, from an
+// earlier source's) — merging across engine versions would build a store
+// that every single-tag consumer (diff, inspect statistics) then rejects.
+// Every tag is checked before anything is copied, so a refused merge leaves
+// the destination as it was. Corrupt source entries are skipped, like every
+// whole-store read; Verify on the source reports them.
 func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 	var stats MergeStats
-	dstTag, err := soleTag(dst)
+	tag, err := soleTag(dst)
 	if err != nil {
 		return stats, fmt.Errorf("lab: merge destination %s: %w", dst.Dir(), err)
 	}
+	var first *Store // the source that set tag, when dst held no entry
 	for _, src := range srcs {
 		srcTag, err := soleTag(src)
-		if err != nil {
+		switch {
+		case err != nil:
 			return stats, fmt.Errorf("lab: merge source %s: %w", src.Dir(), err)
-		}
-		if srcTag == "" {
-			continue // empty source
-		}
-		if dstTag != "" && srcTag != dstTag {
+		case srcTag == "" || srcTag == tag: // empty, or the same version
+		case tag == "":
+			tag, first = srcTag, src
+		case first != nil:
+			return stats, fmt.Errorf("lab: merge sources %s and %s have engine tags %s and %s; one store per engine version (calab gc drops foreign entries)",
+				first.Dir(), src.Dir(), tag, srcTag)
+		default:
 			return stats, fmt.Errorf("lab: merge source %s has engine tag %s, destination %s holds %s; one store per engine version (calab gc drops foreign entries)",
-				src.Dir(), srcTag, dst.Dir(), dstTag)
+				src.Dir(), srcTag, dst.Dir(), tag)
 		}
-		dstTag = srcTag
-		err = src.forEachPayload(func(e SpecEntry, payload []byte) error {
+	}
+	for _, src := range srcs {
+		err := src.forEachPayload(func(e SpecEntry, payload []byte) error {
 			if dst.has(e.Key) {
 				stats.Skipped++
 				return nil

@@ -159,3 +159,60 @@ func TestMergeRefusesMixedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMergeRefusalCopiesNothing: when two sources disagree on the engine
+// tag and the destination starts empty, the merge is refused before the
+// first source is copied, so closing the destination makes nothing durable,
+// and the error names both sources.
+func TestMergeRefusalCopiesNothing(t *testing.T) {
+	dirA := t.TempDir()
+	storeTrials(t, dirA, mergeW(21), mergeW(22))
+	dirB := t.TempDir()
+	old, err := openTagged(dirB, "0000deadbeef0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mergeW(23)
+	if err := old.StoreTrialSpec(prepared(t, w), bench.Result{W: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srcA, err := OpenExisting(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcB, err := OpenExisting(dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dstDir := t.TempDir()
+	dst, err := Open(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Merge(dst, srcA, srcB)
+	if err == nil || !strings.Contains(err.Error(), dirA) || !strings.Contains(err.Error(), dirB) {
+		t.Errorf("conflicting sources not refused by name: %v", err)
+	}
+	if stats.Added != 0 {
+		t.Errorf("refused merge added %d entries", stats.Added)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	keys, err := re.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("refused merge left %d keys in the destination", len(keys))
+	}
+}

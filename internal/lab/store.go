@@ -16,7 +16,6 @@ import (
 
 	"condaccess/internal/bench"
 	"condaccess/internal/jsonio"
-	"condaccess/internal/obs"
 )
 
 // Entry kinds, also the on-disk envelope discriminator.
@@ -124,7 +123,8 @@ func (s *Store) Tag() string { return s.tag }
 // — one per segment at Open, and a warm sweep adds none however many trials
 // it serves. The nanosecond fields time the durability work itself: flushes
 // (FsyncNanos is the fsync share of FlushNanos) and the one-time segment
-// scan that builds the index at Open.
+// scan that builds the index at Open. The fields are obs.StoreRollup's, in
+// its order: the CLIs convert one to the other for the run manifest.
 type StoreStats struct {
 	Hits   uint64
 	Misses uint64
@@ -146,16 +146,6 @@ func (s *Store) Stats() StoreStats {
 		Flushes: s.flushes.Load(), BytesWritten: s.bytesWritten.Load(),
 		FlushNanos: s.flushNanos.Load(), FsyncNanos: s.fsyncNanos.Load(),
 		IndexLoadNanos: s.indexLoadNanos.Load(),
-	}
-}
-
-// Rollup converts the counters to the manifest's store section.
-func (s StoreStats) Rollup() obs.StoreRollup {
-	return obs.StoreRollup{
-		Hits: s.Hits, Misses: s.Misses, Puts: s.Puts, Opens: s.Opens,
-		Flushes: s.Flushes, BytesWritten: s.BytesWritten,
-		FlushNanos: s.FlushNanos, FsyncNanos: s.FsyncNanos,
-		IndexLoadNanos: s.IndexLoadNanos,
 	}
 }
 

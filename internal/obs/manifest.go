@@ -99,7 +99,9 @@ type WorkerRollup struct {
 }
 
 // StoreRollup is the lab store's end-of-run counter snapshot, passed in by
-// the CLI (obs does not import lab).
+// the CLI (obs does not import lab). It has lab.StoreStats' fields in its
+// order, so the CLI converts one to the other, and the compiler rejects the
+// conversion when the two shapes part.
 type StoreRollup struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`

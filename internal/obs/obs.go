@@ -226,11 +226,8 @@ type Rec struct {
 	warm    int
 	workers []*WorkerRec
 
-	store        *StoreRollup
-	shards       []ShardRollup
-	flushes      int
-	flushRecords int
-	flushBytes   int64
+	store  *StoreRollup
+	shards []ShardRollup
 
 	prog   progressState
 	events *eventLog
@@ -338,7 +335,8 @@ func (r *Rec) PointDone(i int) {
 }
 
 // StoreFlushed records one durable store flush (records published, bytes
-// written). Wired to lab.Store.OnFlush by the CLIs; called from whichever
+// written) on the event stream; the manifest's store section comes from
+// SetStore. Wired to lab.Store.OnFlush by the CLIs; called from whichever
 // goroutine triggered the flush.
 func (r *Rec) StoreFlushed(records, bytes int) {
 	if r == nil {
@@ -346,9 +344,6 @@ func (r *Rec) StoreFlushed(records, bytes int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.flushes++
-	r.flushRecords += records
-	r.flushBytes += int64(bytes)
 	if r.events != nil {
 		r.events.emit(event{Ev: "store_flush", T: r.now(), Records: records, Bytes: bytes})
 	}

@@ -34,7 +34,6 @@ type Ctx struct {
 	// single-thread fast path, where the limit is unbounded and yield is
 	// unreachable.
 	suspend func(struct{}) bool
-	rng     RNG    // embedded so per-phase context setup allocates nothing
 	zeroRun uint64 // consecutive zero-cycle charges (watchdog)
 
 	// Pause-attribution state (BeginPause/EndPause): cycles this thread has
@@ -54,8 +53,7 @@ type Ctx struct {
 
 // reset rewinds this context for a fresh thread body — the per-phase
 // initialization newCtx used to allocate, now a field reset of the slab
-// record. The workload RNG is reseeded in place to the stream ThreadRNG
-// derives for the thread's machine-wide spawn index.
+// record.
 func (c *Ctx) reset(t *thread, limit uint64) {
 	c.tid = t.c
 	c.m = t.m
@@ -65,7 +63,6 @@ func (c *Ctx) reset(t *thread, limit uint64) {
 	c.latFlag = t.m.cfg.Cache.LatFlagCheck
 	c.check = t.m.cfg.Check
 	c.suspend = nil
-	c.rng.seed(threadSeed(t.m.cfg.Seed, t.id))
 	c.zeroRun = 0
 	c.pauseDepth = 0
 	c.pauseMark = 0
@@ -122,12 +119,9 @@ func (c *Ctx) yield() {
 	}
 }
 
-// ThreadID returns this thread's spawn index within its Run phase's core
-// assignment (equal to its core number).
+// ThreadID returns this thread's position in its Run phase's spawn order,
+// which is its core number.
 func (c *Ctx) ThreadID() int { return c.tid }
-
-// Rand returns this thread's deterministic workload RNG.
-func (c *Ctx) Rand() *RNG { return &c.rng }
 
 // Clock returns this core's current cycle count.
 func (c *Ctx) Clock() uint64 { return *c.clock }

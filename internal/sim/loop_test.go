@@ -17,7 +17,7 @@ import (
 // the bound must hold at every observation point.)
 func TestSlackWindowBound(t *testing.T) {
 	const cores, slack = 4, 25
-	m := New(Config{Cores: cores, Seed: 1, Slack: slack})
+	m := New(Config{Cores: cores, Slack: slack})
 	finished := make([]bool, cores)
 	for i := 0; i < cores; i++ {
 		i := i
@@ -114,7 +114,7 @@ func TestTieBreakUnderSwapRemoval(t *testing.T) {
 	ns := []int{120, 120, 70, 150}
 	const slack = 30
 
-	m := New(Config{Cores: len(ws), Seed: 1, Slack: slack})
+	m := New(Config{Cores: len(ws), Slack: slack})
 	var trace []int
 	for i := range ws {
 		i := i
@@ -147,7 +147,7 @@ func TestTieBreakUnderSwapRemoval(t *testing.T) {
 // goroutine with no coroutine materialized (resume/stop/suspend all nil) and,
 // once the machine is warm, a whole spawn+run phase allocates nothing.
 func TestSingleThreadFastPath(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 1})
+	m := New(Config{Cores: 1})
 	checked := false
 	m.Spawn(func(c *Ctx) {
 		if c.suspend != nil || m.threads[0].resume != nil || m.threads[0].stop != nil {
@@ -184,7 +184,7 @@ func TestSingleThreadFastPath(t *testing.T) {
 // (iter.Pull coroutine per thread) stays small.
 func TestQuantumSwitchAllocationFree(t *testing.T) {
 	const cores = 4
-	m := New(Config{Cores: cores, Seed: 1, Slack: 20})
+	m := New(Config{Cores: cores, Slack: 20})
 	phaseAllocs := func(steps int) float64 {
 		body := func(c *Ctx) {
 			for s := 0; s < steps; s++ {

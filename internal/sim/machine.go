@@ -12,8 +12,8 @@
 // clock passes the next-smallest clock plus a slack window. Because exactly
 // one thread executes between transfers, every simulated memory access is
 // atomic, the memory model is sequentially consistent, and — because
-// scheduling depends only on clocks and per-thread seeds — every run is
-// bit-for-bit reproducible.
+// scheduling depends only on the clocks — every run is bit-for-bit
+// reproducible.
 //
 // Simulated time comes from the cache model: every access returns a latency
 // (package cache) charged to the issuing core, whose own cache port serves
@@ -41,8 +41,6 @@ type Config struct {
 	// clock exceeds the next runnable thread's clock by Slack. Zero means
 	// DefaultSlack. Smaller values interleave more finely (and run slower).
 	Slack uint64
-	// Seed derives every thread's workload RNG.
-	Seed uint64
 	// Check enables the executable safety invariants: use-after-free
 	// detection on every access and the Conditional Access generation checks
 	// (the paper's Theorems 6 and 7).
@@ -84,7 +82,6 @@ type Machine struct {
 	latFence uint64 // cached Hier latency: Ctx.Fence is on the hot path
 
 	threads []*thread
-	spawned int
 
 	// Scheduler state. live holds the runnable threads; its order carries the
 	// historical tie-break (spawn order, perturbed by swap-removal of finished
@@ -117,7 +114,6 @@ type Machine struct {
 // single Run phase, but the record itself lives in the machine's slab and is
 // reused; only the coroutine (resume/stop) is per-phase.
 type thread struct {
-	id   int
 	c    int // core
 	m    *Machine
 	body func(*Ctx)
@@ -212,7 +208,6 @@ func (m *Machine) Reset(cfg Config) bool {
 		m.clocks[i] = 0
 	}
 	m.retries = 0
-	m.spawned = 0
 	return true
 }
 
@@ -225,11 +220,9 @@ func (m *Machine) Spawn(body func(*Ctx)) {
 		panic("sim: more threads than cores")
 	}
 	t := &m.slab[len(m.threads)]
-	t.id = m.spawned
 	t.c = len(m.threads)
 	t.m = m
 	t.body = body
-	m.spawned++
 	m.threads = append(m.threads, t)
 }
 

@@ -8,19 +8,10 @@ type RNG struct{ s uint64 }
 // NewRNG seeds a generator; a zero seed is remapped to a fixed constant
 // (xorshift has a zero fixed point).
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
-	r.seed(seed)
-	return r
-}
-
-// seed (re)initializes the generator in place, with NewRNG's zero-seed
-// remapping. The simulator reseeds the RNG embedded in each reused thread
-// context this way instead of allocating a fresh generator per phase.
-func (r *RNG) seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	r.s = seed
+	return &RNG{s: seed}
 }
 
 // Uint64 returns the next pseudo-random value.
@@ -33,19 +24,12 @@ func (r *RNG) Uint64() uint64 {
 	return s * 0x2545F4914F6CDD1D
 }
 
-// ThreadRNG returns the deterministic workload RNG a thread with the given
-// machine-wide spawn index executes under (the generator Ctx.Rand exposes).
-// Harnesses that must carry a thread's random stream across several Run
-// phases — the scenario engine runs one Run phase per workload phase —
-// construct the stream once with this instead of re-deriving it per phase.
-func ThreadRNG(seed uint64, spawnIndex int) *RNG {
-	return NewRNG(threadSeed(seed, spawnIndex))
-}
-
-// threadSeed derives the per-thread seed ThreadRNG has always used; split
-// out so the in-place context reset seeds the identical stream.
-func threadSeed(seed uint64, spawnIndex int) uint64 {
-	return seed + uint64(spawnIndex)*0x9E3779B97F4A7C15 + 1
+// ThreadRNG returns stream i of seed, started i golden-ratio steps from it.
+// A harness builds each simulated thread's stream once with it and carries
+// it across Run phases, so a later phase continues the stream rather than
+// replaying it.
+func ThreadRNG(seed uint64, i int) *RNG {
+	return NewRNG(seed + uint64(i)*0x9E3779B97F4A7C15 + 1)
 }
 
 // Uint64n returns a value uniform in [0, n). n must be > 0.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSingleThreadRunsToCompletion(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 1})
+	m := New(Config{Cores: 1})
 	done := false
 	m.Spawn(func(c *Ctx) {
 		a := c.AllocNode()
@@ -27,7 +27,7 @@ func TestSingleThreadRunsToCompletion(t *testing.T) {
 func TestSchedulerInterleavesByClock(t *testing.T) {
 	// Two threads increment a shared counter; the serialized simulator must
 	// never lose an update even without atomics.
-	m := New(Config{Cores: 2, Seed: 2, Slack: 50})
+	m := New(Config{Cores: 2, Slack: 50})
 	ctr := m.Space.AllocInfra()
 	for i := 0; i < 2; i++ {
 		m.Spawn(func(c *Ctx) {
@@ -43,7 +43,7 @@ func TestSchedulerInterleavesByClock(t *testing.T) {
 }
 
 func TestCASSemantics(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 3})
+	m := New(Config{Cores: 1})
 	m.Spawn(func(c *Ctx) {
 		a := c.AllocNode()
 		c.Write(a, 10)
@@ -61,7 +61,7 @@ func TestCASSemantics(t *testing.T) {
 }
 
 func TestClocksAdvanceIndependently(t *testing.T) {
-	m := New(Config{Cores: 2, Seed: 4})
+	m := New(Config{Cores: 2})
 	m.Spawn(func(c *Ctx) { c.Work(100) })
 	m.Spawn(func(c *Ctx) { c.Work(10000) })
 	m.Run()
@@ -74,7 +74,7 @@ func TestClocksAdvanceIndependently(t *testing.T) {
 }
 
 func TestResetClocksBetweenPhases(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 5})
+	m := New(Config{Cores: 1})
 	m.Spawn(func(c *Ctx) { c.Work(500) })
 	m.Run()
 	m.ResetClocks()
@@ -89,7 +89,7 @@ func TestResetClocksBetweenPhases(t *testing.T) {
 }
 
 func TestSpawnOverCoresPanics(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 6})
+	m := New(Config{Cores: 1})
 	m.Spawn(func(c *Ctx) {})
 	defer func() {
 		if recover() == nil {
@@ -100,7 +100,7 @@ func TestSpawnOverCoresPanics(t *testing.T) {
 }
 
 func TestCheckModeCatchesUAF(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 7, Check: true})
+	m := New(Config{Cores: 1, Check: true})
 	var recovered any
 	m.Spawn(func(c *Ctx) {
 		defer func() { recovered = recover() }()
@@ -115,7 +115,7 @@ func TestCheckModeCatchesUAF(t *testing.T) {
 }
 
 func TestConditionalAccessThroughCtx(t *testing.T) {
-	m := New(Config{Cores: 2, Seed: 8, Check: true})
+	m := New(Config{Cores: 2, Check: true})
 	a := m.Space.AllocInfra()
 	stage := make(chan struct{}, 1)
 	_ = stage
@@ -182,7 +182,7 @@ func TestRNGZeroSeedWorks(t *testing.T) {
 }
 
 func TestAllocFreeChargesCycles(t *testing.T) {
-	m := New(Config{Cores: 1, Seed: 9})
+	m := New(Config{Cores: 1})
 	m.Spawn(func(c *Ctx) {
 		before := c.Clock()
 		a := c.AllocNode()
@@ -195,11 +195,11 @@ func TestAllocFreeChargesCycles(t *testing.T) {
 }
 
 func TestResetReproducesFreshMachine(t *testing.T) {
-	workload := func(m *Machine) uint64 {
+	workload := func(m *Machine, seed uint64) uint64 {
 		ctr := m.Space.AllocInfra()
 		for i := 0; i < 4; i++ {
 			m.Spawn(func(c *Ctx) {
-				rng := c.Rand()
+				rng := ThreadRNG(seed, i)
 				for j := 0; j < 300; j++ {
 					switch rng.Intn(3) {
 					case 0:
@@ -217,28 +217,28 @@ func TestResetReproducesFreshMachine(t *testing.T) {
 		m.Run()
 		return m.MaxClock() ^ m.Space.Hash()
 	}
-	cfg := Config{Cores: 4, Seed: 11, Slack: 100}
-	fresh := workload(New(cfg))
-	m := New(Config{Cores: 4, Seed: 999, Slack: 35})
-	workload(m) // dirty the heap, caches, extension, clocks
+	cfg := Config{Cores: 4, Slack: 100}
+	fresh := workload(New(cfg), 11)
+	m := New(Config{Cores: 4, Slack: 35})
+	workload(m, 999) // dirty the heap, caches, extension, clocks
 	if !m.Reset(cfg) {
 		t.Fatal("Reset rejected a matching geometry")
 	}
-	if got := workload(m); got != fresh {
+	if got := workload(m, 11); got != fresh {
 		t.Fatalf("reset machine diverged: %#x != fresh %#x", got, fresh)
 	}
-	if m.Reset(Config{Cores: 8, Seed: 11}) {
+	if m.Reset(Config{Cores: 8}) {
 		t.Fatal("Reset accepted a different core count")
 	}
 }
 
 func TestManyThreadsDeterministic(t *testing.T) {
 	run := func() uint64 {
-		m := New(Config{Cores: 16, Seed: 10, Slack: 100})
+		m := New(Config{Cores: 16, Slack: 100})
 		ctr := m.Space.AllocInfra()
 		for i := 0; i < 16; i++ {
 			m.Spawn(func(c *Ctx) {
-				rng := c.Rand()
+				rng := ThreadRNG(10, i)
 				var a mem.Addr
 				for j := 0; j < 200; j++ {
 					switch rng.Intn(3) {
@@ -267,7 +267,7 @@ func TestManyThreadsDeterministic(t *testing.T) {
 // handoffs (only the bracketing thread's own clock counts), and are purely
 // observational.
 func TestPauseBrackets(t *testing.T) {
-	m := New(Config{Cores: 2, Seed: 1})
+	m := New(Config{Cores: 2})
 	var pauses [2]uint64
 	for i := 0; i < 2; i++ {
 		m.Spawn(func(c *Ctx) {
@@ -295,7 +295,7 @@ func TestPauseBrackets(t *testing.T) {
 	}
 
 	// Unmatched EndPause is a bug in the bracketing code and must fail loudly.
-	m2 := New(Config{Cores: 1, Seed: 1})
+	m2 := New(Config{Cores: 1})
 	m2.Spawn(func(c *Ctx) {
 		defer func() {
 			if recover() == nil {
@@ -310,7 +310,7 @@ func TestPauseBrackets(t *testing.T) {
 // TestRetryCounting: CountRetry/RetryCount are thread-local — one thread's
 // restarts are invisible to another's counter.
 func TestRetryCounting(t *testing.T) {
-	m := New(Config{Cores: 2, Seed: 1})
+	m := New(Config{Cores: 2})
 	var got [2]uint64
 	for i := 0; i < 2; i++ {
 		i := i
@@ -332,7 +332,7 @@ func TestRetryCounting(t *testing.T) {
 // across Run phases (the single-thread fast path and the event loop alike),
 // survives ResetClocks, and Reset zeroes it.
 func TestMachineRetries(t *testing.T) {
-	cfg := Config{Cores: 2, Seed: 1}
+	cfg := Config{Cores: 2}
 	m := New(cfg)
 	if m.Retries() != 0 {
 		t.Fatalf("new machine counts %d retries", m.Retries())

@@ -35,7 +35,7 @@ func TestNewRejectsUnknownAndCA(t *testing.T) {
 }
 
 func TestNoneNeverFrees(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 1, Seed: 1, Check: true})
+	m := sim.New(sim.Config{Cores: 1, Check: true})
 	r, _ := New("none", m.Space, 1, Options{ReclaimEvery: 1})
 	m.Spawn(func(c *sim.Ctx) {
 		for i := 0; i < 100; i++ {
@@ -56,7 +56,7 @@ func TestNoneNeverFrees(t *testing.T) {
 func TestReaderBlocksReclamation(t *testing.T) {
 	for _, name := range []string{"rcu", "qsbr", "ibr", "hp", "he"} {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 2, Seed: 2, Check: true})
+			m := sim.New(sim.Config{Cores: 2, Check: true})
 			r, err := New(name, m.Space, 2, Options{ReclaimEvery: 1, EpochEvery: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +134,7 @@ func TestReaderBlocksReclamation(t *testing.T) {
 func TestDelayedProtectRejectsFreedNode(t *testing.T) {
 	for _, name := range []string{"ibr", "hp", "he"} {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 2, Seed: 8, Check: true})
+			m := sim.New(sim.Config{Cores: 2, Check: true})
 			r, err := New(name, m.Space, 2, Options{ReclaimEvery: 1, EpochEvery: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +191,7 @@ func TestDelayedProtectRejectsFreedNode(t *testing.T) {
 // one thread that never again passes a quiescent state keeps every retired
 // node unreclaimed, growing the footprint without bound.
 func TestQSBRStalledThreadBlocksAll(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 2, Seed: 3, Check: true})
+	m := sim.New(sim.Config{Cores: 2, Check: true})
 	r, _ := New("qsbr", m.Space, 2, Options{ReclaimEvery: 1, EpochEvery: 1})
 	flag := m.Space.AllocInfra()
 	m.Spawn(func(c *sim.Ctx) {
@@ -222,7 +222,7 @@ func TestQSBRStalledThreadBlocksAll(t *testing.T) {
 // pointed at, so the backlog stays at the reclaim threshold even with a
 // reader parked on one node.
 func TestHPBoundsBacklog(t *testing.T) {
-	m := sim.New(sim.Config{Cores: 2, Seed: 4, Check: true})
+	m := sim.New(sim.Config{Cores: 2, Check: true})
 	r, _ := New("hp", m.Space, 2, Options{ReclaimEvery: 10})
 	flag := m.Space.AllocInfra()
 	parked := m.Space.AllocNode()
@@ -257,7 +257,7 @@ func TestHPBoundsBacklog(t *testing.T) {
 func TestEraSchemesStampBirth(t *testing.T) {
 	for _, name := range []string{"ibr", "he"} {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 5, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, _ := New(name, m.Space, 1, Options{EpochEvery: 2})
 			m.Spawn(func(c *sim.Ctx) {
 				var lastBirth uint64
@@ -292,7 +292,7 @@ func TestSchemeStatsAccumulate(t *testing.T) {
 		freed uint64
 	}{{"rcu", 17}, {"qsbr", 17}, {"ibr", 18}, {"hp", 20}, {"he", 20}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 1, Seed: 6, Check: true})
+			m := sim.New(sim.Config{Cores: 1, Check: true})
 			r, _ := New(tc.name, m.Space, 1, Options{ReclaimEvery: 5, EpochEvery: 2})
 			m.Spawn(func(c *sim.Ctx) {
 				for i := 0; i < 20; i++ {
@@ -328,7 +328,7 @@ func TestSchemeStatsAccumulate(t *testing.T) {
 func TestScanTraceCountsOwnFrees(t *testing.T) {
 	for _, name := range []string{"rcu", "qsbr", "ibr", "hp", "he"} {
 		t.Run(name, func(t *testing.T) {
-			m := sim.New(sim.Config{Cores: 4, Seed: 7, Check: true})
+			m := sim.New(sim.Config{Cores: 4, Check: true})
 			sink := &trace.Sink{}
 			m.SetTrace(sink)
 			r, _ := New(name, m.Space, 4, Options{ReclaimEvery: 30, EpochEvery: 10})
