@@ -95,6 +95,25 @@ func TestGoldenResults(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "golden.json"), sums, *updateGolden)
 }
 
+// goldenGeometry is one machine the golden matrix runs on: its thread count,
+// the ops each thread runs, and its cache (nil for the default cache of that
+// many cores).
+type goldenGeometry struct {
+	name         string
+	threads, ops int
+	cache        func(threads int) cache.Params
+}
+
+// workload is goldenWorkload(ds, scheme) on g's machine.
+func (g goldenGeometry) workload(ds, scheme string) Workload {
+	w := goldenWorkload(ds, scheme)
+	w.Threads, w.OpsPerThread = g.threads, g.ops
+	if g.cache != nil {
+		w.Cache = g.cache(g.threads)
+	}
+	return w
+}
+
 // goldenGeometries are the non-default machines TestGoldenResultsGeometry
 // pins. The default goldens barely evict from the 32 KiB L1. On the small L1
 // a list trial makes ~100k L1 evictions, so every LRU victim choice — and
@@ -102,22 +121,21 @@ func TestGoldenResults(t *testing.T) {
 // pins the shared-L1 paths: a write notifies the writer's siblings, and a
 // lost line notifies every hyperthread of its core. The small L1 is 4-way
 // because a 2-way L1 makes bst/ca exceed core.MaxSpuriousRetries, the
-// paper's associativity limit.
-var goldenGeometries = []struct {
-	name  string
-	cache func(threads int) cache.Params
-}{
-	{"l1-4k4w-l2-32k8w", func(n int) cache.Params {
+// paper's associativity limit. t64 runs the core limit, 64 threads on the
+// default cache: a full run queue, and sharer sets that reach bit 63.
+var goldenGeometries = []goldenGeometry{
+	{"l1-4k4w-l2-32k8w", 4, 250, func(n int) cache.Params {
 		p := cache.DefaultParams(n)
 		p.L1Bytes, p.L1Assoc = 4<<10, 4
 		p.L2Bytes, p.L2Assoc = 32<<10, 8
 		return p
 	}},
-	{"smt2", func(n int) cache.Params {
+	{"smt2", 4, 250, func(n int) cache.Params {
 		p := cache.DefaultParams(n)
 		p.ThreadsPerCore = 2
 		return p
 	}},
+	{"t64", 64, 40, nil},
 }
 
 // TestGoldenResultsGeometry is the golden matrix on goldenGeometries,
@@ -128,9 +146,7 @@ func TestGoldenResultsGeometry(t *testing.T) {
 	for _, g := range goldenGeometries {
 		for _, ds := range Structures() {
 			for _, scheme := range goldenSchemes {
-				w := goldenWorkload(ds, scheme)
-				w.Cache = g.cache(w.Threads)
-				res, err := Run(w)
+				res, err := Run(g.workload(ds, scheme))
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.name, ds, scheme, err)
 				}
@@ -150,18 +166,13 @@ func TestGoldenResultsGeometry(t *testing.T) {
 // between the two paths. One Runner runs both, so each checked trial reuses,
 // through Machine.Reset, the machine the unchecked one ran on.
 func TestCheckSimulatesTheSameTrial(t *testing.T) {
-	geoms := append([]struct {
-		name  string
-		cache func(threads int) cache.Params
-	}{{"default", nil}}, goldenGeometries...)
+	base := goldenWorkload("", "")
+	geoms := append([]goldenGeometry{{"default", base.Threads, base.OpsPerThread, nil}}, goldenGeometries...)
 	var r Runner
 	for _, g := range geoms {
 		for _, ds := range Structures() {
 			for _, scheme := range goldenSchemes {
-				w := goldenWorkload(ds, scheme)
-				if g.cache != nil {
-					w.Cache = g.cache(w.Threads)
-				}
+				w := g.workload(ds, scheme)
 				off, err := r.Run(w)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.name, ds, scheme, err)

@@ -44,6 +44,31 @@ func BenchmarkTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkTrialThreads measures how a trial's host time grows with the
+// simulated core count: list/{ca, rcu} at 1K keys and 100% updates, on 8, 32
+// and 64 threads, with the ops split so every trial runs 24,000 in all. At
+// a fixed op total, the rise in ns/op from 8 to 64 threads is what a larger
+// machine costs the host: per-event bookkeeping that scales with the core
+// count, plus the extra restarts and coherence misses that more threads
+// simulate (castat counts those).
+func BenchmarkTrialThreads(b *testing.B) {
+	const totalOps = 24000
+	for _, scheme := range []string{"ca", "rcu"} {
+		for _, threads := range []int{8, 32, 64} {
+			b.Run(fmt.Sprintf("list/%s/%dt", scheme, threads), func(b *testing.B) {
+				w := benchTrialWorkload("list", scheme)
+				w.Threads, w.OpsPerThread = threads, totalOps/threads
+				var r Runner
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Run(w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTrialTraced is BenchmarkTrial's A/B guard for the tracing and
 // timeline hooks: the same headline cells with a live event sink and
 // timeline recording. Comparing against BenchmarkTrial bounds what tracing

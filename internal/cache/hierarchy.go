@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 const (
 	lineBytes = 64
@@ -71,9 +74,10 @@ type ways struct {
 	// hit count from the clocks, and a hit updates no shared counter.
 	clock uint64
 	lines []uint64 // line base addresses; invalidLine iff the way is empty
-	// full counts the valid ways per set; place consults it to skip the
-	// empty-way scan once a set is full (the steady state).
-	full    []uint16
+	// empty holds one mask per set: bit i is set iff way i of the set is
+	// empty, so place finds the first empty way with one bit scan, and a full
+	// set reads 0. Params.Check caps the associativity at 64 to fit a word.
+	empty   []uint64
 	setMask uint64
 	assoc   uint64
 }
@@ -85,7 +89,7 @@ func newWays(bytes, assoc int) ways {
 	c := ways{
 		lru:     make([]uint64, n),
 		lines:   make([]uint64, n),
-		full:    make([]uint16, n/assoc),
+		empty:   make([]uint64, n/assoc),
 		setMask: uint64(n/assoc - 1),
 		assoc:   uint64(assoc),
 	}
@@ -98,7 +102,10 @@ func (c *ways) reset() {
 		c.lines[i] = invalidLine
 	}
 	clear(c.lru)
-	clear(c.full)
+	all := ^uint64(0) >> (64 - c.assoc)
+	for i := range c.empty {
+		c.empty[i] = all
+	}
 	clear(c.wayOf)
 	c.clock = 0
 }
@@ -117,25 +124,16 @@ func (c *ways) find(line uint64) int {
 // the least recently used line — stamped with the cache's clock, and returns
 // the way and the line it evicted (invalidLine if the way was empty). The
 // level's own slabs still hold the evicted line's state for the caller's
-// eviction side effects. Range loops over subslices let the compiler elide
-// per-way bounds checks.
+// eviction side effects.
 func (c *ways) place(line uint64) (w int, evicted uint64) {
 	set := (line >> lineShift) & c.setMask
 	base := int(set) * int(c.assoc)
-	end := base + int(c.assoc)
-	w = -1
-	if int(c.full[set]) < int(c.assoc) {
-		for i, l := range c.lines[base:end] {
-			if l == invalidLine {
-				w = base + i
-				c.full[set]++
-				break
-			}
-		}
-	}
 	evicted = invalidLine
-	if w < 0 {
-		w = base + minLRU(c.lru[base:end])
+	if e := c.empty[set]; e != 0 {
+		w = base + bits.TrailingZeros64(e)
+		c.empty[set] = e & (e - 1)
+	} else {
+		w = base + minLRU(c.lru[base:base+int(c.assoc)])
 		evicted = c.lines[w]
 		c.wayOf[evicted>>lineShift] = 0
 	}
@@ -149,22 +147,31 @@ func (c *ways) place(line uint64) (w int, evicted uint64) {
 	return w, evicted
 }
 
-// check verifies the per-set fill counters and the residency index against
-// the line slab. A drifted counter silently corrupts victim choice (place
-// would evict a live line while an empty way exists, or scan a full set),
-// and every other invariant probes residency through find, so a drifted
-// index would corrupt both the simulation and its own validation.
+// drop empties way w, which holds line, and clears line's residency.
+func (c *ways) drop(w int, line uint64) {
+	set := (line >> lineShift) & c.setMask
+	c.lines[w] = invalidLine
+	c.wayOf[line>>lineShift] = 0
+	c.empty[set] |= 1 << uint(w-int(set)*int(c.assoc))
+}
+
+// check verifies the per-set empty-way masks and the residency index
+// against the line slab. A drifted mask silently corrupts victim choice
+// (place would evict a live line while an empty way exists, or fill a way
+// that holds one), and every other invariant probes residency through find,
+// so a drifted index would corrupt both the simulation and its own
+// validation.
 func (c *ways) check(level string) error {
 	assoc := int(c.assoc)
-	for set := range c.full {
-		n := 0
-		for _, l := range c.lines[set*assoc : (set+1)*assoc] {
-			if l != invalidLine {
-				n++
+	for set, e := range c.empty {
+		var want uint64
+		for i, l := range c.lines[set*assoc : (set+1)*assoc] {
+			if l == invalidLine {
+				want |= 1 << uint(i)
 			}
 		}
-		if int(c.full[set]) != n {
-			return fmt.Errorf("%s set %d occupancy counter %d != actual %d valid ways", level, set, c.full[set], n)
+		if e != want {
+			return fmt.Errorf("%s set %d empty-way mask %b != actual %b", level, set, e, want)
 		}
 	}
 	for w, line := range c.lines {
@@ -539,15 +546,11 @@ func (h *Hierarchy) downgradeOwner(w2 int) {
 	h.l2.owner[w2] = -1
 }
 
-// invalidateSharers drops every L1 copy named in mask (these are true
-// invalidations: tagged copies are revoked).
+// invalidateSharers drops every L1 copy named in mask, lowest core first
+// (these are true invalidations: tagged copies are revoked).
 func (h *Hierarchy) invalidateSharers(line uint64, mask uint64) {
-	for c := 0; mask != 0; c++ {
-		if mask&(1<<uint(c)) == 0 {
-			continue
-		}
-		mask &^= 1 << uint(c)
-		h.dropL1(c, line)
+	for ; mask != 0; mask &= mask - 1 {
+		h.dropL1(bits.TrailingZeros64(mask), line)
 		h.stats.Invalidations++
 	}
 }
@@ -558,9 +561,7 @@ func (h *Hierarchy) dropL1(l1i int, line uint64) {
 	l1 := &h.l1[l1i]
 	if w := l1.find(line); w >= 0 {
 		l1.state[w] = Invalid
-		l1.lines[w] = invalidLine
-		l1.wayOf[line>>lineShift] = 0
-		l1.full[(line>>lineShift)&l1.setMask]--
+		l1.drop(w, line)
 		h.revokeLine(l1i, line)
 	}
 }
@@ -597,15 +598,11 @@ func (h *Hierarchy) installL2(line uint64) int {
 	l2 := &h.l2
 	w, vline := l2.place(line)
 	if vline != invalidLine {
-		// Back-invalidate every L1 copy (inclusive L2). Dirty victims write
-		// back to memory; the cost is off the requester's critical path and
-		// is not charged.
-		for c, m := 0, l2.sharers[w]; m != 0; c++ {
-			if m&(1<<uint(c)) == 0 {
-				continue
-			}
-			m &^= 1 << uint(c)
-			h.dropL1(c, vline)
+		// Back-invalidate every L1 copy (inclusive L2), lowest core first.
+		// Dirty victims write back to memory; the cost is off the
+		// requester's critical path and is not charged.
+		for m := l2.sharers[w]; m != 0; m &= m - 1 {
+			h.dropL1(bits.TrailingZeros64(m), vline)
 			h.stats.BackInvals++
 		}
 	}
@@ -658,14 +655,11 @@ func (h *Hierarchy) CheckInvariants() error {
 			continue
 		}
 		owner := int8(-1)
-		for c, m := 0, h.l2.sharers[i]; m != 0; c++ {
+		for m := h.l2.sharers[i]; m != 0; m &= m - 1 {
+			c := bits.TrailingZeros64(m)
 			if c >= len(h.l1) {
 				return fmt.Errorf("line %#x directory sharers %b name nonexistent cores", line, h.l2.sharers[i])
 			}
-			if m&(1<<uint(c)) == 0 {
-				continue
-			}
-			m &^= 1 << uint(c)
 			w := h.l1[c].find(line)
 			if w < 0 {
 				return fmt.Errorf("directory claims sharer %d for line %#x held by no such L1", c, line)

@@ -173,7 +173,9 @@ func TestInclusiveL2BackInvalidation(t *testing.T) {
 // TestCoherenceProperty fires random reads and writes from random cores,
 // tagging some of the lines they leave resident, and checks the MSI and tag
 // invariants after every step: every drop path (eviction, invalidation,
-// owner steal, back-invalidation) runs against them.
+// owner steal, back-invalidation) runs against them. On the 64-core
+// hierarchy the steps share 64 lines, twice the tiny L2's capacity, so both
+// invalidations and L2 evictions walk sharer sets up to bit 63.
 func TestCoherenceProperty(t *testing.T) {
 	type step struct {
 		Core  uint8
@@ -181,32 +183,66 @@ func TestCoherenceProperty(t *testing.T) {
 		Write bool
 		Tag   bool
 	}
-	f := func(steps []step) bool {
-		h := tiny(4)
-		for _, s := range steps {
-			addr := uint64(s.Line) * 64
-			core := int(s.Core) % 4
-			if s.Write {
-				h.Write(core, addr)
-			} else {
-				h.Read(core, addr)
-			}
-			if p := h.Port(core); s.Tag {
-				if p.Revoked() {
-					p.UntagAll() // a revoked operation restarts untagged
+	for _, in := range []struct{ cores, lines int }{{4, 256}, {64, 64}} {
+		f := func(steps []step) bool {
+			h := tiny(in.cores)
+			for _, s := range steps {
+				addr := uint64(int(s.Line)%in.lines) * 64
+				core := int(s.Core) % in.cores
+				if s.Write {
+					h.Write(core, addr)
+				} else {
+					h.Read(core, addr)
 				}
-				if !p.Probe(addr) {
-					p.Tag(addr)
+				if p := h.Port(core); s.Tag {
+					if p.Revoked() {
+						p.UntagAll() // a revoked operation restarts untagged
+					}
+					if !p.Probe(addr) {
+						p.Tag(addr)
+					}
+				}
+				if err := h.CheckInvariants(); err != nil {
+					t.Log(err)
+					return false
 				}
 			}
-			if err := h.CheckInvariants(); err != nil {
-				t.Log(err)
-				return false
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Fatalf("%d cores: %v", in.cores, err)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesEmptyMaskDrift shows the empty-way mask check
+// can fail: on a warm hierarchy, with full sets, part-full sets and empty
+// sets in both levels, flipping any one bit of core 0's L1 masks or the L2's
+// must be reported.
+func TestCheckInvariantsCatchesEmptyMaskDrift(t *testing.T) {
+	h := tiny(2)
+	for _, line := range []uint64{0, 1, 2, 3, 4, 5, 8, 16, 24} {
+		h.Read(0, line*64)
+		h.Read(1, (line+64)*64)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range []struct {
+		name string
+		c    *ways
+	}{{"L1", &h.l1[0].ways}, {"L2", &h.l2.ways}} {
+		for set := range lv.c.empty {
+			for way := range lv.c.assoc + 1 {
+				lv.c.empty[set] ^= 1 << way
+				if err := h.CheckInvariants(); err == nil {
+					t.Errorf("%s set %d: flipping empty-way bit %d went unreported", lv.name, set, way)
+				}
+				lv.c.empty[set] ^= 1 << way
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -267,12 +303,47 @@ func TestPortHits(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"L1 not whole sets", func(p *Params) { p.L1Bytes = 1000 }},
+		{"L1 65-way", func(p *Params) { p.L1Bytes, p.L1Assoc = 65*64, 65 }},
+		{"L2 65-way", func(p *Params) { p.L2Bytes, p.L2Assoc = 4*65*64, 65 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams(1)
+			tc.edit(&p)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("bad geometry accepted")
+				}
+			}()
+			New(p)
+		})
+	}
+}
+
+// TestSixtyFourWays: the widest set an empty-way mask holds fills all 64
+// ways before its first eviction.
+func TestSixtyFourWays(t *testing.T) {
 	p := DefaultParams(1)
-	p.L1Bytes = 1000 // not divisible
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry accepted")
-		}
-	}()
-	New(p)
+	p.L1Bytes, p.L1Assoc = 64*64, 64 // one set
+	h := New(p)
+	for line := range uint64(64) {
+		h.Read(0, line*64)
+	}
+	if n := h.Stats().L1Evictions; n != 0 {
+		t.Fatalf("%d evictions filling 64 ways, want 0", n)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h.Read(0, 64*64)
+	if n := h.Stats().L1Evictions; n != 1 || h.HasLine(0, 0) != Invalid {
+		t.Fatalf("the 65th line made %d evictions, line 0 is %v; want 1 and I", n, h.HasLine(0, 0))
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -89,8 +89,10 @@ func (p Params) SMTWidth() int {
 // L1Count returns the number of physical L1 caches.
 func (p Params) L1Count() int { return p.Cores / p.SMTWidth() }
 
-// Check reports whether the geometry is consistent: positive sizes, whole
-// sets, and power-of-two set counts (the caches index sets by masking).
+// Check reports whether the geometry is consistent: at most 64 cores and 64
+// ways (a directory sharer set and a set's empty-way mask are one word
+// each), positive sizes, whole sets, and power-of-two set counts (the caches
+// index sets by masking).
 // Everything is validated up front, before any cache is allocated, so bad
 // geometry — including a sweep's Cache override — fails immediately.
 func (p Params) Check() error {
@@ -105,6 +107,9 @@ func (p Params) Check() error {
 	}
 	if p.L2Bytes <= 0 || p.L2Assoc <= 0 || p.L2Bytes%(p.L2Assoc*lineBytes) != 0 {
 		return fmt.Errorf("cache: bad L2 geometry %dB/%d-way", p.L2Bytes, p.L2Assoc)
+	}
+	if p.L1Assoc > 64 || p.L2Assoc > 64 {
+		return fmt.Errorf("cache: L1 %d-way and L2 %d-way: at most 64 ways per set", p.L1Assoc, p.L2Assoc)
 	}
 	if sets := p.L1Bytes / (p.L1Assoc * lineBytes); sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: L1 set count %d must be a power of two", sets)

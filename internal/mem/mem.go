@@ -121,13 +121,13 @@ func (s *Space) grow(minLines uint32) {
 }
 
 // lineIndex returns the line number containing a, panicking on addresses
-// outside the space.
+// outside the space. It compares in 64 bits before narrowing, so an address
+// at or above 2^38 cannot alias a low line.
 func (s *Space) lineIndex(a Addr) uint32 {
-	li := uint32(a / LineBytes)
-	if li >= s.nextLine {
+	if a/LineBytes >= Addr(s.nextLine) {
 		panic(fmt.Sprintf("mem: wild address %#x (heap has %d lines)", a, s.nextLine))
 	}
-	return li
+	return uint32(a / LineBytes)
 }
 
 // AllocInfra allocates a fresh line for simulator infrastructure: sentinel

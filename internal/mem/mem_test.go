@@ -88,6 +88,22 @@ func TestWildAddressPanics(t *testing.T) {
 	mustPanic(t, "wild read", func() { s.Read(1 << 40) })
 }
 
+// TestWildAddressDoesNotAlias: an address whose line number does not fit in
+// 32 bits is wild, not the low line it would narrow to. Freeing it must
+// panic and leave that line's node live.
+func TestWildAddressDoesNotAlias(t *testing.T) {
+	s := NewSpace()
+	a := s.AllocNode()
+	wild := a + 1<<38 // line a/LineBytes + 2^32
+	mustPanic(t, "wild free", func() { s.FreeNode(wild) })
+	mustPanic(t, "wild gen", func() { s.Gen(wild) })
+	mustPanic(t, "wild live", func() { s.Live(wild) })
+	mustPanic(t, "wild read-any", func() { s.ReadAny(wild) })
+	if !s.Live(a) || s.Stats().NodeFrees != 0 {
+		t.Fatalf("the node at %#x was freed through the wild address %#x", a, wild)
+	}
+}
+
 func TestHashDetectsChanges(t *testing.T) {
 	s := NewSpace()
 	a := s.AllocNode()

@@ -104,42 +104,69 @@ func refSchedule(ws []uint64, ns []int, slack uint64) ([]int, []uint64) {
 	return trace, clocks
 }
 
+// staggered returns n threads' step sizes and step counts for the
+// tie-break test: threads 2k and 2k+1 share a step size, so they tie
+// whenever their clocks meet, and every thread runs a different number of
+// steps, so finishes are spread out and each one swap-removes.
+func staggered(n int) ([]uint64, []int) {
+	ws := make([]uint64, n)
+	ns := make([]int, n)
+	for i := range n {
+		ws[i] = uint64(2 + i/2%3)
+		ns[i] = 40 + 7*(i*13%n) // 13 is coprime to n: a permutation
+	}
+	return ws, ns
+}
+
 // TestTieBreakUnderSwapRemoval pins the pick order against the reference
 // model, including the historical perturbation: removing a finished thread
 // swaps the last live entry into its slot, which reorders later tie-breaks.
-// Threads 0 and 1 advance in lockstep (permanent ties), and distinct finish
-// times exercise several swap-removals.
+// In the 4-thread case threads 0 and 1 advance in lockstep (permanent ties),
+// and distinct finish times exercise several swap-removals; the 32- and
+// 64-thread cases do the same across a full run queue.
 func TestTieBreakUnderSwapRemoval(t *testing.T) {
-	ws := []uint64{3, 3, 5, 2}
-	ns := []int{120, 120, 70, 150}
+	ws32, ns32 := staggered(32)
+	ws64, ns64 := staggered(64)
+	cases := []struct {
+		name string
+		ws   []uint64
+		ns   []int
+	}{
+		{"4 threads", []uint64{3, 3, 5, 2}, []int{120, 120, 70, 150}},
+		{"32 threads", ws32, ns32},
+		{"64 threads", ws64, ns64},
+	}
 	const slack = 30
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, ns := tc.ws, tc.ns
+			m := New(Config{Cores: len(ws), Slack: slack})
+			var trace []int
+			for i := range ws {
+				m.Spawn(func(c *Ctx) {
+					for s := 0; s < ns[i]; s++ {
+						trace = append(trace, i)
+						c.Work(ws[i])
+					}
+				})
+			}
+			m.Run()
 
-	m := New(Config{Cores: len(ws), Slack: slack})
-	var trace []int
-	for i := range ws {
-		i := i
-		m.Spawn(func(c *Ctx) {
-			for s := 0; s < ns[i]; s++ {
-				trace = append(trace, i)
-				c.Work(ws[i])
+			wantTrace, wantClocks := refSchedule(ws, ns, slack)
+			if !reflect.DeepEqual(trace, wantTrace) {
+				for i := range wantTrace {
+					if i >= len(trace) || trace[i] != wantTrace[i] {
+						t.Fatalf("step %d: got thread %v, reference model says %d", i, trace[i:min(i+8, len(trace))], wantTrace[i])
+					}
+				}
+				t.Fatalf("trace length %d, reference model has %d", len(trace), len(wantTrace))
+			}
+			for i, want := range wantClocks {
+				if got := m.Clock(i); got != want {
+					t.Errorf("core %d final clock %d, reference model says %d", i, got, want)
+				}
 			}
 		})
-	}
-	m.Run()
-
-	wantTrace, wantClocks := refSchedule(ws, ns, slack)
-	if !reflect.DeepEqual(trace, wantTrace) {
-		for i := range wantTrace {
-			if i >= len(trace) || trace[i] != wantTrace[i] {
-				t.Fatalf("step %d: got thread %v, reference model says %d", i, trace[i:min(i+8, len(trace))], wantTrace[i])
-			}
-		}
-		t.Fatalf("trace length %d, reference model has %d", len(trace), len(wantTrace))
-	}
-	for i, want := range wantClocks {
-		if got := m.Clock(i); got != want {
-			t.Errorf("core %d final clock %d, reference model says %d", i, got, want)
-		}
 	}
 }
 

@@ -6,14 +6,13 @@
 // that calls Machine.Run. Scheduling is conservative, in the spirit of
 // Graphite's "lax" synchronization: exactly one thread executes at a time,
 // and when its quantum expires it suspends back into the event loop, which
-// selects the runnable thread with the smallest clock and resumes it — a
-// pair of coroutine transfers, with no channels, no goroutine park/unpark,
-// and no runtime scheduler on the critical path. A thread may run until its
-// clock passes the next-smallest clock plus a slack window. Because exactly
-// one thread executes between transfers, every simulated memory access is
-// atomic, the memory model is sequentially consistent, and — because
-// scheduling depends only on the clocks — every run is bit-for-bit
-// reproducible.
+// resumes the runnable thread with the smallest clock — a pair of coroutine
+// transfers, with no channels, no goroutine park/unpark, and no runtime
+// scheduler on the critical path. A thread may run until its clock passes
+// the next-smallest clock plus a slack window. Because exactly one thread
+// executes between transfers, every simulated memory access is atomic, the
+// memory model is sequentially consistent, and — because scheduling depends
+// only on the clocks — every run is bit-for-bit reproducible.
 //
 // Simulated time comes from the cache model: every access returns a latency
 // (package cache) charged to the issuing core, whose own cache port serves
@@ -23,6 +22,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"condaccess/internal/cache"
 	"condaccess/internal/core"
@@ -85,12 +85,13 @@ type Machine struct {
 
 	// Scheduler state. live holds the runnable threads; its order carries the
 	// historical tie-break (spawn order, perturbed by swap-removal of finished
-	// threads), liveC mirrors it with just the core ids so the per-quantum
-	// min-clock scan touches two flat arrays and no thread pointers, and pos
-	// indexes it by core so the loop removes a finishing thread in O(1).
-	live  []*thread
-	liveC []int32
-	pos   []int
+	// threads), and pos indexes it by core so the loop removes a finishing
+	// thread in O(1). runq holds the same threads' cores sorted by (clock,
+	// live-list position): its head runs next, and the entry after it bounds
+	// the head's quantum. Both are sized once in New.
+	live []*thread
+	pos  []int
+	runq []int32
 
 	// slab is the per-thread scheduler-state arena: one thread record (with
 	// its embedded Ctx) per core, allocated once in New and recycled across
@@ -173,8 +174,8 @@ func New(cfg Config) *Machine {
 	m.clocks = make([]uint64, cfg.Cores)
 	m.latFence = cfg.Cache.LatFence
 	m.live = make([]*thread, 0, cfg.Cores)
-	m.liveC = make([]int32, 0, cfg.Cores)
 	m.pos = make([]int, cfg.Cores)
+	m.runq = make([]int32, 0, cfg.Cores)
 	m.slab = make([]thread, cfg.Cores)
 	m.threads = make([]*thread, 0, cfg.Cores)
 	return m
@@ -233,10 +234,10 @@ func (m *Machine) Spawn(body func(*Ctx)) {
 // With one thread (e.g. the prefill phase) the body runs to completion
 // inline: a lone thread can never exhaust a quantum, so not even a coroutine
 // is needed. With several, each thread body becomes a resumable coroutine
-// (iter.Pull) and the event loop alternates pick-next with a direct
-// coroutine transfer into the chosen thread. A panic inside any thread body
-// propagates to Run's caller after the remaining suspended bodies have been
-// unwound.
+// (iter.Pull) and the event loop alternates a direct coroutine transfer into
+// the run queue's head with putting that thread back in order. A panic
+// inside any thread body propagates to Run's caller after the remaining
+// suspended bodies have been unwound.
 func (m *Machine) Run() {
 	if len(m.threads) == 0 {
 		return
@@ -255,10 +256,11 @@ func (m *Machine) Run() {
 		return
 	}
 	m.live = append(m.live[:0], m.threads...)
-	m.liveC = m.liveC[:0]
+	m.runq = m.runq[:0]
 	for i, t := range m.live {
-		m.liveC = append(m.liveC, int32(t.c))
 		m.pos[t.c] = i
+		m.runq = append(m.runq, int32(t.c))
+		m.sift(i)
 	}
 	for _, t := range m.live {
 		t.start()
@@ -273,22 +275,32 @@ func (m *Machine) Run() {
 	m.release()
 }
 
-// loop is the event loop: repeatedly select the runnable thread with the
-// smallest clock and transfer execution into it. A resume returns either
-// because the thread's quantum expired (it stays runnable, suspended at its
-// yield) or because its body finished (remove it, exactly as the historical
-// finish() did — swap-removal keeps the tie-break perturbation the goldens
-// pin). The pick sequence is identical to the retired handoff engine's:
-// pickNext is the same function over the same live-list state at every
-// decision point.
+// loop is the event loop: transfer execution into the run queue's head —
+// the live thread with the smallest clock, ties broken by live-list
+// position — with a run-until limit of the next entry's clock plus slack
+// (unbounded once it runs alone). A resume returns either because the
+// thread's quantum expired (it stays runnable, suspended at its yield, and
+// goes back into the queue in order) or because its body finished (remove
+// it; swap-removal from the live list keeps the tie-break perturbation the
+// goldens pin).
 func (m *Machine) loop() {
-	t, limit := m.pickNext()
 	for {
-		t.ctx.limit = limit
-		if _, running := t.resume(); running {
-			t, limit = m.pickNext()
+		q := m.runq
+		t := &m.slab[q[0]]
+		t.ctx.limit = ^uint64(0)
+		if len(q) > 1 {
+			t.ctx.limit = m.clocks[q[1]] + m.cfg.Slack
+		}
+		_, running := t.resume()
+		copy(q, q[1:])
+		if running {
+			// The clock passed the next entry's by more than the slack, so
+			// it is usually the largest and sift stops at once.
+			q[len(q)-1] = int32(t.c)
+			m.sift(len(q) - 1)
 			continue
 		}
+		m.runq = q[:len(q)-1]
 		if m.trace != nil {
 			m.trace.ThreadEnd(t.c, m.clocks[t.c])
 		}
@@ -296,42 +308,32 @@ func (m *Machine) loop() {
 		last := len(m.live) - 1
 		moved := m.live[last]
 		m.live[i] = moved
-		m.liveC[i] = m.liveC[last]
 		m.pos[moved.c] = i
 		m.live = m.live[:last]
-		m.liveC = m.liveC[:last]
 		if last == 0 {
 			return
 		}
-		t, limit = m.pickNext()
+		if moved != t {
+			// Its live-list position fell, which can only move it forward.
+			m.sift(slices.Index(m.runq, int32(moved.c)))
+		}
 	}
 }
 
-// pickNext selects the runnable thread with the smallest clock — ties broken
-// by live-list order, exactly as the historical central scheduler's scan did
-// — and computes its run-until limit (second-smallest clock plus slack) in
-// the same single pass. Threads are at most 64, so a linear scan beats a
-// heap here.
-func (m *Machine) pickNext() (*thread, uint64) {
-	liveC := m.liveC
-	clocks := m.clocks
-	mi := 0
-	minClock := clocks[liveC[0]]
-	second := ^uint64(0)
-	for i := 1; i < len(liveC); i++ {
-		c := clocks[liveC[i]]
-		if c < minClock {
-			second = minClock
-			minClock = c
-			mi = i
-		} else if c < second {
-			second = c
+// sift moves the run queue's entry j toward the head, past every entry it
+// runs before: a smaller clock, or an equal one and an earlier live-list
+// position.
+func (m *Machine) sift(j int) {
+	q := m.runq
+	c := q[j]
+	for ; j > 0; j-- {
+		p := q[j-1]
+		if m.clocks[c] > m.clocks[p] || m.clocks[c] == m.clocks[p] && m.pos[c] > m.pos[p] {
+			break
 		}
+		q[j] = p
 	}
-	if len(liveC) == 1 {
-		return m.live[0], ^uint64(0)
-	}
-	return m.live[mi], second + m.cfg.Slack
+	q[j] = c
 }
 
 // release recycles the phase's thread records back into the slab: the
@@ -360,7 +362,7 @@ func (m *Machine) unwind() {
 		}
 	}
 	m.live = m.live[:0]
-	m.liveC = m.liveC[:0]
+	m.runq = m.runq[:0]
 }
 
 // Clock returns core c's cycle counter.
