@@ -2,12 +2,12 @@
 //
 // A sweep is a flat list of deterministic, independent trials, so it splits
 // across processes by partitioning that list (bench.ShardWorkloads). A worker
-// (`-shard I/N`) runs its jobs into a private store and renders nothing; the
-// coordinator (`-farm N`) spawns N workers over private stores under
-// <store>/shards, merges them into the main store (lab.Merge), and then runs
-// the ordinary sweep path against the merged store — every trial warm, zero
-// simulator work, and stdout byte-identical to the single-process run by
-// construction, because it IS the single-process path.
+// (`-shard I/N`) runs its jobs into the store and renders nothing; the
+// coordinator (`-farm N`) spawns N workers on its own store, where each
+// appends to a segment of its own, and then runs the ordinary sweep path
+// against that store — every trial warm, zero simulator work, and stdout
+// byte-identical to the single-process run by construction, because it IS
+// the single-process path.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"condaccess/internal/bench"
 	"condaccess/internal/cli"
-	"condaccess/internal/lab"
 	"condaccess/internal/obs"
 )
 
@@ -41,95 +40,66 @@ func shardRun(opt options, rec *obs.Rec, store bench.TrialStore, stdout io.Write
 	return nil
 }
 
-// shardDir places shard i's private store under the main store root. The
-// store only claims segments/ and runs/, so shards/ rides along without
-// confusing any reader.
-func shardDir(storePath string, i, n int) string {
-	return filepath.Join(storePath, "shards", fmt.Sprintf("%d-of-%d", i, n))
-}
-
-// farmRun coordinates a sharded sweep: spawn one worker process per shard,
-// collect their manifests into per-shard rollups, merge the shard stores
-// into the main store, and render by re-running the ordinary sweep path
-// against it — fully warm, so the output is the sequential output.
+// farmRun coordinates a sharded sweep: spawn one worker process per shard
+// on the store, collect their manifests into per-shard rollups, and render
+// by re-running the ordinary sweep path against the store — fully warm, so
+// the output is the sequential output.
 func farmRun(opt options, rec *obs.Rec, stdout, stderr io.Writer) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
 	}
 	n := opt.farm
+	// Worker manifests sit in a directory named after this run, which
+	// ListRuns skips: the archive lists the coordinator's manifest only.
+	manifests := make([]string, n)
 	outs := make([]bytes.Buffer, n) // combined worker output, shown only on failure
 	werrs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		manifests[i] = filepath.Join(obs.RunsDir(opt.storePath), rec.RunID(), fmt.Sprintf("shard-%d-of-%d.json", i, n))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cmd := exec.Command(exe, workerArgs(opt, i, n)...)
+			cmd := exec.Command(exe, workerArgs(opt, i, n, manifests[i])...)
 			cmd.Stdout = &outs[i]
 			cmd.Stderr = &outs[i]
 			werrs[i] = cmd.Run()
 		}(i)
 	}
 	wg.Wait()
-	rec.SetShards(shardRollups(opt, n, werrs))
+	rollups := shardRollups(manifests, werrs)
+	rec.SetShards(rollups)
 	// First failed shard (by index) wins, echoing the sweep paths'
-	// first-error semantics. Completed shards' stores stay on disk: a re-run
-	// heals the gap warm.
+	// first-error semantics. The other shards' trials are in the store
+	// already: a re-run heals the gap warm.
 	for i, werr := range werrs {
 		if werr != nil {
 			return fmt.Errorf("farm: shard %d/%d: %s", i, n, workerFailure(outs[i].Bytes(), werr))
 		}
 	}
-	if err := mergeShards(opt, n, stderr); err != nil {
-		return err
+	var trials, warm int
+	for _, r := range rollups {
+		trials += r.Trials
+		warm += r.Warm
 	}
+	fmt.Fprintf(stderr, "farm: %d shards, %d trials (%d warm)\n", n, trials, warm)
 	return cli.WithStore(opt.storePath, rec, stderr, func(st bench.TrialStore) error {
 		return sweep(opt, rec, st, stdout, stderr)
 	})
 }
 
-// mergeShards folds the N shard stores into the main store, through a
-// handle of its own that is closed before the render opens the store: the
-// merge's flushes stay off the render's store line.
-func mergeShards(opt options, n int, stderr io.Writer) (err error) {
-	dst, err := lab.Open(opt.storePath)
-	if err != nil {
-		return err
-	}
-	defer cli.Close(dst, &err)
-	srcs := make([]*lab.Store, n)
-	for i := range srcs {
-		// oerr, not err: the deferred Close must see the function's named
-		// return, not a loop-scoped shadow.
-		src, oerr := lab.OpenExisting(shardDir(opt.storePath, i, n))
-		if oerr != nil {
-			return oerr
-		}
-		defer cli.Close(src, &err)
-		srcs[i] = src
-	}
-	stats, err := lab.Merge(dst, srcs...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "farm: merged %d shards, %d entries added (%d already present)\n",
-		n, stats.Added, stats.Skipped)
-	return nil
-}
-
 // shardRollups distills each worker's manifest into the coordinator
 // manifest's per-shard summary. A worker that died before writing one (or
 // wrote an unreadable one) still gets a rollup carrying its process error.
-func shardRollups(opt options, n int, werrs []error) []obs.ShardRollup {
-	rollups := make([]obs.ShardRollup, n)
-	for i := range rollups {
+func shardRollups(manifests []string, werrs []error) []obs.ShardRollup {
+	rollups := make([]obs.ShardRollup, len(manifests))
+	for i, path := range manifests {
 		r := obs.ShardRollup{Shard: i}
 		if werrs[i] != nil {
 			r.Error = werrs[i].Error()
 		}
-		m, err := obs.ReadManifest(filepath.Join(shardDir(opt.storePath, i, n), "manifest.json"))
-		if err == nil {
+		if m, err := obs.ReadManifest(path); err == nil {
 			r.RunID = m.RunID
 			r.Trials = m.TrialsDone
 			r.Warm = m.WarmHits
@@ -148,9 +118,8 @@ func shardRollups(opt options, n int, werrs []error) []obs.ShardRollup {
 // every field that reaches the trial Workload (and therefore the content
 // key) is forwarded exactly, so shard entries are the entries the warm
 // coordinator re-run looks up.
-func workerArgs(opt options, i, n int) []string {
+func workerArgs(opt options, i, n int, manifest string) []string {
 	cfg := opt.cfg
-	dir := shardDir(opt.storePath, i, n)
 	args := []string{
 		"-ds", cfg.DS,
 		"-schemes", strings.Join(cfg.Schemes, ","),
@@ -164,8 +133,8 @@ func workerArgs(opt options, i, n int) []string {
 		"-workers", strconv.Itoa(cfg.Workers),
 		"-dist", cfg.Dist,
 		"-shard", fmt.Sprintf("%d/%d", i, n),
-		"-store", dir,
-		"-manifest", filepath.Join(dir, "manifest.json"),
+		"-store", opt.storePath,
+		"-manifest", manifest,
 	}
 	if cfg.Check {
 		args = append(args, "-check")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"condaccess/internal/lab"
+	"condaccess/internal/obs"
 )
 
 // TestMain lets this test binary double as the cabench executable: farm-mode
@@ -81,9 +82,11 @@ func farmArgs(extra ...string) []string {
 	}, extra...)
 }
 
-// TestFarmMatchesSequential pins the tentpole acceptance: a farm run's
-// stdout is byte-identical to the sequential sweep's, and a warm re-run
-// against the merged store reports 100% hits with zero simulated trials.
+// TestFarmMatchesSequential pins the farm's acceptance: a farm run's
+// stdout is byte-identical to the sequential sweep's, its workers append
+// each trial once to the main store (one segment each, no private stores),
+// and a warm re-run against that store reports 100% hits with zero
+// simulated trials.
 func TestFarmMatchesSequential(t *testing.T) {
 	t.Setenv("CABENCH_TEST_MAIN", "1") // worker processes re-enter run()
 	dir := t.TempDir()
@@ -101,14 +104,39 @@ func TestFarmMatchesSequential(t *testing.T) {
 	if farmOut.String() != seqOut.String() {
 		t.Errorf("farm stdout differs from sequential:\n--- farm ---\n%s--- seq ---\n%s", farmOut.String(), seqOut.String())
 	}
-	if !strings.Contains(farmErr.String(), "farm: merged 2 shards, 8 entries added (0 already present)") {
-		t.Errorf("farm merge line missing:\n%s", farmErr.String())
+	if !strings.Contains(farmErr.String(), "farm: 2 shards, 8 trials (0 warm)") {
+		t.Errorf("farm coordinator line missing:\n%s", farmErr.String())
 	}
 	if !strings.Contains(farmErr.String(), "store: 8 hits, 0 misses (100% warm)") {
 		t.Errorf("farm render was not fully warm:\n%s", farmErr.String())
 	}
+	if packs, _ := filepath.Glob(filepath.Join(mainStore, "segments", "*.pack")); len(packs) != 2 {
+		t.Errorf("main store holds segments %v, want one per worker", packs)
+	}
+	if _, err := os.Stat(filepath.Join(mainStore, "shards")); !os.IsNotExist(err) {
+		t.Errorf("farm left a shards/ directory (stat: %v)", err)
+	}
 
-	// Warm re-run against the merged store: zero simulator work.
+	// The archive lists the coordinator's manifest alone; its rollups name
+	// the workers' runs, whose manifests sit under the coordinator's run id.
+	runs, err := obs.ListRuns(obs.RunsDir(mainStore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || len(runs[0].Shards) != 2 {
+		t.Fatalf("want one coordinator manifest with 2 shard rollups, got %d manifests: %+v", len(runs), runs)
+	}
+	for i, r := range runs[0].Shards {
+		wm, err := obs.ReadManifest(filepath.Join(obs.RunsDir(mainStore), runs[0].RunID, fmt.Sprintf("shard-%d-of-2.json", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Shard != i || r.RunID == "" || r.RunID != wm.RunID || r.Trials != 4 {
+			t.Errorf("shard %d rollup %+v, want run %q with 4 trials", i, r, wm.RunID)
+		}
+	}
+
+	// Warm re-run against the farm's store: zero simulator work.
 	var warmOut, warmErr strings.Builder
 	if code := run(farmArgs("-store", mainStore), &warmOut, &warmErr); code != 0 {
 		t.Fatalf("warm re-run failed (%d): %s", code, warmErr.String())
@@ -203,10 +231,42 @@ func TestFailedSweepKeepsCompletedTrials(t *testing.T) {
 	}
 }
 
+// TestFailedFarmKeepsFinishedShards: a farm whose shard 1 fails (an
+// unknown scheme) fails naming that shard, while shard 0's finished trial
+// is already in the main store, so a plain re-run of the good subset is
+// warm.
+func TestFailedFarmKeepsFinishedShards(t *testing.T) {
+	t.Setenv("CABENCH_TEST_MAIN", "1") // worker processes re-enter run()
+	store := filepath.Join(t.TempDir(), "store")
+	args := func(schemes string, extra ...string) []string {
+		return append([]string{
+			"-schemes", schemes, "-threads", "1", "-updates", "10",
+			"-ops", "120", "-trials", "1", "-store", store,
+		}, extra...)
+	}
+	var out, errb strings.Builder
+	if code := run(args("ca,bogus", "-farm", "2"), &out, &errb); code != 1 {
+		t.Fatalf("farm with an unknown scheme exited %d, want 1 (stderr %q)", code, errb.String())
+	}
+	if got := errb.String(); strings.Count(got, "\n") != 1 || !strings.HasPrefix(got, "cabench: farm: shard 1/2: ") {
+		t.Errorf("failure stderr is not one cabench line naming shard 1:\n%s", got)
+	}
+
+	var wout, werr strings.Builder
+	if code := run(args("ca"), &wout, &werr); code != 0 {
+		t.Fatalf("re-run of the good subset failed (%d): %s", code, werr.String())
+	}
+	if !strings.Contains(werr.String(), "store: 1 hits, 0 misses (100% warm)") {
+		t.Errorf("the finished shard's trial is not in the store:\n%s", werr.String())
+	}
+}
+
 // TestKillMidSweepRecovery SIGKILLs a shard worker once its store has
 // durable segment bytes, then asserts the store reopens with the surviving
 // records sound (only a truncated tail frame may be reported), merges
-// cleanly, and a re-run heals the gap with warm hits for every survivor.
+// cleanly, and a re-run heals the gap with warm hits for every survivor,
+// both against the merged store and against the killed shard's own store,
+// which is how a farm whose worker was killed recovers.
 func TestKillMidSweepRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills a real worker process")
@@ -220,12 +280,14 @@ func TestKillMidSweepRecovery(t *testing.T) {
 	// One point, many tiny trials (small key range keeps prefill cheap):
 	// enough puts (~1600) to cross the batched writer's flush threshold long
 	// before the shard finishes.
-	args := []string{
-		"-ds", "list", "-schemes", "ca", "-threads", "1", "-updates", "10",
-		"-range", "64", "-ops", "10", "-trials", "1600", "-seed", "3",
-		"-workers", "1", "-shard", "0/1", "-store", store,
+	shardArgs := func(dir string) []string {
+		return []string{
+			"-ds", "list", "-schemes", "ca", "-threads", "1", "-updates", "10",
+			"-range", "64", "-ops", "10", "-trials", "1600", "-seed", "3",
+			"-workers", "1", "-shard", "0/1", "-store", dir,
+		}
 	}
-	cmd := exec.Command(exe, args...)
+	cmd := exec.Command(exe, shardArgs(store)...)
 	cmd.Env = append(os.Environ(), "CABENCH_TEST_MAIN=1")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -308,15 +370,16 @@ func TestKillMidSweepRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-running the same shard against the merged store heals the gap:
-	// every survivor is a warm hit, only the lost tail is re-simulated.
-	var out, errb strings.Builder
-	heal := append(args[:len(args)-1], merged)
-	if code := run(heal, &out, &errb); code != 0 {
-		t.Fatalf("healing re-run failed (%d): %s", code, errb.String())
-	}
+	// Re-running the same shard against either store heals the gap: every
+	// survivor is a warm hit, only the lost tail is re-simulated.
 	want := fmt.Sprintf("store: %d hits, %d misses", sound, 1600-sound)
-	if !strings.Contains(errb.String(), want) {
-		t.Errorf("healing run stats = %q, want %q", errb.String(), want)
+	for _, dir := range []string{merged, store} {
+		var out, errb strings.Builder
+		if code := run(shardArgs(dir), &out, &errb); code != 0 {
+			t.Fatalf("healing re-run on %s failed (%d): %s", dir, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("healing run on %s stats = %q, want %q", dir, errb.String(), want)
+		}
 	}
 }

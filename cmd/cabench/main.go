@@ -45,8 +45,8 @@ type options struct {
 	// shard's jobs into the store, render no table. shardOf == 0 means
 	// unsharded.
 	shardIdx, shardOf int
-	// farm selects coordinator mode (-farm N): spawn N worker processes,
-	// merge their shard stores, then render the sweep warm.
+	// farm selects coordinator mode (-farm N): spawn N worker processes
+	// that append to the store, then render the sweep warm.
 	farm int
 }
 
@@ -76,7 +76,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		tlWin   = fs.Uint64("timeline-window", 0, "timeline window size in simulated cycles (0: default)")
 		trPath  = fs.String("trace", "", "write a Chrome trace_event JSON file of every simulated trial (forces -workers 1)")
 		shard   = fs.String("shard", "", "worker mode: run only shard I/N of the sweep's job list into -store, render no table")
-		farm    = fs.Int("farm", 0, "coordinator mode: spawn N worker processes over private shard stores, merge into -store, render warm")
+		farm    = fs.Int("farm", 0, "coordinator mode: spawn N worker processes that append to -store, then render warm")
 	)
 	var fl cli.Flags
 	fl.Register(fs)

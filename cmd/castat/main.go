@@ -39,7 +39,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		threads = fs.Int("threads", 16, "threads")
 		updates = fs.Int("updates", 100, "update percentage")
 		ops     = fs.Int("ops", 2000, "operations per thread")
-		keys    = fs.Uint64("range", 1000, "key range")
+		keys    = fs.Uint64("range", 0, "key range (default: paper's per-structure value)")
 		dist    = fs.String("dist", "uniform", "key distribution: uniform or zipf")
 		seed    = fs.Uint64("seed", 1, "RNG seed")
 	)
@@ -55,7 +55,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	return options{
 		w: bench.Workload{
 			DS:      *ds,
-			Threads: *threads, KeyRange: *keys, UpdatePct: *updates,
+			Threads: *threads, KeyRange: cli.KeyRange(*ds, *keys), UpdatePct: *updates,
 			OpsPerThread: *ops, Seed: *seed, Dist: *dist,
 			RecordLatency: true,
 		},

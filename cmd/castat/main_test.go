@@ -51,6 +51,21 @@ func TestParseArgsOverrides(t *testing.T) {
 	}
 }
 
+// TestParseArgsPaperKeyRanges: the key range defaults per structure as in
+// cabench, so castat explains the cell cabench reports: 10K keys for the
+// BST (Figure 1's bottom row), 1K for the list.
+func TestParseArgsPaperKeyRanges(t *testing.T) {
+	for ds, want := range map[string]uint64{"bst": 10000, "list": 1000} {
+		opt, err := parseArgs([]string{"-ds", ds}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.w.KeyRange != want {
+			t.Errorf("-ds %s: key range %d, want %d", ds, opt.w.KeyRange, want)
+		}
+	}
+}
+
 func TestParseArgsEmptySchemes(t *testing.T) {
 	if _, err := parseArgs([]string{"-schemes", " , "}, io.Discard); err == nil {
 		t.Fatal("empty scheme list accepted")

@@ -1,10 +1,12 @@
-// Store merging: the pull side of the experiment farm. Sharded sweeps run
-// each shard against a private store; Merge folds those shard stores into
-// one, after which a warm re-run of the full sweep against the merged store
-// executes zero simulator trials. Entries are content-addressed, so merging
-// is pure set union with per-key dedup — two stores can never disagree about
-// a key's value (same engine tag + same spec => same serialized result), and
-// re-merging is idempotent.
+// Store merging: the union of stores filled elsewhere. Shards run by hand
+// (`cabench -shard I/N`) on other hosts or schedules fill stores of their
+// own; Merge folds them into one, after which a warm re-run of the full
+// sweep against the merged store executes zero simulator trials. Shards on
+// one host need no merge: each handle appends to a segment of its own, so
+// they can share one store, as `cabench -farm` workers do. Entries are
+// content-addressed, so merging is pure set union with per-key dedup — two
+// stores can never disagree about a key's value (same engine tag + same
+// spec => same serialized result), and re-merging is idempotent.
 package lab
 
 import "fmt"

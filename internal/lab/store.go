@@ -150,18 +150,18 @@ func (s *Store) Stats() StoreStats {
 }
 
 // String renders the traffic line every -store command reports on stderr;
-// "(100% warm)" is the re-run-executed-zero-trials signal CI greps for. A
-// handle that served no lookups at all says so explicitly — "0% warm"
-// would read as a fully cold run to the same greps. When the handle wrote
-// anything back durably, the line gains the flush traffic; a fully warm run
-// writes nothing and keeps the historical line byte for byte.
+// "(100% warm)" is the re-run-executed-zero-trials signal CI greps for, so
+// the share is floored: one miss keeps it below 100. A handle that served
+// no lookups at all says so explicitly — "0% warm" would read as a fully
+// cold run to the same greps. When the handle wrote anything back durably,
+// the line gains the flush traffic; a fully warm run writes nothing and
+// keeps the historical line byte for byte.
 func (s StoreStats) String() string {
 	total := s.Hits + s.Misses
 	if total == 0 {
 		return "store: no traffic"
 	}
-	pct := 100 * float64(s.Hits) / float64(total)
-	line := fmt.Sprintf("store: %d hits, %d misses (%.0f%% warm)", s.Hits, s.Misses, pct)
+	line := fmt.Sprintf("store: %d hits, %d misses (%d%% warm)", s.Hits, s.Misses, 100*s.Hits/total)
 	if s.Flushes > 0 || s.BytesWritten > 0 {
 		line += fmt.Sprintf(", %d flushes (%s written)", s.Flushes, formatBytes(s.BytesWritten))
 	}

@@ -116,7 +116,8 @@ type StoreRollup struct {
 
 // ShardRollup summarizes one farm worker process on the coordinator's
 // manifest, distilled from the worker's own manifest (which remains the
-// detailed record, under the shard store's runs/ directory).
+// detailed record, in a directory named after the coordinator's run, beside
+// its manifest).
 type ShardRollup struct {
 	Shard     int    `json:"shard"`
 	RunID     string `json:"runId,omitempty"`
@@ -265,7 +266,8 @@ func ReadManifest(path string) (Manifest, error) {
 
 // ListRuns loads every parseable manifest under dir, sorted by start time
 // (then run id). Unparsable files are skipped — a half-copied directory
-// should not hide the sound runs.
+// should not hide the sound runs — and so are subdirectories, which keeps a
+// farm's worker manifests (under the coordinator's run id) out of the list.
 func ListRuns(dir string) ([]Manifest, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

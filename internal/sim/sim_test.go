@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +113,35 @@ func TestCheckModeCatchesUAF(t *testing.T) {
 	m.Run()
 	if recovered == nil {
 		t.Fatal("use-after-free not caught")
+	}
+}
+
+// TestWildAddressFailsInTheHeap: an access to a wild address, such as a
+// poisoned pointer followed without Check, fails in the heap's range check
+// before the cache grows its tables to cover the line. The address is above
+// 2^52, where covering it is an allocation no runtime can make.
+func TestWildAddressFailsInTheHeap(t *testing.T) {
+	const wild mem.Addr = mem.PoisonWord &^ (mem.WordBytes - 1)
+	for _, tc := range []struct {
+		name string
+		op   func(c *Ctx)
+	}{
+		{"Read", func(c *Ctx) { c.Read(wild) }},
+		{"Write", func(c *Ctx) { c.Write(wild, 1) }},
+		{"CAS", func(c *Ctx) { c.CAS(wild, 0, 1) }},
+		{"FetchAdd", func(c *Ctx) { c.FetchAdd(wild, 1) }},
+		{"CRead", func(c *Ctx) { c.CRead(wild) }},
+	} {
+		m := New(Config{Cores: 1})
+		var msg string
+		m.Spawn(func(c *Ctx) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			tc.op(c)
+		})
+		m.Run()
+		if !strings.Contains(msg, "mem: wild address") {
+			t.Errorf("%s of %#x panicked with %q, want mem's wild-address check", tc.name, wild, msg)
+		}
 	}
 }
 
